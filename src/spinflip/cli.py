@@ -4,9 +4,9 @@ One entry point with subcommands; every run writes a JSON report (single
 source of truth), a CSV table, and bare-column .dat files for plotting.  The
 plot emitter copies numbers out of the report and never recomputes anything.
 Configuration is INI-style `key = value` under bracketed sections, every key
-overridable by a command-line flag; SPINFLIP_WORKERS sets the default worker
-count.  Exit codes: 0 clean, 1 a checked inequality failed, 2 bad
-configuration.
+overridable by a command-line flag.  Exit codes: 0 clean, 1 a checked
+inequality failed, 2 bad configuration, 3 internal error (the traceback goes
+to stderr).
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+import traceback
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,6 +102,49 @@ def _floats(text) -> tuple:
     return tuple(float(tok) for tok in str(text).replace(",", " ").split())
 
 
+def _int_any_base(text) -> int:
+    return int(str(text), 0)
+
+
+class Field(NamedTuple):
+    """One configuration field: where it lives in the INI file, the
+    ExperimentConfig attribute it sets, its command-line flag, and how a
+    raw string becomes its value."""
+
+    section: str
+    key: str
+    name: str
+    flag: str
+    parse: Callable
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# The INI layout, the serializer, the flag overrides and the argparse flags
+# are all read from this table; sections keep this order in serialized files.
+FIELDS = (
+    Field("torus", "sides", "sides", "--sides", _ints, help="torus side lengths, e.g. '8' or '4 4'"),
+    Field("rates", "kind", "rates_kind", "--rates", str, ("independent", "glauber", "perturbed")),
+    Field("rates", "r", "r", "--r", float, help="independent flip rate"),
+    Field("rates", "eps0", "eps0", "--eps0", float, help="perturbation size for perturbed rates"),
+    Field("rates", "beta", "beta", "--beta", float, help="nearest-neighbor Ising inverse temperature"),
+    Field("rates", "potential", "potential", "--potential", str, help="potential file (bundled names resolve too)"),
+    Field("measure", "kind", "measure_kind", "--measure", str, ("uniform", "product", "dirac", "gibbs")),
+    Field("measure", "p_plus", "p_plus", "--p-plus", float),
+    Field("measure", "state", "state", "--state", _int_any_base, help="packed spin state for dirac, e.g. 0b1010 or 5"),
+    Field("times", "grid", "times", "--times", _floats, help="time grid, e.g. '0.25 0.5 1 2'"),
+    Field("family", "kind", "family_kind", "--family", str, ("monomials", "random")),
+    Field("family", "k_max", "k_max", "--k-max", int),
+    Field("family", "count", "count", "--count", int),
+    Field("family", "seed", "family_seed", "--family-seed", int),
+    Field("run", "seed", "seed", "--seed", int),
+    Field("run", "replicas", "replicas", "--replicas", int),
+    Field("run", "out", "out", "--out", str, help="output directory for JSON/CSV/plot files"),
+    Field("run", "exact_cap", "exact_cap", "--exact-cap", int),
+    Field("run", "symbolic_n", "symbolic_n", "--symbolic-n", int),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     sides: tuple = (8,)
@@ -119,42 +163,9 @@ class ExperimentConfig:
     family_seed: int = 0
     seed: int = 0
     replicas: int = 2000
-    workers: int | None = None
     out: str = "out"
     exact_cap: int = 12
     symbolic_n: int = 5
-
-    # section -> [(key, field, parser)]
-    LAYOUT = {
-        "torus": [("sides", "sides", _ints)],
-        "rates": [
-            ("kind", "rates_kind", str),
-            ("r", "r", float),
-            ("eps0", "eps0", float),
-            ("beta", "beta", float),
-            ("potential", "potential", str),
-        ],
-        "measure": [
-            ("kind", "measure_kind", str),
-            ("p_plus", "p_plus", float),
-            ("state", "state", lambda s: int(str(s), 0)),
-        ],
-        "times": [("grid", "times", _floats)],
-        "family": [
-            ("kind", "family_kind", str),
-            ("k_max", "k_max", int),
-            ("count", "count", int),
-            ("seed", "family_seed", int),
-        ],
-        "run": [
-            ("seed", "seed", int),
-            ("replicas", "replicas", int),
-            ("workers", "workers", int),
-            ("out", "out", str),
-            ("exact_cap", "exact_cap", int),
-            ("symbolic_n", "symbolic_n", int),
-        ],
-    }
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
@@ -165,17 +176,17 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        known = {sec: {k for k, _, _ in keys} for sec, keys in cls.LAYOUT.items()}
+        known = {(f.section, f.key): f for f in FIELDS}
         values = {}
         for sec in parser.sections():
-            if sec not in known:
+            if not any(f.section == sec for f in FIELDS):
                 raise ConfigError(f"unknown config section [{sec}]")
             for key, raw in parser.items(sec):
-                if key not in known[sec]:
+                if (sec, key) not in known:
                     raise ConfigError(f"unknown config key {key} in [{sec}]")
-                _, field, parse = next(e for e in cls.LAYOUT[sec] if e[0] == key)
+                f = known[sec, key]
                 try:
-                    values[field] = parse(raw)
+                    values[f.name] = f.parse(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {sec}.{key}: {raw!r}") from exc
         return cls(**values)
@@ -189,15 +200,15 @@ class ExperimentConfig:
 
     def serialize(self) -> str:
         lines = []
-        for sec, keys in self.LAYOUT.items():
+        for sec, group in groupby(FIELDS, key=lambda f: f.section):
             body = []
-            for key, field, _ in keys:
-                value = getattr(self, field)
+            for f in group:
+                value = getattr(self, f.name)
                 if value is None:
                     continue
                 if isinstance(value, tuple):
                     value = " ".join(str(v) for v in value)
-                body.append(f"{key} = {value}")
+                body.append(f"{f.key} = {value}")
             if body:
                 lines.append(f"[{sec}]")
                 lines.extend(body)
@@ -206,12 +217,6 @@ class ExperimentConfig:
 
     def override(self, values: dict) -> "ExperimentConfig":
         return replace(self, **values)
-
-    def effective_workers(self) -> int | None:
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get("SPINFLIP_WORKERS")
-        return int(env) if env else None
 
 
 def build_torus(cfg: ExperimentConfig) -> Torus:
@@ -271,7 +276,7 @@ def build_family(cfg: ExperimentConfig, torus: Torus) -> TestFunctionFamily:
         return TestFunctionFamily.monomials(torus, cfg.k_max, max_count=cfg.count)
     if cfg.family_kind == "random":
         return TestFunctionFamily.random_combinations(
-            torus, cfg.k_max, cfg.count, seed=cfg.family_seed
+            torus, count=cfg.count, seed=cfg.family_seed, k_max=cfg.k_max
         )
     raise ConfigError(f"unknown family kind {cfg.family_kind!r}")
 
@@ -381,7 +386,7 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> dict:
     rows = []
     k_rows = []
     for t in cfg.times:
-        mu_t = np.clip(engine.evolve_measures(mu, t), 0.0, None)
+        mu_t = engine.evolve_measures(mu, t)
         k_rows.append([t, k_of_t(gamma, t)])
         for label, values in labeled:
             rows.append([t, label, float(mu_t @ values)])
@@ -401,13 +406,12 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
     engine = SemigroupEngine(rates)
     check = empirical_gcb_constant if kind == "gcb" else check_uvb
     bound = args.bound
-    workers = cfg.effective_workers()
     rows = []
     curve_rows = []
     violations = []
     for t in cfg.times:
-        mu_t = np.clip(engine.evolve_measures(mu, t), 0.0, None)
-        rep = check(mu_t, family, bound=bound, workers=workers)
+        mu_t = engine.evolve_measures(mu, t)
+        rep = check(mu_t, family, bound=bound)
         rows.append([t, rep.best_constant, rep.best_label, "" if bound is None else bound])
         curve_rows.append([t, rep.best_constant] + ([] if bound is None else [bound]))
         for v in rep.violations:
@@ -451,7 +455,6 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     require_exact(cfg, torus)
     rates = build_rates(cfg, torus)
     family = build_family(cfg, torus)
-    workers = cfg.effective_workers()
     theorem = args.theorem
     rows = []
     curve_rows = []
@@ -460,12 +463,12 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
         if theorem == "31":
             rep = theorem31_check(
                 rates, t, build_measure(cfg, torus), family,
-                certified_start_constant(cfg, "gcb"), workers=workers,
+                certified_start_constant(cfg, "gcb"),
             )
         elif theorem == "52":
             rep = theorem52_check(
                 rates, t, build_measure(cfg, torus), family,
-                certified_start_constant(cfg, "uvb"), workers=workers,
+                certified_start_constant(cfg, "uvb"),
             )
         elif theorem == "53":
             rep = theorem53_check(rates, t, family)
@@ -473,7 +476,7 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
             spec = hjc_library(args.hjc, 1.0) if args.hjc != "abs_p" else hjc_library(
                 "abs_p", float(args.hjc_p)
             )
-            rep = hjc_check(rates, t, build_measure(cfg, torus), spec, family, workers=workers)
+            rep = hjc_check(rates, t, build_measure(cfg, torus), spec, family)
         rows.append([t, rep.k_t, rep.measured_constant, rep.composite_constant, rep.holds])
         curve_rows.append([t, rep.measured_constant, rep.composite_constant])
         if not rep.holds:
@@ -552,7 +555,7 @@ def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:
         else:
             norm, norm_kind = result.coeff_l1_norm, "l1"
         ratio = float(norm / bound) if bound else (0.0 if norm == 0 else float("inf"))
-        rows.append([n, norm_kind, _g(norm), _g(bound), _g(ratio), result.polynomial.n_terms])
+        rows.append([n, norm_kind, _g(norm), _g(bound), _g(ratio), result.polynomial.n_terms()])
         json_rows.append(
             {
                 "n": n,
@@ -560,7 +563,7 @@ def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:
                 "norm": str(norm),
                 "bound": str(bound),
                 "ratio": ratio,
-                "terms": result.polynomial.n_terms,
+                "terms": result.polynomial.n_terms(),
             }
         )
         if norm > bound:
@@ -659,9 +662,8 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
     else:
         raise ConfigError(f"unknown measure kind {kind!r}")
     t = args.t if args.t is not None else max(cfg.times)
-    workers = cfg.effective_workers()
-    mean = ensemble_expectation(rates, sampler, t, f, cfg.replicas, cfg.seed, workers)
-    moment = ensemble_exponential_moment(rates, sampler, t, f, cfg.replicas, cfg.seed, workers)
+    mean = ensemble_expectation(rates, sampler, t, f, cfg.replicas, cfg.seed)
+    moment = ensemble_exponential_moment(rates, sampler, t, f, cfg.replicas, cfg.seed)
     rows = [
         ["mean", mean.estimate, mean.std_error, ""],
         ["exponential-moment", moment.estimate, moment.std_error, moment.raw_estimate],
@@ -882,54 +884,11 @@ HANDLERS = {
     "selftest": cmd_selftest,
 }
 
-# flag dest -> (config field, parser applied to the raw string)
-OVERRIDE_FIELDS = {
-    "sides": ("sides", _ints),
-    "rates": ("rates_kind", str),
-    "r": ("r", float),
-    "eps0": ("eps0", float),
-    "beta": ("beta", float),
-    "potential": ("potential", str),
-    "measure": ("measure_kind", str),
-    "p_plus": ("p_plus", float),
-    "state": ("state", lambda s: int(str(s), 0)),
-    "times": ("times", _floats),
-    "family": ("family_kind", str),
-    "k_max": ("k_max", int),
-    "count": ("count", int),
-    "family_seed": ("family_seed", int),
-    "seed": ("seed", int),
-    "replicas": ("replicas", int),
-    "workers": ("workers", int),
-    "out": ("out", str),
-    "exact_cap": ("exact_cap", int),
-    "symbolic_n": ("symbolic_n", int),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file; flags override its keys")
-    common.add_argument("--sides", help="torus side lengths, e.g. '8' or '4 4'")
-    common.add_argument("--rates", choices=["independent", "glauber", "perturbed"])
-    common.add_argument("--r", type=float, help="independent flip rate")
-    common.add_argument("--eps0", type=float, help="perturbation size for perturbed rates")
-    common.add_argument("--beta", type=float, help="nearest-neighbor Ising inverse temperature")
-    common.add_argument("--potential", help="potential file (bundled names resolve too)")
-    common.add_argument("--measure", choices=["uniform", "product", "dirac", "gibbs"])
-    common.add_argument("--p-plus", dest="p_plus", type=float)
-    common.add_argument("--state", help="packed spin state for dirac, e.g. 0b1010 or 5")
-    common.add_argument("--times", help="time grid, e.g. '0.25 0.5 1 2'")
-    common.add_argument("--family", choices=["monomials", "random"])
-    common.add_argument("--k-max", dest="k_max", type=int)
-    common.add_argument("--count", type=int)
-    common.add_argument("--family-seed", dest="family_seed", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--replicas", type=int)
-    common.add_argument("--workers", type=int)
-    common.add_argument("--out", help="output directory for JSON/CSV/plot files")
-    common.add_argument("--exact-cap", dest="exact_cap", type=int)
-    common.add_argument("--symbolic-n", dest="symbolic_n", type=int)
+    for f in FIELDS:
+        common.add_argument(f.flag, dest=f.name, choices=f.choices, help=f.help)
 
     parser = argparse.ArgumentParser(
         prog="spinflip",
@@ -966,14 +925,14 @@ def build_parser() -> argparse.ArgumentParser:
 def effective_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for dest, (field, parse) in OVERRIDE_FIELDS.items():
-        raw = getattr(args, dest, None)
+    for f in FIELDS:
+        raw = getattr(args, f.name)
         if raw is None:
             continue
         try:
-            overrides[field] = parse(raw) if isinstance(raw, str) else raw
+            overrides[f.name] = f.parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for --{dest.replace('_', '-')}: {raw!r}") from exc
+            raise ConfigError(f"bad value for {f.flag}: {raw!r}") from exc
     return cfg.override(overrides)
 
 
@@ -983,6 +942,7 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(args)
         report = HANDLERS[args.command](cfg, args)
+        write_artifacts(report, cfg.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -991,7 +951,9 @@ def main(argv=None) -> int:
         write_artifacts(report, report["config"]["out"])
         print(f"violation: {message}", file=sys.stderr)
         return 1
-    write_artifacts(report, cfg.out)
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -31,7 +31,6 @@ values, so one-sided bounds here are unaffected.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -68,13 +67,6 @@ def product_uvb_constant() -> float:
 def _probs_of(mu) -> np.ndarray:
     probs = getattr(mu, "probs", mu)
     return np.asarray(probs, dtype=float)
-
-
-def _map_ordered(fn, items, workers=None):
-    if workers is None or workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class TestFunctionFamily:
@@ -182,25 +174,20 @@ class ConcentrationReport:
 
 
 def empirical_gcb_constant(
-    mu, family: TestFunctionFamily, bound: float | None = None, workers: int | None = None
+    mu, family: TestFunctionFamily, bound: float | None = None
 ) -> ConcentrationReport:
     """C-hat = max over members x lambda-grid of gcb_ratio(mu, lambda f).
     A lower bound on any valid GCB constant for mu."""
     probs = _probs_of(mu)
-
-    def one(item):
-        label, f = item
-        values = f.dense_values()
+    rows = []
+    for label, f in family.labeled():
         l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        out = []
+        if l2sq == 0:
+            continue
+        values = f.dense_values()
         for lam in family.lambda_grid:
-            if l2sq == 0:
-                continue
             ratio = log_exponential_moment(probs, lam * values) / (lam * lam * l2sq)
-            out.append({"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": l2sq})
-        return out
-
-    rows = [r for chunk in _map_ordered(one, list(family.labeled()), workers) for r in chunk]
+            rows.append({"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": l2sq})
     if not rows:
         raise ValueError("family contains only constant functions")
     best = max(rows, key=lambda r: r["ratio"])
@@ -211,21 +198,18 @@ def empirical_gcb_constant(
 
 
 def check_uvb(
-    mu, family: TestFunctionFamily, bound: float | None = None, workers: int | None = None
+    mu, family: TestFunctionFamily, bound: float | None = None
 ) -> ConcentrationReport:
     """C-hat_var = max over members of Var_mu(f) / ||delta f||_2^2.
     Scale invariant, so the lambda-grid plays no role here."""
     probs = _probs_of(mu)
-
-    def one(item):
-        label, f = item
+    rows = []
+    for label, f in family.labeled():
         l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
         if l2sq == 0:
-            return None
+            continue
         ratio = variance(probs, f.dense_values()) / l2sq
-        return {"label": label, "lam": None, "ratio": ratio, "lipschitz_sq": l2sq}
-
-    rows = [r for r in _map_ordered(one, list(family.labeled()), workers) if r is not None]
+        rows.append({"label": label, "lam": None, "ratio": ratio, "lipschitz_sq": l2sq})
     if not rows:
         raise ValueError("family contains only constant functions")
     best = max(rows, key=lambda r: r["ratio"])
@@ -352,11 +336,6 @@ def carre_du_champ(rates: RateModel, f: Observable) -> Observable:
     return out
 
 
-def _rate_rows(rates: RateModel, n_states: int) -> np.ndarray:
-    states = np.arange(n_states, dtype=np.int64)
-    return np.stack([rates.rate_values(i, states) for i in range(rates.torus.n_sites)])
-
-
 @dataclass
 class PsiReport:
     t: float
@@ -383,7 +362,7 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
         raise ValueError("steps must be even and >= 2")
     h = float(t) / steps
     fi = engine.flip_index()
-    rr = _rate_rows(rates, engine.n_states)
+    rr = engine.rate_table
 
     def gamma_of(vals):
         diffs = vals[fi] - vals[None, :]
@@ -407,8 +386,7 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
 def evolve_dirac_matrix(rates: RateModel, t: float) -> np.ndarray:
     """All Dirac starts at once: row sigma is delta_sigma S(t)."""
     engine = engine_for(rates)
-    out = engine.evolve_measures(np.eye(engine.n_states), t)
-    return np.clip(out, 0.0, None)
+    return engine.evolve_measures(np.eye(engine.n_states), t)
 
 
 def _start_gcb_ratios(T: np.ndarray, values: np.ndarray, l2sq: float) -> np.ndarray:
@@ -444,7 +422,6 @@ def theorem31_check(
     family: TestFunctionFamily,
     c_mu: float,
     tol: float = 1e-9,
-    workers: int | None = None,
 ) -> TheoremReport:
     """Exponential-moment conservation.  D_t is the exact max over all Dirac
     starts and the family; the per-function bound and the composite constant
@@ -453,26 +430,22 @@ def theorem31_check(
     probs = _probs_of(mu)
     engine = engine_for(rates)
     T = evolve_dirac_matrix(rates, t)
-    mu_t = np.clip(engine.evolve_measures(probs, t), 0.0, None)
+    mu_t = engine.evolve_measures(probs, t)
 
-    def prepare(item):
-        label, f = item
+    prepared = []
+    d_t = 0.0
+    for label, f in family.labeled():
         values = f.dense_values()
         l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
         vt = engine.evolve_functions(values, t)
         l2sq_t = lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, vt), 2.0) ** 2
-        per_lam = {}
         for lam in family.lambda_grid:
-            per_lam[lam] = float(np.max(_start_gcb_ratios(T, lam * values, lam * lam * l2sq)))
-        return label, values, l2sq, l2sq_t, per_lam
-
-    prepared = _map_ordered(prepare, list(family.labeled()), workers)
-    d_t = max(r for *_, per_lam in prepared for r in per_lam.values())
-    d_t = max(d_t, 0.0)
+            d_t = max(d_t, float(np.max(_start_gcb_ratios(T, lam * values, lam * lam * l2sq))))
+        prepared.append((label, values, l2sq, l2sq_t))
 
     rows = []
     measured = 0.0
-    for label, values, l2sq, l2sq_t, _ in prepared:
+    for label, values, l2sq, l2sq_t in prepared:
         for lam in family.lambda_grid:
             lhs = log_exponential_moment(mu_t, lam * values)
             rhs = d_t * lam * lam * l2sq + c_mu * lam * lam * l2sq_t
@@ -493,7 +466,6 @@ def theorem52_check(
     family: TestFunctionFamily,
     c_mu: float,
     tol: float = 1e-9,
-    workers: int | None = None,
 ) -> TheoremReport:
     """Variance conservation: measured UVB constant of mu S(t) against
     C_mu K(t) + int C(sigma, t) dmu(sigma), the start integral taken over the
@@ -501,15 +473,13 @@ def theorem52_check(
     probs = _probs_of(mu)
     engine = engine_for(rates)
     T = evolve_dirac_matrix(rates, t)
-    mu_t = np.clip(engine.evolve_measures(probs, t), 0.0, None)
+    mu_t = engine.evolve_measures(probs, t)
 
-    def prepare(item):
-        label, f = item
+    prepared = []
+    for label, f in family.labeled():
         values = f.dense_values()
         l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        return label, values, l2sq, _start_variances(T, values) / l2sq
-
-    prepared = _map_ordered(prepare, list(family.labeled()), workers)
+        prepared.append((label, values, l2sq, _start_variances(T, values) / l2sq))
     c_sigma = np.maximum.reduce([ratios for *_, ratios in prepared])
     avg_start = float(probs @ c_sigma)
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
@@ -650,7 +620,6 @@ def hjc_check(
     spec: HJCSpec,
     family: TestFunctionFamily,
     tol: float = 1e-9,
-    workers: int | None = None,
 ) -> TheoremReport:
     """(H, J, C) conservation along the dynamics.  Per-start constants are
     measured on the doubled centered functions (the convexity split H(a + b)
@@ -662,16 +631,15 @@ def hjc_check(
     probs = _probs_of(mu)
     engine = engine_for(rates)
     T = evolve_dirac_matrix(rates, t)
-    mu_t = np.clip(engine.evolve_measures(probs, t), 0.0, None)
+    mu_t = engine.evolve_measures(probs, t)
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
 
     hv = np.vectorize(spec.h, otypes=[float])
 
-    def prepare(item):
-        label, f = item
+    prepared = []
+    for label, f in family.labeled():
         base = f.dense_values()
         l2sq_base = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        out = []
         for lam in family.lambda_grid:
             values = lam * base
             l2 = abs(lam) * math.sqrt(l2sq_base)
@@ -685,10 +653,7 @@ def hjc_check(
             c_out = spec.j_inv(m_out) / (2.0 * lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, g), 2.0))
             # left side under mu S(t)
             lhs = float(mu_t @ hv(values - float(mu_t @ values)))
-            out.append((label, lam, l2, c_start, c_out, lhs))
-        return out
-
-    prepared = [r for chunk in _map_ordered(prepare, list(family.labeled()), workers) for r in chunk]
+            prepared.append((label, lam, l2, c_start, c_out, lhs))
     c_start = max(r[3] for r in prepared)
     c_out = max(r[4] for r in prepared)
     rows = []

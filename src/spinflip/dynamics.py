@@ -6,8 +6,8 @@ The generator acts on observables as
 
 with flip rates c satisfying: positivity, translation invariance, finite
 range R (c(i, .) reads only spins within Chebyshev distance R of i), and
-boundedness.  On a torus with N <= 20 sites the full 2^N x 2^N generator
-is assembled sparsely and e^{tL} is applied by uniformization: with
+boundedness.  On a torus with N <= EXACT_SITE_CAP sites the full 2^N x 2^N
+generator is assembled sparsely and e^{tL} is applied by uniformization: with
 Lambda >= max exit rate and P = I + Q/Lambda,
 
     e^{tQ} = sum_k e^{-Lambda t} (Lambda t)^k / k!  P^k,
@@ -45,12 +45,15 @@ from .gibbs import Potential
 from .lattice import (
     Observable,
     Torus,
+    gather_bits,
     lipschitz_vector,
     lipschitz_vector_dense,
+    scatter_bits,
+    state_bits,
     states_arange,
+    translate_states,
 )
 
-EXACT_STATE_CAP = 20
 DEFAULT_TAIL_TOL = 1e-13
 
 
@@ -69,10 +72,7 @@ class RateModel:
             raise ValueError("need one rate table per site")
         self.label = label
         self.translation_invariant = bool(translation_invariant)
-        self._engines = {}
-
-    def rate_table(self, i: int):
-        return self._terms[i]
+        self._engine = None
 
     def dependence(self, i: int):
         """Sorted set of sites c(i, .) actually reads."""
@@ -80,37 +80,31 @@ class RateModel:
         return tuple(sorted(set(sites)))
 
     def rate(self, i: int, state) -> float:
-        bits = state.bits if hasattr(state, "bits") else int(state)
         sites, table = self._terms[i]
-        key = 0
-        for j, s in enumerate(sites):
-            key |= ((bits >> s) & 1) << j
-        return float(table[key])
+        return table.item(gather_bits(state_bits(state), sites))
 
     def rate_values(self, i: int, states: np.ndarray) -> np.ndarray:
         sites, table = self._terms[i]
-        key = np.zeros_like(states)
-        for j, s in enumerate(sites):
-            key |= ((states >> np.int64(s)) & 1) << np.int64(j)
-        return table[key]
+        return table[gather_bits(states, sites)]
 
-    def rate_matrix(self, cap: int = EXACT_STATE_CAP) -> np.ndarray:
+    def rate_matrix(self) -> np.ndarray:
         """(N, 2^N) array of c(i, s) over all states."""
-        states = states_arange(self.torus.n_sites, cap)
+        states = states_arange(self.torus.n_sites)
         out = np.empty((self.torus.n_sites, states.size))
         for i in self.torus.sites():
             out[i] = self.rate_values(i, states)
         return out
 
+    def rate_patterns(self, i: int, dep) -> np.ndarray:
+        """c(i, .) over the 2^len(dep) patterns of the sorted site tuple dep
+        (key bit j = spin at dep[j]); dep must hold every site c(i, .) reads."""
+        sites, table = self._terms[i]
+        pats = np.arange(1 << len(dep), dtype=np.int64)
+        return table[gather_bits(pats, [dep.index(s) for s in sites])]
+
     def reachable_rates(self, i: int) -> np.ndarray:
         """All values c(i, .) attains (patterns of the deduped dependence set)."""
-        sites, table = self._terms[i]
-        dep = tuple(sorted(set(sites)))
-        pats = np.arange(1 << len(dep), dtype=np.int64)
-        key = np.zeros_like(pats)
-        for j, s in enumerate(sites):
-            key |= ((pats >> np.int64(dep.index(s))) & 1) << np.int64(j)
-        return table[key]
+        return self.rate_patterns(i, self.dependence(i))
 
     def min_rate(self) -> float:
         return min(float(self.reachable_rates(i).min()) for i in self.torus.sites())
@@ -163,15 +157,10 @@ class GlauberRates(RateModel):
             pos = {s: j for j, s in enumerate(dep)}
             pats = np.arange(1 << len(dep), dtype=np.int64)
             dh = np.zeros(pats.size)
-            ibit = np.int64(1 << pos[i])
-            flipped = pats ^ ibit
+            flipped = pats ^ np.int64(1 << pos[i])
             for sites, table in terms_at[i]:
-                key = np.zeros_like(pats)
-                key_f = np.zeros_like(pats)
-                for j, s in enumerate(sites):
-                    key |= ((pats >> np.int64(pos[s])) & 1) << np.int64(j)
-                    key_f |= ((flipped >> np.int64(pos[s])) & 1) << np.int64(j)
-                dh += table[key_f] - table[key]
+                positions = [pos[s] for s in sites]
+                dh += table[gather_bits(flipped, positions)] - table[gather_bits(pats, positions)]
             site_terms.append((tuple(dep), np.exp(-0.5 * dh)))
         super().__init__(torus, site_terms, "glauber", True)
 
@@ -219,12 +208,7 @@ class CustomRates(RateModel):
         site_terms = []
         for i in torus.sites():
             dep = tuple(sorted(set(dep_fn(i))))
-            table = np.empty(1 << len(dep))
-            for key in range(table.size):
-                bits = 0
-                for j, s in enumerate(dep):
-                    bits |= ((key >> j) & 1) << s
-                table[key] = rate_fn(i, bits)
+            table = np.array([rate_fn(i, scatter_bits(key, dep)) for key in range(1 << len(dep))], dtype=float)
             site_terms.append((dep, table))
         super().__init__(torus, site_terms, label, translation_invariant)
 
@@ -240,22 +224,21 @@ class ConditionsReport:
     ok: bool
 
 
-def validate_conditions(rates: RateModel, check_cap: int = 12) -> ConditionsReport:
-    """Positivity, boundedness, finite range, translation invariance."""
+def validate_conditions(rates: RateModel) -> ConditionsReport:
+    """Positivity, boundedness, finite range, translation invariance; the
+    invariance is checked state by state on tori of at most 12 sites."""
     cmin = rates.min_rate()
     cmax = rates.max_rate()
     r = rates.interaction_range()
     ti = rates.translation_invariant
     checked = False
     n = rates.torus.n_sites
-    if ti and n <= check_cap:
-        from .lattice import translate_states
-
-        c = rates.rate_matrix(cap=check_cap)
+    if ti and n <= 12:
+        c = rates.rate_matrix()
         checked = True
         for axis in range(rates.torus.dim):
             off = tuple(1 if a == axis else 0 for a in range(rates.torus.dim))
-            perm = translate_states(rates.torus, off, cap=check_cap)
+            perm = translate_states(rates.torus, off)
             for i in rates.torus.sites():
                 j = rates.torus.translate(i, off)
                 if not np.array_equal(c[j][perm], c[i]):
@@ -279,31 +262,24 @@ def generator_apply(rates: RateModel, f: Observable) -> Observable:
     pos = {s: j for j, s in enumerate(grown)}
     keys = np.arange(1 << len(grown), dtype=np.int64)
     table = np.zeros(keys.size)
-
-    def values_of(obs, pats):
-        key = np.zeros_like(pats)
-        for j, s in enumerate(obs.support):
-            key |= ((pats >> np.int64(pos[s])) & 1) << np.int64(j)
-        return obs.table[key]
-
-    fvals = values_of(f, keys)
+    fpos = [pos[s] for s in f.support]
+    fvals = f.table[gather_bits(keys, fpos)]
     for i in f.support:
         flipped = keys ^ np.int64(1 << pos[i])
-        grad = values_of(f, flipped) - fvals
-        sites, rtab = rates.rate_table(i)
-        rkey = np.zeros_like(keys)
-        for j, s in enumerate(sites):
-            rkey |= ((keys >> np.int64(pos[s])) & 1) << np.int64(j)
-        table += rtab[rkey] * grad
+        grad = f.table[gather_bits(flipped, fpos)] - fvals
+        table += rates.rate_patterns(i, grown) * grad
     return Observable(rates.torus, grown, table)
 
 
-def generator_matrix(rates: RateModel, cap: int = EXACT_STATE_CAP) -> sp.csr_matrix:
+def generator_matrix(rates: RateModel) -> sp.csr_matrix:
     """Sparse 2^N x 2^N generator: Q[s, s^i] = c(i, s), rows sum to zero."""
-    n = rates.torus.n_sites
-    states = states_arange(n, cap)
-    size = states.size
-    c = rates.rate_matrix(cap)
+    return _generator_from_rates(rates.rate_matrix())
+
+
+def _generator_from_rates(c: np.ndarray) -> sp.csr_matrix:
+    """The generator of the (N, 2^N) rate table c."""
+    n, size = c.shape
+    states = np.arange(size, dtype=np.int64)
     rows = np.tile(states, n)
     cols = np.concatenate([states ^ np.int64(1 << i) for i in range(n)])
     data = c.reshape(-1)
@@ -317,17 +293,19 @@ def generator_matrix(rates: RateModel, cap: int = EXACT_STATE_CAP) -> sp.csr_mat
 class SemigroupEngine:
     """Uniformized exact semigroup on the full state space of one rate model."""
 
-    def __init__(self, rates: RateModel, cap: int = EXACT_STATE_CAP, tail_tol: float = DEFAULT_TAIL_TOL):
+    def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
         self.torus = rates.torus
         self.n_states = 1 << self.torus.n_sites
-        if self.torus.n_sites > cap:
-            raise ValueError(f"{self.torus.n_sites} sites exceeds the exact cap {cap}")
         self.tail_tol = float(tail_tol)
-        self.rate_table = rates.rate_matrix(cap)
+        self.rate_table = rates.rate_matrix()
+        if np.any(self.rate_table < 0):
+            raise ValueError(f"{rates!r} has a negative rate; the semigroup needs c >= 0")
+        # every rate is >= 0, so P = I + Q / lam is entrywise >= 0 and evolved
+        # measures stay nonnegative without clipping
         exit_rate = self.rate_table.sum(axis=0)
         self.lam = float(exit_rate.max())
-        q = generator_matrix(rates, cap)
+        q = _generator_from_rates(self.rate_table)
         self.q = q
         if self.lam > 0:
             p = (q / self.lam + sp.identity(self.n_states, format="csr")).tocsr()
@@ -378,10 +356,10 @@ class SemigroupEngine:
             acc = acc + w[k] * cur
         return acc
 
-    def stationary(self, cap: int = 14) -> np.ndarray:
+    def stationary(self) -> np.ndarray:
         """Left null vector of Q, normalized to a probability vector."""
-        if self.torus.n_sites > cap:
-            raise ValueError("stationary solve capped for dense linear algebra")
+        if self.torus.n_sites > 14:
+            raise ValueError("stationary solve capped at 14 sites for dense linear algebra")
         a = self.q.T.toarray()
         a[-1, :] = 1.0
         b = np.zeros(self.n_states)
@@ -394,27 +372,26 @@ class SemigroupEngine:
         return lipschitz_vector_dense(self.torus.n_sites, values)
 
 
-def engine_for(rates: RateModel, cap: int = EXACT_STATE_CAP, tail_tol: float = DEFAULT_TAIL_TOL) -> SemigroupEngine:
-    """Engine cache: Q and P are reused across calls on the same rates."""
-    key = (cap, tail_tol)
-    if key not in rates._engines:
-        rates._engines[key] = SemigroupEngine(rates, cap, tail_tol)
-    return rates._engines[key]
+def engine_for(rates: RateModel) -> SemigroupEngine:
+    """Engine cache: Q and P are built once per rate model and reused."""
+    if rates._engine is None:
+        rates._engine = SemigroupEngine(rates)
+    return rates._engine
 
 
-def exact_semigroup_measure(rates: RateModel, t: float, probs, cap: int = EXACT_STATE_CAP) -> np.ndarray:
-    return engine_for(rates, cap).evolve_measures(probs, t)
+def exact_semigroup_measure(rates: RateModel, t: float, probs) -> np.ndarray:
+    return engine_for(rates).evolve_measures(probs, t)
 
 
-def exact_semigroup_function(rates: RateModel, t: float, values, cap: int = EXACT_STATE_CAP) -> np.ndarray:
-    return engine_for(rates, cap).evolve_functions(values, t)
+def exact_semigroup_function(rates: RateModel, t: float, values) -> np.ndarray:
+    return engine_for(rates).evolve_functions(values, t)
 
 
-def nonlinear_semigroup(rates: RateModel, t: float, values, cap: int = EXACT_STATE_CAP) -> np.ndarray:
+def nonlinear_semigroup(rates: RateModel, t: float, values) -> np.ndarray:
     """V(t) f = log S(t) e^f, stabilized by shifting out max f."""
     values = np.asarray(values, dtype=float)
     m = float(values.max())
-    g = engine_for(rates, cap).evolve_functions(np.exp(values - m), t)
+    g = engine_for(rates).evolve_functions(np.exp(values - m), t)
     return np.log(g) + m
 
 
@@ -429,21 +406,11 @@ def gamma_matrix(rates: RateModel) -> GammaResult:
     n = rates.torus.n_sites
     g = np.zeros((n, n))
     for i in rates.torus.sites():
-        sites, table = rates.rate_table(i)
-        dep = tuple(sorted(set(sites)))
-        if not dep:
-            continue
-        pats = np.arange(1 << len(dep), dtype=np.int64)
-        key = np.zeros_like(pats)
-        for j, s in enumerate(sites):
-            key |= ((pats >> np.int64(dep.index(s))) & 1) << np.int64(j)
-        vals = table[key]
-        for j in dep:
-            flipped = pats ^ np.int64(1 << dep.index(j))
-            keyf = np.zeros_like(pats)
-            for jj, s in enumerate(sites):
-                keyf |= ((flipped >> np.int64(dep.index(s))) & 1) << np.int64(jj)
-            g[i, j] = float(np.max(table[keyf] - vals))
+        dep = rates.dependence(i)
+        vals = rates.rate_patterns(i, dep)
+        pats = np.arange(vals.size, dtype=np.int64)
+        for bit, j in enumerate(dep):
+            g[i, j] = float(np.max(vals[pats ^ np.int64(1 << bit)] - vals))
     kernel = g[0].copy() if rates.translation_invariant else None
     return GammaResult(g, kernel)
 
@@ -485,19 +452,10 @@ def ergodicity_constants(rates: RateModel):
     off-diagonal Gamma row sum."""
     eps = np.inf
     for i in rates.torus.sites():
-        sites, table = rates.rate_table(i)
-        dep = tuple(sorted(set(sites) | {i}))
-        pats = np.arange(1 << len(dep), dtype=np.int64)
-
-        def key_of(p):
-            key = np.zeros_like(p)
-            for j, s in enumerate(sites):
-                key |= ((p >> np.int64(dep.index(s))) & 1) << np.int64(j)
-            return key
-
-        vals = table[key_of(pats)]
-        vals_f = table[key_of(pats ^ np.int64(1 << dep.index(i)))]
-        eps = min(eps, float(np.min(vals + vals_f)))
+        dep = tuple(sorted(set(rates.dependence(i)) | {i}))
+        vals = rates.rate_patterns(i, dep)
+        pats = np.arange(vals.size, dtype=np.int64)
+        eps = min(eps, float(np.min(vals + vals[pats ^ np.int64(1 << dep.index(i))])))
     g = gamma_matrix(rates).matrix
     off = g - np.diag(np.diag(g))
     m = float(np.max(off.sum(axis=1))) if g.size else 0.0
@@ -508,13 +466,12 @@ def contraction_constants(
     rates: RateModel,
     t: float,
     verify: bool = True,
-    verify_cap: int = 10,
     seed: int = 7,
 ) -> ContractionReport:
     """K(t), its Schur upper bound, and the decay rate alpha = 2(eps - M).
 
-    alpha is only meaningful when M < eps; when the torus is small enough
-    it is verified against the exact semigroup on random local functions
+    alpha is only meaningful when M < eps; on tori of at most 10 sites it
+    is verified against the exact semigroup on random local functions
     before being reported as verified.
     """
     g = gamma_matrix(rates).matrix
@@ -531,9 +488,9 @@ def contraction_constants(
     verified = None
     violation = 0.0
     n = rates.torus.n_sites
-    if verify and alpha is not None and n <= verify_cap:
+    if verify and alpha is not None and n <= 10:
         verified = True
-        eng = engine_for(rates, cap=verify_cap)
+        eng = engine_for(rates)
         rng = np.random.default_rng(seed)
         for _ in range(3):
             k = int(rng.integers(1, min(3, n) + 1))
@@ -552,10 +509,10 @@ def contraction_constants(
     )
 
 
-def detailed_balance_residual(rates: RateModel, probs: np.ndarray, cap: int = EXACT_STATE_CAP) -> float:
+def detailed_balance_residual(rates: RateModel, probs: np.ndarray) -> float:
     """max |c(i,s) mu(s) - c(i,s^i) mu(s^i)|; zero iff mu is reversible."""
     n = rates.torus.n_sites
-    states = states_arange(n, cap)
+    states = states_arange(n)
     probs = np.asarray(probs, dtype=float)
     worst = 0.0
     for i in range(n):

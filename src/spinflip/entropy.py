@@ -19,7 +19,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .dynamics import RateModel, engine_for
-from .lattice import Torus
+from .lattice import Torus, gather_bits
 
 
 def total_variation(mu, nu) -> float:
@@ -54,10 +54,7 @@ def marginal(probs, sites, n_sites: int | None = None) -> np.ndarray:
     sites = sorted(set(int(s) for s in sites))
     if any(s < 0 or s >= n_sites for s in sites):
         raise ValueError("site outside the state space")
-    states = np.arange(probs.size, dtype=np.int64)
-    keys = np.zeros_like(states)
-    for j, s in enumerate(sites):
-        keys |= ((states >> np.int64(s)) & 1) << np.int64(j)
+    keys = gather_bits(np.arange(probs.size, dtype=np.int64), sites)
     return np.bincount(keys, weights=probs, minlength=1 << len(sites))
 
 
@@ -135,7 +132,6 @@ def data_processing_check(
     rows = []
     for t in grid:
         pair = engine.evolve_measures(np.vstack([mu, nu]), t)
-        pair = np.clip(pair, 0.0, None)
         rows.append({"t": t, "entropy": relative_entropy(pair[0], pair[1])})
     for a, b in zip(rows, rows[1:]):
         if b["entropy"] > a["entropy"] + tol:
@@ -191,7 +187,7 @@ def nogo_experiment(
     degenerate = total_variation(mu_plus, mu_minus) < 1e-15
     rows = []
     for t in sorted(set(float(t) for t in t_grid)):
-        pair = np.clip(engine.evolve_measures(np.vstack([mu_plus, mu_minus]), t), 0.0, None)
+        pair = engine.evolve_measures(np.vstack([mu_plus, mu_minus]), t)
         profile = entropy_density_profile(pair[0], pair[1], windows, torus.n_sites)
         rows.append(
             {

@@ -28,9 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .lattice import Observable, SpinConfiguration, Torus, states_arange
-
-MEASURE_SITE_CAP = 20
+from .lattice import (
+    EXACT_SITE_CAP,
+    Observable,
+    SpinConfiguration,
+    Torus,
+    gather_bits,
+    scatter_bits,
+    spin_product,
+    state_bits,
+    states_arange,
+)
 
 
 def _canonical_shape(offsets):
@@ -79,12 +87,7 @@ class Potential:
                 raise ValueError("table length must be 2^|shape|")
             # reorder the table to the canonical (sorted) offset order
             order = sorted(range(len(offsets)), key=lambda j: _sort_key(offsets, j))
-            t2 = np.empty_like(t)
-            for key in range(t.size):
-                src = 0
-                for newbit, oldbit in enumerate(order):
-                    src |= ((key >> newbit) & 1) << oldbit
-                t2[key] = t[src]
+            t2 = t[scatter_bits(np.arange(t.size, dtype=np.int64), order)]
             t2.setflags(write=False)
             canon.append(Shape(offs, t2))
         self.shapes = tuple(canon)
@@ -169,15 +172,8 @@ class Potential:
         with open(path, "w") as fh:
             for shape in self.shapes:
                 offs = " ".join(",".join(str(x) for x in o) for o in shape.offsets)
-                k = shape.size
-                vals = []
-                for idx in range(1 << k):
-                    # file order: first offset is the most significant bit
-                    key = 0
-                    for j in range(k):
-                        key |= ((idx >> (k - 1 - j)) & 1) << j
-                    vals.append(repr(float(shape.table[key])))
-                fh.write(f"{offs} | {' '.join(vals)}\n")
+                vals = shape.table[_file_order(shape.size)]
+                fh.write(f"{offs} | {' '.join(repr(float(v)) for v in vals)}\n")
 
     @classmethod
     def load(cls, path) -> "Potential":
@@ -200,13 +196,8 @@ class Potential:
                 k = len(offsets)
                 if len(vals) != 1 << k:
                     raise ValueError(f"expected {1 << k} values, got {len(vals)}")
-                table = np.empty(1 << k)
-                for idx, v in enumerate(vals):
-                    key = 0
-                    for j in range(k):
-                        key |= ((idx >> (k - 1 - j)) & 1) << j
-                    table[key] = v
-                shapes.append((offsets, table))
+                # the bit reversal is an involution, so it also maps back
+                shapes.append((offsets, np.array(vals)[_file_order(k)]))
         if not shapes:
             raise ValueError(f"no shapes in potential file {path}")
         return cls(dim, shapes)
@@ -217,6 +208,11 @@ class Potential:
 
 def _sort_key(offsets, j):
     return tuple(int(x) for x in offsets[j])
+
+
+def _file_order(k: int) -> np.ndarray:
+    """Table keys in file order: the first offset is the most significant bit."""
+    return gather_bits(np.arange(1 << k, dtype=np.int64), range(k - 1, -1, -1))
 
 
 class BoundaryCondition:
@@ -261,15 +257,12 @@ def hamiltonian_periodic(potential: Potential, torus: Torus, states=None):
     """Energy of one state, or the full 2^N energy vector when states is None."""
     single = states is not None and np.isscalar(_maybe_bits(states))
     if states is None:
-        sv = states_arange(torus.n_sites, MEASURE_SITE_CAP)
+        sv = states_arange(torus.n_sites)
     else:
         sv = np.atleast_1d(np.asarray(_maybe_bits(states), dtype=np.int64))
     energy = np.zeros(sv.shape, dtype=float)
     for sites, table in potential.periodic_terms(torus):
-        key = np.zeros_like(sv)
-        for j, s in enumerate(sites):
-            key |= ((sv >> np.int64(s)) & 1) << np.int64(j)
-        energy += table[key]
+        energy += table[gather_bits(sv, sites)]
     if single:
         return float(energy[0])
     return energy
@@ -283,8 +276,8 @@ def _maybe_bits(states):
 
 def fixed_volume_terms(potential: Potential, torus: Torus, volume_sites, boundary):
     """Box-semantics terms for a fixed boundary: per term, the positions of
-    its inside sites within the (sorted) volume and the fixed key bits
-    contributed by the exterior eta spins."""
+    its inside sites within the (sorted) volume and the shape table over
+    those sites, with the exterior offsets held at their eta spins."""
     volume = tuple(sorted(set(int(s) for s in volume_sites)))
     coords = {torus.coord(s): p for p, s in enumerate(volume)}
     terms = []
@@ -306,7 +299,9 @@ def fixed_volume_terms(potential: Potential, torus: Torus, volume_sites, boundar
                     if boundary.eta_at(c) == 1:
                         base_key |= 1 << j
             if touches:
-                terms.append((tuple(inside), base_key, shape.table))
+                js = [j for j, _ in inside]
+                table = shape.table[base_key | scatter_bits(np.arange(1 << len(js), dtype=np.int64), js)]
+                terms.append((tuple(p for _, p in inside), table))
     return volume, terms
 
 
@@ -314,17 +309,14 @@ def hamiltonian_fixed(potential: Potential, torus: Torus, volume_sites, boundary
     """Fixed-boundary energy over the volume's own 2^|volume| state indexing."""
     volume, terms = fixed_volume_terms(potential, torus, volume_sites, boundary)
     if states is None:
-        sv = states_arange(len(volume), MEASURE_SITE_CAP)
+        sv = states_arange(len(volume))
         single = False
     else:
         single = np.isscalar(states)
         sv = np.atleast_1d(np.asarray(states, dtype=np.int64))
     energy = np.zeros(sv.shape, dtype=float)
-    for inside, base_key, table in terms:
-        key = np.full_like(sv, base_key)
-        for j, pos in inside:
-            key |= ((sv >> np.int64(pos)) & 1) << np.int64(j)
-        energy += table[key]
+    for positions, table in terms:
+        energy += table[gather_bits(sv, positions)]
     if single:
         return float(energy[0])
     return energy
@@ -356,26 +348,16 @@ class GibbsMeasure:
     def expectation(self, obs) -> float:
         """E[f] for an Observable supported inside the volume, or E[sigma_A]
         for a bare site tuple."""
+        sv = np.arange(self.probs.size, dtype=np.int64)
+        pos = {s: p for p, s in enumerate(self.volume)}
         if isinstance(obs, Observable):
-            if self.volume == tuple(range(self.torus.n_sites)):
-                return float(self.probs @ obs.dense_values(cap=MEASURE_SITE_CAP))
-            pos = {s: p for p, s in enumerate(self.volume)}
             if any(s not in pos for s in obs.support):
                 raise ValueError("observable support leaves the volume")
-            sv = np.arange(self.probs.size, dtype=np.int64)
-            key = np.zeros_like(sv)
-            for j, s in enumerate(obs.support):
-                key |= ((sv >> np.int64(pos[s])) & 1) << np.int64(j)
-            return float(self.probs @ obs.table[key])
-        sites = tuple(obs)
-        pos = {s: p for p, s in enumerate(self.volume)}
+            return float(self.probs @ obs.table[gather_bits(sv, [pos[s] for s in obs.support])])
         mask = 0
-        for s in sites:
+        for s in obs:
             mask |= 1 << pos[s]
-        sv = np.arange(self.probs.size, dtype=np.int64)
-        plus = np.bitwise_count(sv & np.int64(mask)).astype(np.int64)
-        vals = np.where((len(set(sites)) - plus) & 1, -1.0, 1.0)
-        return float(self.probs @ vals)
+        return float(self.probs @ spin_product(sv, mask).astype(float))
 
 
 def gibbs_measure(
@@ -383,7 +365,6 @@ def gibbs_measure(
     torus: Torus,
     boundary: BoundaryCondition | None = None,
     volume=None,
-    cap: int = MEASURE_SITE_CAP,
 ) -> GibbsMeasure:
     """Finite-volume Gibbs measure prop to exp(-H); exact enumeration."""
     if boundary is None:
@@ -392,13 +373,13 @@ def gibbs_measure(
         if volume is not None and tuple(sorted(volume)) != tuple(torus.sites()):
             raise ValueError("periodic boundary requires the full torus volume")
         volume = tuple(torus.sites())
-        if torus.n_sites > cap:
-            raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {cap}")
+        if torus.n_sites > EXACT_SITE_CAP:
+            raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
         energy = hamiltonian_periodic(potential, torus)
     else:
         volume = tuple(sorted(set(volume if volume is not None else torus.sites())))
-        if len(volume) > cap:
-            raise ValueError(f"{len(volume)} sites exceeds the enumeration cap {cap}")
+        if len(volume) > EXACT_SITE_CAP:
+            raise ValueError(f"{len(volume)} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
         energy = hamiltonian_fixed(potential, torus, volume, boundary)
     log_weights = -energy
     log_z = float(logsumexp(log_weights))
@@ -407,22 +388,22 @@ def gibbs_measure(
     return GibbsMeasure(torus, volume, probs, boundary, potential, log_z)
 
 
-def uniform_measure(torus: Torus, cap: int = MEASURE_SITE_CAP) -> np.ndarray:
+def uniform_measure(torus: Torus) -> np.ndarray:
     """Uniform product measure as a dense probability vector."""
-    if torus.n_sites > cap:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {cap}")
+    if torus.n_sites > EXACT_SITE_CAP:
+        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
     n = 1 << torus.n_sites
     return np.full(n, 1.0 / n)
 
 
-def product_measure(torus: Torus, p_plus, cap: int = MEASURE_SITE_CAP) -> np.ndarray:
+def product_measure(torus: Torus, p_plus) -> np.ndarray:
     """Product measure with per-site P(sigma_i = +1); scalar or per-site array."""
-    if torus.n_sites > cap:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {cap}")
+    if torus.n_sites > EXACT_SITE_CAP:
+        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
     p = np.broadcast_to(np.asarray(p_plus, dtype=float), (torus.n_sites,))
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    states = states_arange(torus.n_sites, cap)
+    states = states_arange(torus.n_sites)
     probs = np.ones(states.size)
     for i in range(torus.n_sites):
         up = ((states >> np.int64(i)) & 1).astype(bool)
@@ -430,11 +411,10 @@ def product_measure(torus: Torus, p_plus, cap: int = MEASURE_SITE_CAP) -> np.nda
     return probs
 
 
-def dirac_vector(torus: Torus, state, cap: int = MEASURE_SITE_CAP) -> np.ndarray:
+def dirac_vector(torus: Torus, state) -> np.ndarray:
     """Point mass at a configuration, as a dense probability vector."""
-    if torus.n_sites > cap:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {cap}")
-    bits = state.bits if hasattr(state, "bits") else int(state)
+    if torus.n_sites > EXACT_SITE_CAP:
+        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
     out = np.zeros(1 << torus.n_sites)
-    out[bits] = 1.0
+    out[state_bits(state)] = 1.0
     return out

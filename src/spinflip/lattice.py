@@ -8,8 +8,17 @@ Conventions used across the package:
   spin +1 at site i, clear means -1.  State indices therefore run over
   range(2**N) and double as row/column indices of exact operators.
 * An observable depends on a finite support and is tabulated over the
-  2**k patterns of its support, key bit k corresponding to the k-th site
-  of the sorted support (least significant bit first).
+  2**k patterns of its support, key bit j corresponding to the j-th site
+  of the sorted support (least significant bit first).  `gather_bits`
+  packs a state into such a key and `scatter_bits` unpacks a key back
+  into state bits; every table lookup in the package goes through them.
+* sigma_A, the product of the spins in A, is (-1)^(number of minus spins
+  in A); `spin_product` computes it from a bit mask of A.
+* Sizes are capped before anything exponential is allocated: EXACT_SITE_CAP
+  (20) bounds every dense object indexed by all 2**N states (state
+  vectors, Gibbs enumeration, generators, semigroups, exact sup norms of
+  set polynomials), and LIPSCHITZ_SUPPORT_CAP (24) bounds the support of
+  a tabulated observable.
 * The Lipschitz vector of f collects delta_i f = sup_sigma |f(sigma^i) -
   f(sigma)| where sigma^i flips site i.
 """
@@ -21,7 +30,46 @@ import math
 import numpy as np
 
 LIPSCHITZ_SUPPORT_CAP = 24
-DENSE_STATE_CAP = 20
+EXACT_SITE_CAP = 20
+
+
+def gather_bits(states, positions):
+    """Table keys of states: key bit j is bit positions[j] of the state.
+
+    states is a Python int (any size, exact) or an int64 array; repeated
+    positions each get their own key bit."""
+    if type(states) is int:  # checked first: the per-flip MC path
+        key = 0
+        for j, p in enumerate(positions):
+            key |= ((states >> p) & 1) << j
+        return key
+    key = np.zeros_like(states)
+    for j, p in enumerate(positions):
+        key |= ((states >> np.int64(p)) & 1) << np.int64(j)
+    return key
+
+
+def scatter_bits(keys, positions):
+    """Inverse of gather_bits for distinct positions: bit j of the key
+    becomes bit positions[j] of the state."""
+    if type(keys) is int:
+        out = 0
+        for j, p in enumerate(positions):
+            out |= ((keys >> j) & 1) << p
+        return out
+    out = np.zeros_like(keys)
+    for j, p in enumerate(positions):
+        out |= ((keys >> np.int64(j)) & 1) << np.int64(p)
+    return out
+
+
+def spin_product(states, mask):
+    """sigma_A at each state as an integer +-1, A the set bits of mask:
+    -1 exactly when an odd number of A's spins are minus (bits clear)."""
+    if type(states) is int:
+        return -1 if ((states & mask) ^ mask).bit_count() & 1 else 1
+    minus = np.bitwise_count((states & np.int64(mask)) ^ np.int64(mask))
+    return np.where(minus & 1, -1, 1)
 
 
 class Torus:
@@ -152,41 +200,37 @@ class SpinConfiguration:
         return f"SpinConfiguration({pat})"
 
 
-def _as_bits(state) -> int:
+def state_bits(state) -> int:
+    """The packed bits of a state given as an int or a SpinConfiguration."""
     if isinstance(state, SpinConfiguration):
         return state.bits
     return int(state)
 
 
 def monomial_eval(state, sites) -> int:
-    """Product of spins over `sites`, i.e. sigma_A evaluated at one state."""
-    bits = _as_bits(state)
-    minus = 0
+    """Product of spins over `sites`, i.e. sigma_A evaluated at one state.
+    A repeated site squares its spin away, so the mask toggles its bit."""
+    mask = 0
     for i in sites:
-        minus += 1 - ((bits >> i) & 1)
-    return -1 if minus & 1 else 1
+        mask ^= 1 << i
+    return spin_product(state_bits(state), mask)
 
 
-def states_arange(n_sites: int, cap: int = DENSE_STATE_CAP) -> np.ndarray:
-    if n_sites > cap:
-        raise ValueError(f"{n_sites} sites exceeds the dense-state cap {cap}")
+def states_arange(n_sites: int) -> np.ndarray:
+    if n_sites > EXACT_SITE_CAP:
+        raise ValueError(f"{n_sites} sites exceeds the dense-state cap {EXACT_SITE_CAP}")
     return np.arange(1 << n_sites, dtype=np.int64)
 
 
-def monomial_values_dense(torus: Torus, sites, cap: int = DENSE_STATE_CAP) -> np.ndarray:
+def monomial_values_dense(torus: Torus, sites) -> np.ndarray:
     """sigma_A over all 2^N states as a +-1 float vector."""
-    states = states_arange(torus.n_sites, cap)
+    states = states_arange(torus.n_sites)
     mask = 0
-    seen = set()
     for i in sites:
-        if i in seen:
+        if (mask >> i) & 1:
             raise ValueError("repeated site in monomial")
-        seen.add(i)
         mask |= 1 << i
-    k = len(seen)
-    # sign = (-1)^(number of minus spins in A) = (-1)^(|A| - popcount)
-    plus = np.bitwise_count(states & np.int64(mask)).astype(np.int64)
-    return np.where((k - plus) & 1, -1.0, 1.0)
+    return spin_product(states, mask).astype(float)
 
 
 class Observable:
@@ -219,10 +263,10 @@ class Observable:
     def monomial(cls, torus: Torus, sites):
         sites = tuple(sorted(set(sites)))
         k = len(sites)
-        table = np.empty(1 << k)
-        for key in range(1 << k):
-            table[key] = -1.0 if (k - int(key).bit_count()) & 1 else 1.0
-        return cls(torus, sites, table)
+        if k > LIPSCHITZ_SUPPORT_CAP:
+            raise ValueError("support too large to tabulate")
+        keys = np.arange(1 << k, dtype=np.int64)
+        return cls(torus, sites, spin_product(keys, (1 << k) - 1).astype(float))
 
     @classmethod
     def monomial_sum(cls, torus: Torus, terms):
@@ -234,12 +278,8 @@ class Observable:
         table = np.zeros(1 << len(support))
         keys = np.arange(1 << len(support), dtype=np.int64)
         for coeff, sites in terms:
-            mask = 0
-            for i in set(sites):
-                mask |= 1 << pos[int(i)]
-            k = len(set(sites))
-            plus = np.bitwise_count(keys & np.int64(mask)).astype(np.int64)
-            table += float(coeff) * np.where((k - plus) & 1, -1.0, 1.0)
+            mask = sum(1 << pos[i] for i in {int(i) for i in sites})
+            table += float(coeff) * spin_product(keys, mask).astype(float)
         return cls(torus, support, table)
 
     @classmethod
@@ -251,30 +291,15 @@ class Observable:
             raise ValueError("support too large to tabulate")
         table = np.empty(1 << len(support))
         for key in range(1 << len(support)):
-            bits = 0
-            for j, s in enumerate(support):
-                if (key >> j) & 1:
-                    bits |= 1 << s
-            table[key] = fn(SpinConfiguration(torus, bits))
+            table[key] = fn(SpinConfiguration(torus, scatter_bits(key, support)))
         return cls(torus, support, table)
 
-    def key_of_state(self, state) -> int:
-        bits = _as_bits(state)
-        key = 0
-        for j, s in enumerate(self.support):
-            key |= ((bits >> s) & 1) << j
-        return key
-
     def __call__(self, state) -> float:
-        return float(self.table[self.key_of_state(state)])
+        return self.table.item(gather_bits(state_bits(state), self.support))
 
-    def dense_values(self, cap: int = DENSE_STATE_CAP) -> np.ndarray:
+    def dense_values(self) -> np.ndarray:
         """Values over all 2^N torus states, aligned with state indices."""
-        states = states_arange(self.torus.n_sites, cap)
-        key = np.zeros_like(states)
-        for j, s in enumerate(self.support):
-            key |= ((states >> np.int64(s)) & 1) << np.int64(j)
-        return self.table[key]
+        return self.table[gather_bits(states_arange(self.torus.n_sites), self.support)]
 
     def restrict_support(self) -> "Observable":
         """Drop support sites the table does not actually depend on."""
@@ -286,13 +311,8 @@ class Observable:
         if len(keep) == len(self.support):
             return self
         support = tuple(self.support[j] for j in keep)
-        table = np.empty(1 << len(keep))
-        for key in range(1 << len(keep)):
-            full = 0
-            for jj, j in enumerate(keep):
-                full |= ((key >> jj) & 1) << j
-            table[key] = self.table[full]
-        return Observable(self.torus, support, table)
+        keys = np.arange(1 << len(keep), dtype=np.int64)
+        return Observable(self.torus, support, self.table[scatter_bits(keys, keep)])
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -305,11 +325,7 @@ class Observable:
         keys = np.arange(1 << len(support), dtype=np.int64)
 
         def lift(obs):
-            key = np.zeros_like(keys)
-            for j, s in enumerate(obs.support):
-                jj = support.index(s)
-                key |= ((keys >> np.int64(jj)) & 1) << np.int64(j)
-            return obs.table[key]
+            return obs.table[gather_bits(keys, [support.index(s) for s in obs.support])]
 
         return Observable(self.torus, support, lift(self) + lift(other))
 
@@ -344,18 +360,18 @@ def discrete_gradient(f: Observable, site: int, state) -> float:
     """nabla_i f (sigma) = f(sigma^i) - f(sigma); zero off the support."""
     if site not in f.support:
         return 0.0
-    return f(flip(_as_bits(state), site)) - f(state)
+    return f(flip(state_bits(state), site)) - f(state)
 
 
-def lipschitz_vector(f: Observable, cap: int = LIPSCHITZ_SUPPORT_CAP) -> np.ndarray:
+def lipschitz_vector(f: Observable) -> np.ndarray:
     """delta f as a length-N vector; exhaustive sup over the support patterns.
 
     delta_i f = sup_sigma (f(sigma^i) - f(sigma)) which equals the max of
     |f(sigma^i) - f(sigma)| since flipping is an involution.
     """
     k = len(f.support)
-    if k > cap:
-        raise ValueError(f"support size {k} exceeds the exhaustive cap {cap}")
+    if k > LIPSCHITZ_SUPPORT_CAP:
+        raise ValueError(f"support size {k} exceeds the exhaustive cap {LIPSCHITZ_SUPPORT_CAP}")
     out = np.zeros(f.torus.n_sites)
     keys = np.arange(1 << k)
     for j, s in enumerate(f.support):
@@ -386,15 +402,11 @@ def lipschitz_norm(delta, p=2.0) -> float:
     return float(np.sum(np.abs(delta) ** p) ** (1.0 / p))
 
 
-def translate_states(torus: Torus, offset, cap: int = DENSE_STATE_CAP) -> np.ndarray:
+def translate_states(torus: Torus, offset) -> np.ndarray:
     """Permutation p of state indices induced by the lattice translation
     site i -> i + offset; p[s] carries spin_i(s) to site i + offset."""
-    states = states_arange(torus.n_sites, cap)
-    out = np.zeros_like(states)
-    for i in torus.sites():
-        j = torus.translate(i, offset)
-        out |= ((states >> np.int64(i)) & 1) << np.int64(j)
-    return out
+    targets = [torus.translate(i, offset) for i in torus.sites()]
+    return scatter_bits(states_arange(torus.n_sites), targets)
 
 
 def load_observable(path, torus: Torus) -> Observable:

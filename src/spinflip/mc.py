@@ -4,9 +4,8 @@ Jump-chain construction: at state sigma the total rate is R(sigma) = sum_i
 c(i, sigma); the holding time is exponential with rate R; the flipped site is
 drawn proportional to its rate; after a flip only the sites whose rate reads
 the flipped spin are recomputed.  Streams are counter-based (Philox) with one
-jumped substream per replica, so estimates are reproducible for a given seed
-regardless of worker count, and replica merging is a fixed-order sum of
-sufficient statistics.
+jumped substream per replica, so estimates are reproducible for a given seed,
+and replicas are merged in replica order.
 
 The exponential-moment estimator reports both the plug-in value and its
 jackknife correction; the plug-in log-mean-exp is biased at small samples.
@@ -14,15 +13,12 @@ jackknife correction; the plug-in log-mean-exp is biased at small samples.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import RateModel
-from .lattice import Observable
-
-CHUNK = 256  # replicas per work item; fixed so results do not depend on workers
+from .lattice import Observable, state_bits
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -78,7 +74,7 @@ def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory
     """One continuous-time trajectory on [0, t_end] from a fixed seed."""
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    bits = sigma0.bits if hasattr(sigma0, "bits") else int(sigma0)
+    bits = state_bits(sigma0)
     rng = replica_rng(seed, 0)
     if t_end == 0:
         rvec = np.array([rates.rate(i, bits) for i in range(rates.torus.n_sites)])
@@ -90,7 +86,7 @@ def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory
 
 
 def dirac_sampler(state):
-    bits = state.bits if hasattr(state, "bits") else int(state)
+    bits = state_bits(state)
 
     def sample(rng):
         return bits
@@ -137,28 +133,17 @@ class EnsembleEstimate:
     raw_estimate: float | None = None
 
 
-def _final_values(rates, sampler, t, f, replicas, seed, workers):
+def _final_values(rates, sampler, t, f, replicas, seed):
     """f evaluated at the endpoint of every replica, in replica order."""
     t = float(t)
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        out = np.empty(hi - lo)
-        for r in range(lo, hi):
-            rng = replica_rng(seed, r)
-            bits = sampler(rng)
-            if t > 0:
-                bits, _, _, _ = _simulate(rates, bits, t, rng, record=False)
-            out[r - lo] = f(bits)
-        return out
-
-    chunks = [(lo, min(lo + CHUNK, replicas)) for lo in range(0, replicas, CHUNK)]
-    if workers is None or workers <= 1:
-        parts = [run_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    return np.concatenate(parts)
+    out = np.empty(replicas)
+    for r in range(replicas):
+        rng = replica_rng(seed, r)
+        bits = sampler(rng)
+        if t > 0:
+            bits, _, _, _ = _simulate(rates, bits, t, rng, record=False)
+        out[r] = f(bits)
+    return out
 
 
 def ensemble_expectation(
@@ -168,13 +153,12 @@ def ensemble_expectation(
     f: Observable,
     replicas: int,
     seed: int,
-    workers: int | None = None,
 ) -> EnsembleEstimate:
     """Mean of f at time t over independent replicas, with the replica
     standard error."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    values = _final_values(rates, sampler, t, f, replicas, seed, workers)
+    values = _final_values(rates, sampler, t, f, replicas, seed)
     se = float(values.std(ddof=1) / np.sqrt(replicas))
     return EnsembleEstimate(float(values.mean()), se, replicas, seed, "mean")
 
@@ -186,13 +170,12 @@ def ensemble_exponential_moment(
     f: Observable,
     replicas: int,
     seed: int,
-    workers: int | None = None,
 ) -> EnsembleEstimate:
     """log E e^{f - E f} at time t: plug-in log-mean-exp around the sample
     mean, with jackknife bias correction and jackknife standard error."""
     if replicas < 3:
         raise ValueError("need at least 3 replicas for the jackknife")
-    v = _final_values(rates, sampler, t, f, replicas, seed, workers)
+    v = _final_values(rates, sampler, t, f, replicas, seed)
     n = replicas
     shift = float(v.max())
     e = np.exp(v - shift)

@@ -35,11 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Torus
+from .lattice import EXACT_SITE_CAP, Torus, monomial_values_dense, spin_product
 
 TERM_CAP = 10**7
 POWER_CAP = 8
-EXACT_SUP_CAP = 20
 
 
 def as_monomial(sites) -> frozenset:
@@ -121,7 +120,7 @@ class SetPolynomial:
             total += c * sign
         return total
 
-    def exact_sup_norm(self, cap: int = EXACT_SUP_CAP):
+    def exact_sup_norm(self, cap: int = EXACT_SITE_CAP):
         """Exact sup norm by enumerating the support patterns; None when the
         support exceeds the cap.  Integer arithmetic after clearing
         denominators, so the result is an exact Fraction."""
@@ -140,10 +139,7 @@ class SetPolynomial:
         vals = np.zeros(1 << m, dtype=np.int64)
         for key, c in self.terms.items():
             num = int(c * scale)
-            mask = np.int64(sum(1 << pos[s] for s in key))
-            plus = np.bitwise_count(assign & mask).astype(np.int64)
-            sign = 1 - 2 * ((len(key) - plus) & 1)
-            vals += num * sign
+            vals += num * spin_product(assign, sum(1 << pos[s] for s in key))
         return Fraction(int(np.max(np.abs(vals))), scale)
 
     def float_items(self):
@@ -153,7 +149,7 @@ class SetPolynomial:
         return f"SetPolynomial({self.n_terms()} terms)"
 
 
-def apply_LB(B, poly: SetPolynomial, term_cap: int = TERM_CAP) -> SetPolynomial:
+def apply_LB(B, poly: SetPolynomial) -> SetPolynomial:
     """L_B acting on a polynomial: linear extension of
     L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) Delta A}."""
     if isinstance(poly, (frozenset, set, tuple, list)):
@@ -169,7 +165,7 @@ def apply_LB(B, poly: SetPolynomial, term_cap: int = TERM_CAP) -> SetPolynomial:
                 out.pop(key, None)
             else:
                 out[key] = s
-        if len(out) > term_cap:
+        if len(out) > TERM_CAP:
             raise RuntimeError("term-count overflow in L_B expansion")
     res = SetPolynomial()
     res.terms = out
@@ -197,7 +193,7 @@ class ChainResult:
     exact_available: bool
 
 
-def apply_chain(shapes, A, term_cap: int = TERM_CAP, sup_cap: int = EXACT_SUP_CAP) -> ChainResult:
+def apply_chain(shapes, A) -> ChainResult:
     """L_{B_n} ... L_{B_1} sigma_A with shapes listed in application order
     (shapes[0] acts first); checks the uniform estimate exactly."""
     shapes = [as_monomial(b) for b in shapes]
@@ -206,10 +202,10 @@ def apply_chain(shapes, A, term_cap: int = TERM_CAP, sup_cap: int = EXACT_SUP_CA
     a = as_monomial(A)
     poly = SetPolynomial.monomial(a)
     for b in shapes:
-        poly = apply_LB(b, poly, term_cap)
+        poly = apply_LB(b, poly)
     bound = chain_bound([len(b) for b in shapes], len(a))
     l1 = poly.coeff_l1()
-    sup = poly.exact_sup_norm(sup_cap)
+    sup = poly.exact_sup_norm()
     if l1 > bound:
         raise RuntimeError(
             f"uniform chain estimate violated: l1 norm {l1} > bound {bound}"
@@ -249,11 +245,11 @@ class GeneratorSpec:
     def m_max_coeff(self) -> Fraction:
         return max(abs(l) for l in self.shapes.values())
 
-    def apply(self, poly: SetPolynomial, term_cap: int = TERM_CAP) -> SetPolynomial:
+    def apply(self, poly: SetPolynomial) -> SetPolynomial:
         out = SetPolynomial()
         for b, lam in self.shapes.items():
-            out = out + apply_LB(b, poly, term_cap).scale(lam)
-            if out.n_terms() > term_cap:
+            out = out + apply_LB(b, poly).scale(lam)
+            if out.n_terms() > TERM_CAP:
                 raise RuntimeError("term-count overflow in generator power")
         return out
 
@@ -310,22 +306,19 @@ def apply_generator_power(
     gen: GeneratorSpec,
     n: int,
     A,
-    power_cap: int = POWER_CAP,
-    term_cap: int = TERM_CAP,
-    sup_cap: int = EXACT_SUP_CAP,
 ) -> PowerResult:
     """Exact expansion of L^n sigma_A with the factorial bound checked."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > power_cap:
-        raise ValueError(f"power {n} exceeds the cap {power_cap}")
+    if n > POWER_CAP:
+        raise ValueError(f"power {n} exceeds the cap {POWER_CAP}")
     a = as_monomial(A)
     poly = SetPolynomial.monomial(a)
     for _ in range(n):
-        poly = gen.apply(poly, term_cap)
+        poly = gen.apply(poly)
     bound = loccast_bound(gen, n, len(a))
     l1 = poly.coeff_l1()
-    sup = poly.exact_sup_norm(sup_cap)
+    sup = poly.exact_sup_norm()
     if l1 > bound:
         raise RuntimeError(
             f"factorial growth bound violated: l1 norm {l1} > bound {bound}"
@@ -350,15 +343,15 @@ class SeriesResult:
     n_max: int
 
 
-def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int, power_cap: int = POWER_CAP) -> SeriesResult:
+def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResult:
     """Partial sum over n <= n_max of t^n/n! L^n sigma_A, plus the geometric
     tail bound sum_{n > n_max} rho^n with rho = 2 t M |bb| (|A|+K)."""
     t0 = float(analyticity_radius(gen, A))
     t = float(t)
     if t < 0 or t >= t0:
         raise ValueError(f"t = {t} is outside [0, t0) with t0 = {t0}")
-    if n_max > power_cap:
-        raise ValueError(f"n_max {n_max} exceeds the cap {power_cap}")
+    if n_max > POWER_CAP:
+        raise ValueError(f"n_max {n_max} exceeds the cap {POWER_CAP}")
     a = as_monomial(A)
     poly = SetPolynomial.monomial(a)
     acc = {}
@@ -383,16 +376,14 @@ def realize_monomial_sites(key: frozenset, torus: Torus):
     return tuple(sites)
 
 
-def realize_polynomial(coeffs, torus: Torus, cap: int = EXACT_SUP_CAP) -> np.ndarray:
+def realize_polynomial(coeffs, torus: Torus) -> np.ndarray:
     """Evaluate a set polynomial (dict frozenset -> number) over all torus
     states as a dense vector."""
-    from .lattice import monomial_values_dense
-
     out = np.zeros(1 << torus.n_sites)
     for key, c in coeffs.items() if isinstance(coeffs, dict) else coeffs.terms.items():
         sites = realize_monomial_sites(key, torus)
         if sites:
-            out += float(c) * monomial_values_dense(torus, sites, cap)
+            out += float(c) * monomial_values_dense(torus, sites)
         else:
             out += float(c)
     return out

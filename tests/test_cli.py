@@ -1,15 +1,18 @@
 """Command-line plumbing: config round-trips, exit codes, artifact files."""
 
+import csv
 import json
 
 import pytest
 
+from spinflip import cli
 from spinflip.cli import (
     ConfigError,
     ExperimentConfig,
     emit_plot_data,
     main,
 )
+from spinflip.lattice import Torus
 
 
 def read_json(out_dir, name):
@@ -31,7 +34,6 @@ class TestConfig:
             measure_kind="dirac",
             state=0b1010,
             times=(0.1, 0.7),
-            workers=3,
         )
         text = cfg.serialize()
         again = ExperimentConfig.parse(text)
@@ -61,13 +63,6 @@ class TestConfig:
         assert code == 0
         report = read_json(out, "evolve")
         assert report["config"]["sides"] == [4]
-
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("SPINFLIP_WORKERS", "2")
-        assert ExperimentConfig().effective_workers() == 2
-        assert ExperimentConfig(workers=5).effective_workers() == 5
-        monkeypatch.delenv("SPINFLIP_WORKERS")
-        assert ExperimentConfig().effective_workers() is None
 
 
 class TestDobrushin:
@@ -133,6 +128,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, args):
+            raise RuntimeError("handler blew up")
+
+        monkeypatch.setitem(cli.HANDLERS, "radius", broken)
+        code = main(["radius", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "handler blew up" in err
+
 
 class TestScan:
     def test_gcb_scan_artifacts(self, tmp_path):
@@ -146,6 +151,22 @@ class TestScan:
         curve = report["curves"][0]
         assert curve["columns"] == ["t", "value", "bound"]
         assert (tmp_path / "gcb_hat.dat").exists()
+
+    def test_random_family(self, tmp_path):
+        code = main(
+            ["gcb-scan", "--family", "random", "--k-max", "2", "--count", "3",
+             "--sides", "5", "--times", "0.5", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        report = read_json(tmp_path, "gcb-scan")
+        cfg = report["config"]
+        assert (cfg["family_kind"], cfg["k_max"], cfg["count"]) == ("random", 2, 3)
+        assert report["table"]["rows"][0][2].split("[")[0] in {"f0", "f1", "f2"}
+        family = cli.build_family(
+            ExperimentConfig(family_kind="random", k_max=2, count=3), Torus((5,))
+        )
+        assert family.label == f"random:3:{cfg['family_seed']}"
+        assert len(family) == 3
 
     def test_uvb_check(self, tmp_path):
         code = main(
@@ -227,6 +248,18 @@ class TestSymbolic:
         assert report["rows"][0]["norm_kind"] == "sup"
         out = capsys.readouterr().out
         assert "n = 4" in out
+
+    def test_terms_column_is_an_int(self, tmp_path):
+        code = main(
+            ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        report = read_json(tmp_path, "symbolic-bound")
+        assert [type(row["terms"]) for row in report["rows"]] == [int] * 3
+        assert report["rows"][0]["terms"] == 1
+        with open(tmp_path / "symbolic-bound.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["terms"]) for row in rows] == [r["terms"] for r in report["rows"]]
 
     def test_radius(self, tmp_path, capsys):
         code = main(["radius", "--gen", "nn_decay.gen", "--A", "0", "--out", str(tmp_path)])

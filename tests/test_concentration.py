@@ -148,15 +148,6 @@ class TestEmpiricalConstants:
         assert report.holds
         assert report.best_constant <= certified
 
-    def test_workers_do_not_change_the_report(self):
-        torus = Torus((5,))
-        mu = uniform_measure(torus)
-        fam = TestFunctionFamily.monomials(torus, 2)
-        seq = empirical_gcb_constant(mu, fam)
-        par = empirical_gcb_constant(mu, fam, workers=4)
-        assert seq.best_constant == par.best_constant
-        assert seq.rows == par.rows
-
     def test_uvb_single_site(self):
         torus = Torus((1,))
         fam = TestFunctionFamily([Observable.monomial(torus, [0])])

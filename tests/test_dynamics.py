@@ -103,6 +103,13 @@ class TestRateModels:
         assert not rep.positive and not rep.ok
 
 
+    def test_engine_rejects_negative_rates(self):
+        torus = Torus((4,))
+        signed = CustomRates(torus, lambda i: (i, (i + 1) % 4), lambda i, bits: 1.0 if (bits >> i) & 1 else -0.5)
+        with pytest.raises(ValueError):
+            SemigroupEngine(signed)
+
+
 class TestGenerator:
     def test_rows_sum_to_zero(self):
         t = Torus((4,))

@@ -7,6 +7,7 @@ from spinflip.lattice import (
     Torus,
     discrete_gradient,
     flip,
+    gather_bits,
     lipschitz_norm,
     lipschitz_vector,
     lipschitz_vector_dense,
@@ -14,8 +15,80 @@ from spinflip.lattice import (
     monomial_eval,
     monomial_values_dense,
     save_observable,
+    scatter_bits,
+    spin_product,
     translate_states,
 )
+
+
+def loop_gather(state, positions):
+    return sum(((state >> p) & 1) << j for j, p in enumerate(positions))
+
+
+def loop_scatter(key, positions):
+    return sum(((key >> j) & 1) << p for j, p in enumerate(positions))
+
+
+def loop_spin_product(state, sites):
+    out = 1
+    for i in sites:
+        out *= 1 if (state >> i) & 1 else -1
+    return out
+
+
+class TestBitHelpers:
+    def test_gather_matches_loop_on_arrays_and_ints(self):
+        rng = np.random.default_rng(0)
+        states = rng.integers(0, 1 << 12, size=200, dtype=np.int64)
+        for _ in range(20):
+            positions = [int(p) for p in rng.choice(12, size=rng.integers(0, 6), replace=False)]
+            keys = gather_bits(states, positions)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == [loop_gather(int(s), positions) for s in states]
+            assert gather_bits(int(states[0]), positions) == loop_gather(int(states[0]), positions)
+
+    def test_scatter_inverts_gather(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            positions = [int(p) for p in rng.choice(14, size=rng.integers(1, 7), replace=False)]
+            keys = np.arange(1 << len(positions), dtype=np.int64)
+            states = scatter_bits(keys, positions)
+            assert states.tolist() == [loop_scatter(int(k), positions) for k in keys]
+            assert np.array_equal(gather_bits(states, positions), keys)
+            assert scatter_bits(5, positions) == loop_scatter(5, positions)
+            state = int(rng.integers(0, 1 << 14))
+            key = gather_bits(state, positions)
+            mask = sum(1 << p for p in positions)
+            assert scatter_bits(key, positions) == state & mask
+
+    def test_repeated_positions_keep_their_own_bits(self):
+        # multiset keys: a site listed twice fills two key bits
+        positions = (3, 1, 3)
+        for state in range(16):
+            assert gather_bits(state, positions) == loop_gather(state, positions)
+        states = np.arange(16, dtype=np.int64)
+        assert gather_bits(states, positions).tolist() == [loop_gather(s, positions) for s in range(16)]
+
+    def test_python_ints_beyond_int64(self):
+        state = (1 << 64) - 1 - (1 << 5) + (1 << 70)
+        positions = (63, 5, 64, 70, 0)
+        assert state >= 1 << 63
+        assert gather_bits(state, positions) == loop_gather(state, positions) == 0b11001
+        assert scatter_bits(0b10111, positions) == loop_scatter(0b10111, positions)
+        mask = (1 << 63) | (1 << 64) | (1 << 70)
+        assert spin_product(state, mask) == loop_spin_product(state, (63, 64, 70)) == -1
+
+    def test_spin_product_matches_per_site_product(self):
+        rng = np.random.default_rng(2)
+        states = np.arange(1 << 9, dtype=np.int64)
+        for _ in range(20):
+            sites = [int(s) for s in rng.choice(9, size=rng.integers(0, 6), replace=False)]
+            mask = sum(1 << s for s in sites)
+            signs = spin_product(states, mask)
+            assert np.issubdtype(signs.dtype, np.integer)
+            assert signs.tolist() == [loop_spin_product(int(s), sites) for s in states]
+            assert type(spin_product(7, mask)) is int
+            assert spin_product(7, mask) == loop_spin_product(7, sites)
 
 
 def test_torus_indexing_roundtrip():
@@ -170,8 +243,8 @@ def test_lipschitz_vector_dense_agrees_with_table():
 
 def test_lipschitz_cap_raises():
     t = Torus((30,))
-    f = Observable.monomial(t, tuple(range(25)))
     with pytest.raises(ValueError):
+        f = Observable.monomial(t, tuple(range(25)))
         lipschitz_vector(f)
 
 

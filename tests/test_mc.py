@@ -8,7 +8,6 @@ from spinflip.dynamics import GlauberRates, IndependentRates, SemigroupEngine
 from spinflip.gibbs import Potential, gibbs_measure, product_measure
 from spinflip.lattice import Observable, SpinConfiguration, Torus
 from spinflip.mc import (
-    CHUNK,
     EnsembleEstimate,
     dirac_sampler,
     ensemble_expectation,
@@ -133,17 +132,17 @@ class TestEnsembleExpectation:
         with pytest.raises(ValueError):
             ensemble_expectation(rates, dirac_sampler(0), 0.5, f, replicas=1, seed=1)
 
-    def test_worker_count_is_invisible(self):
+    def test_seed_determines_the_estimate(self):
         torus = Torus((6,))
         rates = IndependentRates(torus, 1.0)
         f = Observable.monomial(torus, [0, 2])
-        n = CHUNK + 37
+        n = 293
         one = ensemble_expectation(rates, dirac_sampler(0), 0.4, f, replicas=n, seed=9)
-        four = ensemble_expectation(
-            rates, dirac_sampler(0), 0.4, f, replicas=n, seed=9, workers=4
-        )
-        assert one.estimate == four.estimate
-        assert one.std_error == four.std_error
+        again = ensemble_expectation(rates, dirac_sampler(0), 0.4, f, replicas=n, seed=9)
+        other = ensemble_expectation(rates, dirac_sampler(0), 0.4, f, replicas=n, seed=10)
+        assert one.estimate == again.estimate
+        assert one.std_error == again.std_error
+        assert one.estimate != other.estimate
 
     def test_independent_decay(self):
         # E sigma_A(t) = exp(-2|A|t) from the all-plus start

@@ -473,9 +473,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
         elif theorem == "53":
             rep = theorem53_check(rates, t, family)
         else:
-            spec = hjc_library(args.hjc, 1.0) if args.hjc != "abs_p" else hjc_library(
-                "abs_p", float(args.hjc_p)
-            )
+            name = f"abs_p:{args.hjc_p}" if args.hjc == "abs_p" else args.hjc
+            spec = hjc_library(name, 1.0)
             rep = hjc_check(rates, t, build_measure(cfg, torus), spec, family)
         rows.append([t, rep.k_t, rep.measured_constant, rep.composite_constant, rep.holds])
         curve_rows.append([t, rep.measured_constant, rep.composite_constant])

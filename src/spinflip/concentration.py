@@ -12,9 +12,13 @@ constants for product measures (1/8 and 1/4) come from the Hoeffding moment
 bound and the Efron-Stein inequality, which hold for every function, and are
 what the conservation pipelines consume as the initial-measure input.
 
-The pipelines evolve every Dirac start exactly (one transition matrix per t),
-measure the per-start constants the theorems quantify over, and assert the
-composite bounds term by term:
+The pipelines measure the per-start constants the theorems quantify over,
+exactly and for every Dirac start, and assert the composite bounds term by
+term.  A per-start quantity of Theorems 3.1, 5.2 and 5.3 is a pointwise
+function of S(t)f, S(t)f^2 and S(t)e^{lambda f}, so each check evolves the
+stacked function columns it needs in one batched `evolve_functions` call; only
+`hjc_check`, whose general convex H is not S(t) applied to a fixed function,
+builds the dense (2^N, 2^N) transition matrix of the Dirac starts.
 
     exponential moments:  lhs <= D_t ||delta f||^2 + C_mu ||delta S(t)f||^2,
                           and C(mu S(t)) <= D_t + K(t) C_mu
@@ -384,21 +388,30 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
 
 
 def evolve_dirac_matrix(rates: RateModel, t: float) -> np.ndarray:
-    """All Dirac starts at once: row sigma is delta_sigma S(t)."""
+    """All Dirac starts at once: row sigma is delta_sigma S(t).  A dense
+    (2^N, 2^N) matrix, so only for quantities that are not S(t) applied to a
+    fixed function."""
     engine = engine_for(rates)
     return engine.evolve_measures(np.eye(engine.n_states), t)
 
 
-def _start_gcb_ratios(T: np.ndarray, values: np.ndarray, l2sq: float) -> np.ndarray:
-    """gcb ratio of every row of T for the given function values."""
-    means = T @ values
-    logmom = logsumexp(values[None, :] - means[:, None], b=T, axis=1)
-    return np.asarray(logmom, dtype=float) / l2sq
+def _members(family: TestFunctionFamily):
+    """Labels, the (members, 2^N) dense values, one row per member, and
+    ||delta f||_2^2 per member."""
+    labels, rows, l2sq = [], [], []
+    for label, f in family.labeled():
+        labels.append(label)
+        rows.append(f.dense_values())
+        l2sq.append(lipschitz_norm(lipschitz_vector(f), 2.0) ** 2)
+    return labels, np.array(rows), l2sq
 
 
-def _start_variances(T: np.ndarray, values: np.ndarray) -> np.ndarray:
-    ex = T @ values
-    ex2 = T @ (values * values)
+def _start_variances(engine, values: np.ndarray, t: float) -> np.ndarray:
+    """Var_{delta_sigma S(t)}(f) = S(t)f^2 - (S(t)f)^2 for every start sigma
+    and every column of values, as a (2^N, members) array, from one batched
+    evolution; clipped because the difference can cancel below zero."""
+    evolved = engine.evolve_functions(np.hstack([values, values * values]), t)
+    ex, ex2 = np.hsplit(evolved, 2)
     return np.clip(ex2 - ex * ex, 0.0, None)
 
 
@@ -426,30 +439,39 @@ def theorem31_check(
     """Exponential-moment conservation.  D_t is the exact max over all Dirac
     starts and the family; the per-function bound and the composite constant
     D_t + K(t) C_mu are asserted.  c_mu must be a GCB constant valid for every
-    function (certified, not empirical)."""
+    function (certified, not empirical).
+
+    The start log-moment of lambda f under delta_sigma S(t) is
+    log S(t)e^{lambda f - m}(sigma) + m - lambda S(t)f(sigma) with
+    m = max lambda f, so every start comes from one batched evolution of the
+    columns f and e^{lambda f - m}."""
     probs = _probs_of(mu)
     engine = engine_for(rates)
-    T = evolve_dirac_matrix(rates, t)
     mu_t = engine.evolve_measures(probs, t)
 
-    prepared = []
-    d_t = 0.0
-    for label, f in family.labeled():
-        values = f.dense_values()
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        vt = engine.evolve_functions(values, t)
-        l2sq_t = lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, vt), 2.0) ** 2
-        for lam in family.lambda_grid:
-            d_t = max(d_t, float(np.max(_start_gcb_ratios(T, lam * values, lam * lam * l2sq))))
-        prepared.append((label, values, l2sq, l2sq_t))
+    labels, values, l2sq = _members(family)
+    lams = np.array(family.lambda_grid)
+    scaled = values[:, None, :] * lams[:, None]  # (members, lambdas, 2^N)
+    shift = scaled.max(axis=2, keepdims=True)
+    n_members = len(labels)
+    columns = np.vstack([values, np.exp(scaled - shift).reshape(-1, values.shape[1])])
+    evolved = engine.evolve_functions(columns.T, t).T
+    s_values = evolved[:n_members]
+    s_exp = evolved[n_members:].reshape(scaled.shape)
+    logmom = np.log(s_exp) + shift - lams[:, None] * s_values[:, None, :]
+    d_t = max(0.0, float(np.max(logmom / np.outer(l2sq, lams * lams)[:, :, None])))
+    l2sq_t = [
+        lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, v), 2.0) ** 2
+        for v in s_values
+    ]
 
     rows = []
     measured = 0.0
-    for label, values, l2sq, l2sq_t in prepared:
+    for label, v, w, w_t in zip(labels, values, l2sq, l2sq_t):
         for lam in family.lambda_grid:
-            lhs = log_exponential_moment(mu_t, lam * values)
-            rhs = d_t * lam * lam * l2sq + c_mu * lam * lam * l2sq_t
-            measured = max(measured, lhs / (lam * lam * l2sq))
+            lhs = log_exponential_moment(mu_t, lam * v)
+            rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
+            measured = max(measured, lhs / (lam * lam * w))
             rows.append(
                 {"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + tol}
             )
@@ -472,23 +494,18 @@ def theorem52_check(
     initial measure.  c_mu must be a UVB constant valid for every function."""
     probs = _probs_of(mu)
     engine = engine_for(rates)
-    T = evolve_dirac_matrix(rates, t)
     mu_t = engine.evolve_measures(probs, t)
 
-    prepared = []
-    for label, f in family.labeled():
-        values = f.dense_values()
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        prepared.append((label, values, l2sq, _start_variances(T, values) / l2sq))
-    c_sigma = np.maximum.reduce([ratios for *_, ratios in prepared])
+    labels, values, l2sq = _members(family)
+    c_sigma = np.max(_start_variances(engine, values.T, t) / l2sq, axis=1)
     avg_start = float(probs @ c_sigma)
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
     composite = c_mu * k_t + avg_start
 
     rows = []
     measured = 0.0
-    for label, values, l2sq, _ in prepared:
-        ratio = variance(mu_t, values) / l2sq
+    for label, v, w in zip(labels, values, l2sq):
+        ratio = variance(mu_t, v) / w
         measured = max(measured, ratio)
         rows.append({"label": label, "ratio": ratio, "bound": composite, "ok": ratio <= composite + tol})
     holds = all(r["ok"] for r in rows)
@@ -518,10 +535,9 @@ def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> Ti
         return k_of_t(g, s) ** 2
 
     steps = 4
+    vals = np.array([integrand(s) for s in np.linspace(0.0, float(t), steps + 1)])
     prev = None
     while True:
-        nodes = np.linspace(0.0, float(t), steps + 1)
-        vals = np.array([integrand(s) for s in nodes])
         weights = np.full(steps + 1, 2.0)
         weights[1::2] = 4.0
         weights[0] = weights[-1] = 1.0
@@ -532,6 +548,12 @@ def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> Ti
             break
         prev = integral
         steps *= 2
+        # the old nodes are the even nodes of the doubled rule: evaluate only
+        # the new midpoints
+        doubled = np.empty(steps + 1)
+        doubled[0::2] = vals
+        doubled[1::2] = [integrand(s) for s in np.linspace(0.0, float(t), steps + 1)[1::2]]
+        vals = doubled
     return TimeIntegratedConstant(float(t), chat, integral, 2.0 * chat * integral, steps)
 
 
@@ -541,13 +563,11 @@ def theorem53_check(
     """Exhaustive check that every Dirac start satisfies the UVB with the
     time-integrated constant."""
     result = theorem53_constant(rates, t)
-    T = evolve_dirac_matrix(rates, t)
+    labels, values, l2sq = _members(family)
+    worst_starts = _start_variances(engine_for(rates), values.T, t).max(axis=0) / l2sq
     rows = []
     measured = 0.0
-    for label, f in family.labeled():
-        values = f.dense_values()
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        worst = float(np.max(_start_variances(T, values))) / l2sq
+    for label, worst in zip(labels, worst_starts.tolist()):
         measured = max(measured, worst)
         rows.append({"label": label, "ratio": worst, "bound": result.constant, "ok": worst <= result.constant + tol})
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
@@ -627,7 +647,10 @@ def hjc_check(
 
         int H(f - E f) d(mu S(t)) <= J((2 C_start + 2 C_mu sqrt(K(t))) ||delta f||_2)
 
-    is asserted for every family member and scale."""
+    is asserted for every family member and scale.  H(f - E_sigma f) depends
+    on the start sigma through its own mean, so it is not S(t) applied to a
+    fixed function: this check builds the dense transition matrix of the
+    Dirac starts, 2^N x 2^N floats."""
     probs = _probs_of(mu)
     engine = engine_for(rates)
     T = evolve_dirac_matrix(rates, t)

@@ -350,13 +350,14 @@ class GibbsMeasure:
         for a bare site tuple."""
         sv = np.arange(self.probs.size, dtype=np.int64)
         pos = {s: p for p, s in enumerate(self.volume)}
+        sites = obs.support if isinstance(obs, Observable) else tuple(obs)
+        if any(s not in pos for s in sites):
+            raise ValueError("observable support leaves the volume")
         if isinstance(obs, Observable):
-            if any(s not in pos for s in obs.support):
-                raise ValueError("observable support leaves the volume")
-            return float(self.probs @ obs.table[gather_bits(sv, [pos[s] for s in obs.support])])
+            return float(self.probs @ obs.table[gather_bits(sv, [pos[s] for s in sites])])
         mask = 0
-        for s in obs:
-            mask |= 1 << pos[s]
+        for s in sites:
+            mask ^= 1 << pos[s]  # a repeated site squares its spin away
         return float(self.probs @ spin_product(sv, mask).astype(float))
 
 

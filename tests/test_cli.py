@@ -210,6 +210,15 @@ class TestConserve:
         )
         assert code == 0
 
+    def test_hjc_abs_p(self, tmp_path):
+        # --hjc-p is the exponent of the |x|^p pair, not its constant
+        code = main(
+            ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "4", "--sides", "4",
+             "--k-max", "1", "--times", "0.5", "--out", str(tmp_path)]
+        )
+        assert code in (0, 1)
+        assert read_json(tmp_path, "conserve")["theorem"] == "hjc"
+
 
 class TestPlotEmitter:
     def test_values_match_report(self, tmp_path):

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from spinflip import concentration
 from spinflip.concentration import (
     HJCSpec,
     TestFunctionFamily,
@@ -33,6 +35,7 @@ from spinflip.dynamics import (
     IndependentRates,
     PerturbedRates,
     generator_apply,
+    generator_matrix,
 )
 from spinflip.gibbs import Potential, dirac_vector, gibbs_measure, uniform_measure
 from spinflip.lattice import Observable, Torus
@@ -394,6 +397,44 @@ class TestTheorem53:
         fam = TestFunctionFamily.monomials(torus, 2, max_count=8)
         report = theorem53_check(rates, 0.5, fam)
         assert report.holds
+
+
+class TestPerStartOracle:
+    """The per-start quantities of Theorems 3.1, 5.2 and 5.3 against a dense
+    expm(t Q), whose row sigma is delta_sigma S(t)."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_dense_transition_matrix(self, t, monkeypatch):
+        torus = Torus((6,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
+        fam = TestFunctionFamily(
+            TestFunctionFamily.monomials(torus, 2, max_count=6).members
+            + TestFunctionFamily.random_combinations(torus, 3, seed=5).members
+        )
+        e = expm(t * generator_matrix(rates).toarray())
+        states = np.arange(1 << torus.n_sites)
+        d_t, c_sigma, worst_var = 0.0, np.zeros(states.size), 0.0
+        for f in fam.members:
+            v = f.dense_values()
+            l2sq = sum(np.max(np.abs(v[states ^ (1 << i)] - v)) ** 2 for i in torus.sites())
+            for lam in fam.lambda_grid:
+                logmom = np.log(e @ np.exp(lam * v)) - lam * (e @ v)
+                d_t = max(d_t, float(logmom.max()) / (lam * lam * l2sq))
+            start_var = e @ (v * v) - (e @ v) ** 2
+            c_sigma = np.maximum(c_sigma, start_var / l2sq)
+            worst_var = max(worst_var, float(start_var.max()) / l2sq)
+
+        def no_dense_matrix(*args):
+            raise AssertionError("the dense Dirac matrix was built")
+
+        monkeypatch.setattr(concentration, "evolve_dirac_matrix", no_dense_matrix)
+        r31 = theorem31_check(rates, t, mu, fam, product_gcb_constant())
+        r52 = theorem52_check(rates, t, mu, fam, product_uvb_constant())
+        r53 = theorem53_check(rates, t, fam)
+        assert r31.inner_constant == pytest.approx(d_t, rel=1e-10, abs=1e-13)
+        assert r52.inner_constant == pytest.approx(float(mu.probs @ c_sigma), rel=1e-10, abs=1e-13)
+        assert r53.measured_constant == pytest.approx(worst_var, rel=1e-10, abs=1e-13)
 
 
 class TestHJC:

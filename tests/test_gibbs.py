@@ -154,6 +154,22 @@ class TestGibbsMeasure:
         )
         assert mu.expectation((0,)) > 0.1
 
+    def test_repeated_sites_cancel(self):
+        t = Torus((4,))
+        mu = gibbs_measure(
+            Potential.ising_nn(1, 0.2) + Potential.external_field(1, 0.4), t
+        )
+        assert mu.expectation((1, 1)) == pytest.approx(1.0, abs=1e-14)
+        assert mu.expectation((0, 1, 1)) == pytest.approx(mu.expectation((0,)), abs=1e-14)
+
+    def test_site_outside_volume_rejected(self):
+        t = Torus((4,))
+        mu = gibbs_measure(
+            Potential.ising_nn(1, 0.2) + Potential.external_field(1, 0.4), t
+        )
+        with pytest.raises(ValueError):
+            mu.expectation((4,))
+
     def test_expectation_observable_matches_sites(self):
         t = Torus((5,))
         mu = gibbs_measure(Potential.ising_nn(1, 0.3), t)

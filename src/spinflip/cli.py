@@ -72,18 +72,6 @@ from .symbolic import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
-SUBCOMMANDS = (
-    "dobrushin",
-    "evolve",
-    "gcb-scan",
-    "uvb-check",
-    "conserve",
-    "symbolic-bound",
-    "radius",
-    "nogo",
-    "mc",
-    "selftest",
-)
 
 
 class ConfigError(Exception):

@@ -14,11 +14,13 @@ what the conservation pipelines consume as the initial-measure input.
 
 The pipelines measure the per-start constants the theorems quantify over,
 exactly and for every Dirac start, and assert the composite bounds term by
-term.  A per-start quantity of Theorems 3.1, 5.2 and 5.3 is a pointwise
-function of S(t)f, S(t)f^2 and S(t)e^{lambda f}, so each check evolves the
-stacked function columns it needs in one batched `evolve_functions` call; only
-`hjc_check`, whose general convex H is not S(t) applied to a fixed function,
-builds the dense (2^N, 2^N) transition matrix of the Dirac starts.
+term.  Every per-start quantity is a pointwise function of S(t) applied to
+function columns: S(t)f, S(t)f^2 and S(t)e^{lambda f} for Theorems 3.1, 5.2
+and 5.3, and for (H, J, C) the law of f under each start, which is S(t)
+applied to the indicators of the level sets of f.  Each check evolves the
+stacked columns it needs in batched `evolve_functions` calls, so no array
+grows with the square of the 2^N states.  Constant family members are
+skipped by every scan, since ||delta f||_2 = 0 leaves their ratios undefined.
 
     exponential moments:  lhs <= D_t ||delta f||^2 + C_mu ||delta S(t)f||^2,
                           and C(mu S(t)) <= D_t + K(t) C_mu
@@ -128,23 +130,19 @@ class TestFunctionFamily:
             members.append(Observable.monomial_sum(torus, terms))
         return cls(members, lambda_grid, f"random:{count}:{seed}")
 
-    @classmethod
-    def from_file(cls, path, torus: Torus, lambda_grid=DEFAULT_LAMBDA_GRID):
-        from .lattice import load_observable
-
-        return cls([load_observable(path, torus)], lambda_grid, f"file:{path}")
-
     def labeled(self):
         for idx, f in enumerate(self.members):
             yield f"f{idx}[{','.join(map(str, f.support))}]", f
 
 
-def log_exponential_moment(mu, values: np.ndarray) -> float:
-    """log E_mu e^{v - E_mu v}, log-sum-exp stabilized."""
+def log_exponential_moment(mu, values: np.ndarray):
+    """log E_mu e^{v - E_mu v}, log-sum-exp stabilized.  values may stack
+    functions on leading axes, giving an array over those axes; one row
+    gives a float."""
     probs = _probs_of(mu)
     values = np.asarray(values, dtype=float)
-    mean = float(probs @ values)
-    return float(logsumexp(values - mean, b=probs))
+    out = logsumexp(values - (values @ probs)[..., None], b=probs, axis=-1)
+    return out if values.ndim > 1 else float(out)
 
 
 def gcb_ratio(mu, f: Observable) -> float:
@@ -177,28 +175,51 @@ class ConcentrationReport:
         return not self.violations
 
 
+def _nonconstant(family: TestFunctionFamily):
+    """(label, member, ||delta f||_2^2) for every non-constant member; raises
+    once the family is exhausted if every member was constant."""
+    kept = 0
+    for label, f in family.labeled():
+        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
+        if l2sq > 0:
+            kept += 1
+            yield label, f, l2sq
+    if not kept:
+        raise ValueError("family contains only constant functions")
+
+
+def _members(family: TestFunctionFamily):
+    """Labels, the (members, 2^N) dense values, one row per member, and
+    ||delta f||_2^2 per member, over the non-constant members."""
+    labels, fs, l2sq = zip(*_nonconstant(family))
+    return list(labels), np.array([f.dense_values() for f in fs]), list(l2sq)
+
+
+def _scan(kind: str, family: TestFunctionFamily, bound, ratios) -> ConcentrationReport:
+    """One report row per (member, lam, ratio) from ratios(values, l2sq),
+    which sees one member's dense values at a time."""
+    rows = [
+        {"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": l2sq}
+        for label, f, l2sq in _nonconstant(family)
+        for lam, ratio in ratios(f.dense_values(), l2sq)
+    ]
+    best = max(rows, key=lambda r: r["ratio"])
+    violations = []
+    if bound is not None:
+        violations = [r for r in rows if r["ratio"] > bound * (1 + 1e-9) + 1e-12]
+    return ConcentrationReport(kind, best["ratio"], best["label"], rows, bound, violations, family.label)
+
+
 def empirical_gcb_constant(
     mu, family: TestFunctionFamily, bound: float | None = None
 ) -> ConcentrationReport:
     """C-hat = max over members x lambda-grid of gcb_ratio(mu, lambda f).
     A lower bound on any valid GCB constant for mu."""
     probs = _probs_of(mu)
-    rows = []
-    for label, f in family.labeled():
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        if l2sq == 0:
-            continue
-        values = f.dense_values()
-        for lam in family.lambda_grid:
-            ratio = log_exponential_moment(probs, lam * values) / (lam * lam * l2sq)
-            rows.append({"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": l2sq})
-    if not rows:
-        raise ValueError("family contains only constant functions")
-    best = max(rows, key=lambda r: r["ratio"])
-    violations = []
-    if bound is not None:
-        violations = [r for r in rows if r["ratio"] > bound * (1 + 1e-9) + 1e-12]
-    return ConcentrationReport("gcb", best["ratio"], best["label"], rows, bound, violations, family.label)
+    return _scan("gcb", family, bound, lambda values, l2sq: [
+        (lam, log_exponential_moment(probs, lam * values) / (lam * lam * l2sq))
+        for lam in family.lambda_grid
+    ])
 
 
 def check_uvb(
@@ -207,20 +228,7 @@ def check_uvb(
     """C-hat_var = max over members of Var_mu(f) / ||delta f||_2^2.
     Scale invariant, so the lambda-grid plays no role here."""
     probs = _probs_of(mu)
-    rows = []
-    for label, f in family.labeled():
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        if l2sq == 0:
-            continue
-        ratio = variance(probs, f.dense_values()) / l2sq
-        rows.append({"label": label, "lam": None, "ratio": ratio, "lipschitz_sq": l2sq})
-    if not rows:
-        raise ValueError("family contains only constant functions")
-    best = max(rows, key=lambda r: r["ratio"])
-    violations = []
-    if bound is not None:
-        violations = [r for r in rows if r["ratio"] > bound * (1 + 1e-9) + 1e-12]
-    return ConcentrationReport("uvb", best["ratio"], best["label"], rows, bound, violations, family.label)
+    return _scan("uvb", family, bound, lambda values, l2sq: [(None, variance(probs, values) / l2sq)])
 
 
 @dataclass
@@ -281,10 +289,11 @@ def weak_gcb_check(mu, f: Observable, constant: float, lambda_grid=None) -> Weak
     if any(l <= 0 for l in lambda_grid):
         raise ValueError("scales must be positive")
     var_ratio = variance(probs, values) / l2sq
-    rows = []
-    for lam in lambda_grid:
-        logmom = log_exponential_moment(probs, lam * values)
-        rows.append({"lam": lam, "ratio": logmom / (lam * lam * l2sq), "log_moment": logmom})
+    logmoms = log_exponential_moment(probs, np.multiply.outer(lambda_grid, values))
+    rows = [
+        {"lam": lam, "ratio": logmom / (lam * lam * l2sq), "log_moment": logmom}
+        for lam, logmom in zip(lambda_grid, logmoms.tolist())
+    ]
     lambda0 = None
     for j, row in enumerate(rows):
         if all(r["ratio"] <= constant * (1 + 1e-9) + 1e-12 for r in rows[j:]):
@@ -372,10 +381,7 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
         diffs = vals[fi] - vals[None, :]
         return np.einsum("is,is->s", rr, diffs * diffs)
 
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
+    weights = _simpson_weights(steps) * (h / 3.0)
 
     g = v.copy()
     acc = weights[0] * gamma_of(g)
@@ -387,23 +393,13 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     return PsiReport(float(t), steps, float(np.max(np.abs(direct))), float(np.max(np.abs(integral))), gap)
 
 
-def evolve_dirac_matrix(rates: RateModel, t: float) -> np.ndarray:
-    """All Dirac starts at once: row sigma is delta_sigma S(t).  A dense
-    (2^N, 2^N) matrix, so only for quantities that are not S(t) applied to a
-    fixed function."""
-    engine = engine_for(rates)
-    return engine.evolve_measures(np.eye(engine.n_states), t)
-
-
-def _members(family: TestFunctionFamily):
-    """Labels, the (members, 2^N) dense values, one row per member, and
-    ||delta f||_2^2 per member."""
-    labels, rows, l2sq = [], [], []
-    for label, f in family.labeled():
-        labels.append(label)
-        rows.append(f.dense_values())
-        l2sq.append(lipschitz_norm(lipschitz_vector(f), 2.0) ** 2)
-    return labels, np.array(rows), l2sq
+def _simpson_weights(steps: int) -> np.ndarray:
+    """The composite Simpson pattern 1, 4, 2, ..., 2, 4, 1 over an even
+    number of steps, unscaled."""
+    weights = np.full(steps + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return weights
 
 
 def _start_variances(engine, values: np.ndarray, t: float) -> np.ndarray:
@@ -464,12 +460,12 @@ def theorem31_check(
         lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, v), 2.0) ** 2
         for v in s_values
     ]
+    lhs_all = log_exponential_moment(mu_t, scaled).tolist()
 
     rows = []
     measured = 0.0
-    for label, v, w, w_t in zip(labels, values, l2sq, l2sq_t):
-        for lam in family.lambda_grid:
-            lhs = log_exponential_moment(mu_t, lam * v)
+    for label, w, w_t, lhs_row in zip(labels, l2sq, l2sq_t, lhs_all):
+        for lam, lhs in zip(family.lambda_grid, lhs_row):
             rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
             measured = max(measured, lhs / (lam * lam * w))
             rows.append(
@@ -538,10 +534,7 @@ def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> Ti
     vals = np.array([integrand(s) for s in np.linspace(0.0, float(t), steps + 1)])
     prev = None
     while True:
-        weights = np.full(steps + 1, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        integral = float(t) / steps / 3.0 * float(weights @ vals)
+        integral = float(t) / steps / 3.0 * float(_simpson_weights(steps) @ vals)
         if prev is not None and abs(integral - prev) <= rel_tol * abs(integral) + 1e-14:
             break
         if steps >= 4096:
@@ -562,8 +555,8 @@ def theorem53_check(
 ) -> TheoremReport:
     """Exhaustive check that every Dirac start satisfies the UVB with the
     time-integrated constant."""
-    result = theorem53_constant(rates, t)
     labels, values, l2sq = _members(family)
+    result = theorem53_constant(rates, t)
     worst_starts = _start_variances(engine_for(rates), values.T, t).max(axis=0) / l2sq
     rows = []
     measured = 0.0
@@ -649,33 +642,36 @@ def hjc_check(
 
     is asserted for every family member and scale.  H(f - E_sigma f) depends
     on the start sigma through its own mean, so it is not S(t) applied to a
-    fixed function: this check builds the dense transition matrix of the
-    Dirac starts, 2^N x 2^N floats."""
+    fixed function, but it is a function of the law of f under
+    delta_sigma S(t): the masses S(t)1{f = l}(sigma) on the level values l of
+    f.  One batched evolution of the level-set indicators, at most 2^k columns
+    for a member on k sites, gives E_sigma(lambda f) = sum_l law_l lambda l
+    and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l H(2(lambda l -
+    E_sigma lambda f)) for every start and scale; mu applied to the same
+    columns is the law under mu S(t)."""
     probs = _probs_of(mu)
     engine = engine_for(rates)
-    T = evolve_dirac_matrix(rates, t)
-    mu_t = engine.evolve_measures(probs, t)
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
-
     hv = np.vectorize(spec.h, otypes=[float])
 
     prepared = []
-    for label, f in family.labeled():
-        base = f.dense_values()
-        l2sq_base = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
+    for label, f, l2sq in _nonconstant(family):
+        levels, level_of = np.unique(f.dense_values(), return_inverse=True)
+        law = engine.evolve_functions(level_of[:, None] == np.arange(levels.size), t)
+        law_t = probs @ law
         for lam in family.lambda_grid:
-            values = lam * base
-            l2 = abs(lam) * math.sqrt(l2sq_base)
-            # inner: every Dirac start, doubled centered function
-            means = T @ values
-            inner = np.sum(T * hv(2.0 * (values[None, :] - means[:, None])), axis=1)
-            c_start = max(spec.j_inv(float(m)) for m in inner) / (2.0 * l2)
-            # outer: the evolved function under the initial measure
-            g = engine.evolve_functions(values, t)
+            values = lam * levels
+            l2 = abs(lam) * math.sqrt(l2sq)
+            # inner: every Dirac start, doubled centered function; J^-1 is
+            # increasing, so the largest moment gives its max
+            g = law @ values
+            inner = np.sum(law * hv(2.0 * (values[None, :] - g[:, None])), axis=1)
+            c_start = spec.j_inv(float(inner.max())) / (2.0 * l2)
+            # outer: the evolved function g = S(t)(lambda f) under the initial measure
             m_out = float(probs @ hv(2.0 * (g - float(probs @ g))))
             c_out = spec.j_inv(m_out) / (2.0 * lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, g), 2.0))
             # left side under mu S(t)
-            lhs = float(mu_t @ hv(values - float(mu_t @ values)))
+            lhs = float(law_t @ hv(values - float(law_t @ values)))
             prepared.append((label, lam, l2, c_start, c_out, lhs))
     c_start = max(r[3] for r in prepared)
     c_out = max(r[4] for r in prepared)

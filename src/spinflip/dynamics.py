@@ -196,10 +196,6 @@ class PerturbedRates(RateModel):
         table = eps0 * np.array([1.0, -1.0, -1.0, 1.0])
         return cls(torus, offsets, table)
 
-    @classmethod
-    def from_potential_shape(cls, torus: Torus, shape) -> "PerturbedRates":
-        return cls(torus, shape.offsets, shape.table)
-
 
 class CustomRates(RateModel):
     """Tabulated per-site rates; used for experiments and signed-rate algebra."""

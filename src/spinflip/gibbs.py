@@ -135,9 +135,6 @@ class Potential:
     def interaction_range(self) -> int:
         return max((s.diameter() for s in self.shapes), default=0)
 
-    def max_shape_size(self) -> int:
-        return max((s.size for s in self.shapes), default=0)
-
     def periodic_terms(self, torus: Torus):
         """All wrapped translates: list of (sites tuple, table) pairs.
 

@@ -142,9 +142,6 @@ class SetPolynomial:
             vals += num * spin_product(assign, sum(1 << pos[s] for s in key))
         return Fraction(int(np.max(np.abs(vals))), scale)
 
-    def float_items(self):
-        return [(key, float(c)) for key, c in self.terms.items()]
-
     def __repr__(self):
         return f"SetPolynomial({self.n_terms()} terms)"
 

@@ -219,6 +219,15 @@ class TestConserve:
         assert code in (0, 1)
         assert read_json(tmp_path, "conserve")["theorem"] == "hjc"
 
+    def test_hjc_ten_sites(self, tmp_path):
+        # every start comes from semigroup columns, not a 4^N matrix
+        code = main(
+            ["conserve", "--theorem", "hjc", "--sides", "10", "--k-max", "2",
+             "--times", "0.5", "--out", str(tmp_path)]
+        )
+        assert code in (0, 1)
+        assert read_json(tmp_path, "conserve")["theorem"] == "hjc"
+
 
 class TestPlotEmitter:
     def test_values_match_report(self, tmp_path):

@@ -34,6 +34,7 @@ from spinflip.dynamics import (
     GlauberRates,
     IndependentRates,
     PerturbedRates,
+    engine_for,
     generator_apply,
     generator_matrix,
 )
@@ -98,6 +99,18 @@ class TestRatios:
         var_ratio = variance(mu, f.dense_values()) / 6.0  # l2sq = 4 + 1 + 1
         lam = 1e-4
         assert gcb_ratio(mu, f * lam) == pytest.approx(var_ratio / 2.0, abs=1e-6)
+
+
+    def test_stacked_log_moments_match_rows(self):
+        torus = Torus((5,))
+        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
+        fam = TestFunctionFamily.random_combinations(torus, 3, seed=2)
+        stack = np.array([[lam * f.dense_values() for lam in fam.lambda_grid] for f in fam.members])
+        got = log_exponential_moment(mu, stack)
+        assert isinstance(got, np.ndarray) and got.shape == stack.shape[:2]
+        rows = [[log_exponential_moment(mu, row) for row in block] for block in stack]
+        np.testing.assert_allclose(got, rows, rtol=0, atol=1e-13)
+        assert type(log_exponential_moment(mu, stack[0, 0])) is float
 
 
 class TestFamilies:
@@ -384,11 +397,9 @@ class TestTheorem53:
         assert report.holds
         # single-spin variance under any start is 1 - e^{-4t}
         f = Observable.monomial(torus, [0])
-        from spinflip.concentration import evolve_dirac_matrix
-
-        T = evolve_dirac_matrix(rates, 0.5)
+        row0 = engine_for(rates).evolve_measures(dirac_vector(torus, 0), 0.5)
         v = f.dense_values()
-        var0 = float((T[0] @ v**2) - (T[0] @ v) ** 2)
+        var0 = float((row0 @ v**2) - (row0 @ v) ** 2)
         assert var0 == pytest.approx(1.0 - math.exp(-4.0 * 0.5), abs=1e-10)
 
     def test_glauber_bound_holds(self):
@@ -404,7 +415,7 @@ class TestPerStartOracle:
     expm(t Q), whose row sigma is delta_sigma S(t)."""
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    def test_dense_transition_matrix(self, t, monkeypatch):
+    def test_dense_transition_matrix(self, t):
         torus = Torus((6,))
         rates = PerturbedRates.pair(torus, 0.1)
         mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
@@ -425,16 +436,47 @@ class TestPerStartOracle:
             c_sigma = np.maximum(c_sigma, start_var / l2sq)
             worst_var = max(worst_var, float(start_var.max()) / l2sq)
 
-        def no_dense_matrix(*args):
-            raise AssertionError("the dense Dirac matrix was built")
-
-        monkeypatch.setattr(concentration, "evolve_dirac_matrix", no_dense_matrix)
+        assert not hasattr(concentration, "evolve_dirac_matrix")
         r31 = theorem31_check(rates, t, mu, fam, product_gcb_constant())
         r52 = theorem52_check(rates, t, mu, fam, product_uvb_constant())
         r53 = theorem53_check(rates, t, fam)
         assert r31.inner_constant == pytest.approx(d_t, rel=1e-10, abs=1e-13)
         assert r52.inner_constant == pytest.approx(float(mu.probs @ c_sigma), rel=1e-10, abs=1e-13)
         assert r53.measured_constant == pytest.approx(worst_var, rel=1e-10, abs=1e-13)
+
+
+def six_checks(family):
+    """The six family scans, each as a zero-argument call, at t = 0.5."""
+    torus = family.members[0].torus
+    rates = PerturbedRates.pair(torus, 0.1)
+    mu = uniform_measure(torus)
+    return [
+        lambda: theorem31_check(rates, 0.5, mu, family, product_gcb_constant()),
+        lambda: theorem52_check(rates, 0.5, mu, family, product_uvb_constant()),
+        lambda: theorem53_check(rates, 0.5, family),
+        lambda: hjc_check(rates, 0.5, mu, hjc_library("square"), family),
+        lambda: empirical_gcb_constant(mu, family),
+        lambda: check_uvb(mu, family),
+    ]
+
+
+class TestConstantMembers:
+    """A constant member has ||delta f||_2 = 0, so every scan skips it."""
+
+    def test_constant_member_is_skipped(self):
+        torus = Torus((4,))
+        sigma0 = Observable.monomial(torus, [0])
+        mixed = [check() for check in six_checks(TestFunctionFamily([sigma0, Observable.constant(torus, 2.0)]))]
+        alone = [check() for check in six_checks(TestFunctionFamily([sigma0]))]
+        assert mixed == alone
+        assert all(report.holds for report in mixed)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_all_constant_family_rejected(self, index):
+        torus = Torus((4,))
+        family = TestFunctionFamily([Observable.constant(torus, 2.0), Observable.constant(torus, -1.0)])
+        with pytest.raises(ValueError, match="only constant functions"):
+            six_checks(family)[index]()
 
 
 class TestHJC:
@@ -484,6 +526,43 @@ class TestHJC:
         spec = hjc_library("square", c=1.0)
         report = hjc_check(rates, 0.5, uniform_measure(torus), spec, fam)
         assert report.holds
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_dense_transition_matrix(self, t):
+        # C_start, C_out and every row's left side from a dense expm(t Q),
+        # whose row sigma is delta_sigma S(t), with H applied entrywise
+        torus = Torus((6,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        probs = gibbs_measure(Potential.ising_nn(1, 0.3), torus).probs
+        fam = TestFunctionFamily(
+            TestFunctionFamily.monomials(torus, 2, max_count=6).members
+            + TestFunctionFamily.random_combinations(torus, 3, seed=5).members
+        )
+        e = expm(t * generator_matrix(rates).toarray())
+        mu_t = probs @ e
+        states = np.arange(1 << torus.n_sites)
+
+        def l2(v):
+            return math.sqrt(sum(np.max(np.abs(v[states ^ (1 << i)] - v)) ** 2 for i in torus.sites()))
+
+        for name in ("square", "exponential", "abs_p:4"):
+            spec = hjc_library(name)
+            h = np.vectorize(spec.h, otypes=[float])
+            c_start, c_out, lhs = 0.0, 0.0, []
+            for f in fam.members:
+                v = f.dense_values()
+                for lam in fam.lambda_grid:
+                    x = lam * v
+                    g = e @ x
+                    inner = np.sum(e * h(2.0 * (x[None, :] - g[:, None])), axis=1)
+                    c_start = max(c_start, spec.j_inv(float(inner.max())) / (2.0 * l2(x)))
+                    c_out = max(c_out, spec.j_inv(float(probs @ h(2.0 * (g - probs @ g)))) / (2.0 * l2(g)))
+                    lhs.append(float(mu_t @ h(x - mu_t @ x)))
+            report = hjc_check(rates, t, probs, spec, fam)
+            assert report.inner_constant == pytest.approx(c_start, rel=1e-10, abs=1e-13)
+            assert report.c_mu == pytest.approx(c_out, rel=1e-10, abs=1e-13)
+            assert [row["lhs"] for row in report.rows] == pytest.approx(lhs, rel=1e-10, abs=1e-13)
+        assert not hasattr(concentration, "evolve_dirac_matrix")
 
     def test_pipeline_fourth_power(self):
         torus = Torus((5,))

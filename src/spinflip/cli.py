@@ -56,9 +56,11 @@ from .gibbs import (
 )
 from .lattice import Observable, Torus
 from .mc import (
+    _exponential_moment,
+    _final_values,
+    _mean,
     dirac_sampler,
     ensemble_expectation,
-    ensemble_exponential_moment,
     product_sampler,
     sample_path,
     vector_sampler,
@@ -244,6 +246,12 @@ def build_rates(cfg: ExperimentConfig, torus: Torus):
     raise ConfigError(f"unknown rates kind {kind!r}")
 
 
+def dirac_state(cfg: ExperimentConfig, torus: Torus) -> int:
+    if not 0 <= cfg.state < (1 << torus.n_sites):
+        raise ConfigError(f"state {cfg.state} out of range for {torus.n_sites} sites")
+    return cfg.state
+
+
 def build_measure(cfg: ExperimentConfig, torus: Torus) -> np.ndarray:
     kind = cfg.measure_kind
     if kind == "uniform":
@@ -251,9 +259,7 @@ def build_measure(cfg: ExperimentConfig, torus: Torus) -> np.ndarray:
     if kind == "product":
         return product_measure(torus, cfg.p_plus)
     if kind == "dirac":
-        if not 0 <= cfg.state < (1 << torus.n_sites):
-            raise ConfigError(f"state {cfg.state} out of range for {torus.n_sites} sites")
-        return dirac_vector(torus, cfg.state)
+        return dirac_vector(torus, dirac_state(cfg, torus))
     if kind == "gibbs":
         return gibbs_measure(build_potential(cfg), torus).probs
     raise ConfigError(f"unknown measure kind {kind!r}")
@@ -636,9 +642,14 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
         if not 0 <= s < torus.n_sites:
             raise ConfigError(f"observable site {s} out of range")
     f = Observable.monomial(torus, sites)
+    t = args.t if args.t is not None else max(cfg.times)
+    if t < 0:
+        raise ConfigError(f"time {t} must be >= 0")
+    if cfg.replicas < 3:
+        raise ConfigError(f"need at least 3 replicas for the jackknife, got {cfg.replicas}")
     kind = cfg.measure_kind
     if kind == "dirac":
-        sampler = dirac_sampler(cfg.state)
+        sampler = dirac_sampler(dirac_state(cfg, torus))
     elif kind == "uniform":
         sampler = product_sampler(torus, 0.5)
     elif kind == "product":
@@ -648,9 +659,10 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
         sampler = vector_sampler(gibbs_measure(build_potential(cfg), torus).probs)
     else:
         raise ConfigError(f"unknown measure kind {kind!r}")
-    t = args.t if args.t is not None else max(cfg.times)
-    mean = ensemble_expectation(rates, sampler, t, f, cfg.replicas, cfg.seed)
-    moment = ensemble_exponential_moment(rates, sampler, t, f, cfg.replicas, cfg.seed)
+    # one batch of replicas serves both statistics
+    values = _final_values(rates, sampler, t, f, cfg.replicas, cfg.seed)
+    mean = _mean(values, cfg.seed)
+    moment = _exponential_moment(values, cfg.seed)
     rows = [
         ["mean", mean.estimate, mean.std_error, ""],
         ["exponential-moment", moment.estimate, moment.std_error, moment.raw_estimate],

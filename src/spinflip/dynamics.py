@@ -87,6 +87,20 @@ class RateModel:
         sites, table = self._terms[i]
         return table[gather_bits(states, sites)]
 
+    def stacked_table(self):
+        """All sites' rates as one (positions, table) pair of shapes (N, w)
+        and (N, 2^w), w the widest dependence: c(i, s) is table[i, key] with
+        key bit j the bit of s at positions[i, j].  A narrower site's table
+        is tiled to 2^w entries and its unused positions point at site 0, so
+        the extra high key bits select identical copies."""
+        w = max(len(sites) for sites, _ in self._terms)
+        positions = np.zeros((len(self._terms), w), dtype=np.intp)
+        table = np.empty((len(self._terms), 1 << w))
+        for i, (sites, values) in enumerate(self._terms):
+            positions[i, : len(sites)] = sites
+            table[i] = np.tile(values, 1 << (w - len(sites)))
+        return positions, table
+
     def rate_matrix(self) -> np.ndarray:
         """(N, 2^N) array of c(i, s) over all states."""
         states = states_arange(self.torus.n_sites)
@@ -310,6 +324,7 @@ class SemigroupEngine:
         self.p = p
         self.pt = p.T.tocsr()
         self._flip_index = None
+        self._weights = {}
 
     def flip_index(self) -> np.ndarray:
         """(N, 2^N) index array: row i holds s ^ (1 << i)."""
@@ -321,7 +336,16 @@ class SemigroupEngine:
         return self._flip_index
 
     def poisson_weights(self, t: float) -> np.ndarray:
-        m = self.lam * float(t)
+        """Poisson(Lambda t) weights up to the certified tail, cached per t
+        (read-only: every evolve call at the same t shares the array)."""
+        t = float(t)
+        w = self._weights.get(t)
+        if w is None:
+            w = self._weights[t] = self._poisson_weights(self.lam * t)
+            w.setflags(write=False)
+        return w
+
+    def _poisson_weights(self, m: float) -> np.ndarray:
         if m <= 0:
             return np.array([1.0])
         k_max = int(poisson.isf(self.tail_tol, m)) + 2

@@ -155,10 +155,6 @@ class SpinConfiguration:
         raise AttributeError("SpinConfiguration is immutable")
 
     @classmethod
-    def all_minus(cls, torus: Torus):
-        return cls(torus, 0)
-
-    @classmethod
     def all_plus(cls, torus: Torus):
         return cls(torus, (1 << torus.n_sites) - 1)
 

@@ -1,14 +1,27 @@
 """Kinetic Monte Carlo for sizes beyond exact enumeration.
 
-Jump-chain construction: at state sigma the total rate is R(sigma) = sum_i
-c(i, sigma); the holding time is exponential with rate R; the flipped site is
-drawn proportional to its rate; after a flip only the sites whose rate reads
-the flipped spin are recomputed.  Streams are counter-based (Philox) with one
-jumped substream per replica, so estimates are reproducible for a given seed,
-and replicas are merged in replica order.
+Ensembles are simulated by uniformization (Jensen 1953), all replicas at
+once.  With c_max the largest flip rate of any site, replica r makes
+K_r ~ Poisson(N c_max t) proposals over [0, t]; each proposal picks a
+uniform site i and flips it with probability c(i, sigma) / c_max.  The
+states are an (R, N) uint8 bit matrix, so the torus may have any number of
+sites; a proposal reads c(i, sigma) from the stacked rate table of
+`RateModel.stacked_table` through the key gathered from its replica's bit
+row, and f is read once at the end.  Each call draws from one counter-based
+(Philox) stream keyed by the seed, in a fixed order (initial states, the
+proposal counts, then per step the sites and the uniforms), so a seed gives
+the same estimate bit for bit.
 
-The exponential-moment estimator reports both the plug-in value and its
-jackknife correction; the plug-in log-mean-exp is biased at small samples.
+`sample_path` records one trajectory with its event times and keeps the
+event-driven jump chain: at state sigma the holding time is exponential
+with rate R(sigma) = sum_i c(i, sigma), the flipped site is drawn
+proportional to its rate, and after a flip only the sites whose rate reads
+the flipped spin are recomputed.
+
+Samplers of initial states are `sample(rng, count, n_sites)` callables
+returning a (count, n_sites) uint8 bit matrix.  The exponential-moment
+estimator reports both the plug-in value and its jackknife correction; the
+plug-in log-mean-exp is biased at small samples.
 """
 
 from __future__ import annotations
@@ -21,17 +34,13 @@ from .dynamics import RateModel
 from .lattice import Observable, state_bits
 
 
-def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Counter-based substream for one replica."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(replica))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _influencer_lists(rates: RateModel):
-    cached = getattr(rates, "_influencer_lists", None)
-    if cached is None:
-        cached = [np.array(row, dtype=np.int64) for row in rates.influencers()]
-        rates._influencer_lists = cached
-    return cached
+def _keys(bits: np.ndarray) -> np.ndarray:
+    """Integer keys of the rows of a (R, k) bit matrix, column j as key bit j."""
+    return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
 
 
 @dataclass
@@ -44,14 +53,20 @@ class Trajectory:
     final_rates: np.ndarray
 
 
-def _simulate(rates: RateModel, bits: int, t_end: float, rng: np.random.Generator, record: bool):
+def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory:
+    """One continuous-time trajectory on [0, t_end] from a fixed seed."""
+    if t_end < 0:
+        raise ValueError("t_end must be >= 0")
+    t_end = float(t_end)
     n = rates.torus.n_sites
-    influenced = _influencer_lists(rates)
+    start = bits = state_bits(sigma0)
+    rng = _rng(seed)
+    influenced = [np.array(row, dtype=np.int64) for row in rates.influencers()]
     rvec = np.array([rates.rate(i, bits) for i in range(n)])
     t = 0.0
     times = []
     sites = []
-    while True:
+    while t_end > 0:
         total = float(rvec.sum())
         if total <= 0:
             break
@@ -59,37 +74,23 @@ def _simulate(rates: RateModel, bits: int, t_end: float, rng: np.random.Generato
         if t >= t_end:
             break
         u = rng.random() * total
-        site = int(np.searchsorted(np.cumsum(rvec), u))
-        site = min(site, n - 1)
+        site = min(int(np.searchsorted(np.cumsum(rvec), u)), n - 1)
         bits ^= 1 << site
         for i in influenced[site]:
             rvec[i] = rates.rate(int(i), bits)
-        if record:
-            times.append(t)
-            sites.append(site)
-    return bits, times, sites, rvec
-
-
-def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory:
-    """One continuous-time trajectory on [0, t_end] from a fixed seed."""
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
-    bits = state_bits(sigma0)
-    rng = replica_rng(seed, 0)
-    if t_end == 0:
-        rvec = np.array([rates.rate(i, bits) for i in range(rates.torus.n_sites)])
-        return Trajectory(bits, 0.0, np.array([]), np.array([], dtype=np.int64), bits, rvec)
-    final, times, sites, rvec = _simulate(rates, bits, float(t_end), rng, record=True)
-    return Trajectory(
-        bits, float(t_end), np.array(times), np.array(sites, dtype=np.int64), final, rvec
-    )
+        times.append(t)
+        sites.append(site)
+    return Trajectory(start, t_end, np.array(times), np.array(sites, dtype=np.int64), bits, rvec)
 
 
 def dirac_sampler(state):
     bits = state_bits(state)
 
-    def sample(rng):
-        return bits
+    def sample(rng, count, n_sites):
+        if bits < 0 or bits >> n_sites:
+            raise ValueError(f"state {bits} out of range for {n_sites} sites")
+        row = np.array([(bits >> i) & 1 for i in range(n_sites)], dtype=np.uint8)
+        return np.tile(row, (count, 1))
 
     return sample
 
@@ -97,18 +98,15 @@ def dirac_sampler(state):
 def product_sampler(torus, p_plus):
     p = np.broadcast_to(np.asarray(p_plus, dtype=float), (torus.n_sites,))
 
-    def sample(rng):
-        ups = rng.random(torus.n_sites) < p
-        return int(sum(1 << i for i in range(torus.n_sites) if ups[i]))
+    def sample(rng, count, n_sites):
+        return (rng.random((count, n_sites)) < p).astype(np.uint8)
 
     return sample
 
 
 def uniform_sampler(torus):
-    n = 1 << torus.n_sites
-
-    def sample(rng):
-        return int(rng.integers(0, n))
+    def sample(rng, count, n_sites):
+        return rng.integers(0, 2, size=(count, n_sites), dtype=np.uint8)
 
     return sample
 
@@ -116,9 +114,14 @@ def uniform_sampler(torus):
 def vector_sampler(probs):
     probs = np.asarray(getattr(probs, "probs", probs), dtype=float)
     cum = np.cumsum(probs)
+    cum /= cum[-1]  # the last entry is exactly 1, above every uniform draw
 
-    def sample(rng):
-        return int(np.searchsorted(cum, rng.random()))
+    def sample(rng, count, n_sites):
+        if cum.size != 1 << n_sites:
+            raise ValueError(f"{cum.size} weights do not enumerate {n_sites} sites")
+        # side="right" skips zero-weight states: their cum equals the previous one
+        states = np.searchsorted(cum, rng.random(count), side="right")
+        return ((states[:, None] >> np.arange(n_sites)) & 1).astype(np.uint8)
 
     return sample
 
@@ -136,14 +139,53 @@ class EnsembleEstimate:
 def _final_values(rates, sampler, t, f, replicas, seed):
     """f evaluated at the endpoint of every replica, in replica order."""
     t = float(t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    n = rates.torus.n_sites
+    positions, table = rates.stacked_table()
+    if table.min() < 0:
+        raise ValueError(f"{rates!r} has a negative rate")
+    c_max = float(table.max())
+    rng = _rng(seed)
+    bits = sampler(rng, replicas, n)
+    counts = rng.poisson(n * c_max * t, size=replicas)
+    # replicas sorted by proposal count, most first: the ones still
+    # proposing at step s are a prefix of the bit matrix
+    order = np.argsort(-counts, kind="stable")
+    bits = bits[order]
+    alive = replicas - np.cumsum(np.bincount(counts))
+    for s in range(int(counts.max(initial=0))):
+        live = int(alive[s])
+        site = rng.integers(0, n, size=live)
+        u = rng.random(live)
+        rows = np.arange(live)
+        rate = table[site, _keys(bits[rows[:, None], positions[site]])]
+        flip = np.nonzero(u * c_max < rate)[0]
+        bits[flip, site[flip]] ^= 1
     out = np.empty(replicas)
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        bits = sampler(rng)
-        if t > 0:
-            bits, _, _, _ = _simulate(rates, bits, t, rng, record=False)
-        out[r] = f(bits)
+    out[order] = f.table[_keys(bits[:, list(f.support)])]
     return out
+
+
+def _mean(values, seed) -> EnsembleEstimate:
+    n = values.size
+    se = float(values.std(ddof=1) / np.sqrt(n))
+    return EnsembleEstimate(float(values.mean()), se, n, seed, "mean")
+
+
+def _exponential_moment(v, seed) -> EnsembleEstimate:
+    n = v.size
+    shift = float(v.max())
+    e = np.exp(v - shift)
+    s = float(e.sum())
+    mean = float(v.mean())
+    raw = float(np.log(s / n) + shift - mean)
+    # leave-one-out: mean and log-mean-exp without replica i
+    loo_mean = (n * mean - v) / (n - 1)
+    loo = np.log((s - e) / (n - 1)) + shift - loo_mean
+    corrected = n * raw - (n - 1) * float(loo.mean())
+    se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    return EnsembleEstimate(corrected, se, n, seed, "exponential-moment", raw)
 
 
 def ensemble_expectation(
@@ -158,9 +200,7 @@ def ensemble_expectation(
     standard error."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    values = _final_values(rates, sampler, t, f, replicas, seed)
-    se = float(values.std(ddof=1) / np.sqrt(replicas))
-    return EnsembleEstimate(float(values.mean()), se, replicas, seed, "mean")
+    return _mean(_final_values(rates, sampler, t, f, replicas, seed), seed)
 
 
 def ensemble_exponential_moment(
@@ -175,16 +215,4 @@ def ensemble_exponential_moment(
     mean, with jackknife bias correction and jackknife standard error."""
     if replicas < 3:
         raise ValueError("need at least 3 replicas for the jackknife")
-    v = _final_values(rates, sampler, t, f, replicas, seed)
-    n = replicas
-    shift = float(v.max())
-    e = np.exp(v - shift)
-    s = float(e.sum())
-    mean = float(v.mean())
-    raw = float(np.log(s / n) + shift - mean)
-    # leave-one-out: mean and log-mean-exp without replica i
-    loo_mean = (n * mean - v) / (n - 1)
-    loo = np.log((s - e) / (n - 1)) + shift - loo_mean
-    corrected = n * raw - (n - 1) * float(loo.mean())
-    se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return EnsembleEstimate(corrected, se, replicas, seed, "exponential-moment", raw)
+    return _exponential_moment(_final_values(rates, sampler, t, f, replicas, seed), seed)

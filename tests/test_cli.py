@@ -13,6 +13,7 @@ from spinflip.cli import (
     main,
 )
 from spinflip.lattice import Torus
+from spinflip.mc import ensemble_expectation, ensemble_exponential_moment
 
 
 def read_json(out_dir, name):
@@ -321,6 +322,46 @@ class TestMC:
         est = ra["estimates"]
         assert est["mean"]["std_error"] > 0
         assert est["exponential_moment"]["raw_estimate"] is not None
+
+    def test_one_batch_matches_both_estimators(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = cli._final_values
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(cli, "_final_values", counted)
+        argv = ["mc", "--sides", "8", "--rates", "glauber", "--beta", "0.4",
+                "--measure", "product", "--p-plus", "0.3", "--sites", "1 2", "--t", "0.6",
+                "--replicas", "300", "--seed", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        rates, sampler, t, f, replicas, seed = calls[0]
+        mean = ensemble_expectation(rates, sampler, t, f, replicas, seed)
+        moment = ensemble_exponential_moment(rates, sampler, t, f, replicas, seed)
+        est = read_json(tmp_path, "mc")["estimates"]
+        assert est["mean"] == {"estimate": mean.estimate, "std_error": mean.std_error}
+        assert est["exponential_moment"] == {
+            "estimate": moment.estimate,
+            "std_error": moment.std_error,
+            "raw_estimate": moment.raw_estimate,
+        }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t", "-1"],
+            ["--measure", "dirac", "--state", "999"],
+            ["--replicas", "2"],
+        ],
+    )
+    def test_bad_input_is_a_config_error(self, tmp_path, capsys, flags):
+        argv = ["mc", "--sides", "6", "--rates", "independent", "--t", "0.5",
+                "--replicas", "50", "--out", str(tmp_path)]
+        assert main(argv + flags) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "mc.json").exists()
 
 
 class TestSelftest:

@@ -186,6 +186,16 @@ class TestSemigroup:
             assert np.all(nu >= -1e-15)
             assert nu.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_poisson_weights_cached_read_only(self):
+        rates = GlauberRates(Torus((4,)), Potential.ising_nn(1, 0.4))
+        engine = SemigroupEngine(rates)
+        w = engine.poisson_weights(0.7)
+        assert engine.poisson_weights(np.float64(0.7)) is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, SemigroupEngine(rates).poisson_weights(0.7))
+        f = np.arange(16.0)
+        assert np.array_equal(engine.evolve_functions(f, 0.7), SemigroupEngine(rates).evolve_functions(f, 0.7))
+
     def test_semigroup_law(self):
         t = Torus((4,))
         rng = np.random.default_rng(7)

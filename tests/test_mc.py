@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from spinflip.concentration import log_exponential_moment
-from spinflip.dynamics import GlauberRates, IndependentRates, SemigroupEngine
+from spinflip.dynamics import (
+    CustomRates,
+    GlauberRates,
+    IndependentRates,
+    PerturbedRates,
+    SemigroupEngine,
+)
 from spinflip.gibbs import Potential, gibbs_measure, product_measure
-from spinflip.lattice import Observable, SpinConfiguration, Torus
+from spinflip.lattice import Observable, SpinConfiguration, Torus, gather_bits
 from spinflip.mc import (
     EnsembleEstimate,
     dirac_sampler,
@@ -82,27 +88,30 @@ class TestSamplers:
     def test_dirac(self):
         sampler = dirac_sampler(0b110)
         rng = np.random.default_rng(0)
-        assert all(sampler(rng) == 0b110 for _ in range(5))
+        bits = sampler(rng, 5, 3)
+        assert bits.shape == (5, 3) and bits.dtype == np.uint8
+        assert np.all(bits == [0, 1, 1])
 
     def test_product_extremes(self):
         torus = Torus((7,))
         rng = np.random.default_rng(0)
-        assert product_sampler(torus, 1.0)(rng) == (1 << 7) - 1
-        assert product_sampler(torus, 0.0)(rng) == 0
+        assert np.all(product_sampler(torus, 1.0)(rng, 5, 7) == 1)
+        assert np.all(product_sampler(torus, 0.0)(rng, 5, 7) == 0)
 
     def test_product_frequency(self):
         torus = Torus((4,))
         sampler = product_sampler(torus, 0.25)
         rng = np.random.default_rng(3)
-        draws = [sampler(rng) for _ in range(4000)]
-        up = np.mean([(b >> 0) & 1 for b in draws])
+        draws = sampler(rng, 4000, 4)
+        up = draws[:, 0].mean()
         assert abs(up - 0.25) < 0.03
 
     def test_vector_matches_weights(self):
         probs = np.array([0.5, 0.0, 0.25, 0.25])
         sampler = vector_sampler(probs)
         rng = np.random.default_rng(5)
-        draws = np.array([sampler(rng) for _ in range(8000)])
+        bits = sampler(rng, 8000, 2)
+        draws = bits[:, 0] + 2 * bits[:, 1].astype(np.int64)
         assert not np.any(draws == 1)
         freq = np.bincount(draws, minlength=4) / draws.size
         assert np.all(np.abs(freq - probs) < 0.03)
@@ -111,8 +120,64 @@ class TestSamplers:
         torus = Torus((3,))
         sampler = uniform_sampler(torus)
         rng = np.random.default_rng(1)
-        draws = [sampler(rng) for _ in range(200)]
-        assert min(draws) >= 0 and max(draws) < 8
+        draws = sampler(rng, 200, 3)
+        assert draws.shape == (200, 3)
+        assert draws.min() >= 0 and draws.max() <= 1
+
+    def test_dirac_state_beyond_torus_rejected(self):
+        with pytest.raises(ValueError):
+            dirac_sampler(999)(np.random.default_rng(0), 4, 6)
+
+    def test_vector_sampler_weights_summing_below_one(self):
+        # weights that sum to 1 - 2^-52 in floats, as a rounded Gibbs vector
+        # may; the largest uniform draw must still land on a state of
+        # positive weight, not past the last state or on a zero weight
+        class TopDraw:
+            def random(self, count):
+                return np.full(count, np.nextafter(1.0, 0.0))
+
+        probs = np.array([0.3, 0.6999999999999998, 0.0, 0.0])
+        assert np.cumsum(probs)[-1] < np.nextafter(1.0, 0.0)
+        bits = vector_sampler(probs)(TopDraw(), 3, 2)
+        assert np.all(bits == [1, 0])
+
+
+class TestStackedTable:
+    @staticmethod
+    def assert_matches_rates(rates):
+        n = rates.torus.n_sites
+        positions, table = rates.stacked_table()
+        assert positions.shape[0] == n and table.shape == (n, 1 << positions.shape[1])
+        states = np.arange(1 << n, dtype=np.int64)
+        for i in range(n):
+            keys = gather_bits(states, positions[i])
+            expected = [rates.rate(i, int(s)) for s in states]
+            assert np.array_equal(table[i, keys], expected)
+
+    def test_glauber_square(self):
+        torus = Torus((3, 3))
+        self.assert_matches_rates(GlauberRates(torus, Potential.ising_nn(2, 0.5)))
+
+    def test_perturbed_pair(self):
+        self.assert_matches_rates(PerturbedRates.pair(Torus((5,)), 0.3))
+
+    def test_repeated_sites(self):
+        # on a side-2 ring the offsets 0 and 2 land on the same site, which
+        # keeps one key bit per listed offset
+        table = np.linspace(-0.7, 0.7, 8)
+        rates = PerturbedRates(Torus((2,)), ((0,), (1,), (2,)), table)
+        assert all(sites[0] == sites[2] for sites, _ in rates._terms)
+        self.assert_matches_rates(rates)
+
+    def test_mixed_widths(self):
+        # narrower sites are tiled, so their padding bits cannot change the rate
+        torus = Torus((4,))
+        rates = CustomRates(
+            torus,
+            lambda i: range(i + 1),
+            lambda i, s: 1.0 + i + 0.25 * bin(s).count("1"),
+        )
+        self.assert_matches_rates(rates)
 
 
 class TestEnsembleExpectation:
@@ -143,6 +208,26 @@ class TestEnsembleExpectation:
         assert one.estimate == again.estimate
         assert one.std_error == again.std_error
         assert one.estimate != other.estimate
+
+    def test_negative_time_rejected(self):
+        torus = Torus((4,))
+        rates = IndependentRates(torus, 1.0)
+        f = Observable.monomial(torus, [0])
+        with pytest.raises(ValueError):
+            ensemble_expectation(rates, dirac_sampler(0), -0.5, f, replicas=16, seed=1)
+        with pytest.raises(ValueError):
+            ensemble_exponential_moment(rates, dirac_sampler(0), -0.5, f, replicas=16, seed=1)
+
+    def test_hundred_sites_against_closed_form(self):
+        # more sites than an int64 key holds; spins stay independent, so
+        # E sigma_i(t) = (2p - 1) e^{-2rt} from a product start
+        torus = Torus((100,))
+        r, p, t = 1.0, 0.8, 0.3
+        rates = IndependentRates(torus, r)
+        f = Observable.monomial(torus, [97])
+        est = ensemble_expectation(rates, product_sampler(torus, p), t, f, replicas=4000, seed=12)
+        exact = (2 * p - 1) * np.exp(-2 * r * t)
+        assert abs(est.estimate - exact) < 4 * est.std_error
 
     def test_independent_decay(self):
         # E sigma_A(t) = exp(-2|A|t) from the all-plus start

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -41,7 +42,7 @@ from .dynamics import (
     GlauberRates,
     IndependentRates,
     PerturbedRates,
-    SemigroupEngine,
+    engine_for,
     gamma_matrix,
     k_of_t,
 )
@@ -54,7 +55,7 @@ from .gibbs import (
     product_measure,
     uniform_measure,
 )
-from .lattice import Observable, Torus
+from .lattice import EXACT_SITE_CAP, Observable, Torus
 from .mc import (
     _exponential_moment,
     _final_values,
@@ -67,6 +68,7 @@ from .mc import (
 )
 from .symbolic import (
     GeneratorSpec,
+    POWER_CAP,
     analyticity_radius,
     apply_chain,
     apply_generator_power,
@@ -90,6 +92,13 @@ def _ints(text) -> tuple:
 
 def _floats(text) -> tuple:
     return tuple(float(tok) for tok in str(text).replace(",", " ").split())
+
+
+def _times(text) -> tuple:
+    times = _floats(text)
+    if not times or not all(0 <= t < math.inf for t in times):
+        raise ValueError("need one or more finite times >= 0")
+    return times
 
 
 def _int_any_base(text) -> int:
@@ -122,7 +131,7 @@ FIELDS = (
     Field("measure", "kind", "measure_kind", "--measure", str, ("uniform", "product", "dirac", "gibbs")),
     Field("measure", "p_plus", "p_plus", "--p-plus", float),
     Field("measure", "state", "state", "--state", _int_any_base, help="packed spin state for dirac, e.g. 0b1010 or 5"),
-    Field("times", "grid", "times", "--times", _floats, help="time grid, e.g. '0.25 0.5 1 2'"),
+    Field("times", "grid", "times", "--times", _times, help="time grid, e.g. '0.25 0.5 1 2'"),
     Field("family", "kind", "family_kind", "--family", str, ("monomials", "random")),
     Field("family", "k_max", "k_max", "--k-max", int),
     Field("family", "count", "count", "--count", int),
@@ -216,10 +225,9 @@ def build_torus(cfg: ExperimentConfig) -> Torus:
 
 
 def require_exact(cfg: ExperimentConfig, torus: Torus) -> None:
-    if torus.n_sites > cfg.exact_cap:
-        raise ConfigError(
-            f"{torus.n_sites} sites exceeds the exact-enumeration cap {cfg.exact_cap}"
-        )
+    cap = min(cfg.exact_cap, EXACT_SITE_CAP)
+    if torus.n_sites > cap:
+        raise ConfigError(f"{torus.n_sites} sites exceeds the exact-enumeration cap {cap}")
 
 
 def build_potential(cfg: ExperimentConfig) -> Potential:
@@ -238,10 +246,14 @@ def build_potential(cfg: ExperimentConfig) -> Potential:
 def build_rates(cfg: ExperimentConfig, torus: Torus):
     kind = cfg.rates_kind
     if kind == "independent":
+        if not 0 < cfg.r < math.inf:
+            raise ConfigError(f"rate r = {cfg.r} must be positive and finite")
         return IndependentRates(torus, cfg.r)
     if kind == "glauber":
         return GlauberRates(torus, build_potential(cfg))
     if kind == "perturbed":
+        if not abs(cfg.eps0) < 1:
+            raise ConfigError(f"perturbation eps0 = {cfg.eps0} must satisfy |eps0| < 1")
         return PerturbedRates.pair(torus, cfg.eps0)
     raise ConfigError(f"unknown rates kind {kind!r}")
 
@@ -252,12 +264,18 @@ def dirac_state(cfg: ExperimentConfig, torus: Torus) -> int:
     return cfg.state
 
 
+def plus_probability(cfg: ExperimentConfig) -> float:
+    if not 0 <= cfg.p_plus <= 1:
+        raise ConfigError(f"p_plus = {cfg.p_plus} must lie in [0, 1]")
+    return cfg.p_plus
+
+
 def build_measure(cfg: ExperimentConfig, torus: Torus) -> np.ndarray:
     kind = cfg.measure_kind
     if kind == "uniform":
         return uniform_measure(torus)
     if kind == "product":
-        return product_measure(torus, cfg.p_plus)
+        return product_measure(torus, plus_probability(cfg))
     if kind == "dirac":
         return dirac_vector(torus, dirac_state(cfg, torus))
     if kind == "gibbs":
@@ -266,6 +284,8 @@ def build_measure(cfg: ExperimentConfig, torus: Torus) -> np.ndarray:
 
 
 def build_family(cfg: ExperimentConfig, torus: Torus) -> TestFunctionFamily:
+    if cfg.k_max < 1 or cfg.count < 1:
+        raise ConfigError(f"family needs k_max >= 1 and count >= 1 (k_max {cfg.k_max}, count {cfg.count})")
     if cfg.family_kind == "monomials":
         return TestFunctionFamily.monomials(torus, cfg.k_max, max_count=cfg.count)
     if cfg.family_kind == "random":
@@ -374,13 +394,11 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> dict:
     rates = build_rates(cfg, torus)
     mu = build_measure(cfg, torus)
     family = build_family(cfg, torus)
-    engine = SemigroupEngine(rates)
     gamma = gamma_matrix(rates).matrix
     labeled = [(label, f.dense_values()) for label, f in family.labeled()]
     rows = []
     k_rows = []
-    for t in cfg.times:
-        mu_t = engine.evolve_measures(mu, t)
+    for t, mu_t in zip(cfg.times, engine_for(rates).evolve_measures_over(mu, cfg.times)):
         k_rows.append([t, k_of_t(gamma, t)])
         for label, values in labeled:
             rows.append([t, label, float(mu_t @ values)])
@@ -397,14 +415,12 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
     rates = build_rates(cfg, torus)
     mu = build_measure(cfg, torus)
     family = build_family(cfg, torus)
-    engine = SemigroupEngine(rates)
     check = empirical_gcb_constant if kind == "gcb" else check_uvb
     bound = args.bound
     rows = []
     curve_rows = []
     violations = []
-    for t in cfg.times:
-        mu_t = engine.evolve_measures(mu, t)
+    for t, mu_t in zip(cfg.times, engine_for(rates).evolve_measures_over(mu, cfg.times)):
         rep = check(mu_t, family, bound=bound)
         rows.append([t, rep.best_constant, rep.best_label, "" if bound is None else bound])
         curve_rows.append([t, rep.best_constant] + ([] if bound is None else [bound]))
@@ -450,6 +466,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     rates = build_rates(cfg, torus)
     family = build_family(cfg, torus)
     theorem = args.theorem
+    if theorem == "hjc" and args.hjc == "abs_p" and not args.hjc_p >= 1:
+        raise ConfigError(f"--hjc-p {args.hjc_p}: |x|^p is convex only for p >= 1")
     rows = []
     curve_rows = []
     failures = []
@@ -537,6 +555,8 @@ def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:
         raise ConfigError("need --A SITES")
     A = _parse_sites(args.A, dim)
     n_max = cfg.symbolic_n if args.n is None else args.n
+    if not 0 <= n_max <= POWER_CAP:
+        raise ConfigError(f"power {n_max} outside 0..{POWER_CAP}")
     rows = []
     json_rows = []
     violations = []
@@ -641,10 +661,12 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
     for s in sites:
         if not 0 <= s < torus.n_sites:
             raise ConfigError(f"observable site {s} out of range")
+    if len(set(sites)) != len(sites):
+        raise ConfigError(f"observable sites {sites} repeat a site")
     f = Observable.monomial(torus, sites)
     t = args.t if args.t is not None else max(cfg.times)
-    if t < 0:
-        raise ConfigError(f"time {t} must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"time {t} must be finite and >= 0")
     if cfg.replicas < 3:
         raise ConfigError(f"need at least 3 replicas for the jackknife, got {cfg.replicas}")
     kind = cfg.measure_kind
@@ -653,7 +675,7 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
     elif kind == "uniform":
         sampler = product_sampler(torus, 0.5)
     elif kind == "product":
-        sampler = product_sampler(torus, cfg.p_plus)
+        sampler = product_sampler(torus, plus_probability(cfg))
     elif kind == "gibbs":
         require_exact(cfg, torus)
         sampler = vector_sampler(gibbs_measure(build_potential(cfg), torus).probs)
@@ -728,7 +750,7 @@ def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
 
     def spectral_law():
         torus = Torus((6,))
-        engine = SemigroupEngine(IndependentRates(torus, 1.0))
+        engine = engine_for(IndependentRates(torus, 1.0))
         f = Observable.monomial(torus, [1, 4]).dense_values()
         mu = product_measure(torus, 0.7)
         for t in (0.3, 1.1):
@@ -765,7 +787,7 @@ def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
         rates = CustomRates(
             torus, lambda i: ((i % n), ((i + 1) % n)), rate_fn, translation_invariant=True
         )
-        engine = SemigroupEngine(rates)
+        engine = engine_for(rates)
         f = Observable.monomial(torus, [0]).dense_values()
         exact = engine.evolve_functions(f, t0 / 2)
         approx = realize_polynomial(series.coeffs, torus)
@@ -825,7 +847,7 @@ def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
         rates = GlauberRates(torus, Potential.ising_nn(1, 0.3))
         f = Observable.monomial(torus, [0])
         est = ensemble_expectation(rates, dirac_sampler(0), 0.5, f, replicas=2000, seed=7)
-        exact = float(SemigroupEngine(rates).evolve_functions(f.dense_values(), 0.5)[0])
+        exact = float(engine_for(rates).evolve_functions(f.dense_values(), 0.5)[0])
         if abs(est.estimate - exact) > 3 * est.std_error:
             return f"MC estimate {est.estimate:.4f} misses exact {exact:.4f} by > 3 SE"
 

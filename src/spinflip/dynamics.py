@@ -14,7 +14,8 @@ Lambda >= max exit rate and P = I + Q/Lambda,
 
 truncated when the Poisson tail drops below a tolerance (default 1e-13),
 which bounds the total-variation truncation error for measures and the
-sup-norm error for normalized functions.
+sup-norm error for normalized functions.  An engine stores P alone and serves
+a time grid from one pass of P^k v, each sum stopping at its own truncation.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -38,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik
 
 from .gibbs import Potential
 from .lattice import (
@@ -283,20 +283,17 @@ def generator_apply(rates: RateModel, f: Observable) -> Observable:
 
 def generator_matrix(rates: RateModel) -> sp.csr_matrix:
     """Sparse 2^N x 2^N generator: Q[s, s^i] = c(i, s), rows sum to zero."""
-    return _generator_from_rates(rates.rate_matrix())
+    c = rates.rate_matrix()
+    return _flip_matrix(c, -c.sum(axis=0))
 
 
-def _generator_from_rates(c: np.ndarray) -> sp.csr_matrix:
-    """The generator of the (N, 2^N) rate table c."""
-    n, size = c.shape
+def _flip_matrix(flips: np.ndarray, diag: np.ndarray) -> sp.csr_matrix:
+    """The 2^N x 2^N matrix with [s, s^i] = flips[i, s] and diagonal diag."""
+    n, size = flips.shape
     states = np.arange(size, dtype=np.int64)
-    rows = np.tile(states, n)
-    cols = np.concatenate([states ^ np.int64(1 << i) for i in range(n)])
-    data = c.reshape(-1)
-    diag = -c.sum(axis=0)
-    rows = np.concatenate([rows, states])
-    cols = np.concatenate([cols, states])
-    data = np.concatenate([data, diag])
+    rows = np.concatenate([np.tile(states, n), states])
+    cols = np.concatenate([states ^ np.int64(1 << i) for i in range(n)] + [states])
+    data = np.concatenate([flips.reshape(-1), diag])
     return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
 
 
@@ -315,14 +312,11 @@ class SemigroupEngine:
         # measures stay nonnegative without clipping
         exit_rate = self.rate_table.sum(axis=0)
         self.lam = float(exit_rate.max())
-        q = _generator_from_rates(self.rate_table)
-        self.q = q
-        if self.lam > 0:
-            p = (q / self.lam + sp.identity(self.n_states, format="csr")).tocsr()
-        else:
-            p = sp.identity(self.n_states, format="csr")
-        self.p = p
-        self.pt = p.T.tocsr()
+        # stored as the sparse sum I + Q / lam: scaled by 1 / lam, exact zeros dropped
+        inv = 1.0 / self.lam if self.lam > 0 else 0.0
+        self.p = _flip_matrix(self.rate_table * inv, 1.0 - exit_rate * inv)
+        self.p.eliminate_zeros()
+        self.pt = self.p.T
         self._flip_index = None
         self._weights = {}
 
@@ -339,6 +333,8 @@ class SemigroupEngine:
         """Poisson(Lambda t) weights up to the certified tail, cached per t
         (read-only: every evolve call at the same t shares the array)."""
         t = float(t)
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t}")
         w = self._weights.get(t)
         if w is None:
             w = self._weights[t] = self._poisson_weights(self.lam * t)
@@ -348,39 +344,50 @@ class SemigroupEngine:
     def _poisson_weights(self, m: float) -> np.ndarray:
         if m <= 0:
             return np.array([1.0])
-        k_max = int(poisson.isf(self.tail_tol, m)) + 2
-        while poisson.sf(k_max, m) > self.tail_tol:
+        # two past the upper tail_tol quantile, found as scipy's poisson.isf finds it
+        q = 1.0 - self.tail_tol
+        upper = int(np.ceil(pdtrik(q, m)))
+        k_max = (upper - 1 if upper > 0 and pdtr(upper - 1, m) >= q else upper) + 2
+        while pdtrc(k_max, m) > self.tail_tol:
             k_max = 2 * k_max + 8
         k = np.arange(k_max + 1)
         return np.exp(-m + k * np.log(m) - gammaln(k + 1))
 
     def evolve_functions(self, values: np.ndarray, t: float) -> np.ndarray:
         """S(t) f for one function (2^N,) or a batch of columns (2^N, k)."""
-        return self._apply(self.p, np.asarray(values, dtype=float), t)
+        return self._apply(self.p, np.asarray(values, dtype=float), [t])[0]
 
     def evolve_measures(self, probs: np.ndarray, t: float) -> np.ndarray:
         """mu S(t) for one row (2^N,) or a batch of rows (k, 2^N)."""
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim == 1:
-            return self._apply(self.pt, probs, t)
-        return self._apply(self.pt, probs.T, t).T
+        return self.evolve_measures_over(probs, [t])[0]
 
-    def _apply(self, op, vec: np.ndarray, t: float) -> np.ndarray:
-        if float(t) < 0:
-            raise ValueError("t must be >= 0")
-        w = self.poisson_weights(t)
-        acc = w[0] * vec
+    def evolve_measures_over(self, probs: np.ndarray, times) -> np.ndarray:
+        """mu S(t) at each t of a nonempty grid, stacked along a new first axis."""
+        if len(times) == 0:
+            raise ValueError("empty time grid")
+        probs = np.asarray(probs, dtype=float)
+        # C order, so a batch's rows have the strides of transposed columns
+        stacked = np.array(self._apply(self.pt, probs.T, times))
+        return stacked if probs.ndim == 1 else stacked.transpose(0, 2, 1)
+
+    def _apply(self, op, vec: np.ndarray, times) -> list:
+        """sum_k w_k(t) op^k vec for each t from one pass of op^k vec; each sum
+        stops at its own truncation, as it would in a pass of its own."""
+        weights = [self.poisson_weights(t) for t in times]
+        accs = [w[0] * vec for w in weights]
         cur = vec
-        for k in range(1, w.size):
+        for k in range(1, max(w.size for w in weights)):
             cur = op @ cur
-            acc = acc + w[k] * cur
-        return acc
+            for j, w in enumerate(weights):
+                if k < w.size:
+                    accs[j] = accs[j] + w[k] * cur
+        return accs
 
     def stationary(self) -> np.ndarray:
-        """Left null vector of Q, normalized to a probability vector."""
+        """Left null vector of Q (P - I would cancel digits), as a probability vector."""
         if self.torus.n_sites > 14:
             raise ValueError("stationary solve capped at 14 sites for dense linear algebra")
-        a = self.q.T.toarray()
+        a = generator_matrix(self.rates).T.toarray()
         a[-1, :] = 1.0
         b = np.zeros(self.n_states)
         b[-1] = 1.0
@@ -388,23 +395,13 @@ class SemigroupEngine:
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
 
-    def lipschitz_of(self, values: np.ndarray) -> np.ndarray:
-        return lipschitz_vector_dense(self.torus.n_sites, values)
-
 
 def engine_for(rates: RateModel) -> SemigroupEngine:
-    """Engine cache: Q and P are built once per rate model and reused."""
+    """Engine cache: P and its Poisson weights are built once per rate model
+    and reused."""
     if rates._engine is None:
         rates._engine = SemigroupEngine(rates)
     return rates._engine
-
-
-def exact_semigroup_measure(rates: RateModel, t: float, probs) -> np.ndarray:
-    return engine_for(rates).evolve_measures(probs, t)
-
-
-def exact_semigroup_function(rates: RateModel, t: float, values) -> np.ndarray:
-    return engine_for(rates).evolve_functions(values, t)
 
 
 def nonlinear_semigroup(rates: RateModel, t: float, values) -> np.ndarray:
@@ -519,7 +516,7 @@ def contraction_constants(
                 rates.torus, [(float(rng.normal()), sites), (float(rng.normal()), (sites[0],))]
             )
             d0 = lipschitz_vector(f)
-            lhs = eng.lipschitz_of(eng.evolve_functions(f.dense_values(), t))
+            lhs = lipschitz_vector_dense(n, eng.evolve_functions(f.dense_values(), t))
             gap = float(np.sum(lhs**2) - np.exp(-alpha * t) * np.sum(d0**2))
             if gap > 1e-8 * max(1.0, float(np.sum(d0**2))):
                 verified = False

@@ -129,6 +129,50 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--times", "-0.5"],
+            ["gcb-scan", "--times", "0.5 -0.5"],
+            ["conserve", "--theorem", "31", "--times", "-0.5"],
+            ["conserve", "--theorem", "53", "--times", "-0.5"],
+            ["nogo", "--beta", "0.6", "--times", "-0.5"],
+            ["evolve", "--times", "nan"],
+            ["evolve", "--times", "inf"],
+            ["evolve", "--times", ""],
+            ["gcb-scan", "--times", ""],
+            ["conserve", "--theorem", "31", "--times", ""],
+            ["nogo", "--beta", "0.6", "--times", ""],
+            ["mc", "--times", "", "--replicas", "10"],
+            ["evolve", "--k-max", "0"],
+            ["evolve", "--family", "random", "--count", "0"],
+            ["evolve", "--measure", "product", "--p-plus", "2"],
+            ["mc", "--measure", "product", "--p-plus", "2", "--replicas", "10"],
+            ["evolve", "--rates", "perturbed", "--eps0", "1.5"],
+            ["evolve", "--r", "0"],
+            ["evolve", "--r", "-1"],
+            ["evolve", "--sides", "21", "--exact-cap", "30"],
+            ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "9"],
+            ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "-1"],
+            ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "0.5"],
+            ["mc", "--sites", "0 0", "--replicas", "10"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_configuration_exits_two(self, tmp_path, capsys, argv):
+        code = main(argv[:1] + ["--sides", "4"] + argv[1:] + ["--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid", ["", "0.5 -1", "nan"])
+    def test_bad_time_grid_in_config_file(self, tmp_path, capsys, grid):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[times]\ngrid = {grid}\n")
+        code = main(["evolve", "--config", str(config), "--sides", "4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bad value for times.grid" in capsys.readouterr().err
+
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, args):
             raise RuntimeError("handler blew up")

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import spinflip
 from spinflip.dynamics import (
     CustomRates,
     GlauberRates,
@@ -12,8 +17,6 @@ from spinflip.dynamics import (
     detailed_balance_residual,
     engine_for,
     ergodicity_constants,
-    exact_semigroup_function,
-    exact_semigroup_measure,
     gamma_matrix,
     generator_apply,
     generator_matrix,
@@ -35,6 +38,15 @@ from spinflip.lattice import (
 def random_measure(n_states, rng):
     p = rng.random(n_states) + 1e-3
     return p / p.sum()
+
+
+def uniformized_sum(op, vec, weights):
+    """sum_k weights[k] op^k vec, term by term: the reference for one t."""
+    acc, cur = weights[0] * vec, vec
+    for w in weights[1:]:
+        cur = op @ cur
+        acc = acc + w * cur
+    return acc
 
 
 def model_zoo(torus):
@@ -163,7 +175,7 @@ class TestSemigroup:
             f = rng.normal(size=16)
             for tt in (0.15, 0.8, 2.0):
                 want = scipy.linalg.expm(tt * q) @ f
-                got = exact_semigroup_function(rates, tt, f)
+                got = engine_for(rates).evolve_functions(f, tt)
                 assert np.allclose(got, want, atol=1e-11)
 
     def test_matches_dense_expm_measures(self):
@@ -174,7 +186,7 @@ class TestSemigroup:
             mu = random_measure(16, rng)
             for tt in (0.3, 1.1):
                 want = mu @ scipy.linalg.expm(tt * q)
-                got = exact_semigroup_measure(rates, tt, mu)
+                got = engine_for(rates).evolve_measures(mu, tt)
                 assert np.allclose(got, want, atol=1e-11)
 
     def test_probability_preserved(self):
@@ -182,7 +194,7 @@ class TestSemigroup:
         rng = np.random.default_rng(6)
         for rates in model_zoo(t):
             mu = random_measure(32, rng)
-            nu = exact_semigroup_measure(rates, 1.7, mu)
+            nu = engine_for(rates).evolve_measures(mu, 1.7)
             assert np.all(nu >= -1e-15)
             assert nu.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -196,13 +208,59 @@ class TestSemigroup:
         f = np.arange(16.0)
         assert np.array_equal(engine.evolve_functions(f, 0.7), SemigroupEngine(rates).evolve_functions(f, 0.7))
 
+    def test_grid_pass_equals_single_times(self):
+        rates = GlauberRates(Torus((2, 3)), Potential.ising_nn(2, 0.5))
+        engine = engine_for(rates)
+        rng = np.random.default_rng(15)
+        times = [0.9, 0.0, 0.3, 0.9, 2.2]
+        for probs in (random_measure(64, rng), np.stack([random_measure(64, rng) for _ in range(3)])):
+            grid = engine.evolve_measures_over(probs, times)
+            assert grid.shape == (len(times),) + probs.shape
+            for j, t in enumerate(times):
+                assert np.array_equal(grid[j], engine.evolve_measures(probs, t))
+                want = uniformized_sum(engine.pt, probs.T, engine.poisson_weights(t)).T
+                assert np.array_equal(grid[j], want)
+        with pytest.raises(ValueError):
+            engine.evolve_measures_over(probs, [0.5, -0.1])
+        with pytest.raises(ValueError):
+            engine.evolve_measures_over(probs, [])
+
+    def test_poisson_weights_follow_the_quantile_rule(self):
+        # the truncation point is poisson.isf(tail_tol, m) + 2, doubled on
+        # until the tail mass is below tail_tol
+        from scipy.special import gammaln
+        from scipy.stats import poisson
+
+        engine = SemigroupEngine(IndependentRates(Torus((2,)), 1.0))
+        for m in np.geomspace(1e-6, 5e3, 4000):
+            k_max = int(poisson.isf(engine.tail_tol, m)) + 2
+            while poisson.sf(k_max, m) > engine.tail_tol:
+                k_max = 2 * k_max + 8
+            k = np.arange(k_max + 1)
+            want = np.exp(-m + k * np.log(m) - gammaln(k + 1))
+            assert np.array_equal(engine._poisson_weights(m), want), m
+
+    def test_importing_the_package_skips_scipy_stats(self):
+        code = "import sys, spinflip.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(spinflip.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_one_stored_operator(self):
+        engine = SemigroupEngine(GlauberRates(Torus((5,)), Potential.ising_nn(1, 0.4)))
+        assert not hasattr(engine, "q")
+        assert np.shares_memory(engine.pt.data, engine.p.data)
+        assert np.array_equal(engine.pt.toarray(), engine.p.toarray().T)
+
     def test_semigroup_law(self):
         t = Torus((4,))
         rng = np.random.default_rng(7)
         for rates in model_zoo(t):
             f = rng.normal(size=16)
-            a = exact_semigroup_function(rates, 0.9, exact_semigroup_function(rates, 0.4, f))
-            b = exact_semigroup_function(rates, 1.3, f)
+            a = engine_for(rates).evolve_functions(engine_for(rates).evolve_functions(f, 0.4), 0.9)
+            b = engine_for(rates).evolve_functions(f, 1.3)
             assert np.allclose(a, b, atol=1e-11)
 
     def test_duality(self):
@@ -212,8 +270,8 @@ class TestSemigroup:
         for rates in model_zoo(t):
             mu = random_measure(32, rng)
             f = rng.normal(size=32)
-            lhs = exact_semigroup_measure(rates, 0.8, mu) @ f
-            rhs = mu @ exact_semigroup_function(rates, 0.8, f)
+            lhs = engine_for(rates).evolve_measures(mu, 0.8) @ f
+            rhs = mu @ engine_for(rates).evolve_functions(f, 0.8)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_independent_spectral_law(self):
@@ -222,7 +280,7 @@ class TestSemigroup:
         rates = IndependentRates(t, 1.5)
         for sites in [(0,), (1, 4), (0, 2, 5)]:
             vals = monomial_values_dense(t, sites)
-            got = exact_semigroup_function(rates, 0.6, vals)
+            got = engine_for(rates).evolve_functions(vals, 0.6)
             want = np.exp(-2 * 1.5 * len(sites) * 0.6) * vals
             assert np.allclose(got, want, atol=1e-12)
 
@@ -232,7 +290,7 @@ class TestSemigroup:
         rates = IndependentRates(t, 0.7)
         mu = np.array([0.0, 1.0])  # Dirac at +
         for tt in (0.2, 1.0, 3.0):
-            nu = exact_semigroup_measure(rates, tt, mu)
+            nu = engine_for(rates).evolve_measures(mu, tt)
             mean = nu[1] - nu[0]
             assert mean == pytest.approx(np.exp(-2 * 0.7 * tt), abs=1e-12)
 
@@ -241,7 +299,7 @@ class TestSemigroup:
         pot = Potential.ising_nn(1, 0.35)
         rates = GlauberRates(t, pot)
         mu = gibbs_measure(pot, t)
-        nu = exact_semigroup_measure(rates, 1.3, mu.probs)
+        nu = engine_for(rates).evolve_measures(mu.probs, 1.3)
         assert 0.5 * np.abs(nu - mu.probs).sum() < 1e-10
 
     def test_detailed_balance(self):
@@ -269,11 +327,11 @@ class TestSemigroup:
         cols = rng.normal(size=(16, 3))
         batch = engine_for(rates).evolve_functions(cols, 0.7)
         for j in range(3):
-            assert np.allclose(batch[:, j], exact_semigroup_function(rates, 0.7, cols[:, j]))
+            assert np.allclose(batch[:, j], engine_for(rates).evolve_functions(cols[:, j], 0.7))
         rows = np.stack([random_measure(16, rng) for _ in range(3)])
         batch_m = engine_for(rates).evolve_measures(rows, 0.7)
         for j in range(3):
-            assert np.allclose(batch_m[j], exact_semigroup_measure(rates, 0.7, rows[j]))
+            assert np.allclose(batch_m[j], engine_for(rates).evolve_measures(rows[j], 0.7))
 
 
 class TestNonlinearSemigroup:
@@ -301,7 +359,7 @@ class TestNonlinearSemigroup:
         rng = np.random.default_rng(12)
         f = rng.normal(size=8)
         v = nonlinear_semigroup(rates, 0.9, f)
-        want = np.log(exact_semigroup_function(rates, 0.9, np.exp(f)))
+        want = np.log(engine_for(rates).evolve_functions(np.exp(f), 0.9))
         assert np.allclose(v, want, atol=1e-10)
 
 

@@ -71,7 +71,8 @@ from .symbolic import (
     POWER_CAP,
     analyticity_radius,
     apply_chain,
-    apply_generator_power,
+    generator_powers,
+    power_result,
     truncated_series,
 )
 
@@ -521,7 +522,13 @@ def _load_generator(args) -> GeneratorSpec:
         path = DATA_DIR / args.gen
     if not path.exists():
         raise ConfigError(f"generator file not found: {args.gen}")
-    return GeneratorSpec.load(path)
+    try:
+        gen = GeneratorSpec.load(path)
+    except ValueError as exc:
+        raise ConfigError(f"bad generator file {args.gen}: {exc}") from exc
+    if gen.m_max_coeff == 0:
+        raise ConfigError(f"bad generator file {args.gen}: every coefficient is zero")
+    return gen
 
 
 def _parse_sites(text: str, dim: int):
@@ -541,27 +548,19 @@ def _parse_sites(text: str, dim: int):
         raise ConfigError(f"bad site list {text!r}") from exc
 
 
-def _generator_dim(gen: GeneratorSpec) -> int:
-    for shape in gen.shapes:
-        for off in shape:
-            return len(off)
-    return 1
-
-
 def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:
     gen = _load_generator(args)
-    dim = _generator_dim(gen)
     if not args.A:
         raise ConfigError("need --A SITES")
-    A = _parse_sites(args.A, dim)
+    A = _parse_sites(args.A, gen.dim)
     n_max = cfg.symbolic_n if args.n is None else args.n
     if not 0 <= n_max <= POWER_CAP:
         raise ConfigError(f"power {n_max} outside 0..{POWER_CAP}")
     rows = []
     json_rows = []
     violations = []
-    for n in range(n_max + 1):
-        result = apply_generator_power(gen, n, A)
+    for n, poly in enumerate(generator_powers(gen, n_max, A)):
+        result = power_result(gen, n, A, poly)
         bound = result.loccast_bound
         if result.exact_available:
             norm, norm_kind = result.exact_sup_norm, "sup"
@@ -604,10 +603,9 @@ def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:
 
 def cmd_radius(cfg: ExperimentConfig, args) -> dict:
     gen = _load_generator(args)
-    dim = _generator_dim(gen)
     if not args.A:
         raise ConfigError("need --A SITES")
-    A = _parse_sites(args.A, dim)
+    A = _parse_sites(args.A, gen.dim)
     t0 = analyticity_radius(gen, A)
     print(f"t0 = {t0} = {_g(t0)}")
     report = new_report("radius", cfg)

@@ -17,8 +17,18 @@ followed verbatim), and generator powers of L = sum_B lambda(B) L_B obey
     ||L^n sigma_A||_inf <= 2^n M^n |bb|^n (|A|+K)^n n!
 
 with K = max |B|, M = max |lambda(B)|, |bb| the shape count, giving the
-analyticity radius t0 = 1/(2 M |bb| (|A|+K)).  Coefficients stay exact
-Fractions throughout; floats appear only when a time series is summed.
+analyticity radius t0 = 1/(2 M |bb| (|A|+K)).
+
+Expansions run on integers.  A monomial is a Python-int bitmask over a
+row-major box of Z^d holding every site the expansion can reach, so a
+translate is one integer shift and sigma_G sigma_F is G ^ F; the
+coefficients of L^n sigma_A are integer numerators over den^n, den the lcm
+of the denominators of the lambda(B).  Monomials become frozensets of
+coordinates, and coefficients exact Fractions, only in the SetPolynomial
+that callers read; floats appear only when a time series is summed.  The
+exact sup norm over a support of m sites is the largest absolute entry of
+one fast Walsh-Hadamard transform (Fino & Algazi 1976) of the 2^m vector
+of numerators: m 2^m integer additions.
 
 The infinite-range variant replaces the shape count by a tail measure:
 sum_{|B|=k} |lambda(B)| <= c psi(k) with F(u) = sum_k e^{uk} psi(k) finite,
@@ -29,13 +39,14 @@ kappa = 2 c |A| F(u) / u.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .lattice import EXACT_SITE_CAP, Torus, monomial_values_dense, spin_product
+from .lattice import EXACT_SITE_CAP, Torus, monomial_values_dense
 
 TERM_CAP = 10**7
 POWER_CAP = 8
@@ -52,8 +63,17 @@ def as_monomial(sites) -> frozenset:
     return frozenset(out)
 
 
-def shift(shape: frozenset, i: tuple) -> frozenset:
-    return frozenset(tuple(a + b for a, b in zip(s, i)) for s in shape)
+def _walsh_hadamard(v: np.ndarray) -> None:
+    """In place, v[x] <- sum_S v[S] (-1)^{|S & x|} over the 2^m entries, by
+    m butterfly passes (Fino & Algazi 1976)."""
+    h = 1
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        low, high = pairs[:, 0], pairs[:, 1]
+        diff = low - high
+        low += high
+        high[...] = diff
+        h *= 2
 
 
 class SetPolynomial:
@@ -107,8 +127,15 @@ class SetPolynomial:
             out |= key
         return frozenset(out)
 
+    def numerators(self) -> tuple[dict, int]:
+        """({monomial: integer numerator}, scale) with scale the lcm of the
+        coefficients' reduced denominators."""
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        return {key: c.numerator * (scale // c.denominator) for key, c in self.terms.items()}, scale
+
     def coeff_l1(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        nums, scale = self.numerators()
+        return Fraction(sum(map(abs, nums.values())), scale)
 
     def evaluate(self, assignment) -> Fraction:
         """Value at a spin assignment {coordinate: +-1}."""
@@ -121,29 +148,146 @@ class SetPolynomial:
         return total
 
     def exact_sup_norm(self, cap: int = EXACT_SITE_CAP):
-        """Exact sup norm by enumerating the support patterns; None when the
-        support exceeds the cap.  Integer arithmetic after clearing
-        denominators, so the result is an exact Fraction."""
+        """Exact sup norm over every spin pattern of the support, as an exact
+        Fraction; None when the support exceeds the cap or the l1 norm of
+        the numerators reaches 2^62.  The numerators, scattered to their
+        support patterns, go through one int64 Walsh-Hadamard transform,
+        whose entries are the polynomial's values (at complemented
+        patterns); every butterfly partial sum is at most that l1 norm."""
         if not self.terms:
             return Fraction(0)
-        support = sorted(self.support())
-        m = len(support)
-        if m > cap:
+        pos = {s: j for j, s in enumerate(self.support())}
+        if len(pos) > cap:
             return None
-        pos = {s: j for j, s in enumerate(support)}
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
-        worst = int(self.coeff_l1() * scale)
-        if worst >= (1 << 62):
-            return None  # would overflow the int64 evaluation
-        assign = np.arange(1 << m, dtype=np.int64)
-        vals = np.zeros(1 << m, dtype=np.int64)
-        for key, c in self.terms.items():
-            num = int(c * scale)
-            vals += num * spin_product(assign, sum(1 << pos[s] for s in key))
+        nums, scale = self.numerators()
+        if sum(map(abs, nums.values())) >= 1 << 62:
+            return None  # would overflow the int64 transform
+        vals = np.zeros(1 << len(pos), dtype=np.int64)
+        for key, num in nums.items():
+            vals[sum(1 << pos[s] for s in key)] = num
+        _walsh_hadamard(vals)
         return Fraction(int(np.max(np.abs(vals))), scale)
 
     def __repr__(self):
         return f"SetPolynomial({self.n_terms()} terms)"
+
+
+def _apply_table(terms: dict, table) -> dict:
+    """sum_B lambda(B) L_B on {bitmask: numerator}, from the rows (bitmask of
+    B shifted up by -base, base, -2 * numerator of lambda(B)) and
+    L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) ^ A}."""
+    out = {}
+    get = out.get
+    for a, c in terms.items():
+        sites = []
+        bits = a
+        while bits:
+            low = bits & -bits
+            sites.append(low.bit_length() - 1)
+            bits ^= low
+        for b, base, lam in table:
+            v = lam * c
+            for i in sites:
+                key = (b << (i + base)) ^ a
+                out[key] = get(key, 0) + v
+        if len(out) > TERM_CAP:
+            raise RuntimeError("term-count overflow in the expansion")
+    return {key: v for key, v in out.items() if v}
+
+
+class _Expansion:
+    """L_j ... L_1 p on integers, for the operators L_j = sum_B lambda(B) L_B
+    given as {shape: lambda} dicts in application order.
+
+    Site x of Z^d is a bit of a row-major box that holds every site the
+    steps can reach from p's support.  Along each axis the box keeps the
+    intervals [x_k + reach_lo, x_k + reach_hi] around the support's
+    coordinates, with the gaps between them closed, so its volume follows
+    the reachable sites and not the spread of the support.  No step leaves
+    its interval, so a shape translated to site i is its bitmask shifted by
+    i, and no index wraps.  Coefficients are integer numerators over `den`:
+    the lcm of p's denominators times, per step, the lcm of that step's
+    lambda denominators."""
+
+    def __init__(self, poly: SetPolynomial, steps, dim=None):
+        support = poly.support()
+        offsets = [[o for b in shapes for o in b] for shapes in steps]
+        dims = {len(x) for x in support}.union(*({len(o) for o in offs} for offs in offsets))
+        if dim is None:
+            dim = max(dims, default=1)
+        if dims - {dim}:
+            raise ValueError(f"sites and shape offsets must all have dimension {dim}, got {sorted(dims)}")
+        self.steps = steps
+        # per axis: the first coordinate of each merged interval, and its
+        # first position along the axis of the box
+        self.axes, widths = [], []
+        for k in range(dim):
+            reach_lo = sum(min([0] + [o[k] for o in offs]) for offs in offsets)
+            reach_hi = sum(max([0] + [o[k] for o in offs]) for offs in offsets)
+            starts, firsts, width = [], [], 0
+            for x in sorted({s[k] for s in support}) or [0]:
+                if starts and x + reach_lo <= end + 1:
+                    width += x + reach_hi - end
+                else:
+                    starts.append(x + reach_lo)
+                    firsts.append(width)
+                    width += reach_hi - reach_lo + 1
+                end = x + reach_hi
+            self.axes.append((starts, firsts))
+            widths.append(width)
+        self.strides = [math.prod(widths[k + 1 :]) for k in range(dim)]
+        self.sites = {}
+        nums, self.den = poly.numerators()
+        self.terms = {sum(1 << self.index(x) for x in key): c for key, c in nums.items()}
+
+    def index(self, x) -> int:
+        j = 0
+        for a, (starts, firsts), stride in zip(x, self.axes, self.strides):
+            m = bisect.bisect_right(starts, a) - 1
+            j += (firsts[m] + a - starts[m]) * stride
+        return j
+
+    def site(self, j: int) -> tuple:
+        x = self.sites.get(j)
+        if x is None:
+            coords, rest = [], j
+            for (starts, firsts), stride in zip(self.axes, self.strides):
+                q, rest = divmod(rest, stride)
+                m = bisect.bisect_right(firsts, q) - 1
+                coords.append(starts[m] + q - firsts[m])
+            x = self.sites[j] = tuple(coords)
+        return x
+
+    def __iter__(self):
+        """Apply the steps in order, yielding after each."""
+        for shapes in self.steps:
+            den = math.lcm(*(lam.denominator for lam in shapes.values()))
+            table = []
+            for b, lam in shapes.items():
+                if lam:
+                    deltas = [sum(a * s for a, s in zip(o, self.strides)) for o in b]
+                    base = min(deltas, default=0)
+                    table.append((sum(1 << (d - base) for d in deltas), base, -2 * lam.numerator * (den // lam.denominator)))
+            self.terms = _apply_table(self.terms, table)
+            self.den *= den
+            yield self
+
+    def polynomial(self) -> SetPolynomial:
+        res = SetPolynomial()
+        for mask, c in self.terms.items():
+            key = []
+            while mask:
+                low = mask & -mask
+                key.append(self.site(low.bit_length() - 1))
+                mask ^= low
+            res.terms[frozenset(key)] = Fraction(c, self.den)
+        return res
+
+    def run(self) -> SetPolynomial:
+        """Apply every step; the result."""
+        for _ in self:
+            pass
+        return self.polynomial()
 
 
 def apply_LB(B, poly: SetPolynomial) -> SetPolynomial:
@@ -151,22 +295,7 @@ def apply_LB(B, poly: SetPolynomial) -> SetPolynomial:
     L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) Delta A}."""
     if isinstance(poly, (frozenset, set, tuple, list)):
         poly = SetPolynomial.monomial(poly)
-    b = as_monomial(B)
-    out = {}
-    for a, coeff in poly.terms.items():
-        c = -2 * coeff
-        for i in a:
-            key = shift(b, i) ^ a
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        if len(out) > TERM_CAP:
-            raise RuntimeError("term-count overflow in L_B expansion")
-    res = SetPolynomial()
-    res.terms = out
-    return res
+    return _Expansion(poly, [{as_monomial(B): 1}]).run()
 
 
 def chain_bound(shape_sizes, a_size: int) -> int:
@@ -197,9 +326,7 @@ def apply_chain(shapes, A) -> ChainResult:
     if not shapes:
         raise ValueError("need at least one shape")
     a = as_monomial(A)
-    poly = SetPolynomial.monomial(a)
-    for b in shapes:
-        poly = apply_LB(b, poly)
+    poly = _Expansion(SetPolynomial.monomial(a), [{b: 1} for b in shapes]).run()
     bound = chain_bound([len(b) for b in shapes], len(a))
     l1 = poly.coeff_l1()
     sup = poly.exact_sup_norm()
@@ -225,9 +352,9 @@ class GeneratorSpec:
         if not seen:
             raise ValueError("empty generator spec")
         self.shapes = dict(seen)
-        dims = {len(next(iter(b))) for b in self.shapes if b}
+        dims = {len(o) for b in self.shapes for o in b}
         if len(dims) > 1:
-            raise ValueError("mixed offset dimensions")
+            raise ValueError(f"mixed offset dimensions {sorted(dims)}")
         self.dim = dims.pop() if dims else 1
 
     @property
@@ -243,12 +370,7 @@ class GeneratorSpec:
         return max(abs(l) for l in self.shapes.values())
 
     def apply(self, poly: SetPolynomial) -> SetPolynomial:
-        out = SetPolynomial()
-        for b, lam in self.shapes.items():
-            out = out + apply_LB(b, poly).scale(lam)
-            if out.n_terms() > TERM_CAP:
-                raise RuntimeError("term-count overflow in generator power")
-        return out
+        return _Expansion(poly, [self.shapes], self.dim).run()
 
     @classmethod
     def load(cls, path) -> "GeneratorSpec":
@@ -299,21 +421,31 @@ class PowerResult:
     exact_available: bool
 
 
-def apply_generator_power(
-    gen: GeneratorSpec,
-    n: int,
-    A,
-) -> PowerResult:
-    """Exact expansion of L^n sigma_A with the factorial bound checked."""
+def _start(gen: GeneratorSpec, n: int, A) -> frozenset:
+    """sigma_A's key, once n is a power in 0..POWER_CAP and A has the
+    generator's dimension."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > POWER_CAP:
         raise ValueError(f"power {n} exceeds the cap {POWER_CAP}")
     a = as_monomial(A)
-    poly = SetPolynomial.monomial(a)
-    for _ in range(n):
-        poly = gen.apply(poly)
-    bound = loccast_bound(gen, n, len(a))
+    if any(len(x) != gen.dim for x in a):
+        raise ValueError(f"A = {sorted(a)} does not have the generator's dimension {gen.dim}")
+    return a
+
+
+def generator_powers(gen: GeneratorSpec, n_max: int, A):
+    """Yield L^n sigma_A for n = 0..n_max, from one expansion."""
+    start = SetPolynomial.monomial(_start(gen, n_max, A))
+    expansion = _Expansion(start, [gen.shapes] * n_max, gen.dim)
+    yield start
+    for _ in expansion:
+        yield expansion.polynomial()
+
+
+def power_result(gen: GeneratorSpec, n: int, A, poly: SetPolynomial) -> PowerResult:
+    """poly = L^n sigma_A with its norms, the factorial bound checked."""
+    bound = loccast_bound(gen, n, len(as_monomial(A)))
     l1 = poly.coeff_l1()
     sup = poly.exact_sup_norm()
     if l1 > bound:
@@ -323,6 +455,17 @@ def apply_generator_power(
     if sup is not None and sup > l1:
         raise RuntimeError("sup norm exceeded the l1 coefficient norm")
     return PowerResult(poly, sup, l1, bound, sup is not None)
+
+
+def apply_generator_power(
+    gen: GeneratorSpec,
+    n: int,
+    A,
+) -> PowerResult:
+    """Exact expansion of L^n sigma_A with the factorial bound checked."""
+    a = _start(gen, n, A)
+    poly = _Expansion(SetPolynomial.monomial(a), [gen.shapes] * n, gen.dim).run()
+    return power_result(gen, n, a, poly)
 
 
 def analyticity_radius(gen: GeneratorSpec, A) -> Fraction:
@@ -347,17 +490,12 @@ def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResul
     t = float(t)
     if t < 0 or t >= t0:
         raise ValueError(f"t = {t} is outside [0, t0) with t0 = {t0}")
-    if n_max > POWER_CAP:
-        raise ValueError(f"n_max {n_max} exceeds the cap {POWER_CAP}")
     a = as_monomial(A)
-    poly = SetPolynomial.monomial(a)
     acc = {}
-    for n in range(n_max + 1):
+    for n, poly in enumerate(generator_powers(gen, n_max, a)):
         w = t**n / math.factorial(n)
         for key, c in poly.terms.items():
             acc[key] = acc.get(key, 0.0) + w * float(c)
-        if n < n_max:
-            poly = gen.apply(poly)
     rho = 2.0 * t * float(gen.m_max_coeff) * gen.size * (len(a) + gen.k_max_shape)
     remainder = rho ** (n_max + 1) / (1.0 - rho)
     acc = {k: v for k, v in acc.items() if v != 0.0}

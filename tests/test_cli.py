@@ -165,6 +165,21 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 : a\n", "1 : 0\n1 : 0\n", "1 : 0 0,1\n", "0 : 1\n"],
+        ids=["malformed-offset", "duplicate-shape", "mixed-dimension", "zero-coefficients"],
+    )
+    def test_bad_generator_file_exits_two(self, tmp_path, capsys, text):
+        gen = tmp_path / "bad.gen"
+        gen.write_text(text)
+        out = tmp_path / "out"
+        code = main(["symbolic-bound", "--gen", str(gen), "--A", "0", "--n", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad generator file" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["", "0.5 -1", "nan"])
     def test_bad_time_grid_in_config_file(self, tmp_path, capsys, grid):
         config = tmp_path / "run.ini"

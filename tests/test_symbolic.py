@@ -12,6 +12,7 @@ from spinflip.symbolic import (
     DeltaTail,
     GeneratorSpec,
     GeometricTail,
+    POWER_CAP,
     PoissonTail,
     SetPolynomial,
     analyticity_radius,
@@ -21,6 +22,7 @@ from spinflip.symbolic import (
     as_monomial,
     chain_bound,
     combinatorial_sum,
+    generator_powers,
     infinite_range_bound,
     realize_polynomial,
     truncated_series,
@@ -60,6 +62,36 @@ def chain_recursion(shapes, a):
     return {k: v for k, v in terms.items() if v != 0}
 
 
+def translate(shape, i):
+    return frozenset(tuple(x + y for x, y in zip(s, i)) for s in shape)
+
+
+def generator_recursion(shapes, poly, n):
+    """n applications of sum_B lambda(B) L_B on a {monomial: Fraction} dict,
+    term by term; also returns how many monomials summed to zero."""
+    terms = dict(poly)
+    cancelled = 0
+    for _ in range(n):
+        out = {}
+        for a, coeff in terms.items():
+            for b, lam in shapes.items():
+                for i in a:
+                    key = translate(b, i) ^ a
+                    out[key] = out.get(key, Fraction(0)) - 2 * lam * coeff
+        terms = {k: v for k, v in out.items() if v != 0}
+        cancelled += len(out) - len(terms)
+    return terms, cancelled
+
+
+def random_polynomial(rng, dim, n_terms, span=2, max_size=3):
+    terms = {}
+    for _ in range(n_terms):
+        size = int(rng.integers(0, max_size + 1))
+        key = frozenset(tuple(int(x) for x in rng.integers(-span, span + 1, size=dim)) for _ in range(size))
+        terms[key] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return SetPolynomial(terms)
+
+
 class TestSetPolynomial:
     def test_monomial_product_is_symmetric_difference(self):
         rng = np.random.default_rng(3)
@@ -93,10 +125,34 @@ class TestSetPolynomial:
                 continue
             assert poly.exact_sup_norm() == brute_sup(poly)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_walsh_hadamard_sup_matches_enumeration(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        polys = [SetPolynomial.zero(), SetPolynomial({frozenset(): Fraction(-7, 3)})]
+        polys += [random_polynomial(rng, dim, int(rng.integers(1, 9))) for _ in range(40)]
+        for poly in polys:
+            assert poly.exact_sup_norm() == brute_sup(poly)
+        assert polys[1].exact_sup_norm() == Fraction(7, 3)
+
+    def test_sup_overflow_guard_boundary(self):
+        # the guard reads coeff_l1 * scale, the bound on every butterfly sum
+        x = (0,)
+        at = SetPolynomial({frozenset(): 1 << 61, frozenset({x}): 1 << 61})
+        below = SetPolynomial({frozenset(): 1 << 61, frozenset({x}): (1 << 61) - 1})
+        assert at.exact_sup_norm() is None
+        assert below.exact_sup_norm() == (1 << 62) - 1
+        third = SetPolynomial({frozenset({x}): Fraction(1 << 62, 3)})
+        assert third.exact_sup_norm() is None
+        third = SetPolynomial({frozenset({x}): Fraction((1 << 62) - 1, 3)})
+        assert third.exact_sup_norm() == Fraction((1 << 62) - 1, 3)
+
     def test_sup_unavailable_beyond_cap(self):
         poly = SetPolynomial.monomial(range(6), 1)
         assert poly.exact_sup_norm(cap=5) is None
         assert poly.exact_sup_norm(cap=6) == 1
+        poly = poly + SetPolynomial.monomial([0, 2], Fraction(-1, 2)) + SetPolynomial.monomial([], 3)
+        assert poly.exact_sup_norm(cap=5) is None
+        assert poly.exact_sup_norm(cap=6) == brute_sup(poly) == Fraction(9, 2)
 
     def test_empty_polynomial_norms(self):
         z = SetPolynomial.zero()
@@ -264,6 +320,104 @@ class TestGeneratorPower:
         assert back.shapes == gen.shapes
         assert back.k_max_shape == 2
         assert back.m_max_coeff == 1
+
+
+class TestIntegerExpansion:
+    SPECS = {
+        "1d": {
+            frozenset(): Fraction(1),
+            frozenset({(-2,)}): Fraction(1, 3),
+            frozenset({(-1,), (1,)}): Fraction(-1, 3),
+            frozenset({(0,), (2,)}): Fraction(2, 5),
+        },
+        "2d": {
+            frozenset(): Fraction(1, 2),
+            frozenset({(-1, 0)}): Fraction(-1, 4),
+            frozenset({(1, 0)}): Fraction(1, 4),
+            frozenset({(0, -1), (1, 1)}): Fraction(1, 4),
+            frozenset({(0, 0), (-1, 2)}): Fraction(-3, 7),
+        },
+    }
+    # the last starts are spread wider than the expansion reaches, so the
+    # box closes the gaps between their intervals
+    STARTS = {
+        "1d": [[0], [0, 1], [-3, 0, 4], [-40, 0, 9, 10**6]],
+        "2d": [[(0, 0)], [(0, 0), (1, -1)], [(-2, 3), (0, 0)], [(0, 0), (0, 30), (25, -10**6)]],
+    }
+
+    @pytest.mark.parametrize("dim", ["1d", "2d"])
+    def test_powers_match_fraction_oracle(self, dim):
+        shapes = self.SPECS[dim]
+        gen = GeneratorSpec(list(shapes.items()))
+        cancelled = 0
+        for start in self.STARTS[dim]:
+            a = as_monomial(start)
+            for n in range(5):
+                want, dropped = generator_recursion(shapes, {a: Fraction(1)}, n)
+                cancelled += dropped
+                assert apply_generator_power(gen, n, start).polynomial.terms == want
+        assert cancelled > 0  # the oracle saw monomials sum to zero
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_apply_on_rational_polynomials_matches_oracle(self, dim):
+        shapes = self.SPECS[f"{dim}d"]
+        gen = GeneratorSpec(list(shapes.items()))
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(15):
+            poly = random_polynomial(rng, dim, int(rng.integers(1, 7)))
+            want, _ = generator_recursion(shapes, poly.terms, 2)
+            assert gen.apply(gen.apply(poly)).terms == want
+            b = next(iter(k for k in shapes if k))
+            assert apply_LB(b, poly).terms == generator_recursion({b: Fraction(1)}, poly.terms, 1)[0]
+
+    def test_opposite_coefficients_cancel(self):
+        # shapes {1} and {-1} with opposite signs give -2 sigma_{0,1} and
+        # +2 sigma_{-1,0}; the empty shape on p - p cancels outright
+        gen = GeneratorSpec([((), Fraction(1, 2)), (((1,),), 1), (((-1,),), -1)])
+        assert apply_generator_power(gen, 1, [0]).polynomial.terms == {
+            as_monomial([-1, 0]): Fraction(2),
+            as_monomial([0, 1]): Fraction(-2),
+            as_monomial([0]): Fraction(-1),
+        }
+        both = SetPolynomial.monomial([0], 1) + SetPolynomial.monomial([5], -1)
+        assert apply_LB([], both).terms == {
+            as_monomial([0]): Fraction(-2),
+            as_monomial([5]): Fraction(2),
+        }
+        assert apply_LB([], both + both.scale(-1)).n_terms() == 0
+
+    @pytest.mark.parametrize("dim", ["1d", "2d"])
+    def test_generator_powers_yield_each_power(self, dim):
+        gen = GeneratorSpec([(b, lam) for b, lam in self.SPECS[dim].items() if len(b) < 2])
+        start = self.STARTS[dim][1]
+        powers = list(generator_powers(gen, POWER_CAP, start))
+        assert len(powers) == POWER_CAP + 1
+        for n, poly in enumerate(powers):
+            assert poly == apply_generator_power(gen, n, start).polynomial
+
+    def test_generator_powers_check_the_power(self):
+        gen = GeneratorSpec([((), 1)])
+        with pytest.raises(ValueError):
+            next(generator_powers(gen, POWER_CAP + 1, [0]))
+        with pytest.raises(ValueError):
+            next(generator_powers(gen, -1, [0]))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            GeneratorSpec([(((0,), (0, 1)), 1)])
+        with pytest.raises(ValueError):
+            GeneratorSpec([(((0,),), 1), (((0, 1),), 1)])
+        gen = GeneratorSpec([(((1,),), 1)])
+        with pytest.raises(ValueError):
+            apply_generator_power(gen, 1, [(0, 0)])
+        with pytest.raises(ValueError):
+            next(generator_powers(gen, 1, [(0, 0)]))
+        with pytest.raises(ValueError):
+            gen.apply(SetPolynomial.monomial([(0, 0)]))
+        with pytest.raises(ValueError):
+            apply_LB([(1, 0)], SetPolynomial.monomial([0]))
+        assert GeneratorSpec([((), 1)]).dim == 1
+        assert GeneratorSpec([(((0, 1), (2, 3)), 1)]).dim == 2
 
 
 class TestSeries:

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dynamics import RateModel, engine_for, gamma_matrix, k_of_t
+from .gibbs import probs_of
 from .lattice import (
     Observable,
     Torus,
@@ -68,11 +69,6 @@ def product_uvb_constant() -> float:
     """Valid UVB constant for every product measure on +-1 spins, by the
     Efron-Stein inequality: Var <= sum_i (delta_i / 2)^2."""
     return 0.25
-
-
-def _probs_of(mu) -> np.ndarray:
-    probs = getattr(mu, "probs", mu)
-    return np.asarray(probs, dtype=float)
 
 
 class TestFunctionFamily:
@@ -139,7 +135,7 @@ def log_exponential_moment(mu, values: np.ndarray):
     """log E_mu e^{v - E_mu v}, log-sum-exp stabilized.  values may stack
     functions on leading axes, giving an array over those axes; one row
     gives a float."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     values = np.asarray(values, dtype=float)
     out = logsumexp(values - (values @ probs)[..., None], b=probs, axis=-1)
     return out if values.ndim > 1 else float(out)
@@ -154,7 +150,7 @@ def gcb_ratio(mu, f: Observable) -> float:
 
 
 def variance(mu, values: np.ndarray) -> float:
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     values = np.asarray(values, dtype=float)
     mean = float(probs @ values)
     return max(float(probs @ (values - mean) ** 2), 0.0)
@@ -215,7 +211,7 @@ def empirical_gcb_constant(
 ) -> ConcentrationReport:
     """C-hat = max over members x lambda-grid of gcb_ratio(mu, lambda f).
     A lower bound on any valid GCB constant for mu."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     return _scan("gcb", family, bound, lambda values, l2sq: [
         (lam, log_exponential_moment(probs, lam * values) / (lam * lam * l2sq))
         for lam in family.lambda_grid
@@ -227,7 +223,7 @@ def check_uvb(
 ) -> ConcentrationReport:
     """C-hat_var = max over members of Var_mu(f) / ||delta f||_2^2.
     Scale invariant, so the lambda-grid plays no role here."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     return _scan("uvb", family, bound, lambda values, l2sq: [(None, variance(probs, values) / l2sq)])
 
 
@@ -244,7 +240,7 @@ class TailReport:
 
 def check_subgaussian_tail(mu, f: Observable, u_grid, constant: float) -> TailReport:
     """Exact tail mu(f - E f >= u) against e^{-u^2 / (4 C ||delta f||_2^2)}."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     values = f.dense_values()
     mean = float(probs @ values)
     l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
@@ -278,7 +274,7 @@ def weak_gcb_check(mu, f: Observable, constant: float, lambda_grid=None) -> Weak
     (the centered-moment ratio 2(E e^{lambda g} - 1)/lambda^2 tends to Var(g))
     and the explicit window: a UVB constant C gives the moment bound with
     constant e C / 2 for all lambda <= 1/(2||f||_inf + 1)."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     values = f.dense_values()
     l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
     if l2sq == 0:
@@ -441,7 +437,7 @@ def theorem31_check(
     log S(t)e^{lambda f - m}(sigma) + m - lambda S(t)f(sigma) with
     m = max lambda f, so every start comes from one batched evolution of the
     columns f and e^{lambda f - m}."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     engine = engine_for(rates)
     mu_t = engine.evolve_measures(probs, t)
 
@@ -488,7 +484,7 @@ def theorem52_check(
     """Variance conservation: measured UVB constant of mu S(t) against
     C_mu K(t) + int C(sigma, t) dmu(sigma), the start integral taken over the
     initial measure.  c_mu must be a UVB constant valid for every function."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     engine = engine_for(rates)
     mu_t = engine.evolve_measures(probs, t)
 
@@ -617,7 +613,7 @@ def hjc_library(name: str, c: float = 1.0) -> HJCSpec:
 
 def hjc_holds(mu, f: Observable, spec: HJCSpec) -> dict:
     """Direct check of the defining inequality for one function."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     values = f.dense_values()
     mean = float(probs @ values)
     lhs = float(probs @ np.array([spec.h(x) for x in values - mean]))
@@ -649,7 +645,7 @@ def hjc_check(
     and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l H(2(lambda l -
     E_sigma lambda f)) for every start and scale; mu applied to the same
     columns is the law under mu S(t)."""
-    probs = _probs_of(mu)
+    probs = probs_of(mu)
     engine = engine_for(rates)
     k_t = k_of_t(gamma_matrix(rates).matrix, t)
     hv = np.vectorize(spec.h, otypes=[float])

@@ -133,14 +133,6 @@ class RateModel:
                 r = max(r, self.torus.distance(i, j))
         return r
 
-    def influencers(self):
-        """Per site j, the sites i whose rate reads spin j (includes i = j)."""
-        out = [[] for _ in self.torus.sites()]
-        for i in self.torus.sites():
-            for j in self.dependence(i):
-                out[j].append(i)
-        return out
-
     def __repr__(self):
         return f"{type(self).__name__}({self.label}, torus={self.torus.sides})"
 

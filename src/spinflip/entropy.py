@@ -19,21 +19,22 @@ from itertools import product as iter_product
 import numpy as np
 
 from .dynamics import RateModel, engine_for
+from .gibbs import probs_of
 from .lattice import Torus, gather_bits
 
 
 def total_variation(mu, nu) -> float:
     """(1/2) sum |mu - nu|; zero iff the distributions coincide."""
-    mu = np.asarray(getattr(mu, "probs", mu), dtype=float)
-    nu = np.asarray(getattr(nu, "probs", nu), dtype=float)
+    mu = probs_of(mu)
+    nu = probs_of(nu)
     return 0.5 * float(np.abs(mu - nu).sum())
 
 
 def relative_entropy(mu, nu) -> float:
     """H(mu|nu) = sum_x mu(x) log(mu(x)/nu(x)), with 0 log 0 = 0 and +inf
     when mu charges a state nu does not."""
-    mu = np.asarray(getattr(mu, "probs", mu), dtype=float)
-    nu = np.asarray(getattr(nu, "probs", nu), dtype=float)
+    mu = probs_of(mu)
+    nu = probs_of(nu)
     if mu.shape != nu.shape:
         raise ValueError("distribution vectors differ in length")
     mask = mu > 0
@@ -46,7 +47,7 @@ def relative_entropy(mu, nu) -> float:
 def marginal(probs, sites, n_sites: int | None = None) -> np.ndarray:
     """Exact marginal on the given sites: sums over the complement bits.
     Output keys pack the sites in sorted order, LSB first."""
-    probs = np.asarray(getattr(probs, "probs", probs), dtype=float)
+    probs = probs_of(probs)
     if n_sites is None:
         n_sites = probs.size.bit_length() - 1
     if probs.size != 1 << n_sites:
@@ -84,8 +85,8 @@ def entropy_density_profile(mu, nu, windows, n_sites: int | None = None) -> Entr
     H of nu's marginal relative to mu's on that window.  `windows` is a list
     of site collections ordered small to large, or of (sites, saturated)
     pairs as produced by window_sites."""
-    mu = np.asarray(getattr(mu, "probs", mu), dtype=float)
-    nu = np.asarray(getattr(nu, "probs", nu), dtype=float)
+    mu = probs_of(mu)
+    nu = probs_of(nu)
     if n_sites is None:
         n_sites = mu.size.bit_length() - 1
     rows = []
@@ -123,8 +124,8 @@ def data_processing_check(
 ) -> DataProcessingReport:
     """H(mu S(t) | nu S(t)) along the grid; one exact semigroup step is a
     Markov kernel, so the curve must be nonincreasing."""
-    mu = np.asarray(getattr(mu, "probs", mu), dtype=float)
-    nu = np.asarray(getattr(nu, "probs", nu), dtype=float)
+    mu = probs_of(mu)
+    nu = probs_of(nu)
     grid = sorted(set(float(t) for t in t_grid))
     pairs = engine_for(rates).evolve_measures_over(np.vstack([mu, nu]), grid)
     rows = [{"t": t, "entropy": relative_entropy(*pair)} for t, pair in zip(grid, pairs)]
@@ -171,8 +172,8 @@ def nogo_experiment(
     """
     from .concentration import empirical_gcb_constant
 
-    mu_plus = np.asarray(getattr(mu_plus, "probs", mu_plus), dtype=float)
-    mu_minus = np.asarray(getattr(mu_minus, "probs", mu_minus), dtype=float)
+    mu_plus = probs_of(mu_plus)
+    mu_minus = probs_of(mu_minus)
     torus = rates.torus
     if radii is None:
         top = max((min(torus.sides) - 1) // 2, 0)

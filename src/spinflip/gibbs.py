@@ -29,10 +29,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .lattice import (
-    EXACT_SITE_CAP,
     Observable,
     SpinConfiguration,
     Torus,
+    dense_size,
     gather_bits,
     scatter_bits,
     spin_product,
@@ -371,13 +371,11 @@ def gibbs_measure(
         if volume is not None and tuple(sorted(volume)) != tuple(torus.sites()):
             raise ValueError("periodic boundary requires the full torus volume")
         volume = tuple(torus.sites())
-        if torus.n_sites > EXACT_SITE_CAP:
-            raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
+        dense_size(torus.n_sites)
         energy = hamiltonian_periodic(potential, torus)
     else:
         volume = tuple(sorted(set(volume if volume is not None else torus.sites())))
-        if len(volume) > EXACT_SITE_CAP:
-            raise ValueError(f"{len(volume)} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
+        dense_size(len(volume))
         energy = hamiltonian_fixed(potential, torus, volume, boundary)
     log_weights = -energy
     log_z = float(logsumexp(log_weights))
@@ -388,20 +386,16 @@ def gibbs_measure(
 
 def uniform_measure(torus: Torus) -> np.ndarray:
     """Uniform product measure as a dense probability vector."""
-    if torus.n_sites > EXACT_SITE_CAP:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
-    n = 1 << torus.n_sites
+    n = dense_size(torus.n_sites)
     return np.full(n, 1.0 / n)
 
 
 def product_measure(torus: Torus, p_plus) -> np.ndarray:
     """Product measure with per-site P(sigma_i = +1); scalar or per-site array."""
-    if torus.n_sites > EXACT_SITE_CAP:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
+    states = states_arange(torus.n_sites)
     p = np.broadcast_to(np.asarray(p_plus, dtype=float), (torus.n_sites,))
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    states = states_arange(torus.n_sites)
     probs = np.ones(states.size)
     for i in range(torus.n_sites):
         up = ((states >> np.int64(i)) & 1).astype(bool)
@@ -411,8 +405,11 @@ def product_measure(torus: Torus, p_plus) -> np.ndarray:
 
 def dirac_vector(torus: Torus, state) -> np.ndarray:
     """Point mass at a configuration, as a dense probability vector."""
-    if torus.n_sites > EXACT_SITE_CAP:
-        raise ValueError(f"{torus.n_sites} sites exceeds the enumeration cap {EXACT_SITE_CAP}")
-    out = np.zeros(1 << torus.n_sites)
+    out = np.zeros(dense_size(torus.n_sites))
     out[state_bits(state)] = 1.0
     return out
+
+
+def probs_of(mu) -> np.ndarray:
+    """The float vector of a GibbsMeasure's probs or of an array of weights."""
+    return np.asarray(getattr(mu, "probs", mu), dtype=float)

@@ -212,10 +212,15 @@ def monomial_eval(state, sites) -> int:
     return spin_product(state_bits(state), mask)
 
 
-def states_arange(n_sites: int) -> np.ndarray:
+def dense_size(n_sites: int) -> int:
+    """2^n_sites, the dense length, once n_sites is checked against EXACT_SITE_CAP."""
     if n_sites > EXACT_SITE_CAP:
         raise ValueError(f"{n_sites} sites exceeds the dense-state cap {EXACT_SITE_CAP}")
-    return np.arange(1 << n_sites, dtype=np.int64)
+    return 1 << n_sites
+
+
+def states_arange(n_sites: int) -> np.ndarray:
+    return np.arange(dense_size(n_sites), dtype=np.int64)
 
 
 def monomial_values_dense(torus: Torus, sites) -> np.ndarray:

@@ -1,22 +1,20 @@
 """Kinetic Monte Carlo for sizes beyond exact enumeration.
 
-Ensembles are simulated by uniformization (Jensen 1953), all replicas at
-once.  With c_max the largest flip rate of any site, replica r makes
-K_r ~ Poisson(N c_max t) proposals over [0, t]; each proposal picks a
-uniform site i and flips it with probability c(i, sigma) / c_max.  The
-states are an (R, N) uint8 bit matrix, so the torus may have any number of
-sites; a proposal reads c(i, sigma) from the stacked rate table of
-`RateModel.stacked_table` through the key gathered from its replica's bit
-row, and f is read once at the end.  Each call draws from one counter-based
-(Philox) stream keyed by the seed, in a fixed order (initial states, the
-proposal counts, then per step the sites and the uniforms), so a seed gives
-the same estimate bit for bit.
+Every simulation uses one thinning rule, the uniformization (Jensen 1953)
+of the exact engine.  With c_max the largest flip rate of any site, a
+replica makes K ~ Poisson(N c_max t) proposals over [0, t]; each picks a
+uniform site i and flips it when u c_max < c(i, sigma) for a uniform u,
+with c(i, sigma) read from `RateModel.stacked_table` through the key
+gathered from the current state.  Each call draws from one counter-based
+(Philox) stream keyed by the seed, in a fixed order, so a seed gives the
+same result bit for bit.
 
-`sample_path` records one trajectory with its event times and keeps the
-event-driven jump chain: at state sigma the holding time is exponential
-with rate R(sigma) = sum_i c(i, sigma), the flipped site is drawn
-proportional to its rate, and after a flip only the sites whose rate reads
-the flipped spin are recomputed.
+Ensembles advance all replicas at once as an (R, N) uint8 bit matrix, so
+the torus may have any number of sites; they draw the initial states, the
+proposal counts, then per step the sites and the uniforms, and read f once
+at the end.  `sample_path` runs one replica on a Python-int state and
+records the accepted proposals; it draws K, then K sorted uniform proposal
+times in [0, t_end), K uniform sites and K acceptance uniforms.
 
 Samplers of initial states are `sample(rng, count, n_sites)` callables
 returning a (count, n_sites) uint8 bit matrix.  The exponential-moment
@@ -31,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RateModel
-from .lattice import Observable, state_bits
+from .gibbs import probs_of
+from .lattice import Observable, gather_bits, state_bits
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -41,6 +40,27 @@ def _rng(seed: int) -> np.random.Generator:
 def _keys(bits: np.ndarray) -> np.ndarray:
     """Integer keys of the rows of a (R, k) bit matrix, column j as key bit j."""
     return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def _thinning(rates: RateModel):
+    """(positions, table, c_max) of the thinning rule; c(i, sigma) is
+    table[i, key], the key gathered from sigma at positions[i]."""
+    positions, table = rates.stacked_table()
+    if table.min() < 0:
+        raise ValueError(f"{rates!r} has a negative rate")
+    return positions, table, float(table.max())
+
+
+def _flips(u, c_max, rate):
+    """Whether a proposal (or an array of them) with uniform u flips."""
+    return u * c_max < rate
+
+
+def _bit_row(bits: int, n_sites: int) -> np.ndarray:
+    """The (n_sites,) uint8 bits of a state, which must lie on the torus."""
+    if bits < 0 or bits >> n_sites:
+        raise ValueError(f"state {bits} out of range for {n_sites} sites")
+    return np.array([(bits >> i) & 1 for i in range(n_sites)], dtype=np.uint8)
 
 
 @dataclass
@@ -59,38 +79,30 @@ def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory
         raise ValueError("t_end must be >= 0")
     t_end = float(t_end)
     n = rates.torus.n_sites
-    start = bits = state_bits(sigma0)
+    start = state = state_bits(sigma0)
+    _bit_row(start, n)
+    positions, table, c_max = _thinning(rates)
     rng = _rng(seed)
-    influenced = [np.array(row, dtype=np.int64) for row in rates.influencers()]
-    rvec = np.array([rates.rate(i, bits) for i in range(n)])
-    t = 0.0
-    times = []
-    sites = []
-    while t_end > 0:
-        total = float(rvec.sum())
-        if total <= 0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= t_end:
-            break
-        u = rng.random() * total
-        site = min(int(np.searchsorted(np.cumsum(rvec), u)), n - 1)
-        bits ^= 1 << site
-        for i in influenced[site]:
-            rvec[i] = rates.rate(int(i), bits)
-        times.append(t)
-        sites.append(site)
-    return Trajectory(start, t_end, np.array(times), np.array(sites, dtype=np.int64), bits, rvec)
+    k = int(rng.poisson(n * c_max * t_end))
+    times = t_end * np.sort(rng.random(k))
+    sites = rng.integers(0, n, size=k)
+    u = rng.random(k)
+    reads, rows = positions.tolist(), table.tolist()
+    flipped = bytearray(k)
+    for step, (i, v) in enumerate(zip(sites.tolist(), u.tolist())):
+        if _flips(v, c_max, rows[i][gather_bits(state, reads[i])]):
+            state ^= 1 << i
+            flipped[step] = 1
+    keep = np.frombuffer(flipped, dtype=bool)
+    final_rates = table[np.arange(n), _keys(_bit_row(state, n)[positions])]
+    return Trajectory(start, t_end, times[keep], sites[keep], state, final_rates)
 
 
 def dirac_sampler(state):
     bits = state_bits(state)
 
     def sample(rng, count, n_sites):
-        if bits < 0 or bits >> n_sites:
-            raise ValueError(f"state {bits} out of range for {n_sites} sites")
-        row = np.array([(bits >> i) & 1 for i in range(n_sites)], dtype=np.uint8)
-        return np.tile(row, (count, 1))
+        return np.tile(_bit_row(bits, n_sites), (count, 1))
 
     return sample
 
@@ -112,8 +124,7 @@ def uniform_sampler(torus):
 
 
 def vector_sampler(probs):
-    probs = np.asarray(getattr(probs, "probs", probs), dtype=float)
-    cum = np.cumsum(probs)
+    cum = np.cumsum(probs_of(probs))
     cum /= cum[-1]  # the last entry is exactly 1, above every uniform draw
 
     def sample(rng, count, n_sites):
@@ -142,10 +153,7 @@ def _final_values(rates, sampler, t, f, replicas, seed):
     if t < 0:
         raise ValueError("t must be >= 0")
     n = rates.torus.n_sites
-    positions, table = rates.stacked_table()
-    if table.min() < 0:
-        raise ValueError(f"{rates!r} has a negative rate")
-    c_max = float(table.max())
+    positions, table, c_max = _thinning(rates)
     rng = _rng(seed)
     bits = sampler(rng, replicas, n)
     counts = rng.poisson(n * c_max * t, size=replicas)
@@ -160,7 +168,7 @@ def _final_values(rates, sampler, t, f, replicas, seed):
         u = rng.random(live)
         rows = np.arange(live)
         rate = table[site, _keys(bits[rows[:, None], positions[site]])]
-        flip = np.nonzero(u * c_max < rate)[0]
+        flip = np.nonzero(_flips(u, c_max, rate))[0]
         bits[flip, site[flip]] ^= 1
     out = np.empty(replicas)
     out[order] = f.table[_keys(bits[:, list(f.support)])]

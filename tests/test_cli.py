@@ -288,6 +288,38 @@ class TestConserve:
         assert code in (0, 1)
         assert read_json(tmp_path, "conserve")["theorem"] == "hjc"
 
+    @pytest.mark.parametrize(
+        "theorem, builds",
+        [
+            ("31", {"build_measure": 1, "certified_start_constant": 1, "hjc_library": 0}),
+            ("52", {"build_measure": 1, "certified_start_constant": 1, "hjc_library": 0}),
+            ("53", {"build_measure": 0, "certified_start_constant": 0, "hjc_library": 0}),
+            ("hjc", {"build_measure": 1, "certified_start_constant": 0, "hjc_library": 1}),
+        ],
+    )
+    def test_inputs_built_once_per_run(self, tmp_path, monkeypatch, theorem, builds):
+        # the measure, its constant and the (H, J) pair do not depend on t
+        calls = dict.fromkeys(builds, 0)
+
+        def counted(name):
+            build = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+
+            return wrapper
+
+        for name in builds:
+            monkeypatch.setattr(cli, name, counted(name))
+        code = main(
+            ["conserve", "--theorem", theorem, "--sides", "4", "--k-max", "1",
+             "--times", "0.2 0.5 0.9", "--out", str(tmp_path)]
+        )
+        assert code in (0, 1)
+        assert len(read_json(tmp_path, "conserve")["table"]["rows"]) == 3
+        assert calls == builds
+
 
 class TestPlotEmitter:
     def test_values_match_report(self, tmp_path):

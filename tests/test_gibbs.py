@@ -4,10 +4,13 @@ import pytest
 from spinflip.gibbs import (
     BoundaryCondition,
     Potential,
+    dirac_vector,
     gibbs_measure,
     hamiltonian,
     hamiltonian_fixed,
     hamiltonian_periodic,
+    product_measure,
+    uniform_measure,
 )
 from spinflip.lattice import Observable, SpinConfiguration, Torus, translate_states
 
@@ -238,3 +241,18 @@ class TestFixedBoundary:
         t = Torus((21,))
         with pytest.raises(ValueError):
             gibbs_measure(Potential.ising_nn(1, 0.1), t)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: gibbs_measure(Potential.ising_nn(1, 0.1), t),
+            lambda t: gibbs_measure(Potential.ising_nn(1, 0.1), t, BoundaryCondition.fixed(+1)),
+            uniform_measure,
+            lambda t: product_measure(t, 0.5),
+            lambda t: dirac_vector(t, 0),
+        ],
+        ids=["gibbs-periodic", "gibbs-fixed", "uniform", "product", "dirac"],
+    )
+    def test_dense_builders_share_the_cap(self, build):
+        with pytest.raises(ValueError, match="21 sites exceeds the dense-state cap 20"):
+            build(Torus((21,)))

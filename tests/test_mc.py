@@ -10,6 +10,7 @@ from spinflip.dynamics import (
     IndependentRates,
     PerturbedRates,
     SemigroupEngine,
+    engine_for,
 )
 from spinflip.gibbs import Potential, gibbs_measure, product_measure
 from spinflip.lattice import Observable, SpinConfiguration, Torus, gather_bits
@@ -53,7 +54,7 @@ class TestSamplePath:
 
     def test_trajectory_consistency(self):
         # replaying the recorded flips must reproduce the final state, and the
-        # incrementally maintained rate vector must match a fresh recomputation
+        # reported final rates must match a fresh evaluation at that state
         torus = Torus((3, 3))
         rates = GlauberRates(torus, Potential.ising_nn(2, 0.5))
         for seed in range(10):
@@ -82,6 +83,30 @@ class TestSamplePath:
         start = SpinConfiguration.all_plus(torus)
         traj = sample_path(rates, start, 0.0, seed=0)
         assert traj.final_state == (1 << 5) - 1
+
+    def test_negative_rate_rejected(self):
+        # a negative rate is no acceptance probability, for paths as for ensembles
+        rates = CustomRates(Torus((4,)), lambda i: (i,), lambda i, s: -0.5 if i == 1 else 1.0)
+        with pytest.raises(ValueError, match="negative rate"):
+            sample_path(rates, 0, 2.0, seed=1)
+
+    def test_start_beyond_torus_rejected(self):
+        # the start must lie on the torus, as for dirac_sampler
+        rates = IndependentRates(Torus((4,)), 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            sample_path(rates, (1 << 70) | 1, 1.0, seed=1)
+
+    def test_law_matches_semigroup(self):
+        # E sigma_0 at the end of a path equals (S(t) sigma_0)(start)
+        torus = Torus((3, 3))
+        rates = GlauberRates(torus, Potential.ising_nn(2, 0.5))
+        start, t = 0b101010101, 0.4
+        f = Observable.monomial(torus, [0])
+        exact = float(engine_for(rates).evolve_functions(f.dense_values(), t)[start])
+        ends = np.array([sample_path(rates, start, t, seed=s).final_state & 1 for s in range(2000)])
+        spins = 2.0 * ends - 1.0
+        se = spins.std(ddof=1) / np.sqrt(spins.size)
+        assert abs(spins.mean() - exact) <= 4 * se
 
 
 class TestSamplers:

@@ -400,11 +400,13 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> dict:
     labeled = [(label, f.dense_values()) for label, f in family.labeled()]
     rows = []
     k_rows = []
-    for t, mu_t in zip(cfg.times, engine_for(rates).evolve_measures_over(mu, cfg.times)):
+    engine = engine_for(rates)
+    for t, mu_t in zip(cfg.times, engine.evolve_measures_over(mu, cfg.times)):
         k_rows.append([t, k_of_t(gamma, t)])
         for label, values in labeled:
             rows.append([t, label, float(mu_t @ values)])
     report = new_report("evolve", cfg)
+    report["engine"] = engine.summary()
     report["table"] = {"columns": ["t", "label", "expectation"], "rows": rows}
     report["curves"] = [{"name": "k_of_t", "columns": ["t", "value"], "rows": k_rows}]
     print(f"evolved {len(labeled)} observables over {len(cfg.times)} times")
@@ -422,7 +424,8 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
     rows = []
     curve_rows = []
     violations = []
-    for t, mu_t in zip(cfg.times, engine_for(rates).evolve_measures_over(mu, cfg.times)):
+    engine = engine_for(rates)
+    for t, mu_t in zip(cfg.times, engine.evolve_measures_over(mu, cfg.times)):
         rep = check(mu_t, family, bound=bound)
         rows.append([t, rep.best_constant, rep.best_label, "" if bound is None else bound])
         curve_rows.append([t, rep.best_constant] + ([] if bound is None else [bound]))
@@ -431,6 +434,7 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
         print(f"t = {_g(t)}  C-hat = {_g(rep.best_constant)}  ({rep.best_label})")
     name = "gcb_hat" if kind == "gcb" else "uvb_hat"
     report = new_report("gcb-scan" if kind == "gcb" else "uvb-check", cfg)
+    report["engine"] = engine.summary()
     report["table"] = {"columns": ["t", "c_hat", "best_label", "bound"], "rows": rows}
     columns = ["t", "value"] + ([] if bound is None else ["bound"])
     report["curves"] = [{"name": name, "columns": columns, "rows": curve_rows}]
@@ -631,6 +635,7 @@ def cmd_nogo(cfg: ExperimentConfig, args) -> dict:
                 [row["t"], row["tv"], row["entropy"], row["gcb_hat"], radius, row["profile"][radius]]
             )
     report = new_report("nogo", cfg)
+    report["engine"] = engine_for(rates).summary()
     report["degenerate"] = result.degenerate
     report["min_tv"] = result.min_tv
     report["max_density"] = result.max_density

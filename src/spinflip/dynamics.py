@@ -14,8 +14,12 @@ Lambda >= max exit rate and P = I + Q/Lambda,
 
 truncated when the Poisson tail drops below a tolerance (default 1e-13),
 which bounds the total-variation truncation error for measures and the
-sup-norm error for normalized functions.  An engine stores P alone and serves
-a time grid from one pass of P^k v, each sum stopping at its own truncation.
+sup-norm error for normalized functions.  An engine stores one operator and
+serves a time grid from one pass of P^k v, each sum stopping at its own
+truncation.  For rates that commute with the global spin flip
+(c(i, -sigma) = c(i, sigma)) that operator is the block of P on the 2^(N-1)
+states whose top spin is down, and vectors travel as pairs of half-vectors
+(see SemigroupEngine); other rates keep the full P.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -289,8 +293,66 @@ def _flip_matrix(flips: np.ndarray, diag: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
 
 
+class _Fold:
+    """A batch of columns (2H, m) carried as half-columns (H, m') on the
+    states whose top bit is 0.  Column j's lo = v[:H] is half lo_of[j] and
+    its hi = v[:H-1:-1] is half hi_of[j] times sign[hi_of[j]].  A step of P
+    reads, for half u, half partner[u] reversed, times sign[u]: the sign is
+    -1 only for an odd column's half, its own partner."""
+
+    def __init__(self, cols: np.ndarray):
+        h, m = len(cols) // 2, cols.shape[1]
+        lo, hi = cols[:h], cols[: h - 1 : -1]
+        self.lo_of = np.empty(m, dtype=np.intp)
+        self.hi_of = np.empty(m, dtype=np.intp)
+        halves, partner, sign, pairs = [], [], [], {}
+        for j in range(m):
+            a, b = lo[:, j], hi[:, j]
+            parity = 1.0 if np.array_equal(b, a) else -1.0 if np.array_equal(b, -a) else 0.0
+            if parity:
+                # its own partner: one half, read back with the column's sign
+                k_lo = k_hi = len(halves)
+                halves.append(a)
+                partner.append(k_lo)
+                sign.append(parity)
+            else:
+                key = (a.tobytes(), b.tobytes())
+                if key[::-1] in pairs:
+                    # the flip of an earlier column shares its halves
+                    k_hi, k_lo = pairs[key[::-1]]
+                else:
+                    k_lo, k_hi = pairs[key] = len(halves), len(halves) + 1
+                    halves += [a, b]
+                    partner += [k_hi, k_lo]
+                    sign += [1.0, 1.0]
+            self.lo_of[j], self.hi_of[j] = k_lo, k_hi
+        self.halves = np.column_stack(halves) if halves else np.empty((h, 0))
+        self.partner = np.array(partner, dtype=np.intp)
+        self.sign = np.array(sign)
+
+    def unfold(self, folded: np.ndarray) -> np.ndarray:
+        """Stacked half-columns (T, H, m') back to full columns (T, 2H, m)."""
+        t, h, _ = folded.shape
+        out = np.empty((t, 2 * h, self.lo_of.size))
+        out[:, :h] = folded[:, :, self.lo_of]
+        out[:, h:] = (folded[:, :, self.hi_of] * self.sign[self.hi_of])[:, ::-1]
+        return out
+
+
 class SemigroupEngine:
-    """Uniformized exact semigroup on the full state space of one rate model."""
+    """Uniformized exact semigroup on the full state space of one rate model.
+
+    When the rates commute with the global spin flip s -> S - 1 - s (every
+    bit inverted), the engine folds the state space: `p` is the block A of P
+    on the H = S/2 states whose top bit is 0 (flips of sites 0..N-2 and the
+    diagonal) and `_top` = c(N-1, .)/lam on those states carries the top-site
+    flip.  A column v then travels as its two halves lo = v[:H] and
+    hi = v[:H-1:-1] (v at the flipped states), and one step of P is
+    lo' = A lo + b rev(hi), hi' = A hi + b rev(lo), with b = `_top` for
+    functions and rev(b) for measures (through A.T).  A column with
+    hi = +-lo (every sigma_A, every even function) carries one half, and a
+    column that is the flip of another (the plus/minus pair) shares its
+    halves.  Every term is as nonnegative as in P, so measures stay >= 0."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
@@ -306,11 +368,27 @@ class SemigroupEngine:
         self.lam = float(exit_rate.max())
         # stored as the sparse sum I + Q / lam: scaled by 1 / lam, exact zeros dropped
         inv = 1.0 / self.lam if self.lam > 0 else 0.0
-        self.p = _flip_matrix(self.rate_table * inv, 1.0 - exit_rate * inv)
+        # column S - 1 - s of the table holds the rates at the flipped state s
+        self.flip_symmetric = bool(np.array_equal(self.rate_table[:, ::-1], self.rate_table))
+        if self.flip_symmetric:
+            h, top = self.n_states // 2, self.torus.n_sites - 1
+            self.p = _flip_matrix(self.rate_table[:top, :h] * inv, 1.0 - exit_rate[:h] * inv)
+            self._top = self.rate_table[top, :h] * inv
+        else:
+            self.p = _flip_matrix(self.rate_table * inv, 1.0 - exit_rate * inv)
         self.p.eliminate_zeros()
         self.pt = self.p.T
         self._flip_index = None
         self._weights = {}
+
+    def summary(self) -> dict:
+        """What the engine runs on, for reports."""
+        return {
+            "lam": self.lam,
+            "flip_symmetric": self.flip_symmetric,
+            "states": self.n_states,
+            "operator_nnz": int(self.p.nnz),
+        }
 
     def flip_index(self) -> np.ndarray:
         """(N, 2^N) index array: row i holds s ^ (1 << i)."""
@@ -347,7 +425,7 @@ class SemigroupEngine:
 
     def evolve_functions(self, values: np.ndarray, t: float) -> np.ndarray:
         """S(t) f for one function (2^N,) or a batch of columns (2^N, k)."""
-        return self._apply(self.p, np.asarray(values, dtype=float), [t])[0]
+        return self._apply(np.asarray(values, dtype=float), [t], measures=False)[0]
 
     def evolve_measures(self, probs: np.ndarray, t: float) -> np.ndarray:
         """mu S(t) for one row (2^N,) or a batch of rows (k, 2^N)."""
@@ -359,21 +437,44 @@ class SemigroupEngine:
             raise ValueError("empty time grid")
         probs = np.asarray(probs, dtype=float)
         # C order, so a batch's rows have the strides of transposed columns
-        stacked = np.array(self._apply(self.pt, probs.T, times))
+        stacked = self._apply(probs.T, times, measures=True)
         return stacked if probs.ndim == 1 else stacked.transpose(0, 2, 1)
 
-    def _apply(self, op, vec: np.ndarray, times) -> list:
-        """sum_k w_k(t) op^k vec for each t from one pass of op^k vec; each sum
-        stops at its own truncation, as it would in a pass of its own."""
+    def _apply(self, vec: np.ndarray, times, measures: bool) -> np.ndarray:
+        """sum_k w_k(t) P^k vec (P^T for measures) for each t, stacked along a
+        new first axis, from one pass of P^k vec; each sum stops at its own
+        truncation, as it would in a pass of its own."""
         weights = [self.poisson_weights(t) for t in times]
-        accs = [w[0] * vec for w in weights]
-        cur = vec
+        op = self.pt if measures else self.p
+        if self.flip_symmetric:
+            fold = _Fold(vec.reshape(len(vec), -1))
+            cur = fold.halves
+            top = self._top[::-1] if measures else self._top
+            coef = top[:, None] * fold.sign
+            # column v of cur[:, order] is half partner[-1 - v], so reversing
+            # rows and columns together (one contiguous reversal) reads each
+            # half's partner reversed
+            order = fold.partner[::-1]
+            flips = np.empty_like(cur)
+
+            def step(cur):
+                np.multiply(cur[:, order][::-1, ::-1], coef, out=flips)
+                nxt = op @ cur
+                nxt += flips
+                return nxt
+
+        else:
+            cur, step = vec, op.__matmul__
+        accs = np.empty((len(times),) + cur.shape)
+        term = np.empty_like(cur)
+        for acc, w in zip(accs, weights):
+            np.multiply(cur, w[0], out=acc)
         for k in range(1, max(w.size for w in weights)):
-            cur = op @ cur
-            for j, w in enumerate(weights):
+            cur = step(cur)
+            for acc, w in zip(accs, weights):
                 if k < w.size:
-                    accs[j] = accs[j] + w[k] * cur
-        return accs
+                    acc += np.multiply(cur, w[k], out=term)
+        return fold.unfold(accs).reshape((len(times),) + vec.shape) if self.flip_symmetric else accs
 
     def stationary(self) -> np.ndarray:
         """Left null vector of Q (P - I would cancel digits), as a probability vector."""

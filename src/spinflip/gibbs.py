@@ -23,10 +23,10 @@ basis shapes.  When c(U) < 1 the Gaussian concentration constant
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .lattice import (
     Observable,
@@ -377,11 +377,16 @@ def gibbs_measure(
         volume = tuple(sorted(set(volume if volume is not None else torus.sites())))
         dense_size(len(volume))
         energy = hamiltonian_fixed(potential, torus, volume, boundary)
-    log_weights = -energy
-    log_z = float(logsumexp(log_weights))
-    probs = np.exp(log_weights - log_z)
-    probs /= probs.sum()
-    return GibbsMeasure(torus, volume, probs, boundary, potential, log_z)
+    shift = float(np.max(-energy))
+    probs = np.exp(-energy - shift)
+    # each state's weight is added to its global flip's first, so a flip-
+    # symmetric energy gives an exactly even measure and the two fixed
+    # boundaries give exact mirror images (the semigroup engine then carries
+    # either on half the states)
+    half = probs.size // 2
+    z = float(np.sum(probs[:half] + probs[: half - 1 : -1])) if half else 1.0
+    probs /= z
+    return GibbsMeasure(torus, volume, probs, boundary, potential, shift + math.log(z))
 
 
 def uniform_measure(torus: Torus) -> np.ndarray:
@@ -406,7 +411,10 @@ def product_measure(torus: Torus, p_plus) -> np.ndarray:
 def dirac_vector(torus: Torus, state) -> np.ndarray:
     """Point mass at a configuration, as a dense probability vector."""
     out = np.zeros(dense_size(torus.n_sites))
-    out[state_bits(state)] = 1.0
+    bits = state_bits(state)
+    if not 0 <= bits < out.size:
+        raise ValueError(f"state {bits} out of range for {torus.n_sites} sites")
+    out[bits] = 1.0
     return out
 
 

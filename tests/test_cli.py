@@ -238,6 +238,37 @@ class TestScan:
         assert report["table"]["rows"][0][1] == pytest.approx(0.25)
 
 
+class TestEngineBlock:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--sides", "4", "--times", "0.5", "--k-max", "1"],
+            ["gcb-scan", "--sides", "4", "--times", "0.5", "--k-max", "1"],
+            ["uvb-check", "--sides", "4", "--times", "0.5", "--k-max", "1"],
+            ["nogo", "--sides", "4", "--beta", "0.5", "--times", "0.5", "--k-max", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_reports_name_the_engine(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        engine = read_json(tmp_path, argv[0])["engine"]
+        # flip-symmetric rates run on the 8 states whose top bit is 0: the
+        # flips of 3 sites and the diagonal, less its exact zeros
+        assert engine["flip_symmetric"] is True
+        assert engine["states"] == 16
+        assert 8 * 3 <= engine["operator_nnz"] <= 8 * 4
+        assert engine["lam"] > 0
+
+    def test_field_keeps_the_full_operator(self, tmp_path):
+        pot = tmp_path / "field.pot"
+        pot.write_text("0 1 | -0.3 0.3 0.3 -0.3\n0 | 0.2 -0.2\n")
+        argv = ["evolve", "--rates", "glauber", "--potential", str(pot), "--sides", "4", "--times", "0.5", "--k-max", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        engine = read_json(tmp_path, "evolve")["engine"]
+        assert engine["flip_symmetric"] is False
+        assert 16 * 4 < engine["operator_nnz"] <= 16 * 5
+
+
 class TestConserve:
     def test_theorem31(self, tmp_path):
         code = main(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import spinflip
 from spinflip.dynamics import (
@@ -47,6 +48,12 @@ def uniformized_sum(op, vec, weights):
         cur = op @ cur
         acc = acc + w * cur
     return acc
+
+
+def full_p(engine):
+    """The full 2^N x 2^N uniformized operator I + Q / lam of an engine's rates."""
+    q = generator_matrix(engine.rates)
+    return (sp.identity(engine.n_states, format="csr") + q / engine.lam).tocsr()
 
 
 def model_zoo(torus):
@@ -218,8 +225,8 @@ class TestSemigroup:
             assert grid.shape == (len(times),) + probs.shape
             for j, t in enumerate(times):
                 assert np.array_equal(grid[j], engine.evolve_measures(probs, t))
-                want = uniformized_sum(engine.pt, probs.T, engine.poisson_weights(t)).T
-                assert np.array_equal(grid[j], want)
+                want = uniformized_sum(full_p(engine).T, probs.T, engine.poisson_weights(t)).T
+                assert np.abs(grid[j] - want).sum(axis=-1).max() <= 1e-13
         with pytest.raises(ValueError):
             engine.evolve_measures_over(probs, [0.5, -0.1])
         with pytest.raises(ValueError):
@@ -332,6 +339,116 @@ class TestSemigroup:
         batch_m = engine_for(rates).evolve_measures(rows, 0.7)
         for j in range(3):
             assert np.allclose(batch_m[j], engine_for(rates).evolve_measures(rows[j], 0.7))
+
+
+def flip_columns(torus, rng):
+    """Columns of every parity class on the states of a torus: even, odd,
+    neither, a column next to its global flip, a repeat, and zero."""
+    odd = monomial_values_dense(torus, (0,))
+    even = odd * monomial_values_dense(torus, (torus.n_sites - 1,)) + 0.5
+    mixed = rng.normal(size=odd.size)
+    cols = [even, odd, 2.0 * odd, mixed, mixed[::-1], mixed, even + odd, np.zeros(odd.size)]
+    return np.column_stack(cols)
+
+
+def flip_rows(torus, rng):
+    """Measures: random, one next to its global flip, uniform and a point mass."""
+    size = 1 << torus.n_sites
+    mu = random_measure(size, rng)
+    point = np.zeros(size)
+    point[size - 1] = 1.0
+    return np.stack([mu, mu[::-1], random_measure(size, rng), np.full(size, 1.0 / size), point])
+
+
+ORACLE_TORI = [(1,), (2,), (5,), (2, 3), (3, 3)]
+
+
+def asymmetric_models(torus):
+    d = torus.dim
+    return [
+        GlauberRates(torus, Potential.ising_nn(d, 0.3) + Potential.external_field(d, 0.25)),
+        PerturbedRates(torus, ((0,) * d,), [0.2, -0.2]),
+        CustomRates(torus, lambda i: (i,), lambda i, s: 1.0 + 0.1 * i + 0.3 * (s >> i & 1)),
+    ]
+
+
+class TestFoldedEngine:
+    """Flip-symmetric rates run on half the states; the rest on the full P.
+    Both routes against a dense expm(tQ)."""
+
+    def check_against_expm(self, rates, rng):
+        engine = SemigroupEngine(rates)
+        q = generator_matrix(rates).toarray()
+        cols, rows = flip_columns(rates.torus, rng), flip_rows(rates.torus, rng)
+        times = [0.0, 0.35, 1.2]
+        grid = engine.evolve_measures_over(rows, times)
+        for j, t in enumerate(times):
+            e = scipy.linalg.expm(t * q)
+            scale = np.abs(cols).max(axis=0)
+            got = engine.evolve_functions(cols, t)
+            assert np.all(np.abs(got - e @ cols).max(axis=0) <= 1e-12 * np.maximum(scale, 1.0))
+            assert np.abs(engine.evolve_functions(cols[:, 3], t) - e @ cols[:, 3]).max() <= 1e-12 * scale[3]
+            want = rows @ e
+            assert np.abs(engine.evolve_measures(rows, t) - want).sum(axis=1).max() <= 1e-12
+            assert np.abs(engine.evolve_measures(rows[0], t) - want[0]).sum() <= 1e-12
+            assert np.abs(grid[j] - want).sum(axis=1).max() <= 1e-12
+        return engine
+
+    @pytest.mark.parametrize("sides", ORACLE_TORI, ids=str)
+    def test_symmetric_models_fold_and_match_expm(self, sides):
+        rng = np.random.default_rng(len(sides) * 10 + sides[0])
+        for rates in model_zoo(Torus(sides)):
+            engine = self.check_against_expm(rates, rng)
+            half = engine.n_states // 2
+            assert engine.flip_symmetric
+            assert engine.p.shape == (half, half)
+            assert engine.evolve_functions(np.empty((engine.n_states, 0)), 0.5).shape == (engine.n_states, 0)
+            assert engine.evolve_measures(np.empty((0, engine.n_states)), 0.5).shape == (0, engine.n_states)
+
+    @pytest.mark.parametrize("sides", [(1,), (5,), (2, 3)], ids=str)
+    def test_asymmetric_models_keep_the_full_operator(self, sides):
+        rng = np.random.default_rng(sides[-1])
+        for rates in asymmetric_models(Torus(sides)):
+            engine = self.check_against_expm(rates, rng)
+            assert not engine.flip_symmetric
+            assert engine.p.shape == (engine.n_states, engine.n_states)
+
+    def test_folded_operator_is_the_lower_block_of_p(self):
+        engine = SemigroupEngine(GlauberRates(Torus((2, 3)), Potential.ising_nn(2, 0.5)))
+        p = full_p(engine).toarray()
+        half = engine.n_states // 2
+        assert np.allclose(engine.p.toarray(), p[:half, :half], rtol=1e-15, atol=0)
+        # the top site's flips, s -> s + half, are the vector the engine keeps
+        assert np.allclose(engine._top, p[np.arange(half), np.arange(half) + half], rtol=1e-15, atol=0)
+        assert engine.summary() == {
+            "lam": engine.lam,
+            "flip_symmetric": True,
+            "states": 64,
+            "operator_nnz": engine.p.nnz,
+        }
+
+    def test_folded_matches_full_p_sum(self):
+        # on flip-symmetric rates, the folded sum against the same Poisson
+        # weights on the full P, to 1e-13 (sup norm / l1)
+        rng = np.random.default_rng(21)
+        for rates in model_zoo(Torus((3, 3))):
+            engine = SemigroupEngine(rates)
+            p = full_p(engine)
+            cols, rows = flip_columns(rates.torus, rng), flip_rows(rates.torus, rng)
+            for t in (0.4, 1.5):
+                w = engine.poisson_weights(t)
+                want = uniformized_sum(p, cols, w)
+                got = engine.evolve_functions(cols, t)
+                assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * np.maximum(np.abs(cols).max(axis=0), 1.0))
+                want_m = uniformized_sum(p.T, rows.T, w).T
+                assert np.abs(engine.evolve_measures(rows, t) - want_m).sum(axis=1).max() <= 1e-13
+
+    def test_evolved_measures_stay_nonnegative(self):
+        rates = GlauberRates(Torus((3, 3)), Potential.ising_nn(2, 0.9))
+        rows = flip_rows(rates.torus, np.random.default_rng(3))
+        for nu in SemigroupEngine(rates).evolve_measures_over(rows, [0.1, 0.5, 3.0]):
+            assert np.all(nu >= 0)
+            assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-13)
 
 
 class TestNonlinearSemigroup:

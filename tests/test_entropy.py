@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinflip.concentration import TestFunctionFamily
-from spinflip.dynamics import GlauberRates, IndependentRates, PerturbedRates
+from spinflip.dynamics import GlauberRates, IndependentRates, PerturbedRates, engine_for, generator_matrix
 from spinflip.entropy import (
     data_processing_check,
     entropy_density_profile,
@@ -269,3 +270,31 @@ class TestNoGo:
             assert row["gcb_hat"] >= 0
         assert report.min_tv > 1e-6
         assert "TV stays" in report.summary
+
+    def test_folded_pair_matches_the_full_operator(self):
+        # the plus/minus pair is one column and its global flip: the engine
+        # carries it on half the states, with nothing clipped
+        torus = Torus((3, 3))
+        pot = Potential.ising_nn(2, 0.6)
+        rates = GlauberRates(torus, pot)
+        plus = gibbs_measure(pot, torus, boundary=BoundaryCondition.fixed(+1), volume=torus.sites())
+        minus = gibbs_measure(pot, torus, boundary=BoundaryCondition.fixed(-1), volume=torus.sites())
+        grid = [0.0, 0.3, 1.0, 2.5]
+        fam = TestFunctionFamily.monomials(torus, 1, max_count=3)
+        report = nogo_experiment(rates, plus.probs, minus.probs, grid, fam)
+        engine = engine_for(rates)
+        assert engine.flip_symmetric
+        pairs = engine.evolve_measures_over(np.vstack([plus.probs, minus.probs]), grid)
+        assert np.all(pairs >= 0)
+        p = (sp.identity(engine.n_states, format="csr") + generator_matrix(rates) / engine.lam).T.tocsr()
+        for row, t in zip(report.rows, grid):
+            w = engine.poisson_weights(t)
+            cur = np.vstack([plus.probs, minus.probs]).T
+            acc = w[0] * cur
+            for wk in w[1:]:
+                cur = p @ cur
+                acc = acc + wk * cur
+            full = acc.T
+            assert np.all(full >= 0)
+            assert row["tv"] == pytest.approx(total_variation(full[0], full[1]), rel=1e-12)
+            assert row["entropy"] == pytest.approx(relative_entropy(full[1], full[0]), rel=1e-12)

@@ -256,3 +256,25 @@ class TestFixedBoundary:
     def test_dense_builders_share_the_cap(self, build):
         with pytest.raises(ValueError, match="21 sites exceeds the dense-state cap 20"):
             build(Torus((21,)))
+
+    @pytest.mark.parametrize("state", [-1, 8, 1 << 40])
+    def test_dirac_state_out_of_range_rejected(self, state):
+        with pytest.raises(ValueError, match="out of range for 3 sites"):
+            dirac_vector(Torus((3,)), state)
+
+    def test_dirac_vector_is_a_point_mass(self):
+        assert np.array_equal(dirac_vector(Torus((3,)), 7), np.eye(8)[7])
+        assert np.array_equal(dirac_vector(Torus((3,)), SpinConfiguration(Torus((3,)), 5)), np.eye(8)[5])
+
+    @pytest.mark.parametrize("sides", [(1,), (5,), (3, 3)], ids=str)
+    def test_flip_symmetric_measures_are_exact_mirrors(self, sides):
+        t = Torus(sides)
+        pot = Potential.ising_nn(t.dim, 0.6)
+        plus = gibbs_measure(pot, t, BoundaryCondition.fixed(+1), volume=t.sites())
+        minus = gibbs_measure(pot, t, BoundaryCondition.fixed(-1), volume=t.sites())
+        periodic = gibbs_measure(pot, t)
+        # state S - 1 - s is the global flip of s
+        assert np.array_equal(minus.probs, plus.probs[::-1])
+        assert np.array_equal(periodic.probs, periodic.probs[::-1])
+        assert minus.log_z == plus.log_z
+        assert plus.probs.sum() == pytest.approx(1.0, abs=1e-14)

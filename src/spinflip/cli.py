@@ -45,7 +45,6 @@ from .dynamics import (
     PerturbedRates,
     engine_for,
     gamma_matrix,
-    k_of_t,
 )
 from .entropy import data_processing_check, nogo_experiment
 from .gibbs import (
@@ -96,6 +95,13 @@ def _floats(text) -> tuple:
     return tuple(float(tok) for tok in str(text).replace(",", " ").split())
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("need a finite number")
+    return value
+
+
 def _times(text) -> tuple:
     times = _floats(text)
     if not times or not all(0 <= t < math.inf for t in times):
@@ -128,7 +134,7 @@ FIELDS = (
     Field("rates", "kind", "rates_kind", "--rates", str, ("independent", "glauber", "perturbed")),
     Field("rates", "r", "r", "--r", float, help="independent flip rate"),
     Field("rates", "eps0", "eps0", "--eps0", float, help="perturbation size for perturbed rates"),
-    Field("rates", "beta", "beta", "--beta", float, help="nearest-neighbor Ising inverse temperature"),
+    Field("rates", "beta", "beta", "--beta", _finite, help="nearest-neighbor Ising inverse temperature"),
     Field("rates", "potential", "potential", "--potential", str, help="potential file (bundled names resolve too)"),
     Field("measure", "kind", "measure_kind", "--measure", str, ("uniform", "product", "dirac", "gibbs")),
     Field("measure", "p_plus", "p_plus", "--p-plus", float),
@@ -258,6 +264,35 @@ def build_rates(cfg: ExperimentConfig, torus: Torus):
             raise ConfigError(f"perturbation eps0 = {cfg.eps0} must satisfy |eps0| < 1")
         return PerturbedRates.pair(torus, cfg.eps0)
     raise ConfigError(f"unknown rates kind {kind!r}")
+
+
+def build_engine(cfg: ExperimentConfig, rates):
+    """The rate model's engine with the Poisson weights of every time of the
+    grid in its cache, so that a rate table or a Lambda t the engine cannot
+    serve is a configuration error before any evolution starts."""
+    try:
+        engine = engine_for(rates)
+        for t in cfg.times:
+            engine.poisson_weights(t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return engine
+
+
+def build_gamma(cfg: ExperimentConfig, rates, integral: bool = False):
+    """The rate model's Gamma, with K(t), and int_0^t K(s)^2 ds when the
+    command reads it, checked at the largest time of the grid: both grow
+    with t (Gamma >= 0), so one past the float range there is a
+    configuration error before any evolution starts."""
+    gamma = gamma_matrix(rates)
+    t = max(cfg.times)
+    try:
+        gamma.k_of_t(t)
+        if integral:
+            gamma.k_squared_integral(t)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return gamma
 
 
 def dirac_state(cfg: ExperimentConfig, torus: Torus) -> int:
@@ -396,13 +431,13 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> dict:
     rates = build_rates(cfg, torus)
     mu = build_measure(cfg, torus)
     family = build_family(cfg, torus)
-    gamma = gamma_matrix(rates).matrix
+    engine = build_engine(cfg, rates)
+    gamma = build_gamma(cfg, rates)
     labeled = [(label, f.dense_values()) for label, f in family.labeled()]
     rows = []
     k_rows = []
-    engine = engine_for(rates)
     for t, mu_t in zip(cfg.times, engine.evolve_measures_over(mu, cfg.times)):
-        k_rows.append([t, k_of_t(gamma, t)])
+        k_rows.append([t, gamma.k_of_t(t)])
         for label, values in labeled:
             rows.append([t, label, float(mu_t @ values)])
     report = new_report("evolve", cfg)
@@ -424,7 +459,7 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
     rows = []
     curve_rows = []
     violations = []
-    engine = engine_for(rates)
+    engine = build_engine(cfg, rates)
     for t, mu_t in zip(cfg.times, engine.evolve_measures_over(mu, cfg.times)):
         rep = check(mu_t, family, bound=bound)
         rows.append([t, rep.best_constant, rep.best_label, "" if bound is None else bound])
@@ -474,6 +509,9 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     theorem = args.theorem
     if theorem == "hjc" and args.hjc == "abs_p" and not args.hjc_p >= 1:
         raise ConfigError(f"--hjc-p {args.hjc_p}: |x|^p is convex only for p >= 1")
+    engine = build_engine(cfg, rates)
+    gamma = build_gamma(cfg, rates, integral=theorem == "53")
+    integrals = []
     if theorem == "53":
         check = partial(theorem53_check, rates, family=family)
     else:
@@ -492,6 +530,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     failures = []
     for t in cfg.times:
         rep = check(t=t)
+        if rep.integral is not None:
+            integrals.append(rep.integral)
         rows.append([t, rep.k_t, rep.measured_constant, rep.composite_constant, rep.holds])
         curve_rows.append([t, rep.measured_constant, rep.composite_constant])
         if not rep.holds:
@@ -502,6 +542,13 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
         )
     report = new_report("conserve", cfg)
     report["theorem"] = theorem
+    report["engine"] = engine.summary()
+    report["gamma"] = {"normal": gamma.normal, "alpha": gamma.alpha}
+    if integrals:
+        # per time of the grid; Simpson steps are 0 on the closed form
+        report["gamma"]["route"] = integrals[0].route
+        report["gamma"]["steps"] = [q.steps for q in integrals]
+        report["gamma"]["converged"] = [q.converged for q in integrals]
     report["table"] = {"columns": ["t", "k_t", "measured", "bound", "holds"], "rows": rows}
     report["curves"] = [
         {"name": f"theorem{theorem}", "columns": ["t", "value", "bound"], "rows": curve_rows}
@@ -627,6 +674,7 @@ def cmd_nogo(cfg: ExperimentConfig, args) -> dict:
     minus = gibbs_measure(pot, torus, boundary=BoundaryCondition.fixed(-1), volume=volume)
     family = build_family(cfg, torus)
     radii = _ints(args.radii) if args.radii else None
+    engine = build_engine(cfg, rates)
     result = nogo_experiment(rates, plus.probs, minus.probs, cfg.times, family, radii=radii)
     rows = []
     for row in result.rows:
@@ -635,7 +683,7 @@ def cmd_nogo(cfg: ExperimentConfig, args) -> dict:
                 [row["t"], row["tv"], row["entropy"], row["gcb_hat"], radius, row["profile"][radius]]
             )
     report = new_report("nogo", cfg)
-    report["engine"] = engine_for(rates).summary()
+    report["engine"] = engine.summary()
     report["degenerate"] = result.degenerate
     report["min_tv"] = result.min_tv
     report["max_density"] = result.max_density

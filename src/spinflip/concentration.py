@@ -29,9 +29,11 @@ skipped by every scan, since ||delta f||_2 = 0 leaves their ratios undefined.
     (H, J, C):            int H(f - E f) d(mu S(t)) <= J((2 C_start
                           + 2 C_mu sqrt(K(t))) ||delta f||_2)
 
-K(t) is the squared 2->2 norm of e^{t Gamma} from `dynamics`; the Lipschitz
-contraction runs through the transposed matrix, which has the same singular
-values, so one-sided bounds here are unaffected.
+K(t) is the squared 2->2 norm of e^{t Gamma}, read from the rate model's
+cached `dynamics.GammaResult` (a closed form when Gamma is normal, as for
+every translation-invariant rate); the Lipschitz contraction runs through the
+transposed matrix, which has the same singular values, so one-sided bounds
+here are unaffected.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
-from .dynamics import RateModel, engine_for, gamma_matrix, k_of_t
+from .dynamics import KSquaredIntegral, RateModel, engine_for, gamma_matrix, simpson_weights
+from .dynamics import k_of_t  # noqa: F401  (re-exported; tracers look it up here)
 from .gibbs import probs_of
 from .lattice import (
     Observable,
@@ -378,7 +381,7 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
         diffs = vals[fi] - vals[None, :]
         return np.einsum("is,is->s", rr, diffs * diffs)
 
-    weights = _simpson_weights(steps) * (h / 3.0)
+    weights = simpson_weights(steps) * (h / 3.0)
 
     g_acc = np.column_stack([v, weights[0] * gamma_of(v)])
     for k in range(1, steps + 1):
@@ -387,15 +390,6 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     integral = g_acc[:, 1]
     gap = float(np.max(np.abs(direct - integral)))
     return PsiReport(float(t), steps, float(np.max(np.abs(direct))), float(np.max(np.abs(integral))), gap)
-
-
-def _simpson_weights(steps: int) -> np.ndarray:
-    """The composite Simpson pattern 1, 4, 2, ..., 2, 4, 1 over an even
-    number of steps, unscaled."""
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return weights
 
 
 def _start_variances(engine, values: np.ndarray, t: float) -> np.ndarray:
@@ -418,6 +412,7 @@ class TheoremReport:
     measured_constant: float
     rows: list = field(repr=False)
     holds: bool = True
+    integral: KSquaredIntegral | None = None  # behind Theorem 5.3's constant
 
 
 def theorem31_check(
@@ -467,7 +462,7 @@ def theorem31_check(
             rows.append(
                 {"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + tol}
             )
-    k_t = k_of_t(gamma_matrix(rates).matrix, t)
+    k_t = gamma_matrix(rates).k_of_t(t)
     composite = d_t + k_t * c_mu
     holds = all(r["ok"] for r in rows) and measured <= composite + tol
     return TheoremReport("31", float(t), k_t, c_mu, d_t, composite, measured, rows, holds)
@@ -491,7 +486,7 @@ def theorem52_check(
     labels, values, l2sq = _members(family)
     c_sigma = np.max(_start_variances(engine, values.T, t) / l2sq, axis=1)
     avg_start = float(probs @ c_sigma)
-    k_t = k_of_t(gamma_matrix(rates).matrix, t)
+    k_t = gamma_matrix(rates).k_of_t(t)
     composite = c_mu * k_t + avg_start
 
     rows = []
@@ -508,42 +503,19 @@ def theorem52_check(
 class TimeIntegratedConstant:
     t: float
     c_hat: float
-    k_squared_integral: float
+    integral: KSquaredIntegral  # int_0^t K(s)^2 ds, its route and convergence
     constant: float
-    steps: int
 
 
 def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> TimeIntegratedConstant:
-    """C = 2 chat int_0^t K(s)^2 ds by composite Simpson with step doubling;
-    a UVB constant for delta_sigma S(t) uniform in the start sigma."""
+    """C = 2 chat int_0^t K(s)^2 ds, a UVB constant for delta_sigma S(t)
+    uniform in the start sigma.  The integral is a closed form when Gamma is
+    normal, and composite Simpson with step doubling to rel_tol otherwise."""
     if t < 0:
         raise ValueError("t must be >= 0")
     chat = rates.max_rate()
-    if t == 0:
-        return TimeIntegratedConstant(0.0, chat, 0.0, 0.0, 0)
-    g = gamma_matrix(rates).matrix
-
-    def integrand(s):
-        return k_of_t(g, s) ** 2
-
-    steps = 4
-    vals = np.array([integrand(s) for s in np.linspace(0.0, float(t), steps + 1)])
-    prev = None
-    while True:
-        integral = float(t) / steps / 3.0 * float(_simpson_weights(steps) @ vals)
-        if prev is not None and abs(integral - prev) <= rel_tol * abs(integral) + 1e-14:
-            break
-        if steps >= 4096:
-            break
-        prev = integral
-        steps *= 2
-        # the old nodes are the even nodes of the doubled rule: evaluate only
-        # the new midpoints
-        doubled = np.empty(steps + 1)
-        doubled[0::2] = vals
-        doubled[1::2] = [integrand(s) for s in np.linspace(0.0, float(t), steps + 1)[1::2]]
-        vals = doubled
-    return TimeIntegratedConstant(float(t), chat, integral, 2.0 * chat * integral, steps)
+    q = gamma_matrix(rates).k_squared_integral(t, rel_tol)
+    return TimeIntegratedConstant(float(t), chat, q, 2.0 * chat * q.value)
 
 
 def theorem53_check(
@@ -559,10 +531,11 @@ def theorem53_check(
     for label, worst in zip(labels, worst_starts.tolist()):
         measured = max(measured, worst)
         rows.append({"label": label, "ratio": worst, "bound": result.constant, "ok": worst <= result.constant + tol})
-    k_t = k_of_t(gamma_matrix(rates).matrix, t)
+    k_t = gamma_matrix(rates).k_of_t(t)
     holds = all(r["ok"] for r in rows)
     return TheoremReport(
-        "53", float(t), k_t, 0.0, result.constant, result.constant, measured, rows, holds
+        "53", float(t), k_t, 0.0, result.constant, result.constant, measured, rows, holds,
+        result.integral,
     )
 
 
@@ -647,7 +620,7 @@ def hjc_check(
     columns is the law under mu S(t)."""
     probs = probs_of(mu)
     engine = engine_for(rates)
-    k_t = k_of_t(gamma_matrix(rates).matrix, t)
+    k_t = gamma_matrix(rates).k_of_t(t)
     hv = np.vectorize(spec.h, otypes=[float])
 
     prepared = []

@@ -25,11 +25,24 @@ Lipschitz propagation uses the flip-discrepancy matrix
 
     Gamma_ij = sup_sigma (c(i, sigma^j) - c(i, sigma)),
 
-kept literal (diagonal included).  The entrywise estimate
-delta_i S(t) f <= (e^{t Gamma^T} delta f)_i propagates through the
-transpose (equivalently, convolution with the kernel gamma_t(i - j) in
-the translation-invariant case), and K(t) = ||e^{t Gamma}||_{2->2}^2
-controls ||delta S(t) f||_2^2 (singular values ignore the transpose).
+kept literal (diagonal included) and built once per rate model.  The
+entrywise estimate delta_i S(t) f <= (e^{t Gamma^T} delta f)_i propagates
+through the transpose (equivalently, convolution with the kernel
+gamma_t(i - j) in the translation-invariant case), and
+K(t) = ||e^{t Gamma}||_{2->2}^2 controls ||delta S(t) f||_2^2 (singular
+values ignore the transpose).  Translation-invariant rates on a torus give
+a circulant or multilevel circulant Gamma, which is normal; for a normal
+Gamma, ||e^{s Gamma}||_2 = e^{s alpha} with alpha the largest eigenvalue of
+(Gamma + Gamma^T)/2, so K(t) = e^{2 t alpha} and
+
+    int_0^t K(s)^2 ds = t exprel(4 alpha t),    exprel(x) = (e^x - 1)/x,
+
+exact at alpha = 0; a value past the float range raises rather than
+reading inf.  Normality is tested on Gamma itself (G G^T = G^T G up
+to rounding), not read from a flag.  Only a non-normal Gamma takes the
+general route: expm and the largest singular value per K(t), and composite
+Simpson with step doubling for the integral, which reports whether it met
+its tolerance before the step cap.
 Since Gamma >= 0 entrywise, e^{t Gamma} never contracts; the decay rate
 alpha = 2 (eps - M), with eps = inf_sigma,i (c(i, sigma) + c(i, sigma^i))
 and M = sup_i sum_{j != i} Gamma_ij, is reported separately and verified
@@ -39,11 +52,12 @@ against the exact semigroup before use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik
+from scipy.special import exprel, gammaln, pdtr, pdtrc, pdtrik
 
 from .gibbs import Potential
 from .lattice import (
@@ -59,6 +73,7 @@ from .lattice import (
 )
 
 DEFAULT_TAIL_TOL = 1e-13
+SIMPSON_STEP_CAP = 4096
 
 
 class RateModel:
@@ -77,6 +92,7 @@ class RateModel:
         self.label = label
         self.translation_invariant = bool(translation_invariant)
         self._engine = None
+        self._gamma = None
 
     def dependence(self, i: int):
         """Sorted set of sites c(i, .) actually reads."""
@@ -360,6 +376,8 @@ class SemigroupEngine:
         self.n_states = 1 << self.torus.n_sites
         self.tail_tol = float(tail_tol)
         self.rate_table = rates.rate_matrix()
+        if not np.all(np.isfinite(self.rate_table)):
+            raise ValueError(f"{rates!r} has a non-finite rate; the semigroup needs finite c")
         if np.any(self.rate_table < 0):
             raise ValueError(f"{rates!r} has a negative rate; the semigroup needs c >= 0")
         # every rate is >= 0, so P = I + Q / lam is entrywise >= 0 and evolved
@@ -416,7 +434,10 @@ class SemigroupEngine:
             return np.array([1.0])
         # two past the upper tail_tol quantile, found as scipy's poisson.isf finds it
         q = 1.0 - self.tail_tol
-        upper = int(np.ceil(pdtrik(q, m)))
+        quantile = pdtrik(q, m)
+        if not np.isfinite(quantile):
+            raise ValueError(f"Poisson mean lam t = {m:.6g} is past the range of its quantile function")
+        upper = int(np.ceil(quantile))
         k_max = (upper - 1 if upper > 0 and pdtr(upper - 1, m) >= q else upper) + 2
         while pdtrc(k_max, m) > self.tail_tol:
             k_max = 2 * k_max + 8
@@ -505,24 +526,113 @@ def nonlinear_semigroup(rates: RateModel, t: float, values) -> np.ndarray:
     return np.log(g) + m
 
 
-@dataclass
+def simpson_weights(steps: int) -> np.ndarray:
+    """The composite Simpson pattern 1, 4, 2, ..., 2, 4, 1 over an even
+    number of steps, unscaled."""
+    weights = np.full(steps + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return weights
+
+
+class KSquaredIntegral(NamedTuple):
+    """int_0^t K(s)^2 ds and the route that took it: "closed_form" (no
+    steps) or "simpson", whose step doubling may stop at SIMPSON_STEP_CAP
+    before two successive rules agree (converged False)."""
+
+    value: float
+    route: str
+    steps: int
+    converged: bool
+
+
+def _simpson_doubling(integrand, t: float, rel_tol: float) -> KSquaredIntegral:
+    """int_0^t integrand by composite Simpson, doubling from 4 steps until two
+    successive rules agree to rel_tol (1e-14 absolute) or the cap is reached."""
+    if t == 0:
+        return KSquaredIntegral(0.0, "simpson", 0, True)
+    steps = 4
+    vals = np.array([integrand(s) for s in np.linspace(0.0, t, steps + 1)])
+    prev = None
+    while True:
+        integral = t / steps / 3.0 * float(simpson_weights(steps) @ vals)
+        if prev is not None and abs(integral - prev) <= rel_tol * abs(integral) + 1e-14:
+            return KSquaredIntegral(integral, "simpson", steps, True)
+        if steps >= SIMPSON_STEP_CAP:
+            return KSquaredIntegral(integral, "simpson", steps, False)
+        prev = integral
+        steps *= 2
+        # the old nodes are the even nodes of the doubled rule: evaluate only
+        # the new midpoints
+        doubled = np.empty(steps + 1)
+        doubled[0::2] = vals
+        doubled[1::2] = [integrand(s) for s in np.linspace(0.0, t, steps + 1)[1::2]]
+        vals = doubled
+
+
+@dataclass(frozen=True, eq=False)
 class GammaResult:
+    """Gamma of one rate model and the K(t) computations on it.  The arrays
+    are read-only; alpha, the largest eigenvalue of (Gamma + Gamma^T)/2, is
+    set exactly when Gamma is normal, and then K(t) and its squared integral
+    are closed forms, which raise a ValueError where they pass the float
+    range rather than return inf."""
+
     matrix: np.ndarray
     kernel: np.ndarray | None  # row of site 0 when translation invariant
+    alpha: float | None
+
+    @property
+    def normal(self) -> bool:
+        return self.alpha is not None
+
+    def k_of_t(self, t: float) -> float:
+        """K(t) = ||e^{t Gamma}||_{2->2}^2."""
+        if self.alpha is None:
+            return k_of_t(self.matrix, t)
+        with np.errstate(over="ignore"):
+            k_t = float(np.exp(2.0 * float(t) * self.alpha))
+        return self._finite("K(t) = exp(2 t alpha)", t, k_t)
+
+    def k_squared_integral(self, t: float, rel_tol: float = 1e-10) -> KSquaredIntegral:
+        """int_0^t K(s)^2 ds; rel_tol steers only the Simpson route."""
+        t = float(t)
+        if self.alpha is None:
+            return _simpson_doubling(lambda s: k_of_t(self.matrix, s) ** 2, t, rel_tol)
+        value = t * float(exprel(4.0 * self.alpha * t))
+        value = self._finite("int_0^t K(s)^2 ds = t exprel(4 t alpha)", t, value)
+        return KSquaredIntegral(value, "closed_form", 0, True)
+
+    def _finite(self, what: str, t: float, value: float) -> float:
+        if not np.isfinite(value):
+            raise ValueError(f"{what} is past the float range at t = {t:.6g} (alpha = {self.alpha:.6g})")
+        return value
+
+
+def _is_normal(g: np.ndarray) -> bool:
+    """G G^T = G^T G up to the rounding of the two products."""
+    a = np.abs(g)
+    slack = 4 * len(g) * np.finfo(float).eps * (a @ a.T + a.T @ a)
+    return bool(np.all(np.abs(g @ g.T - g.T @ g) <= slack))
 
 
 def gamma_matrix(rates: RateModel) -> GammaResult:
-    """Gamma_ij = sup_sigma (c(i, sigma^j) - c(i, sigma)), literal diagonal."""
-    n = rates.torus.n_sites
-    g = np.zeros((n, n))
-    for i in rates.torus.sites():
-        dep = rates.dependence(i)
-        vals = rates.rate_patterns(i, dep)
-        pats = np.arange(vals.size, dtype=np.int64)
-        for bit, j in enumerate(dep):
-            g[i, j] = float(np.max(vals[pats ^ np.int64(1 << bit)] - vals))
-    kernel = g[0].copy() if rates.translation_invariant else None
-    return GammaResult(g, kernel)
+    """Gamma_ij = sup_sigma (c(i, sigma^j) - c(i, sigma)), literal diagonal;
+    built once per rate model and cached on it, like its engine."""
+    if rates._gamma is None:
+        n = rates.torus.n_sites
+        g = np.zeros((n, n))
+        for i in rates.torus.sites():
+            dep = rates.dependence(i)
+            vals = rates.rate_patterns(i, dep)
+            pats = np.arange(vals.size, dtype=np.int64)
+            for bit, j in enumerate(dep):
+                g[i, j] = float(np.max(vals[pats ^ np.int64(1 << bit)] - vals))
+        g.setflags(write=False)
+        kernel = g[0] if rates.translation_invariant else None  # a read-only view
+        alpha = float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1]) if _is_normal(g) else None
+        rates._gamma = GammaResult(g, kernel, alpha)
+    return rates._gamma
 
 
 def lipschitz_propagation(rates: RateModel, t: float, delta) -> np.ndarray:
@@ -552,7 +662,9 @@ class ContractionReport:
 
 
 def k_of_t(gamma: np.ndarray, t: float) -> float:
-    """K(t) = ||e^{t Gamma}||_{2->2}^2."""
+    """K(t) = ||e^{t Gamma}||_{2->2}^2 for any Gamma, from expm and the
+    largest singular value: the route GammaResult.k_of_t takes when Gamma
+    is not normal."""
     e = expm(float(t) * gamma)
     return float(svdvals(e)[0] ** 2)
 
@@ -584,8 +696,9 @@ def contraction_constants(
     is verified against the exact semigroup on random local functions
     before being reported as verified.
     """
-    g = gamma_matrix(rates).matrix
-    k_t = k_of_t(g, t)
+    gamma = gamma_matrix(rates)
+    g = gamma.matrix
+    k_t = gamma.k_of_t(t)
     schur = float(
         np.sqrt(np.abs(g).sum(axis=0).max() * np.abs(g).sum(axis=1).max())
         if g.size

@@ -156,6 +156,17 @@ class TestExitCodes:
             ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "-1"],
             ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "0.5"],
             ["mc", "--sites", "0 0", "--replicas", "10"],
+            # past the engine's range: a non-finite beta or rate table, and a
+            # Poisson mean lam t past the quantile function
+            ["evolve", "--rates", "glauber", "--beta", "nan"],
+            ["evolve", "--rates", "glauber", "--beta", "1e308"],
+            ["conserve", "--theorem", "31", "--rates", "perturbed", "--eps0", "0.1", "--times", "1e300"],
+            ["conserve", "--theorem", "53", "--rates", "glauber", "--beta", "50", "--times", "1"],
+            # field-free Glauber at beta = 3 (alpha about 1.2e3): K(t) past the
+            # float range at t = 1, its squared integral already at t = 0.2
+            ["evolve", "--rates", "glauber", "--beta", "3", "--times", "1"],
+            ["conserve", "--theorem", "31", "--rates", "glauber", "--beta", "3", "--times", "1"],
+            ["conserve", "--theorem", "53", "--rates", "glauber", "--beta", "3", "--times", "0.2"],
         ],
         ids=" ".join,
     )
@@ -318,6 +329,28 @@ class TestConserve:
         )
         assert code in (0, 1)
         assert read_json(tmp_path, "conserve")["theorem"] == "hjc"
+
+    @pytest.mark.parametrize("theorem", ["31", "53"])
+    def test_engine_and_gamma_blocks(self, tmp_path, theorem):
+        times = ["0.2", "0.6"]
+        code = main(
+            ["conserve", "--theorem", theorem, "--sides", "5", "--rates", "perturbed",
+             "--times", " ".join(times), "--k-max", "1", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        report = read_json(tmp_path, "conserve")
+        assert report["engine"]["flip_symmetric"] is True
+        assert report["engine"]["states"] == 32
+        # pair-perturbed rates on a ring: Gamma is circulant, alpha = 4 eps0
+        gamma = report["gamma"]
+        assert gamma["normal"] is True
+        assert gamma["alpha"] == pytest.approx(0.4, rel=1e-12)
+        if theorem == "53":
+            assert gamma["route"] == "closed_form"
+            assert gamma["steps"] == [0] * len(times)
+            assert gamma["converged"] == [True] * len(times)
+        else:
+            assert set(gamma) == {"normal", "alpha"}
 
     @pytest.mark.parametrize(
         "theorem, builds",

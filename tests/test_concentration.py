@@ -31,6 +31,7 @@ from spinflip.concentration import (
     weak_gcb_check,
 )
 from spinflip.dynamics import (
+    SIMPSON_STEP_CAP,
     GlauberRates,
     IndependentRates,
     PerturbedRates,
@@ -408,6 +409,21 @@ class TestTheorem53:
         fam = TestFunctionFamily.monomials(torus, 2, max_count=8)
         report = theorem53_check(rates, 0.5, fam)
         assert report.holds
+        assert report.integral.route == "closed_form" and report.integral.converged
+
+    def test_unconverged_simpson_is_reported(self, weighted_cycle):
+        # a non-translation-invariant model whose Gamma is not normal: the
+        # integral takes the Simpson route, and rel_tol = 0 forces its cap
+        capped = theorem53_constant(weighted_cycle, 3.0, rel_tol=0.0)
+        assert capped.integral.route == "simpson"
+        assert capped.integral.steps == SIMPSON_STEP_CAP and not capped.integral.converged
+        family = TestFunctionFamily.monomials(weighted_cycle.torus, 1)
+        report = theorem53_check(weighted_cycle, 3.0, family)
+        assert report.holds
+        assert report.integral.route == "simpson" and report.integral.converged
+        assert report.integral.steps < SIMPSON_STEP_CAP
+        assert report.composite_constant == 2.0 * weighted_cycle.max_rate() * report.integral.value
+        assert report.composite_constant == pytest.approx(capped.constant, rel=1e-9)
 
 
 class TestPerStartOracle:

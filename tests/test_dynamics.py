@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 import spinflip
 from spinflip.dynamics import (
+    SIMPSON_STEP_CAP,
     CustomRates,
     GlauberRates,
     IndependentRates,
@@ -127,6 +128,21 @@ class TestRateModels:
         signed = CustomRates(torus, lambda i: (i, (i + 1) % 4), lambda i, bits: 1.0 if (bits >> i) & 1 else -0.5)
         with pytest.raises(ValueError):
             SemigroupEngine(signed)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_engine_rejects_non_finite_rates(self, bad):
+        torus = Torus((4,))
+        rates = CustomRates(torus, lambda i: (i,), lambda i, bits: bad if i == 2 and bits else 1.0)
+        with pytest.raises(ValueError, match="non-finite rate"):
+            SemigroupEngine(rates)
+
+    @pytest.mark.parametrize("t", [1e300, 1e308])
+    def test_poisson_mean_past_the_quantile_range(self, t):
+        # pdtrik returns NaN once lam t reaches about 1e15: a named error, not
+        # a failed integer conversion
+        engine = SemigroupEngine(PerturbedRates.pair(Torus((4,)), 0.1))
+        with pytest.raises(ValueError, match="quantile"):
+            engine.poisson_weights(t)
 
 
 class TestGenerator:
@@ -596,3 +612,81 @@ class TestLipschitzPropagation:
         tight = SemigroupEngine(rates, tail_tol=1e-13).evolve_measures(mu, 2.0)
         assert 0.5 * np.abs(tight - want).sum() < 1e-12
         assert 0.5 * np.abs(loose - want).sum() < 1e-5
+
+
+def gauss_legendre_k_squared(gamma, t, nodes=64):
+    """int_0^t K(s)^2 ds by Gauss-Legendre on the expm + svdvals K."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * t * (x + 1.0)
+    return 0.5 * t * sum(wi * k_of_t(gamma, si) ** 2 for si, wi in zip(s, w))
+
+
+class TestGammaSpectrum:
+    """K(t) and int_0^t K(s)^2 ds in closed form from alpha, the top
+    eigenvalue of (Gamma + Gamma^T)/2, for a normal Gamma."""
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            PerturbedRates.pair(Torus((8,)), 0.1),
+            GlauberRates(Torus((4, 4)), Potential.ising_nn(2, 0.3)),
+            IndependentRates(Torus((5,)), 1.0),
+        ],
+        ids=["perturbed-1d", "glauber-4x4", "independent"],
+    )
+    def test_closed_form_matches_the_oracles(self, rates):
+        gamma = gamma_matrix(rates)
+        assert gamma.normal
+        assert gamma.alpha == pytest.approx(
+            np.linalg.eigvalsh(0.5 * (gamma.matrix + gamma.matrix.T))[-1], rel=1e-15
+        )
+        for t in (0.1, 0.25):
+            assert gamma.k_of_t(t) == pytest.approx(k_of_t(gamma.matrix, t), rel=1e-12)
+            q = gamma.k_squared_integral(t)
+            assert (q.route, q.steps, q.converged) == ("closed_form", 0, True)
+            assert q.value == pytest.approx(gauss_legendre_k_squared(gamma.matrix, t), rel=1e-12)
+
+    def test_independent_rates_are_exact_at_alpha_zero(self):
+        gamma = gamma_matrix(IndependentRates(Torus((5,)), 1.0))
+        assert gamma.alpha == 0.0
+        assert gamma.k_of_t(3.0) == 1.0
+        assert gamma.k_squared_integral(3.0).value == 3.0
+        assert gamma.k_squared_integral(0.0).value == 0.0
+
+    def test_non_normal_gamma_takes_the_simpson_route(self, weighted_cycle):
+        gamma = gamma_matrix(weighted_cycle)
+        assert not gamma.normal and gamma.alpha is None
+        for t in (0.5, 2.0):
+            assert gamma.k_of_t(t) == k_of_t(gamma.matrix, t)
+            q = gamma.k_squared_integral(t)
+            assert q.route == "simpson" and q.converged and 0 < q.steps < SIMPSON_STEP_CAP
+            assert q.value == pytest.approx(gauss_legendre_k_squared(gamma.matrix, t), rel=1e-9)
+
+    def test_simpson_reports_the_step_cap(self, weighted_cycle):
+        # rel_tol = 0 cannot be met: the doubling stops at the cap and says so
+        q = gamma_matrix(weighted_cycle).k_squared_integral(3.0, rel_tol=0.0)
+        assert (q.route, q.steps, q.converged) == ("simpson", SIMPSON_STEP_CAP, False)
+
+    def test_normality_is_tested_not_read_from_the_flag(self, weighted_cycle):
+        # flagged translation invariant, but Gamma is not normal
+        weighted_cycle.translation_invariant = True
+        assert not gamma_matrix(weighted_cycle).normal
+
+    def test_closed_form_past_the_float_range_raises(self):
+        # field-free Glauber at beta = 3: alpha is about 1.2e3, so
+        # exp(4 alpha t) overflows at t = 0.2 and exp(2 alpha t) at t = 1
+        gamma = gamma_matrix(GlauberRates(Torus((6,)), Potential.ising_nn(1, 3.0)))
+        assert np.isfinite(gamma.k_of_t(0.2))
+        with pytest.raises(ValueError, match="float range"):
+            gamma.k_squared_integral(0.2)
+        with pytest.raises(ValueError, match="float range"):
+            gamma.k_of_t(1.0)
+
+    def test_built_once_per_rate_model_and_read_only(self):
+        rates = GlauberRates(Torus((5,)), Potential.ising_nn(1, 0.3))
+        gamma = gamma_matrix(rates)
+        assert gamma_matrix(rates) is gamma
+        for array in (gamma.matrix, gamma.kernel):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0

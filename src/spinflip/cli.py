@@ -258,7 +258,11 @@ def build_rates(cfg: ExperimentConfig, torus: Torus):
             raise ConfigError(f"rate r = {cfg.r} must be positive and finite")
         return IndependentRates(torus, cfg.r)
     if kind == "glauber":
-        return GlauberRates(torus, build_potential(cfg))
+        potential = build_potential(cfg)
+        try:
+            return GlauberRates(torus, potential)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if kind == "perturbed":
         if not abs(cfg.eps0) < 1:
             raise ConfigError(f"perturbation eps0 = {cfg.eps0} must satisfy |eps0| < 1")
@@ -732,7 +736,10 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
     else:
         raise ConfigError(f"unknown measure kind {kind!r}")
     # one batch of replicas serves both statistics
-    values = _final_values(rates, sampler, t, f, cfg.replicas, cfg.seed)
+    try:
+        values = _final_values(rates, sampler, t, f, cfg.replicas, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     mean = _mean(values, cfg.seed)
     moment = _exponential_moment(values, cfg.seed)
     rows = [

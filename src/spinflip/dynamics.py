@@ -14,12 +14,16 @@ Lambda >= max exit rate and P = I + Q/Lambda,
 
 truncated when the Poisson tail drops below a tolerance (default 1e-13),
 which bounds the total-variation truncation error for measures and the
-sup-norm error for normalized functions.  An engine stores one operator and
-serves a time grid from one pass of P^k v, each sum stopping at its own
-truncation.  For rates that commute with the global spin flip
-(c(i, -sigma) = c(i, sigma)) that operator is the block of P on the 2^(N-1)
-states whose top spin is down, and vectors travel as pairs of half-vectors
-(see SemigroupEngine); other rates keep the full P.
+sup-norm error for normalized functions.  An engine stores the operator and
+its transpose as two CSR matrices on one index structure, built in place
+(row s lists its flips s ^ (1 << i), then s), so functions and measures
+both step by gathering; it serves a time grid from one pass of P^k v, each
+sum stopping at its own truncation.  For rates that commute with the
+global spin flip (c(i, -sigma) = c(i, sigma)) that operator is the block
+of P on the 2^(N-1) states whose top spin is down, and vectors travel as
+pairs of half-vectors (see SemigroupEngine); other rates keep the full P.
+A narrow batch of (half-)vectors (two, or up to four on large operators)
+steps one vector at a time; other batches step as one multi-vector product.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -184,10 +188,18 @@ class GlauberRates(RateModel):
             pats = np.arange(1 << len(dep), dtype=np.int64)
             dh = np.zeros(pats.size)
             flipped = pats ^ np.int64(1 << pos[i])
-            for sites, table in terms_at[i]:
-                positions = [pos[s] for s in sites]
-                dh += table[gather_bits(flipped, positions)] - table[gather_bits(pats, positions)]
-            site_terms.append((tuple(dep), np.exp(-0.5 * dh)))
+            # an energy difference past the float range gives an inf or NaN
+            # rate, which is refused below rather than warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                for sites, table in terms_at[i]:
+                    positions = [pos[s] for s in sites]
+                    dh += table[gather_bits(flipped, positions)] - table[gather_bits(pats, positions)]
+                rates = np.exp(-0.5 * dh)
+            if not np.all(np.isfinite(rates)):
+                raise ValueError(
+                    f"Glauber rate at site {i} is not finite: the potential's energy differences pass the float range"
+                )
+            site_terms.append((tuple(dep), rates))
         super().__init__(torus, site_terms, "glauber", True)
 
 
@@ -296,17 +308,44 @@ def generator_apply(rates: RateModel, f: Observable) -> Observable:
 def generator_matrix(rates: RateModel) -> sp.csr_matrix:
     """Sparse 2^N x 2^N generator: Q[s, s^i] = c(i, s), rows sum to zero."""
     c = rates.rate_matrix()
-    return _flip_matrix(c, -c.sum(axis=0))
+    return _flip_matrices(c, -c.sum(axis=0))[0]
 
 
-def _flip_matrix(flips: np.ndarray, diag: np.ndarray) -> sp.csr_matrix:
-    """The 2^N x 2^N matrix with [s, s^i] = flips[i, s] and diagonal diag."""
+def _flip_matrices(flips: np.ndarray, diag: np.ndarray):
+    """M with M[s, s ^ (1 << i)] = flips[i, s] and diagonal diag, and M^T,
+    as two CSR matrices built in place on one index structure: row s lists
+    column s ^ (1 << i) for every i, then s.  The flip pattern is
+    symmetric, so M^T differs from M only in its data,
+    M^T[s, s ^ (1 << i)] = flips[i, s ^ (1 << i)], and products with
+    either matrix gather.  The shared index arrays are read-only: an
+    in-place sort of one matrix raises instead of scrambling the other."""
     n, size = flips.shape
-    states = np.arange(size, dtype=np.int64)
-    rows = np.concatenate([np.tile(states, n), states])
-    cols = np.concatenate([states ^ np.int64(1 << i) for i in range(n)] + [states])
-    data = np.concatenate([flips.reshape(-1), diag])
-    return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+    index = np.int32 if (n + 1) * size <= np.iinfo(np.int32).max else np.int64
+    states = np.arange(size, dtype=index)
+    cols = np.empty((size, n + 1), dtype=index)
+    np.bitwise_xor(states[:, None], index(1) << np.arange(n, dtype=index), out=cols[:, :n])
+    cols[:, n] = states
+    indptr = np.arange(0, (n + 1) * size + 1, n + 1, dtype=index)
+    cols.setflags(write=False)
+    indptr.setflags(write=False)
+    data = np.empty((size, n + 1))
+    data[:, :n] = flips.T
+    data[:, n] = diag
+    data_t = data.copy()
+    data_t[:, :n] = np.take_along_axis(flips, cols[:, :n].T, axis=1).T
+    return tuple(
+        sp.csr_matrix((d.reshape(-1), cols.reshape(-1), indptr), shape=(size, size)) for d in (data, data_t)
+    )
+
+
+def _steps_by_row(h: int, m: int) -> bool:
+    """Whether a batch of m columns of length h steps one row at a time.
+    scipy's multi-vector CSR product costs nearly as much at 2 to 4 columns
+    as at 6, so such batches run faster as one matrix-vector product per
+    column, once h is large enough (2048 rows) for the per-call overhead
+    not to win back the gain.  At one column the two routes cost the same.
+    CHANGES.md holds the measured table."""
+    return 2 <= m <= (4 if h >= 2048 else 2)
 
 
 class _Fold:
@@ -321,27 +360,27 @@ class _Fold:
         lo, hi = cols[:h], cols[: h - 1 : -1]
         self.lo_of = np.empty(m, dtype=np.intp)
         self.hi_of = np.empty(m, dtype=np.intp)
-        halves, partner, sign, pairs = [], [], [], {}
+        # (lo, hi) bytes -> (lo half, hi half): a repeated column, and the
+        # flip (hi, lo) of an earlier column, share its halves
+        halves, partner, sign, seen = [], [], [], {}
         for j in range(m):
             a, b = lo[:, j], hi[:, j]
-            parity = 1.0 if np.array_equal(b, a) else -1.0 if np.array_equal(b, -a) else 0.0
-            if parity:
-                # its own partner: one half, read back with the column's sign
-                k_lo = k_hi = len(halves)
-                halves.append(a)
-                partner.append(k_lo)
-                sign.append(parity)
-            else:
-                key = (a.tobytes(), b.tobytes())
-                if key[::-1] in pairs:
-                    # the flip of an earlier column shares its halves
-                    k_hi, k_lo = pairs[key[::-1]]
+            key = (a.tobytes(), b.tobytes())
+            if key not in seen:
+                k = len(halves)
+                parity = 1.0 if np.array_equal(b, a) else -1.0 if np.array_equal(b, -a) else 0.0
+                if parity:
+                    # its own partner: one half, read back with the column's sign
+                    seen[key] = (k, k)
+                    halves.append(a)
+                    partner.append(k)
+                    sign.append(parity)
                 else:
-                    k_lo, k_hi = pairs[key] = len(halves), len(halves) + 1
+                    seen[key], seen[key[::-1]] = (k, k + 1), (k + 1, k)
                     halves += [a, b]
-                    partner += [k_hi, k_lo]
+                    partner += [k + 1, k]
                     sign += [1.0, 1.0]
-            self.lo_of[j], self.hi_of[j] = k_lo, k_hi
+            self.lo_of[j], self.hi_of[j] = seen[key]
         self.halves = np.column_stack(halves) if halves else np.empty((h, 0))
         self.partner = np.array(partner, dtype=np.intp)
         self.sign = np.array(sign)
@@ -367,8 +406,16 @@ class SemigroupEngine:
     lo' = A lo + b rev(hi), hi' = A hi + b rev(lo), with b = `_top` for
     functions and rev(b) for measures (through A.T).  A column with
     hi = +-lo (every sigma_A, every even function) carries one half, and a
-    column that is the flip of another (the plus/minus pair) shares its
-    halves.  Every term is as nonnegative as in P, so measures stay >= 0."""
+    column that repeats another, or is its flip (the plus/minus pair),
+    shares its halves.  Every term is as nonnegative as in P, so measures
+    stay >= 0.
+
+    `p` and `pt` (P^T, or A^T when folded) are CSR matrices that share one
+    read-only index structure and differ only in data, so both directions
+    gather.  A batch whose (half-)columns _steps_by_row picks travels as
+    contiguous rows, one `p @ row` per step each; other batches keep one
+    multi-vector product per step.  The route depends only on the batch's
+    shape."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
@@ -384,28 +431,28 @@ class SemigroupEngine:
         # measures stay nonnegative without clipping
         exit_rate = self.rate_table.sum(axis=0)
         self.lam = float(exit_rate.max())
-        # stored as the sparse sum I + Q / lam: scaled by 1 / lam, exact zeros dropped
+        # stored as the sum I + Q / lam, scaled by 1 / lam
         inv = 1.0 / self.lam if self.lam > 0 else 0.0
         # column S - 1 - s of the table holds the rates at the flipped state s
         self.flip_symmetric = bool(np.array_equal(self.rate_table[:, ::-1], self.rate_table))
         if self.flip_symmetric:
             h, top = self.n_states // 2, self.torus.n_sites - 1
-            self.p = _flip_matrix(self.rate_table[:top, :h] * inv, 1.0 - exit_rate[:h] * inv)
+            self.p, self.pt = _flip_matrices(self.rate_table[:top, :h] * inv, 1.0 - exit_rate[:h] * inv)
             self._top = self.rate_table[top, :h] * inv
         else:
-            self.p = _flip_matrix(self.rate_table * inv, 1.0 - exit_rate * inv)
-        self.p.eliminate_zeros()
-        self.pt = self.p.T
+            self.p, self.pt = _flip_matrices(self.rate_table * inv, 1.0 - exit_rate * inv)
         self._flip_index = None
         self._weights = {}
 
     def summary(self) -> dict:
-        """What the engine runs on, for reports."""
+        """What the engine runs on, for reports; operator_bytes counts the
+        data of P and P^T and their shared index arrays once."""
         return {
             "lam": self.lam,
             "flip_symmetric": self.flip_symmetric,
             "states": self.n_states,
             "operator_nnz": int(self.p.nnz),
+            "operator_bytes": sum(a.nbytes for a in (self.p.data, self.pt.data, self.p.indices, self.p.indptr)),
         }
 
     def flip_index(self) -> np.ndarray:
@@ -464,28 +511,55 @@ class SemigroupEngine:
     def _apply(self, vec: np.ndarray, times, measures: bool) -> np.ndarray:
         """sum_k w_k(t) P^k vec (P^T for measures) for each t, stacked along a
         new first axis, from one pass of P^k vec; each sum stops at its own
-        truncation, as it would in a pass of its own."""
+        truncation, as it would in a pass of its own.
+
+        A batch of (half-)columns of shape (H, m) steps as m contiguous rows,
+        one sparse matrix-vector product each, when _steps_by_row(H, m);
+        other batches step as one multi-vector product."""
         weights = [self.poisson_weights(t) for t in times]
         op = self.pt if measures else self.p
-        if self.flip_symmetric:
-            fold = _Fold(vec.reshape(len(vec), -1))
-            cur = fold.halves
+        cols = vec.reshape(len(vec), -1)
+        fold = _Fold(cols) if self.flip_symmetric else None
+        cur = fold.halves if fold else cols
+        by_row = _steps_by_row(*cur.shape)
+        if fold:
             top = self._top[::-1] if measures else self._top
-            coef = top[:, None] * fold.sign
-            # column v of cur[:, order] is half partner[-1 - v], so reversing
-            # rows and columns together (one contiguous reversal) reads each
-            # half's partner reversed
-            order = fold.partner[::-1]
-            flips = np.empty_like(cur)
+            if by_row:
+                # half u reads half partner[u] reversed, times sign[u] top
+                coef = fold.sign[:, None] * top
+
+                def step(cur):
+                    nxt = cur[fold.partner, ::-1] * coef
+                    for row, out in zip(cur, nxt):
+                        out += op @ row
+                    return nxt
+
+            else:
+                coef = top[:, None] * fold.sign
+                # column v of cur[:, order] is half partner[-1 - v], so
+                # reversing rows and columns together (one contiguous
+                # reversal) reads each half's partner reversed
+                order = fold.partner[::-1]
+                flips = np.empty_like(cur)
+
+                def step(cur):
+                    np.multiply(cur[:, order][::-1, ::-1], coef, out=flips)
+                    nxt = op @ cur
+                    nxt += flips
+                    return nxt
+
+        elif by_row:
 
             def step(cur):
-                np.multiply(cur[:, order][::-1, ::-1], coef, out=flips)
-                nxt = op @ cur
-                nxt += flips
+                nxt = np.empty_like(cur)
+                for row, out in zip(cur, nxt):
+                    out[:] = op @ row
                 return nxt
 
         else:
-            cur, step = vec, op.__matmul__
+            step = op.__matmul__
+        if by_row:
+            cur = np.ascontiguousarray(cur.T)
         accs = np.empty((len(times),) + cur.shape)
         term = np.empty_like(cur)
         for acc, w in zip(accs, weights):
@@ -495,7 +569,9 @@ class SemigroupEngine:
             for acc, w in zip(accs, weights):
                 if k < w.size:
                     acc += np.multiply(cur, w[k], out=term)
-        return fold.unfold(accs).reshape((len(times),) + vec.shape) if self.flip_symmetric else accs
+        if by_row:
+            accs = accs.transpose(0, 2, 1)
+        return (fold.unfold(accs) if fold else accs).reshape((len(times),) + vec.shape)
 
     def stationary(self) -> np.ndarray:
         """Left null vector of Q (P - I would cancel digits), as a probability vector."""

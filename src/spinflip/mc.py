@@ -33,6 +33,10 @@ from .gibbs import probs_of
 from .lattice import Observable, gather_bits, state_bits
 
 
+# the largest mean numpy's Poisson sampler accepts
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -42,13 +46,23 @@ def _keys(bits: np.ndarray) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def _thinning(rates: RateModel):
-    """(positions, table, c_max) of the thinning rule; c(i, sigma) is
-    table[i, key], the key gathered from sigma at positions[i]."""
+def _thinning(rates: RateModel, t: float):
+    """(positions, table, c_max, mean) of the thinning rule over [0, t]:
+    c(i, sigma) is table[i, key], the key gathered from sigma at
+    positions[i], and mean = N c_max t is the Poisson mean of the number
+    of proposals, which must lie in the range of numpy's sampler."""
     positions, table = rates.stacked_table()
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{rates!r} has a non-finite rate")
     if table.min() < 0:
         raise ValueError(f"{rates!r} has a negative rate")
-    return positions, table, float(table.max())
+    c_max = float(table.max())
+    mean = rates.torus.n_sites * c_max * t
+    if not mean <= POISSON_MEAN_MAX:
+        raise ValueError(
+            f"proposal mean N c_max t = {mean:.6g} is past numpy's Poisson range ({POISSON_MEAN_MAX:.6g})"
+        )
+    return positions, table, c_max, mean
 
 
 def _flips(u, c_max, rate):
@@ -81,9 +95,9 @@ def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory
     n = rates.torus.n_sites
     start = state = state_bits(sigma0)
     _bit_row(start, n)
-    positions, table, c_max = _thinning(rates)
+    positions, table, c_max, mean = _thinning(rates, t_end)
     rng = _rng(seed)
-    k = int(rng.poisson(n * c_max * t_end))
+    k = int(rng.poisson(mean))
     times = t_end * np.sort(rng.random(k))
     sites = rng.integers(0, n, size=k)
     u = rng.random(k)
@@ -153,10 +167,10 @@ def _final_values(rates, sampler, t, f, replicas, seed):
     if t < 0:
         raise ValueError("t must be >= 0")
     n = rates.torus.n_sites
-    positions, table, c_max = _thinning(rates)
+    positions, table, c_max, mean = _thinning(rates, t)
     rng = _rng(seed)
     bits = sampler(rng, replicas, n)
-    counts = rng.poisson(n * c_max * t, size=replicas)
+    counts = rng.poisson(mean, size=replicas)
     # replicas sorted by proposal count, most first: the ones still
     # proposing at step s are a prefix of the bit matrix
     order = np.argsort(-counts, kind="stable")

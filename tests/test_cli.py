@@ -162,6 +162,10 @@ class TestExitCodes:
             ["evolve", "--rates", "glauber", "--beta", "1e308"],
             ["conserve", "--theorem", "31", "--rates", "perturbed", "--eps0", "0.1", "--times", "1e300"],
             ["conserve", "--theorem", "53", "--rates", "glauber", "--beta", "50", "--times", "1"],
+            # kinetic MC: Glauber rates past the float range, and a proposal
+            # mean N c_max t past numpy's Poisson range
+            ["mc", "--rates", "glauber", "--beta", "1e308", "--replicas", "10"],
+            ["mc", "--rates", "glauber", "--beta", "50", "--replicas", "10"],
             # field-free Glauber at beta = 3 (alpha about 1.2e3): K(t) past the
             # float range at t = 1, its squared integral already at t = 0.2
             ["evolve", "--rates", "glauber", "--beta", "3", "--times", "1"],
@@ -264,10 +268,13 @@ class TestEngineBlock:
         assert main(argv + ["--out", str(tmp_path)]) == 0
         engine = read_json(tmp_path, argv[0])["engine"]
         # flip-symmetric rates run on the 8 states whose top bit is 0: the
-        # flips of 3 sites and the diagonal, less its exact zeros
+        # flips of 3 sites and the diagonal
         assert engine["flip_symmetric"] is True
         assert engine["states"] == 16
         assert 8 * 3 <= engine["operator_nnz"] <= 8 * 4
+        # float data of P and P^T, their shared int32 indices and indptr
+        nnz = engine["operator_nnz"]
+        assert engine["operator_bytes"] == 2 * 8 * nnz + 4 * nnz + 4 * (8 + 1)
         assert engine["lam"] > 0
 
     def test_field_keeps_the_full_operator(self, tmp_path):

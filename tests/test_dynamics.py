@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from spinflip.dynamics import (
     IndependentRates,
     PerturbedRates,
     SemigroupEngine,
+    _Fold,
+    _steps_by_row,
     contraction_constants,
     detailed_balance_residual,
     engine_for,
@@ -135,6 +138,15 @@ class TestRateModels:
         rates = CustomRates(torus, lambda i: (i,), lambda i, bits: bad if i == 2 and bits else 1.0)
         with pytest.raises(ValueError, match="non-finite rate"):
             SemigroupEngine(rates)
+
+    def test_glauber_refuses_energy_differences_past_the_float_range(self):
+        # at beta = 1e308 the energy differences overflow: a named error,
+        # built without numpy's overflow or invalid-value warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            potential = Potential.ising_nn(1, 1e308)
+            with pytest.raises(ValueError, match="not finite"):
+                GlauberRates(Torus((4,)), potential)
 
     @pytest.mark.parametrize("t", [1e300, 1e308])
     def test_poisson_mean_past_the_quantile_range(self, t):
@@ -274,7 +286,10 @@ class TestSemigroup:
     def test_one_stored_operator(self):
         engine = SemigroupEngine(GlauberRates(Torus((5,)), Potential.ising_nn(1, 0.4)))
         assert not hasattr(engine, "q")
-        assert np.shares_memory(engine.pt.data, engine.p.data)
+        # P^T is a second CSR on P's index structure, with its own data
+        assert engine.pt.format == "csr"
+        assert np.shares_memory(engine.pt.indices, engine.p.indices)
+        assert np.shares_memory(engine.pt.indptr, engine.p.indptr)
         assert np.array_equal(engine.pt.toarray(), engine.p.toarray().T)
 
     def test_semigroup_law(self):
@@ -441,6 +456,8 @@ class TestFoldedEngine:
             "flip_symmetric": True,
             "states": 64,
             "operator_nnz": engine.p.nnz,
+            # two float data arrays, one shared int32 index array and indptr
+            "operator_bytes": 2 * 8 * engine.p.nnz + 4 * engine.p.nnz + 4 * (half + 1),
         }
 
     def test_folded_matches_full_p_sum(self):
@@ -465,6 +482,88 @@ class TestFoldedEngine:
         for nu in SemigroupEngine(rates).evolve_measures_over(rows, [0.1, 0.5, 3.0]):
             assert np.all(nu >= 0)
             assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-13)
+
+
+class TestBatchRoutes:
+    """Narrow batches step one contiguous row per (half-)column, wide ones
+    as one multi-vector product; both on CSR P and P^T with one index
+    structure."""
+
+    @staticmethod
+    def models(torus):
+        return model_zoo(torus) + asymmetric_models(torus)
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 3)], ids=str)
+    def test_transpose_shares_the_index_structure(self, sides):
+        for rates in self.models(Torus(sides)):
+            engine = SemigroupEngine(rates)
+            assert engine.p.format == engine.pt.format == "csr"
+            assert np.shares_memory(engine.pt.indices, engine.p.indices)
+            assert np.shares_memory(engine.pt.indptr, engine.p.indptr)
+            assert not engine.p.indices.flags.writeable
+            assert np.array_equal(engine.pt.toarray(), engine.p.toarray().T)
+
+    @staticmethod
+    def routed(engine, cols, rows):
+        """The widest leading slices of cols and rows that step by row, after
+        checking that the whole batches take the multi-vector route."""
+        h = engine.p.shape[0]
+
+        def width(batch):
+            return _Fold(batch).halves.shape[1] if engine.flip_symmetric else batch.shape[1]
+
+        assert not _steps_by_row(h, width(cols)) and not _steps_by_row(h, width(rows.T))
+        jc = max(j for j in range(1, cols.shape[1]) if _steps_by_row(h, width(cols[:, :j])))
+        jr = max(j for j in range(1, len(rows)) if _steps_by_row(h, width(rows[:j].T)))
+        return jc, jr
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 3), (12,)], ids=str)
+    def test_narrow_and_wide_batches_agree(self, sides):
+        # (12,) folds to 2048 rows, where up to four halves step by row
+        rng = np.random.default_rng(sum(sides))
+        torus = Torus(sides)
+        cols, rows = flip_columns(torus, rng), flip_rows(torus, rng)
+        for rates in self.models(torus):
+            engine = SemigroupEngine(rates)
+            jc, jr = self.routed(engine, cols, rows)
+            scale = np.maximum(np.abs(cols[:, :jc]).max(axis=0), 1.0)
+            for t in (0.3, 1.1):
+                narrow = engine.evolve_functions(cols[:, :jc], t)
+                wide = engine.evolve_functions(cols, t)[:, :jc]
+                assert np.all(np.abs(narrow - wide).max(axis=0) <= 1e-15 * scale)
+                narrow = engine.evolve_measures(rows[:jr], t)
+                wide = engine.evolve_measures(rows, t)[:jr]
+                assert np.abs(narrow - wide).sum(axis=1).max() <= 1e-15
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 3), (12,)], ids=str)
+    def test_grid_passes_equal_single_times_on_both_routes(self, sides):
+        rng = np.random.default_rng(3 * sum(sides))
+        torus = Torus(sides)
+        cols, rows = flip_columns(torus, rng), flip_rows(torus, rng)
+        times = [0.0, 0.25, 0.9]
+        for rates in self.models(torus):
+            engine = SemigroupEngine(rates)
+            _, jr = self.routed(engine, cols, rows)
+            for batch in (rows[:jr], rows):
+                grid = engine.evolve_measures_over(batch, times)
+                for j, t in enumerate(times):
+                    assert np.array_equal(grid[j], engine.evolve_measures(batch, t))
+
+    def test_fold_shares_identical_halves(self):
+        # sigma_A and sigma_A^2 = 1 for six sets A, as Theorem 5.2's start
+        # variances batch them: six halves of parity -+1 and one all-ones half
+        torus = Torus((10,))
+        sets = [(0,), (3,), (7,), (1, 2), (4, 9), (5, 8)]
+        values = np.column_stack([monomial_values_dense(torus, a) for a in sets])
+        cols = np.hstack([values, values * values])
+        fold = _Fold(cols)
+        assert fold.halves.shape == (512, 7)
+        assert np.array_equal(fold.unfold(fold.halves[None])[0], cols)
+        engine = SemigroupEngine(PerturbedRates.pair(torus, 0.1))
+        got = engine.evolve_functions(cols, 0.4)
+        # the six all-ones columns share one half, so evolve bit for bit alike
+        assert all(np.array_equal(got[:, 6], got[:, j]) for j in range(7, 12))
+        assert np.array_equal(got[:, :6], engine.evolve_functions(np.hstack([values, values[:, :1] ** 2]), 0.4)[:, :6])
 
 
 class TestNonlinearSemigroup:

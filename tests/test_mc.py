@@ -90,6 +90,26 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="negative rate"):
             sample_path(rates, 0, 2.0, seed=1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rate_rejected(self, bad):
+        rates = CustomRates(Torus((4,)), lambda i: (i,), lambda i, s: bad if i == 1 and s else 1.0)
+        f = Observable.monomial(rates.torus, [0])
+        with pytest.raises(ValueError, match="non-finite rate"):
+            sample_path(rates, 0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="non-finite rate"):
+            ensemble_expectation(rates, dirac_sampler(0), 2.0, f, replicas=4, seed=1)
+
+    @pytest.mark.parametrize("t", [1.0, 1e300])
+    def test_proposal_mean_past_the_poisson_range(self, t):
+        # N c_max t = 4e20 (or inf) is past numpy's Poisson sampler, which
+        # would fail with "lam value too large"
+        rates = IndependentRates(Torus((4,)), 1e20)
+        f = Observable.monomial(rates.torus, [0])
+        with pytest.raises(ValueError, match="Poisson range"):
+            sample_path(rates, 0, t, seed=1)
+        with pytest.raises(ValueError, match="Poisson range"):
+            ensemble_expectation(rates, dirac_sampler(0), t, f, replicas=4, seed=1)
+
     def test_start_beyond_torus_rejected(self):
         # the start must lie on the torus, as for dirac_sampler
         rates = IndependentRates(Torus((4,)), 1.0)

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import acceptance
 from .concentration import (
     TestFunctionFamily,
     check_uvb,
@@ -34,7 +35,6 @@ from .concentration import (
     hjc_library,
     product_gcb_constant,
     product_uvb_constant,
-    psi_identity_check,
     theorem31_check,
     theorem52_check,
     theorem53_check,
@@ -46,7 +46,7 @@ from .dynamics import (
     engine_for,
     gamma_matrix,
 )
-from .entropy import data_processing_check, nogo_experiment
+from .entropy import nogo_experiment
 from .gibbs import (
     BoundaryCondition,
     Potential,
@@ -55,13 +55,12 @@ from .gibbs import (
     product_measure,
     uniform_measure,
 )
-from .lattice import EXACT_SITE_CAP, Observable, Torus
+from .lattice import EXACT_SITE_CAP, Observable, Torus, monomial_eval
 from .mc import (
     _exponential_moment,
     _final_values,
     _mean,
     dirac_sampler,
-    ensemble_expectation,
     product_sampler,
     sample_path,
     vector_sampler,
@@ -70,10 +69,8 @@ from .symbolic import (
     GeneratorSpec,
     POWER_CAP,
     analyticity_radius,
-    apply_chain,
     generator_powers,
     power_result,
-    truncated_series,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -241,14 +238,24 @@ def require_exact(cfg: ExperimentConfig, torus: Torus) -> None:
 def build_potential(cfg: ExperimentConfig) -> Potential:
     if cfg.potential is not None:
         path = Path(cfg.potential)
-        if not path.exists():
+        if not path.is_file():
             path = DATA_DIR / cfg.potential
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"potential file not found: {cfg.potential}")
-        return Potential.load(path)
+        try:
+            return Potential.load(path)
+        except ValueError as exc:
+            raise ConfigError(f"bad potential file {cfg.potential}: {exc}") from exc
     if cfg.beta is not None:
         return Potential.ising_nn(len(cfg.sides), cfg.beta)
     raise ConfigError("need a potential file or beta for this command")
+
+
+def glauber_rates(torus: Torus, potential: Potential) -> GlauberRates:
+    try:
+        return GlauberRates(torus, potential)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_rates(cfg: ExperimentConfig, torus: Torus):
@@ -258,11 +265,7 @@ def build_rates(cfg: ExperimentConfig, torus: Torus):
             raise ConfigError(f"rate r = {cfg.r} must be positive and finite")
         return IndependentRates(torus, cfg.r)
     if kind == "glauber":
-        potential = build_potential(cfg)
-        try:
-            return GlauberRates(torus, potential)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return glauber_rates(torus, build_potential(cfg))
     if kind == "perturbed":
         if not abs(cfg.eps0) < 1:
             raise ConfigError(f"perturbation eps0 = {cfg.eps0} must satisfy |eps0| < 1")
@@ -453,13 +456,15 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> dict:
 
 
 def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
+    bound = args.bound
+    if bound is not None and not math.isfinite(bound):
+        raise ConfigError(f"--bound {bound} must be finite")
     torus = build_torus(cfg)
     require_exact(cfg, torus)
     rates = build_rates(cfg, torus)
     mu = build_measure(cfg, torus)
     family = build_family(cfg, torus)
     check = empirical_gcb_constant if kind == "gcb" else check_uvb
-    bound = args.bound
     rows = []
     curve_rows = []
     violations = []
@@ -511,8 +516,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     rates = build_rates(cfg, torus)
     family = build_family(cfg, torus)
     theorem = args.theorem
-    if theorem == "hjc" and args.hjc == "abs_p" and not args.hjc_p >= 1:
-        raise ConfigError(f"--hjc-p {args.hjc_p}: |x|^p is convex only for p >= 1")
+    if theorem == "hjc" and args.hjc == "abs_p" and not 1 <= args.hjc_p < math.inf:
+        raise ConfigError(f"--hjc-p {args.hjc_p}: need 1 <= p < inf (|x|^p is convex only for p >= 1)")
     engine = build_engine(cfg, rates)
     gamma = build_gamma(cfg, rates, integral=theorem == "53")
     integrals = []
@@ -572,9 +577,9 @@ def _load_generator(args) -> GeneratorSpec:
     if args.gen is None:
         raise ConfigError("need --gen FILE")
     path = Path(args.gen)
-    if not path.exists():
+    if not path.is_file():
         path = DATA_DIR / args.gen
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"generator file not found: {args.gen}")
     try:
         gen = GeneratorSpec.load(path)
@@ -583,6 +588,16 @@ def _load_generator(args) -> GeneratorSpec:
     if gen.m_max_coeff == 0:
         raise ConfigError(f"bad generator file {args.gen}: every coefficient is zero")
     return gen
+
+
+def _radii(text: str) -> tuple:
+    try:
+        radii = _ints(text)
+        if radii and all(r >= 0 for r in radii):
+            return radii
+    except ValueError:
+        pass
+    raise ConfigError(f"bad --radii {text!r}: need one or more integers >= 0")
 
 
 def _parse_sites(text: str, dim: int):
@@ -672,12 +687,12 @@ def cmd_nogo(cfg: ExperimentConfig, args) -> dict:
     torus = build_torus(cfg)
     require_exact(cfg, torus)
     pot = build_potential(cfg)
-    rates = GlauberRates(torus, pot)
+    rates = glauber_rates(torus, pot)
     volume = tuple(torus.sites())
     plus = gibbs_measure(pot, torus, boundary=BoundaryCondition.fixed(+1), volume=volume)
     minus = gibbs_measure(pot, torus, boundary=BoundaryCondition.fixed(-1), volume=volume)
     family = build_family(cfg, torus)
-    radii = _ints(args.radii) if args.radii else None
+    radii = _radii(args.radii) if args.radii else None
     engine = build_engine(cfg, rates)
     result = nogo_experiment(rates, plus.probs, minus.probs, cfg.times, family, radii=radii)
     rows = []
@@ -766,7 +781,7 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# selftest: one fast deterministic check per module
+# selftest: the acceptance criteria's quick sweep, then three invariants
 
 
 def _check(name, fn, failures):
@@ -782,12 +797,6 @@ def _check(name, fn, failures):
 
 
 def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
-    from .lattice import monomial_eval
-    from .symbolic import DeltaTail, GeometricTail, infinite_range_bound
-
-    rows = []
-    failures = []
-
     def lattice_product():
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -798,115 +807,12 @@ def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
             if monomial_eval(state, g) * monomial_eval(state, h) != monomial_eval(state, sym):
                 return "sigma_G sigma_F != sigma_{G delta F}"
 
-    def dobrushin_formula():
-        pot = Potential.ising_nn(1, 0.2)
-        if abs(pot.dobrushin_constant() - 0.4) > 1e-12:
-            return "c(U) != 2 beta for 1D nearest-neighbor Ising"
-        if abs(pot.gcb_constant_dobrushin() - 1 / (2 * 0.6**2)) > 1e-12:
-            return "GCB constant != 1/(2(1-c)^2)"
-
-    def spectral_law():
-        torus = Torus((6,))
-        engine = engine_for(IndependentRates(torus, 1.0))
-        f = Observable.monomial(torus, [1, 4]).dense_values()
-        mu = product_measure(torus, 0.7)
-        for t in (0.3, 1.1):
-            gap = abs(float(engine.evolve_measures(mu, t) @ f) - np.exp(-4 * t) * float(mu @ f))
-            if gap > 1e-10:
-                return f"independent-spectral law off by {gap:.2e}"
-
-    def chain_bound_sweep():
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            a = [int(s) for s in rng.choice(12, size=rng.integers(1, 4), replace=False)]
-            shapes = [
-                [int(s) for s in rng.choice(5, size=rng.integers(1, 4), replace=False)]
-                for _ in range(rng.integers(1, 4))
-            ]
-            result = apply_chain(shapes, a)
-            if result.exact_sup_norm is not None and result.exact_sup_norm > result.lemma_bound:
-                return "iterated-commutator sup norm exceeds its product bound"
-
-    def series_vs_semigroup():
-        gen = GeneratorSpec.load(DATA_DIR / "nn_decay.gen")
-        t0 = float(analyticity_radius(gen, [0]))
-        series = truncated_series(gen, t0 / 2, [0], 8)
-        torus = Torus((12,))
-        from .dynamics import CustomRates
-        from .symbolic import realize_polynomial
-
-        n = torus.n_sites
-
-        def rate_fn(i, bits):
-            right = 1.0 if (bits >> ((i + 1) % n)) & 1 else -1.0
-            return 1.0 + 0.3 * right
-
-        rates = CustomRates(
-            torus, lambda i: ((i % n), ((i + 1) % n)), rate_fn, translation_invariant=True
-        )
-        engine = engine_for(rates)
-        f = Observable.monomial(torus, [0]).dense_values()
-        exact = engine.evolve_functions(f, t0 / 2)
-        approx = realize_polynomial(series.coeffs, torus)
-        gap = float(np.max(np.abs(exact - approx)))
-        if gap > series.remainder_bound + 1e-8:
-            return f"series gap {gap:.2e} exceeds remainder bound {series.remainder_bound:.2e}"
-
     def product_gcb_window():
         torus = Torus((6,))
         family = TestFunctionFamily.monomials(torus, 2)
         rep = empirical_gcb_constant(uniform_measure(torus), family, bound=product_gcb_constant())
         if not rep.holds:
             return "uniform product measure exceeds the certified GCB constant 1/8"
-
-    def psi_identity():
-        torus = Torus((5,))
-        rates = GlauberRates(torus, Potential.ising_nn(1, 0.3))
-        f = Observable.monomial(torus, [0, 2])
-        rep = psi_identity_check(rates, 0.5, f, steps=64)
-        if rep.gap > 1e-5:
-            return f"variance variation-of-constants identity gap {rep.gap:.2e}"
-
-    def conservation_pipeline():
-        torus = Torus((6,))
-        rates = IndependentRates(torus, 1.0)
-        family = TestFunctionFamily.monomials(torus, 2)
-        mu = uniform_measure(torus)
-        r31 = theorem31_check(rates, 0.5, mu, family, product_gcb_constant())
-        r52 = theorem52_check(rates, 0.5, mu, family, product_uvb_constant())
-        r53 = theorem53_check(rates, 0.5, family)
-        for rep, label in ((r31, "3.1"), (r52, "5.2"), (r53, "5.3")):
-            if not rep.holds:
-                return f"conservation bound {label} violated at t = 0.5"
-
-    def entropy_monotone():
-        torus = Torus((5,))
-        rates = GlauberRates(torus, Potential.ising_nn(1, 0.4))
-        rng = np.random.default_rng(3)
-        mu = rng.random(32)
-        mu /= mu.sum()
-        nu = rng.random(32)
-        nu /= nu.sum()
-        rep = data_processing_check(rates, mu, nu, np.linspace(0.0, 2.0, 9))
-        if not rep.monotone:
-            return "relative entropy increased along the semigroup"
-
-    def combinatorial_lemma():
-        rep = infinite_range_bound(GeometricTail(2.0, 1.0), c=1.0, u=1.0, A=[0], n=3)
-        if not rep.holds:
-            return "infinite-range combinatorial bound violated"
-        rep = infinite_range_bound(DeltaTail(1, 1.0), c=0.5, u=1.0, A=[0, 1], n=2)
-        if not rep.holds:
-            return "infinite-range combinatorial bound violated (delta tail)"
-
-    def mc_cross_check():
-        torus = Torus((6,))
-        rates = GlauberRates(torus, Potential.ising_nn(1, 0.3))
-        f = Observable.monomial(torus, [0])
-        est = ensemble_expectation(rates, dirac_sampler(0), 0.5, f, replicas=2000, seed=7)
-        exact = float(engine_for(rates).evolve_functions(f.dense_values(), 0.5)[0])
-        if abs(est.estimate - exact) > 3 * est.std_error:
-            return f"MC estimate {est.estimate:.4f} misses exact {exact:.4f} by > 3 SE"
 
     def path_consistency():
         torus = Torus((3, 3))
@@ -921,22 +827,14 @@ def cmd_selftest(cfg: ExperimentConfig, args) -> dict:
         if not np.array_equal(traj.final_rates, fresh):
             return "final rates disagree with a fresh evaluation at the final state"
 
-    checks = [
+    checks = [(name, partial(criterion, quick=True)) for name, criterion in acceptance.CRITERIA]
+    checks += [
         ("monomial product is symmetric difference", lattice_product),
-        ("Dobrushin constant and uniqueness-regime GCB formula", dobrushin_formula),
-        ("independent-dynamics spectral law", spectral_law),
-        ("iterated-generator norm bounds (exact rational)", chain_bound_sweep),
-        ("truncated series vs uniformization", series_vs_semigroup),
         ("certified product GCB constant", product_gcb_window),
-        ("variance variation-of-constants identity", psi_identity),
-        ("theorem31 / theorem52 / theorem53 pipeline", conservation_pipeline),
-        ("relative-entropy data processing", entropy_monotone),
-        ("infinite-range combinatorial lemma", combinatorial_lemma),
-        ("kinetic MC against the exact semigroup", mc_cross_check),
         ("trajectory replay and final rates", path_consistency),
     ]
-    for name, fn in checks:
-        rows.append(_check(name, fn, failures))
+    failures = []
+    rows = [_check(name, fn, failures) for name, fn in checks]
     report = new_report("selftest", cfg)
     report["table"] = {"columns": ["check", "status", "detail"], "rows": rows}
     report["violations"] = failures
@@ -996,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", parents=[common], help="kinetic Monte Carlo estimates")
     mc.add_argument("--sites", help="observable monomial sites, e.g. '0 2'")
     mc.add_argument("--t", type=float, help="time horizon (default: max of the grid)")
-    sub.add_parser("selftest", parents=[common], help="fast invariant suite, one check per module")
+    sub.add_parser("selftest", parents=[common], help="quick sweep of the nine acceptance criteria, plus three invariants")
     return parser
 
 

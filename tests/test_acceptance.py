@@ -1,293 +1,55 @@
 """End-to-end acceptance suite.
 
 Nine independent criteria, one test each, ordered; `pytest -v` prints one
-pass/fail line per criterion.  Tolerances are part of the contract and must
-not be loosened.
+pass/fail line per criterion.  The criteria live in `spinflip.acceptance`,
+whose sizes, seeds and tolerances are part of the contract and must not be
+loosened.  These tests run each criterion at full size; `spinflip selftest`
+runs the quick sweep of the same functions.
 """
 
-from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
-import pytest
-
-from spinflip.concentration import (
-    TestFunctionFamily,
-    empirical_gcb_constant,
-    product_gcb_constant,
-    product_uvb_constant,
-    psi_identity_check,
-    theorem31_check,
-    theorem52_check,
-    theorem53_check,
-)
-from spinflip.dynamics import (
-    CustomRates,
-    GlauberRates,
-    IndependentRates,
-    PerturbedRates,
-    SemigroupEngine,
-)
-from spinflip.entropy import relative_entropy, total_variation
-from spinflip.gibbs import Potential, gibbs_measure, product_measure, uniform_measure
-from spinflip.lattice import Observable, Torus, monomial_values_dense
-from spinflip.mc import dirac_sampler, ensemble_expectation, product_sampler
-from spinflip.symbolic import (
-    GeneratorSpec,
-    GeometricTail,
-    analyticity_radius,
-    apply_chain,
-    apply_generator_power,
-    infinite_range_bound,
-    realize_polynomial,
-    truncated_series,
-)
-
-
-def all_tori(n_max):
-    """Every side tuple (each side >= 2) with at most n_max sites, up to
-    permutation."""
-    found = set()
-
-    def grow(prefix, product, smallest):
-        if prefix:
-            found.add(prefix)
-        for side in range(smallest, n_max // max(product, 1) + 1):
-            if product * side <= n_max:
-                grow(prefix + (side,), product * side, side)
-
-    grow((), 1, 2)
-    return [Torus(sides) for sides in sorted(found)]
+from spinflip import acceptance
 
 
 def test_1_independent_spectral_law():
-    # E_{mu S(t)} sigma_A = e^{-2|A|t} E_mu sigma_A on every torus with
-    # N <= 12, every |A| <= 3, t in {0.1, 0.5, 1, 2}, to 1e-10
-    times = (0.1, 0.5, 1.0, 2.0)
-    worst = 0.0
-    for index, torus in enumerate(all_tori(12)):
-        n = torus.n_sites
-        rng = np.random.default_rng(101 + index)
-        mu = rng.random(1 << n)
-        mu /= mu.sum()
-        subsets = [a for k in (1, 2, 3) for a in combinations(range(n), k)]
-        values = np.vstack([monomial_values_dense(torus, a) for a in subsets])
-        sizes = np.array([len(a) for a in subsets])
-        start = values @ mu
-        engine = SemigroupEngine(IndependentRates(torus, 1.0))
-        for t in times:
-            mu_t = engine.evolve_measures(mu, t)
-            gap = np.max(np.abs(values @ mu_t - np.exp(-2 * sizes * t) * start))
-            worst = max(worst, float(gap))
-    assert worst < 1e-10, f"spectral law off by {worst:.3e}"
+    failure = acceptance.spectral_law()
+    assert failure is None, failure
 
 
 def test_2_dobrushin_pipeline():
-    # c(U) = 2 beta exactly, and the exact Gibbs measure on 10 sites obeys
-    # the empirical GCB with the uniqueness-regime constant 1/(2(1-2 beta)^2)
-    torus = Torus((10,))
-    family = TestFunctionFamily.monomials(torus, 3, max_count=10**6)
-    assert len(family.members) == 10 + 45 + 120
-    for beta in (0.1, 0.2, 0.4):
-        pot = Potential.ising_nn(1, beta)
-        c = pot.dobrushin_constant()
-        assert abs(c - 2 * beta) <= 1e-12, f"c(U) = {c} != 2 beta at beta = {beta}"
-        bound = 1.0 / (2.0 * (1.0 - 2.0 * beta) ** 2)
-        mu = gibbs_measure(pot, torus)
-        report = empirical_gcb_constant(mu.probs, family, bound=bound)
-        assert report.holds, (
-            f"empirical GCB {report.best_constant} exceeds {bound} at beta = {beta}"
-        )
+    failure = acceptance.dobrushin_pipeline()
+    assert failure is None, failure
 
 
 def test_3_iterated_generator_bounds():
-    # exact rational sup norms against the product and factorial bounds,
-    # zero tolerance
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        a = [int(s) for s in rng.choice(np.arange(0, 5), size=rng.integers(1, 4), replace=False)]
-        shapes = [
-            [int(s) for s in rng.choice(np.arange(-2, 3), size=rng.integers(1, 4), replace=False)]
-            for _ in range(rng.integers(1, 5))
-        ]
-        result = apply_chain(shapes, a)
-        assert result.exact_available
-        assert result.exact_sup_norm <= result.lemma_bound
-    for _ in range(200):
-        shapes = {}
-        for _ in range(rng.integers(1, 4)):
-            size = int(rng.integers(0, 3))
-            offsets = tuple(
-                (int(x),) for x in sorted(rng.choice(np.arange(0, 3), size=size, replace=False))
-            )
-            lam = Fraction(int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1),
-                           int(rng.integers(1, 4)))
-            shapes.setdefault(offsets, lam)
-        gen = GeneratorSpec(list(shapes.items()))
-        a = [int(s) for s in rng.choice(np.arange(0, 4), size=rng.integers(1, 3), replace=False)]
-        n = int(rng.integers(0, 7))
-        result = apply_generator_power(gen, n, a)
-        assert result.exact_available
-        assert result.exact_sup_norm <= result.loccast_bound
+    failure = acceptance.iterated_generator_bounds()
+    assert failure is None, failure
 
 
 def test_4_series_vs_semigroup():
-    # truncated analytic series at t = t0/2, n_max = 8, against exact
-    # uniformization on a torus large enough to avoid wrap
-    gen = GeneratorSpec([((), Fraction(1)), (((1,),), Fraction(3, 10))])
-    t0 = float(analyticity_radius(gen, [0]))
-    t = t0 / 2
-    series = truncated_series(gen, t, [0], 8)
-    torus = Torus((12,))
-    n = torus.n_sites
-
-    def rate_fn(i, bits):
-        right = 1.0 if (bits >> ((i + 1) % n)) & 1 else -1.0
-        return 1.0 + 0.3 * right
-
-    rates = CustomRates(torus, lambda i: (i, (i + 1) % n), rate_fn, translation_invariant=True)
-    exact = SemigroupEngine(rates).evolve_functions(
-        Observable.monomial(torus, [0]).dense_values(), t
-    )
-    approx = realize_polynomial(series.coeffs, torus)
-    gap = float(np.max(np.abs(exact - approx)))
-    assert gap <= series.remainder_bound + 1e-8, (
-        f"series gap {gap:.3e} exceeds remainder bound {series.remainder_bound:.3e}"
-    )
+    failure = acceptance.series_vs_semigroup()
+    assert failure is None, failure
 
 
 def test_5_data_processing_and_nondegeneracy():
-    # relative entropy nonincreasing to 1e-10 on a 20-point grid, and total
-    # variation stays > 1e-12, for 50 random pairs under 3 rate models
-    torus = Torus((6,))
-    models = [
-        IndependentRates(torus, 1.0),
-        GlauberRates(torus, Potential.ising_nn(1, 0.4)),
-        PerturbedRates.pair(torus, 0.1),
-    ]
-    rng = np.random.default_rng(5)
-    pairs = []
-    for _ in range(50):
-        mu = rng.random(64)
-        nu = rng.random(64)
-        pairs.append((mu / mu.sum(), nu / nu.sum()))
-    stack = np.vstack([m for pair in pairs for m in pair])
-    grid = np.linspace(0.0, 2.0, 20)
-    for rates in models:
-        engine = SemigroupEngine(rates)
-        previous = None
-        for t in grid:
-            evolved = np.clip(engine.evolve_measures(stack, t), 0.0, None)
-            entropies = np.empty(len(pairs))
-            for i in range(len(pairs)):
-                mu_t, nu_t = evolved[2 * i], evolved[2 * i + 1]
-                entropies[i] = relative_entropy(mu_t, nu_t)
-                assert total_variation(mu_t, nu_t) > 1e-12, (
-                    f"semigroup degenerated pair {i} at t = {t} under {rates.label}"
-                )
-            if previous is not None:
-                assert np.all(entropies <= previous + 1e-10), (
-                    f"relative entropy increased at t = {t} under {rates.label}"
-                )
-            previous = entropies
+    failure = acceptance.data_processing()
+    assert failure is None, failure
 
 
 def test_6_psi_identity_quadrature():
-    # Simpson gap drops by >= 12 from 64 to 128 steps and is < 1e-6 at 256,
-    # on 20 random instances
-    rng = np.random.default_rng(6)
-    for case in range(20):
-        n = int(rng.integers(5, 7))
-        torus = Torus((n,))
-        if rng.random() < 0.5:
-            rates = GlauberRates(torus, Potential.ising_nn(1, float(rng.uniform(0.25, 0.5))))
-        else:
-            rates = PerturbedRates.pair(torus, 0.1)
-        terms = []
-        for _ in range(2):
-            size = int(rng.integers(1, 3))
-            sites = [int(s) for s in rng.choice(n, size=size, replace=False)]
-            terms.append((float(rng.uniform(0.5, 1.0)) * (1 if rng.random() < 0.5 else -1), sites))
-        f = Observable.monomial_sum(torus, terms)
-        t = float(rng.uniform(0.5, 0.75))
-        gap64 = psi_identity_check(rates, t, f, steps=64).gap
-        gap128 = psi_identity_check(rates, t, f, steps=128).gap
-        gap256 = psi_identity_check(rates, t, f, steps=256).gap
-        assert gap64 / gap128 >= 12.0, (
-            f"case {case}: gap ratio {gap64 / gap128:.2f} below 12 "
-            f"(gap64 = {gap64:.3e}, gap128 = {gap128:.3e})"
-        )
-        assert gap256 < 1e-6, f"case {case}: gap at 256 steps is {gap256:.3e}"
+    failure = acceptance.psi_identity_quadrature()
+    assert failure is None, failure
 
 
 def test_7_conservation_theorems():
-    # composite bounds of the three conservation theorems hold on a 10-point
-    # grid in (0, 2] for Independent and Perturbed rates from a uniform
-    # product start
-    torus = Torus((8,))
-    mu = uniform_measure(torus)
-    family = TestFunctionFamily.monomials(torus, 3, max_count=10**6)
-    grid = np.linspace(0.2, 2.0, 10)
-    for rates in (IndependentRates(torus, 1.0), PerturbedRates.pair(torus, 0.1)):
-        for t in grid:
-            r31 = theorem31_check(rates, t, mu, family, product_gcb_constant())
-            assert r31.holds, (
-                f"theorem31_check failed under {rates.label} at t = {t}: "
-                f"{r31.measured_constant} > {r31.composite_constant}"
-            )
-            r52 = theorem52_check(rates, t, mu, family, product_uvb_constant())
-            assert r52.holds, (
-                f"theorem52_check failed under {rates.label} at t = {t}: "
-                f"{r52.measured_constant} > {r52.composite_constant}"
-            )
-            r53 = theorem53_check(rates, t, family)
-            assert r53.holds, (
-                f"theorem53_check failed under {rates.label} at t = {t}: "
-                f"{r53.measured_constant} > {r53.composite_constant}"
-            )
+    failure = acceptance.conservation_theorems()
+    assert failure is None, failure
 
 
 def test_8_infinite_range_lemma():
-    # psi(k) = e^{-2k}, u = 1: the truncated combinatorial sum stays below
-    # e^u n! u^{-n} F(u)^n with the closed-form geometric F
-    psi = GeometricTail(2.0, 1.0)
-    assert psi.f_of_u(1.0) == pytest.approx(1.0 / (1.0 - np.exp(-1.0)), rel=1e-12)
-    for n in (1, 2, 3):
-        report = infinite_range_bound(psi, c=1.0, u=1.0, A=[0], n=n, k_max=40)
-        assert report.holds, f"combinatorial bound fails at n = {n}"
-        report = infinite_range_bound(psi, c=0.7, u=1.0, A=[0, 2], n=n, k_max=40)
-        assert report.holds, f"combinatorial bound fails at n = {n}, |A| = 2"
+    failure = acceptance.infinite_range_lemma()
+    assert failure is None, failure
 
 
 def test_9_mc_exact_cross_validation():
-    # 100 mixed cases at 1e4 replicas; at least 99 exact values inside 3
-    # standard errors
-    rng = np.random.default_rng(9)
-    side_options = [(4,), (5,), (6,), (7,), (8,), (2, 3), (2, 4), (3, 3)]
-    misses = []
-    for case in range(100):
-        torus = Torus(side_options[rng.integers(0, len(side_options))])
-        n = torus.n_sites
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            rates = IndependentRates(torus, float(rng.uniform(0.5, 1.5)))
-        elif kind == 1:
-            rates = GlauberRates(torus, Potential.ising_nn(torus.dim, float(rng.uniform(0.1, 0.5))))
-        else:
-            rates = PerturbedRates.pair(torus, 0.1)
-        sites = [int(s) for s in rng.choice(n, size=rng.integers(1, 4), replace=False)]
-        f = Observable.monomial(torus, sites)
-        t = float(rng.uniform(0.1, 0.6))
-        values_t = SemigroupEngine(rates).evolve_functions(f.dense_values(), t)
-        if rng.random() < 0.5:
-            state = int(rng.integers(0, 1 << n))
-            sampler = dirac_sampler(state)
-            exact = float(values_t[state])
-        else:
-            p = float(rng.uniform(0.2, 0.8))
-            sampler = product_sampler(torus, p)
-            exact = float(product_measure(torus, p) @ values_t)
-        est = ensemble_expectation(rates, sampler, t, f, replicas=10**4, seed=9000 + case)
-        if abs(est.estimate - exact) > 3 * est.std_error:
-            misses.append((case, exact, est.estimate, est.std_error))
-    assert len(misses) <= 1, f"{len(misses)} cases outside 3 standard errors: {misses}"
+    failure = acceptance.mc_cross_validation()
+    assert failure is None, failure

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spinflip import cli
+from spinflip import acceptance, cli
 from spinflip.cli import (
     ConfigError,
     ExperimentConfig,
@@ -155,11 +155,17 @@ class TestExitCodes:
             ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "9"],
             ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "-1"],
             ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "0.5"],
+            ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "inf"],
+            ["gcb-scan", "--bound", "nan"],
+            ["uvb-check", "--bound", "nan"],
+            ["nogo", "--beta", "0.6", "--radii", "a"],
+            ["nogo", "--beta", "0.6", "--radii", "-1"],
             ["mc", "--sites", "0 0", "--replicas", "10"],
             # past the engine's range: a non-finite beta or rate table, and a
             # Poisson mean lam t past the quantile function
             ["evolve", "--rates", "glauber", "--beta", "nan"],
             ["evolve", "--rates", "glauber", "--beta", "1e308"],
+            ["nogo", "--beta", "1e308"],
             ["conserve", "--theorem", "31", "--rates", "perturbed", "--eps0", "0.1", "--times", "1e300"],
             ["conserve", "--theorem", "53", "--rates", "glauber", "--beta", "50", "--times", "1"],
             # kinetic MC: Glauber rates past the float range, and a proposal
@@ -193,6 +199,20 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad generator file" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["malformed", "directory"])
+    def test_bad_potential_file_exits_two(self, tmp_path, capsys, kind):
+        pot = tmp_path / "bad.pot"
+        if kind == "malformed":
+            pot.write_text("garbage\n")
+        else:
+            pot.mkdir()
+        out = tmp_path / "out"
+        code = main(["dobrushin", "--potential", str(pot), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("bad potential file" if kind == "malformed" else "not found") in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["", "0.5 -1", "nan"])
@@ -532,5 +552,17 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 0
         assert "12/12" in out
-        report = read_json(tmp_path, "selftest")
-        assert all(row[1] == "PASS" for row in report["table"]["rows"])
+        rows = read_json(tmp_path, "selftest")["table"]["rows"]
+        assert all(row[1] == "PASS" for row in rows)
+        assert [row[0] for row in rows[:9]] == [name for name, _ in acceptance.CRITERIA]
+
+    def test_failing_criterion_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        criteria = list(acceptance.CRITERIA)
+        name = criteria[4][0]
+        criteria[4] = (name, lambda quick=False: "planted failure")
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+        code = main(["selftest", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"FAIL  {name}  (planted failure)" in captured.out
+        assert "11/12" in captured.out and "planted failure" in captured.err

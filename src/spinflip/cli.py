@@ -333,9 +333,10 @@ def build_family(cfg: ExperimentConfig, torus: Torus) -> TestFunctionFamily:
     if cfg.family_kind == "monomials":
         return TestFunctionFamily.monomials(torus, cfg.k_max, max_count=cfg.count)
     if cfg.family_kind == "random":
-        return TestFunctionFamily.random_combinations(
-            torus, count=cfg.count, seed=cfg.family_seed, k_max=cfg.k_max
-        )
+        try:
+            return TestFunctionFamily.random_combinations(torus, count=cfg.count, seed=cfg.family_seed, k_max=cfg.k_max)
+        except ValueError as exc:
+            raise ConfigError(f"bad random family: {exc}") from exc
     raise ConfigError(f"unknown family kind {cfg.family_kind!r}")
 
 

@@ -17,10 +17,16 @@ exactly and for every Dirac start, and assert the composite bounds term by
 term.  Every per-start quantity is a pointwise function of S(t) applied to
 function columns: S(t)f, S(t)f^2 and S(t)e^{lambda f} for Theorems 3.1, 5.2
 and 5.3, and for (H, J, C) the law of f under each start, which is S(t)
-applied to the indicators of the level sets of f.  Each check evolves the
-stacked columns it needs in batched `evolve_functions` calls, so no array
-grows with the square of the 2^N states.  Constant family members are
-skipped by every scan, since ||delta f||_2 = 0 leaves their ratios undefined.
+applied to the indicators of the level sets of f.  The measured side, a
+constant of mu S(t), reads the same columns by duality,
+
+    <mu S(t), g> = <mu, S(t) g>,
+
+so row sigma of the evolved columns is the start delta_sigma, probs @ evolved
+is mu S(t), and one formula serves both.  Each check makes one batched
+`evolve_functions` call and evolves no measure, so no array grows with the
+square of the 2^N states.  Constant family members are skipped by every
+scan, since ||delta f||_2 = 0 leaves their ratios undefined.
 
     exponential moments:  lhs <= D_t ||delta f||^2 + C_mu ||delta S(t)f||^2,
                           and C(mu S(t)) <= D_t + K(t) C_mu
@@ -59,6 +65,10 @@ from .lattice import (
 DEFAULT_LAMBDA_GRID = tuple(
     s * 0.25 * 2**k for k in range(4) for s in (1.0, -1.0)
 )
+
+# float slack of every conservation check's comparison of a measured side
+# with its bound
+_TOL = 1e-9
 
 
 def product_gcb_constant() -> float:
@@ -117,6 +127,8 @@ class TestFunctionFamily:
         lambda_grid=DEFAULT_LAMBDA_GRID,
     ):
         """Seeded sparse monomial combinations with coefficients in [-1, 1]."""
+        if k_max > torus.n_sites:
+            raise ValueError(f"k_max {k_max} exceeds the {torus.n_sites} sites")
         rng = np.random.default_rng(seed)
         members = []
         for _ in range(count):
@@ -392,12 +404,15 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     return PsiReport(float(t), steps, float(np.max(np.abs(direct))), float(np.max(np.abs(integral))), gap)
 
 
-def _start_variances(engine, values: np.ndarray, t: float) -> np.ndarray:
-    """Var_{delta_sigma S(t)}(f) = S(t)f^2 - (S(t)f)^2 for every start sigma
-    and every column of values, as a (2^N, members) array, from one batched
-    evolution; clipped because the difference can cancel below zero."""
-    evolved = engine.evolve_functions(np.hstack([values, values * values]), t)
-    ex, ex2 = np.hsplit(evolved, 2)
+def _moments(engine, values: np.ndarray, t: float):
+    """S(t)f and S(t)f^2 for every column of values, two (2^N, members)
+    arrays from one batched evolution."""
+    return np.hsplit(engine.evolve_functions(np.hstack([values, values * values]), t), 2)
+
+
+def _variances(ex, ex2) -> np.ndarray:
+    """nu(f^2) - nu(f)^2 from the moments nu(f) and nu(f^2), clipped because
+    the difference can cancel below zero."""
     return np.clip(ex2 - ex * ex, 0.0, None)
 
 
@@ -415,43 +430,38 @@ class TheoremReport:
     integral: KSquaredIntegral | None = None  # behind Theorem 5.3's constant
 
 
-def theorem31_check(
-    rates: RateModel,
-    t: float,
-    mu,
-    family: TestFunctionFamily,
-    c_mu: float,
-    tol: float = 1e-9,
-) -> TheoremReport:
+def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, c_mu: float) -> TheoremReport:
     """Exponential-moment conservation.  D_t is the exact max over all Dirac
     starts and the family; the per-function bound and the composite constant
     D_t + K(t) C_mu are asserted.  c_mu must be a GCB constant valid for every
     function (certified, not empirical).
 
-    The start log-moment of lambda f under delta_sigma S(t) is
-    log S(t)e^{lambda f - m}(sigma) + m - lambda S(t)f(sigma) with
-    m = max lambda f, so every start comes from one batched evolution of the
-    columns f and e^{lambda f - m}."""
+    The log-moment of lambda f under a measure nu is
+    log nu(e^{lambda f - m}) + m - lambda nu(f) with m = max lambda f, so one
+    batched evolution of the columns f and e^{lambda f - m} gives it for every
+    start (the rows) and for mu S(t) (their mu-average)."""
     probs = probs_of(mu)
-    engine = engine_for(rates)
-    mu_t = engine.evolve_measures(probs, t)
-
     labels, values, l2sq = _members(family)
     lams = np.array(family.lambda_grid)
     scaled = values[:, None, :] * lams[:, None]  # (members, lambdas, 2^N)
     shift = scaled.max(axis=2, keepdims=True)
     n_members = len(labels)
     columns = np.vstack([values, np.exp(scaled - shift).reshape(-1, values.shape[1])])
-    evolved = engine.evolve_functions(columns.T, t).T
-    s_values = evolved[:n_members]
-    s_exp = evolved[n_members:].reshape(scaled.shape)
-    logmom = np.log(s_exp) + shift - lams[:, None] * s_values[:, None, :]
-    d_t = max(0.0, float(np.max(logmom / np.outer(l2sq, lams * lams)[:, :, None])))
+    del scaled  # not held through the evolution, where the check peaks
+    evolved = engine_for(rates).evolve_functions(columns.T, t).T
+
+    def log_moments(read):
+        """(members, lambdas, readings) from columns read on the first axis"""
+        s_exp = read[n_members:].reshape(shift.shape[:2] + read.shape[1:])
+        return np.log(s_exp) + shift - lams[:, None] * read[:n_members, None, :]
+
+    start_max = log_moments(evolved).max(axis=2)
+    d_t = max(0.0, float(np.max(start_max / np.outer(l2sq, lams * lams))))
     l2sq_t = [
         lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, v), 2.0) ** 2
-        for v in s_values
+        for v in evolved[:n_members]
     ]
-    lhs_all = log_exponential_moment(mu_t, scaled).tolist()
+    lhs_all = log_moments((evolved @ probs)[:, None])[..., 0].tolist()
 
     rows = []
     measured = 0.0
@@ -459,42 +469,31 @@ def theorem31_check(
         for lam, lhs in zip(family.lambda_grid, lhs_row):
             rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
             measured = max(measured, lhs / (lam * lam * w))
-            rows.append(
-                {"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + tol}
-            )
+            rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + _TOL})
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = d_t + k_t * c_mu
-    holds = all(r["ok"] for r in rows) and measured <= composite + tol
+    holds = all(r["ok"] for r in rows) and measured <= composite + _TOL
     return TheoremReport("31", float(t), k_t, c_mu, d_t, composite, measured, rows, holds)
 
 
-def theorem52_check(
-    rates: RateModel,
-    t: float,
-    mu,
-    family: TestFunctionFamily,
-    c_mu: float,
-    tol: float = 1e-9,
-) -> TheoremReport:
+def theorem52_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, c_mu: float) -> TheoremReport:
     """Variance conservation: measured UVB constant of mu S(t) against
     C_mu K(t) + int C(sigma, t) dmu(sigma), the start integral taken over the
-    initial measure.  c_mu must be a UVB constant valid for every function."""
+    initial measure.  c_mu must be a UVB constant valid for every function.
+    Both sides read one evolution of the columns f and f^2."""
     probs = probs_of(mu)
-    engine = engine_for(rates)
-    mu_t = engine.evolve_measures(probs, t)
-
     labels, values, l2sq = _members(family)
-    c_sigma = np.max(_start_variances(engine, values.T, t) / l2sq, axis=1)
+    ex, ex2 = _moments(engine_for(rates), values.T, t)
+    c_sigma = np.max(_variances(ex, ex2) / l2sq, axis=1)
     avg_start = float(probs @ c_sigma)
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = c_mu * k_t + avg_start
 
     rows = []
     measured = 0.0
-    for label, v, w in zip(labels, values, l2sq):
-        ratio = variance(mu_t, v) / w
+    for label, ratio in zip(labels, (_variances(probs @ ex, probs @ ex2) / l2sq).tolist()):
         measured = max(measured, ratio)
-        rows.append({"label": label, "ratio": ratio, "bound": composite, "ok": ratio <= composite + tol})
+        rows.append({"label": label, "ratio": ratio, "bound": composite, "ok": ratio <= composite + _TOL})
     holds = all(r["ok"] for r in rows)
     return TheoremReport("52", float(t), k_t, c_mu, avg_start, composite, measured, rows, holds)
 
@@ -507,7 +506,7 @@ class TimeIntegratedConstant:
     constant: float
 
 
-def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> TimeIntegratedConstant:
+def theorem53_constant(rates: RateModel, t: float, rel_tol=1e-10) -> TimeIntegratedConstant:
     """C = 2 chat int_0^t K(s)^2 ds, a UVB constant for delta_sigma S(t)
     uniform in the start sigma.  The integral is a closed form when Gamma is
     normal, and composite Simpson with step doubling to rel_tol otherwise."""
@@ -518,19 +517,17 @@ def theorem53_constant(rates: RateModel, t: float, rel_tol: float = 1e-10) -> Ti
     return TimeIntegratedConstant(float(t), chat, q, 2.0 * chat * q.value)
 
 
-def theorem53_check(
-    rates: RateModel, t: float, family: TestFunctionFamily, tol: float = 1e-9
-) -> TheoremReport:
+def theorem53_check(rates: RateModel, t: float, family: TestFunctionFamily) -> TheoremReport:
     """Exhaustive check that every Dirac start satisfies the UVB with the
     time-integrated constant."""
     labels, values, l2sq = _members(family)
     result = theorem53_constant(rates, t)
-    worst_starts = _start_variances(engine_for(rates), values.T, t).max(axis=0) / l2sq
+    worst_starts = _variances(*_moments(engine_for(rates), values.T, t)).max(axis=0) / l2sq
     rows = []
     measured = 0.0
     for label, worst in zip(labels, worst_starts.tolist()):
         measured = max(measured, worst)
-        rows.append({"label": label, "ratio": worst, "bound": result.constant, "ok": worst <= result.constant + tol})
+        rows.append({"label": label, "ratio": worst, "bound": result.constant, "ok": worst <= result.constant + _TOL})
     k_t = gamma_matrix(rates).k_of_t(t)
     holds = all(r["ok"] for r in rows)
     return TheoremReport(
@@ -595,14 +592,7 @@ def hjc_holds(mu, f: Observable, spec: HJCSpec) -> dict:
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1 + 1e-9) + 1e-12}
 
 
-def hjc_check(
-    rates: RateModel,
-    t: float,
-    mu,
-    spec: HJCSpec,
-    family: TestFunctionFamily,
-    tol: float = 1e-9,
-) -> TheoremReport:
+def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctionFamily) -> TheoremReport:
     """(H, J, C) conservation along the dynamics.  Per-start constants are
     measured on the doubled centered functions (the convexity split H(a + b)
     <= H(2a)/2 + H(2b)/2 is what the proof uses), and the composite
@@ -613,20 +603,22 @@ def hjc_check(
     on the start sigma through its own mean, so it is not S(t) applied to a
     fixed function, but it is a function of the law of f under
     delta_sigma S(t): the masses S(t)1{f = l}(sigma) on the level values l of
-    f.  One batched evolution of the level-set indicators, at most 2^k columns
-    for a member on k sites, gives E_sigma(lambda f) = sum_l law_l lambda l
-    and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l H(2(lambda l -
-    E_sigma lambda f)) for every start and scale; mu applied to the same
-    columns is the law under mu S(t)."""
+    f.  One batched evolution of every member's level-set indicators, at most
+    2^k columns for a member on k sites, gives E_sigma(lambda f) = sum_l
+    law_l lambda l and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l
+    H(2(lambda l - E_sigma lambda f)) for every start and scale; mu applied
+    to the same columns is the law under mu S(t)."""
     probs = probs_of(mu)
-    engine = engine_for(rates)
     k_t = gamma_matrix(rates).k_of_t(t)
     hv = np.vectorize(spec.h, otypes=[float])
 
+    labels, dense, l2sqs = _members(family)
+    level_sets = [np.unique(v, return_inverse=True) for v in dense]
+    indicators = np.hstack([level_of[:, None] == np.arange(levels.size) for levels, level_of in level_sets])
+    sizes = [levels.size for levels, _ in level_sets]
+    laws = np.hsplit(engine_for(rates).evolve_functions(indicators, t), np.cumsum(sizes)[:-1])
     prepared = []
-    for label, f, l2sq in _nonconstant(family):
-        levels, level_of = np.unique(f.dense_values(), return_inverse=True)
-        law = engine.evolve_functions(level_of[:, None] == np.arange(levels.size), t)
+    for label, l2sq, (levels, _), law in zip(labels, l2sqs, level_sets, laws):
         law_t = probs @ law
         for lam in family.lambda_grid:
             values = lam * levels
@@ -644,12 +636,10 @@ def hjc_check(
             prepared.append((label, lam, l2, c_start, c_out, lhs))
     c_start = max(r[3] for r in prepared)
     c_out = max(r[4] for r in prepared)
-    rows = []
-    holds = True
-    for label, lam, l2, _, _, lhs in prepared:
-        rhs = spec.j((2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)) * l2)
-        ok = lhs <= rhs * (1 + 1e-9) + tol
-        holds = holds and ok
-        rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": ok})
     composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
+    rows = []
+    for label, lam, l2, _, _, lhs in prepared:
+        rhs = spec.j(composite * l2)
+        rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1 + 1e-9) + _TOL})
+    holds = all(r["ok"] for r in rows)
     return TheoremReport("hjc", float(t), k_t, c_out, c_start, composite, c_start, rows, holds)

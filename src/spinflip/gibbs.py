@@ -79,12 +79,16 @@ class Potential:
         self.dim = int(dim)
         canon = []
         for offsets, table in shapes:
+            if not offsets:
+                raise ValueError("shape with no offset")
+            if any(len(o) != self.dim for o in offsets):
+                raise ValueError(f"offset dimension mismatch: need {self.dim} coordinates per offset")
             offs = _canonical_shape(offsets)
-            if any(len(o) != self.dim for o in offs):
-                raise ValueError("offset dimension mismatch")
             t = np.asarray(table, dtype=float)
             if t.shape != (1 << len(offs),):
                 raise ValueError("table length must be 2^|shape|")
+            if not np.all(np.isfinite(t)):
+                raise ValueError("non-finite table value")
             # reorder the table to the canonical (sorted) offset order
             order = sorted(range(len(offsets)), key=lambda j: _sort_key(offsets, j))
             t2 = t[scatter_bits(np.arange(t.size, dtype=np.int64), order)]
@@ -188,7 +192,7 @@ class Potential:
                     tuple(int(x) for x in tok.split(",")) for tok in lhs.split()
                 )
                 if dim is None:
-                    dim = len(offsets[0])
+                    dim = len(offsets[0]) if offsets else 0
                 vals = [float(tok) for tok in rhs.split()]
                 k = len(offsets)
                 if len(vals) != 1 << k:

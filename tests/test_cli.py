@@ -161,6 +161,10 @@ class TestExitCodes:
             ["nogo", "--beta", "0.6", "--radii", "a"],
             ["nogo", "--beta", "0.6", "--radii", "-1"],
             ["mc", "--sites", "0 0", "--replicas", "10"],
+            # random families: more sites per term than the torus has, and a
+            # negative seed
+            ["gcb-scan", "--family", "random", "--count", "10", "--k-max", "3", "--sides", "2"],
+            ["uvb-check", "--family", "random", "--family-seed", "-1", "--sides", "4"],
             # past the engine's range: a non-finite beta or rate table, and a
             # Poisson mean lam t past the quantile function
             ["evolve", "--rates", "glauber", "--beta", "nan"],
@@ -201,18 +205,22 @@ class TestExitCodes:
         assert "bad generator file" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["malformed", "directory"])
-    def test_bad_potential_file_exits_two(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage\n", None, "| 1 2\n", "0 1,0 | 1 2 3 4\n", "0 1 | nan 1 1 1\n"],
+        ids=["malformed", "directory", "empty-shape", "mixed-dimension", "nan-value"],
+    )
+    def test_bad_potential_file_exits_two(self, tmp_path, capsys, text):
         pot = tmp_path / "bad.pot"
-        if kind == "malformed":
-            pot.write_text("garbage\n")
-        else:
+        if text is None:
             pot.mkdir()
+        else:
+            pot.write_text(text)
         out = tmp_path / "out"
         code = main(["dobrushin", "--potential", str(pot), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert ("bad potential file" if kind == "malformed" else "not found") in err and "Traceback" not in err
+        assert ("not found" if text is None else "bad potential file") in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["", "0.5 -1", "nan"])

@@ -35,6 +35,7 @@ from spinflip.dynamics import (
     GlauberRates,
     IndependentRates,
     PerturbedRates,
+    SemigroupEngine,
     engine_for,
     generator_apply,
     generator_matrix,
@@ -428,7 +429,8 @@ class TestTheorem53:
 
 class TestPerStartOracle:
     """The per-start quantities of Theorems 3.1, 5.2 and 5.3 against a dense
-    expm(t Q), whose row sigma is delta_sigma S(t)."""
+    expm(t Q), whose row sigma is delta_sigma S(t), and their measured sides
+    against mu S(t) = mu expm(t Q)."""
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_dense_transition_matrix(self, t):
@@ -440,17 +442,22 @@ class TestPerStartOracle:
             + TestFunctionFamily.random_combinations(torus, 3, seed=5).members
         )
         e = expm(t * generator_matrix(rates).toarray())
+        mu_t = mu.probs @ e
         states = np.arange(1 << torus.n_sites)
         d_t, c_sigma, worst_var = 0.0, np.zeros(states.size), 0.0
+        measured31, lhs31, measured52 = 0.0, [], 0.0
         for f in fam.members:
             v = f.dense_values()
             l2sq = sum(np.max(np.abs(v[states ^ (1 << i)] - v)) ** 2 for i in torus.sites())
             for lam in fam.lambda_grid:
                 logmom = np.log(e @ np.exp(lam * v)) - lam * (e @ v)
                 d_t = max(d_t, float(logmom.max()) / (lam * lam * l2sq))
+                lhs31.append(float(np.log(mu_t @ np.exp(lam * v)) - lam * (mu_t @ v)))
+                measured31 = max(measured31, lhs31[-1] / (lam * lam * l2sq))
             start_var = e @ (v * v) - (e @ v) ** 2
             c_sigma = np.maximum(c_sigma, start_var / l2sq)
             worst_var = max(worst_var, float(start_var.max()) / l2sq)
+            measured52 = max(measured52, float(mu_t @ (v - mu_t @ v) ** 2) / l2sq)
 
         assert not hasattr(concentration, "evolve_dirac_matrix")
         r31 = theorem31_check(rates, t, mu, fam, product_gcb_constant())
@@ -459,6 +466,40 @@ class TestPerStartOracle:
         assert r31.inner_constant == pytest.approx(d_t, rel=1e-10, abs=1e-13)
         assert r52.inner_constant == pytest.approx(float(mu.probs @ c_sigma), rel=1e-10, abs=1e-13)
         assert r53.measured_constant == pytest.approx(worst_var, rel=1e-10, abs=1e-13)
+        assert r31.measured_constant == pytest.approx(measured31, rel=1e-10, abs=1e-13)
+        assert [row["lhs"] for row in r31.rows] == pytest.approx(lhs31, rel=1e-10, abs=1e-13)
+        assert r52.measured_constant == pytest.approx(measured52, rel=1e-10, abs=1e-13)
+
+
+class TestOneEvolution:
+    """Each conservation check evolves its function columns once and evolves
+    no measure: the measured side reads the same columns by duality."""
+
+    @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
+    def test_one_function_evolution_per_check(self, monkeypatch, field):
+        torus = Torus((6,))
+        potential = Potential.ising_nn(1, 0.3) + Potential.external_field(1, field)
+        rates = GlauberRates(torus, potential)
+        assert engine_for(rates).flip_symmetric is (field == 0.0)
+        mu = gibbs_measure(potential, torus)
+        fam = TestFunctionFamily.random_combinations(torus, 4, seed=3)
+        calls = []
+        apply = SemigroupEngine._apply
+
+        def counted(engine, vec, times, measures):
+            calls.append(measures)
+            return apply(engine, vec, times, measures)
+
+        monkeypatch.setattr(SemigroupEngine, "_apply", counted)
+        for check in (
+            lambda: theorem31_check(rates, 0.5, mu, fam, product_gcb_constant()),
+            lambda: theorem52_check(rates, 0.5, mu, fam, product_uvb_constant()),
+            lambda: theorem53_check(rates, 0.5, fam),
+            lambda: hjc_check(rates, 0.5, mu, hjc_library("square"), fam),
+        ):
+            calls.clear()
+            check()
+            assert calls == [False]
 
 
 def six_checks(family):

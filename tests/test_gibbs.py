@@ -115,6 +115,20 @@ class TestPotential:
         assert pot.shapes[0].offsets == ((0,), (1,))
 
 
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            (((), [1.0]), "no offset"),
+            ((((0,), (1, 0)), [1, 2, 3, 4]), "dimension mismatch"),
+            ((((0,), (1,)), [np.nan, 1, 1, 1]), "non-finite"),
+        ],
+        ids=["empty-shape", "mixed-dimension", "nan-value"],
+    )
+    def test_malformed_shape_rejected(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            Potential(1, [shape])
+
+
 class TestGibbsMeasure:
     def test_pair_correlation_matches_transfer_matrix(self):
         for n, beta in [(6, 0.3), (8, 0.45), (10, 0.2)]:

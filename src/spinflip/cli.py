@@ -756,6 +756,8 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
         values = _final_values(rates, sampler, t, f, cfg.replicas, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"{cfg.replicas} replicas x {torus.n_sites} sites do not fit in memory ({exc})") from exc
     mean = _mean(values, cfg.seed)
     moment = _exponential_moment(values, cfg.seed)
     rows = [

@@ -603,8 +603,9 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
     on the start sigma through its own mean, so it is not S(t) applied to a
     fixed function, but it is a function of the law of f under
     delta_sigma S(t): the masses S(t)1{f = l}(sigma) on the level values l of
-    f.  One batched evolution of every member's level-set indicators, at most
-    2^k columns for a member on k sites, gives E_sigma(lambda f) = sum_l
+    f.  One batched evolution of every member's level-set indicators but its
+    most frequent level's, which is 1 minus the others, at most 2^k - 1
+    columns for a member on k sites, gives E_sigma(lambda f) = sum_l
     law_l lambda l and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l
     H(2(lambda l - E_sigma lambda f)) for every start and scale; mu applied
     to the same columns is the law under mu S(t)."""
@@ -614,11 +615,15 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
 
     labels, dense, l2sqs = _members(family)
     level_sets = [np.unique(v, return_inverse=True) for v in dense]
-    indicators = np.hstack([level_of[:, None] == np.arange(levels.size) for levels, level_of in level_sets])
-    sizes = [levels.size for levels, _ in level_sets]
-    laws = np.hsplit(engine_for(rates).evolve_functions(indicators, t), np.cumsum(sizes)[:-1])
+    # a member's indicators sum to 1 and S(t)1 = 1, so its most frequent
+    # level's column is 1 minus the others and is not evolved
+    dropped = [int(np.argmax(np.bincount(level_of))) for _, level_of in level_sets]
+    kept = [np.delete(np.arange(levels.size), d) for (levels, _), d in zip(level_sets, dropped)]
+    indicators = np.hstack([level_of[:, None] == others for (_, level_of), others in zip(level_sets, kept)])
+    evolved = np.hsplit(engine_for(rates).evolve_functions(indicators, t), np.cumsum([o.size for o in kept])[:-1])
     prepared = []
-    for label, l2sq, (levels, _), law in zip(labels, l2sqs, level_sets, laws):
+    for label, l2sq, (levels, _), d, part in zip(labels, l2sqs, level_sets, dropped, evolved):
+        law = np.insert(part, d, 1.0 - part.sum(axis=1), axis=1)
         law_t = probs @ law
         for lam in family.lambda_grid:
             values = lam * levels

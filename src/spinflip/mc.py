@@ -14,7 +14,15 @@ the torus may have any number of sites; they draw the initial states, the
 proposal counts, then per step the sites and the uniforms, and read f once
 at the end.  `sample_path` runs one replica on a Python-int state and
 records the accepted proposals; it draws K, then K sorted uniform proposal
-times in [0, t_end), K uniform sites and K acceptance uniforms.
+times in [0, t_end), K uniform sites and K acceptance uniforms.  Most
+proposals are decided by the bounds of site i's row of the table alone:
+below the row's smallest rate, u c_max < c(i, sigma) holds in every state,
+and at or above its largest it fails in every state (all of them for
+independent rates, about 82% for pair-perturbed rates at eps0 = 0.1).
+Only the proposals in between read the state, walked in order, and the
+state-free flips between two reads are applied as one XOR mask built in
+numpy.  Each decision is still the test u c_max < c(i, sigma), so a seed
+gives the same path as reading the state at every proposal.
 
 Samplers of initial states are `sample(rng, count, n_sites)` callables
 returning a (count, n_sites) uint8 bit matrix.  The exponential-moment
@@ -77,6 +85,23 @@ def _bit_row(bits: int, n_sites: int) -> np.ndarray:
     return np.array([(bits >> i) & 1 for i in range(n_sites)], dtype=np.uint8)
 
 
+def _free_masks(free, sites, walk) -> list:
+    """masks[j] toggles the sites of the state-free flips free[k] that fall
+    between walk[j - 1] and walk[j], and masks[-1] those after the last
+    read, as Python ints.  Parities are XOR-reduced in numpy, 64 sites to a
+    word, so Python steps once per non-empty (interval, word), not per flip."""
+    segment = np.searchsorted(walk, free)
+    word, bit = np.divmod(sites[free], 64)
+    order = np.lexsort((word, segment))
+    segment, word = segment[order], word[order]
+    starts = np.flatnonzero(np.diff(segment, prepend=-1) | np.diff(word, prepend=-1))
+    parity = np.bitwise_xor.reduceat(np.uint64(1) << bit[order].astype(np.uint64), starts)
+    masks = [0] * (walk.size + 1)
+    for s, w, p in zip(segment[starts].tolist(), word[starts].tolist(), parity.tolist()):
+        masks[s] ^= p << (64 * w)
+    return masks
+
+
 @dataclass
 class Trajectory:
     start: int
@@ -101,15 +126,23 @@ def sample_path(rates: RateModel, sigma0, t_end: float, seed: int) -> Trajectory
     times = t_end * np.sort(rng.random(k))
     sites = rng.integers(0, n, size=k)
     u = rng.random(k)
+    x = u * c_max
+    # min <= c(i, sigma) <= max, so these proposals decide x < c alike in every state
+    free = x < table.min(axis=1)[sites]
+    walk = np.flatnonzero(~free & (x < table.max(axis=1)[sites]))
+    masks = _free_masks(np.flatnonzero(free), sites, walk)
     reads, rows = positions.tolist(), table.tolist()
-    flipped = bytearray(k)
-    for step, (i, v) in enumerate(zip(sites.tolist(), u.tolist())):
-        if _flips(v, c_max, rows[i][gather_bits(state, reads[i])]):
+    hit = bytearray(walk.size)
+    for j, (i, v, mask) in enumerate(zip(sites[walk].tolist(), x[walk].tolist(), masks)):
+        state ^= mask
+        if v < rows[i][gather_bits(state, reads[i])]:
             state ^= 1 << i
-            flipped[step] = 1
-    keep = np.frombuffer(flipped, dtype=bool)
+            hit[j] = 1
+    state ^= masks[-1]
+    flipped = free.copy()
+    flipped[walk] = np.frombuffer(hit, dtype=bool)
     final_rates = table[np.arange(n), _keys(_bit_row(state, n)[positions])]
-    return Trajectory(start, t_end, times[keep], sites[keep], state, final_rates)
+    return Trajectory(start, t_end, times[flipped], sites[flipped], state, final_rates)
 
 
 def dirac_sampler(state):

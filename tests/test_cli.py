@@ -176,6 +176,8 @@ class TestExitCodes:
             # mean N c_max t past numpy's Poisson range
             ["mc", "--rates", "glauber", "--beta", "1e308", "--replicas", "10"],
             ["mc", "--rates", "glauber", "--beta", "50", "--replicas", "10"],
+            # 1e11 replicas of 6 sites: the (replicas, sites) draw is 4.37 TiB
+            ["mc", "--sides", "6", "--rates", "independent", "--replicas", "100000000000"],
             # field-free Glauber at beta = 3 (alpha about 1.2e3): K(t) past the
             # float range at t = 1, its squared integral already at t = 0.2
             ["evolve", "--rates", "glauber", "--beta", "3", "--times", "1"],

@@ -129,6 +129,79 @@ class TestSamplePath:
         assert abs(spins.mean() - exact) <= 4 * se
 
 
+def replay_path(rates, start, t_end, seed):
+    """Reference for sample_path: the same Philox draws, then every proposal
+    reads the state and flips when u c_max < c(i, sigma)."""
+    n = rates.torus.n_sites
+    c_max = float(rates.stacked_table()[1].max())
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    k = int(rng.poisson(n * c_max * t_end))
+    times = t_end * np.sort(rng.random(k))
+    sites = rng.integers(0, n, size=k)
+    u = rng.random(k)
+    state, keep = start, np.zeros(k, dtype=bool)
+    for step in range(k):
+        i = int(sites[step])
+        if u[step] * c_max < rates.rate(i, state):
+            state ^= 1 << i
+            keep[step] = True
+    final_rates = np.array([rates.rate(i, state) for i in range(n)])
+    return times[keep], sites[keep], state, final_rates
+
+
+def uneven_rates():
+    # rows with different maxima (state-free rejections above a row's
+    # maximum) and one zero rate (site 2 has no state-free flip)
+    def rate(i, s):
+        if i == 2 and s == 0:
+            return 0.0
+        return (0.5 + 0.25 * i) * (1.0 + 0.4 * bin(s).count("1"))
+
+    return CustomRates(Torus((6,)), lambda i: ((i - 1) % 6, i, (i + 1) % 6), rate)
+
+
+PATH_CASES = {
+    "independent-64": (lambda: IndependentRates(Torus((64,)), 1.0), 0xF0E1D2C3B4A59687, 20.0),
+    "independent-130": (lambda: IndependentRates(Torus((130,)), 0.7), (5 << 127) | 0b1011, 3.0),
+    "perturbed-pair": (lambda: PerturbedRates.pair(Torus((12,)), 0.1), 0b101100111000, 40.0),
+    "glauber-1d": (lambda: GlauberRates(Torus((16,)), Potential.ising_nn(1, 0.5)), 0b1100, 20.0),
+    "glauber-3x3": (lambda: GlauberRates(Torus((3, 3)), Potential.ising_nn(2, 0.6)), 0b101010101, 20.0),
+    "custom-uneven": (uneven_rates, 0b010011, 30.0),
+    "zero-time": (lambda: GlauberRates(Torus((3, 3)), Potential.ising_nn(2, 0.6)), 0b110, 0.0),
+}
+
+
+class TestPathAgainstReplay:
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    @pytest.mark.parametrize("seed", [1, 29])
+    def test_bit_identical_to_per_proposal_loop(self, case, seed):
+        make, start, t_end = PATH_CASES[case]
+        rates = make()
+        traj = sample_path(rates, start, t_end, seed=seed)
+        times, sites, state, final_rates = replay_path(rates, start, t_end, seed)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.sites.tobytes() == sites.tobytes()
+        assert traj.final_state == state
+        assert traj.final_rates.tobytes() == final_rates.tobytes()
+
+    def test_uneven_rates_reach_every_kind_of_decision(self):
+        # the custom case proposes state-free flips, state-free rejections
+        # and state reads, and its zero-rate site only the latter two
+        rates = uneven_rates()
+        positions, table = rates.stacked_table()
+        c_max = float(table.max())
+        rng = np.random.Generator(np.random.Philox(key=1))
+        k = int(rng.poisson(6 * c_max * 30.0))
+        rng.random(k)
+        sites = rng.integers(0, 6, size=k)
+        x = rng.random(k) * c_max
+        free = x < table.min(axis=1)[sites]
+        never = x >= table.max(axis=1)[sites]
+        assert free.any() and never.any() and (~free & ~never).any()
+        assert not free[sites == 2].any() and (sites == 2).any()
+        assert table[2].min() == 0.0 and table[2].max() < table[5].max()
+
+
 class TestSamplers:
     def test_dirac(self):
         sampler = dirac_sampler(0b110)

@@ -603,19 +603,19 @@ def _radii(text: str) -> tuple:
 
 def _parse_sites(text: str, dim: int):
     """1D: commas and spaces both separate sites.  Higher d: spaces separate
-    sites, commas separate coordinates."""
+    sites, commas separate coordinates.  A site may appear once."""
     try:
         if dim == 1:
-            return [int(tok) for tok in text.replace(",", " ").split()]
-        sites = []
-        for tok in text.split():
-            coords = tuple(int(x) for x in tok.split(","))
-            if len(coords) != dim:
-                raise ConfigError(f"site {tok!r} has {len(coords)} coords, generator has {dim}")
-            sites.append(coords)
-        return sites
+            sites = [int(tok) for tok in text.replace(",", " ").split()]
+        else:
+            sites = [tuple(int(x) for x in tok.split(",")) for tok in text.split()]
     except ValueError as exc:
         raise ConfigError(f"bad site list {text!r}") from exc
+    if dim > 1 and any(len(x) != dim for x in sites):
+        raise ConfigError(f"bad site list {text!r}: the generator needs {dim} coordinates per site")
+    if len(set(sites)) != len(sites):
+        raise ConfigError(f"bad site list {text!r}: a site is repeated")
+    return sites
 
 
 def cmd_symbolic_bound(cfg: ExperimentConfig, args) -> dict:

@@ -23,12 +23,13 @@ Expansions run on integers.  A monomial is a Python-int bitmask over a
 row-major box of Z^d holding every site the expansion can reach, so a
 translate is one integer shift and sigma_G sigma_F is G ^ F; the
 coefficients of L^n sigma_A are integer numerators over den^n, den the lcm
-of the denominators of the lambda(B).  Monomials become frozensets of
-coordinates, and coefficients exact Fractions, only in the SetPolynomial
-that callers read; floats appear only when a time series is summed.  The
-exact sup norm over a support of m sites is the largest absolute entry of
-one fast Walsh-Hadamard transform (Fino & Algazi 1976) of the 2^m vector
-of numerators: m 2^m integer additions.
+of the denominators of the lambda(B).  Norms, bound checks and series sums
+read this integer form; monomials become frozensets of coordinates, and
+coefficients exact Fractions, only when a caller reads a result's
+polynomial terms, and then once.  Floats appear only when a time series is
+summed.  The exact sup norm over a support of m sites is the largest
+absolute entry of one fast Walsh-Hadamard transform (Fino & Algazi 1976)
+of the 2^m vector of numerators: m 2^m integer additions.
 
 The infinite-range variant replaces the shape count by a tail measure:
 sum_{|B|=k} |lambda(B)| <= c psi(k) with F(u) = sum_k e^{uk} psi(k) finite,
@@ -40,7 +41,9 @@ kappa = 2 c |A| F(u) / u.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,17 +66,53 @@ def as_monomial(sites) -> frozenset:
     return frozenset(out)
 
 
-def _walsh_hadamard(v: np.ndarray) -> None:
-    """In place, v[x] <- sum_S v[S] (-1)^{|S & x|} over the 2^m entries, by
-    m butterfly passes (Fino & Algazi 1976)."""
-    h = 1
-    while h < v.size:
-        pairs = v.reshape(-1, 2, h)
-        low, high = pairs[:, 0], pairs[:, 1]
-        diff = low - high
-        low += high
-        high[...] = diff
-        h *= 2
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """w[x] = sum_S v[S] (-1)^{|S & x|} over the 2^m entries (Fino & Algazi
+    1976), by m constant-geometry stages (Pease 1968): sums and differences
+    of the even and odd entries go to the two halves, so after m stages each
+    index bit took one butterfly and is back in place.  Overwrites v."""
+    half = v.size // 2
+    out = np.empty_like(v)
+    for _ in range(v.size.bit_length() - 1):
+        pairs = v.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        v, out = out, v
+    return v
+
+
+def _patterns(masks, support: int) -> np.ndarray:
+    """Each bitmask's bits at the set positions of `support`, packed low to
+    high into an int64: its index among the 2^|support| patterns."""
+    width = max(1, (support.bit_length() + 7) // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    sup = np.frombuffer(support.to_bytes(width, "little"), dtype=np.uint8)
+    used = np.flatnonzero(sup)
+    bits = np.unpackbits(raw.reshape(-1, width)[:, used], axis=1, bitorder="little")
+    bits = bits[:, np.unpackbits(sup[used], bitorder="little").astype(bool)]
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def _norms(terms: dict, den: int, cap: int) -> tuple:
+    """Exact (l1 norm, sup norm) of sum_S terms[S] / den sigma_S over
+    bitmasks S, after dividing numerators and den by their gcd (den is then
+    the lcm of the reduced denominators).  The sup norm is None when the
+    support exceeds cap sites or the reduced l1 norm reaches 2^62, the bound
+    on every partial sum of the int64 Walsh-Hadamard transform whose
+    entries are the polynomial's values (at complemented patterns)."""
+    if not terms:
+        return Fraction(0), Fraction(0)
+    g = math.gcd(den, *terms.values())
+    den //= g
+    nums = [c // g for c in terms.values()] if g > 1 else list(terms.values())
+    l1 = sum(map(abs, nums))
+    support = functools.reduce(operator.or_, terms)
+    if support.bit_count() > cap or l1 >= 1 << 62:
+        return Fraction(l1, den), None
+    vals = np.zeros(1 << support.bit_count(), dtype=np.int64)
+    vals[_patterns(terms, support)] = nums
+    vals = _walsh_hadamard(vals)
+    return Fraction(l1, den), Fraction(max(int(vals.max()), -int(vals.min())), den)
 
 
 class SetPolynomial:
@@ -133,9 +172,14 @@ class SetPolynomial:
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
         return {key: c.numerator * (scale // c.denominator) for key, c in self.terms.items()}, scale
 
-    def coeff_l1(self) -> Fraction:
+    def _integer_form(self) -> tuple[dict, int]:
+        """numerators() keyed by bitmasks, bit j for the support's j-th site."""
+        pos = {s: 1 << j for j, s in enumerate(self.support())}
         nums, scale = self.numerators()
-        return Fraction(sum(map(abs, nums.values())), scale)
+        return {sum(map(pos.get, key)): c for key, c in nums.items()}, scale
+
+    def coeff_l1(self) -> Fraction:
+        return _norms(*self._integer_form(), cap=-1)[0]  # no support fits cap -1: no transform
 
     def evaluate(self, assignment) -> Fraction:
         """Value at a spin assignment {coordinate: +-1}."""
@@ -150,23 +194,8 @@ class SetPolynomial:
     def exact_sup_norm(self, cap: int = EXACT_SITE_CAP):
         """Exact sup norm over every spin pattern of the support, as an exact
         Fraction; None when the support exceeds the cap or the l1 norm of
-        the numerators reaches 2^62.  The numerators, scattered to their
-        support patterns, go through one int64 Walsh-Hadamard transform,
-        whose entries are the polynomial's values (at complemented
-        patterns); every butterfly partial sum is at most that l1 norm."""
-        if not self.terms:
-            return Fraction(0)
-        pos = {s: j for j, s in enumerate(self.support())}
-        if len(pos) > cap:
-            return None
-        nums, scale = self.numerators()
-        if sum(map(abs, nums.values())) >= 1 << 62:
-            return None  # would overflow the int64 transform
-        vals = np.zeros(1 << len(pos), dtype=np.int64)
-        for key, num in nums.items():
-            vals[sum(1 << pos[s] for s in key)] = num
-        _walsh_hadamard(vals)
-        return Fraction(int(np.max(np.abs(vals))), scale)
+        the numerators reaches 2^62 (see _norms)."""
+        return _norms(*self._integer_form(), cap)[1]
 
     def __repr__(self):
         return f"SetPolynomial({self.n_terms()} terms)"
@@ -247,47 +276,72 @@ class _Expansion:
             j += (firsts[m] + a - starts[m]) * stride
         return j
 
-    def site(self, j: int) -> tuple:
-        x = self.sites.get(j)
-        if x is None:
-            coords, rest = [], j
-            for (starts, firsts), stride in zip(self.axes, self.strides):
-                q, rest = divmod(rest, stride)
-                m = bisect.bisect_right(firsts, q) - 1
-                coords.append(starts[m] + q - firsts[m])
-            x = self.sites[j] = tuple(coords)
-        return x
+    def key(self, mask: int) -> frozenset:
+        """The monomial of a bitmask, as a frozenset of coordinates."""
+        out = []
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            if j not in self.sites:
+                coords, rest = [], j
+                for (starts, firsts), stride in zip(self.axes, self.strides):
+                    q, rest = divmod(rest, stride)
+                    m = bisect.bisect_right(firsts, q) - 1
+                    coords.append(starts[m] + q - firsts[m])
+                self.sites[j] = tuple(coords)
+            out.append(self.sites[j])
+            mask ^= low
+        return frozenset(out)
 
     def __iter__(self):
-        """Apply the steps in order, yielding after each."""
+        """The polynomial before the first step and after each, as
+        _ExpandedPolynomials."""
+        terms, den = self.terms, self.den
+        yield _ExpandedPolynomial(self, terms, den)
         for shapes in self.steps:
-            den = math.lcm(*(lam.denominator for lam in shapes.values()))
+            step_den = math.lcm(*(lam.denominator for lam in shapes.values()))
             table = []
             for b, lam in shapes.items():
                 if lam:
                     deltas = [sum(a * s for a, s in zip(o, self.strides)) for o in b]
                     base = min(deltas, default=0)
-                    table.append((sum(1 << (d - base) for d in deltas), base, -2 * lam.numerator * (den // lam.denominator)))
-            self.terms = _apply_table(self.terms, table)
-            self.den *= den
-            yield self
+                    table.append((sum(1 << (d - base) for d in deltas), base, -2 * lam.numerator * (step_den // lam.denominator)))
+            terms = _apply_table(terms, table)
+            den *= step_den
+            yield _ExpandedPolynomial(self, terms, den)
 
-    def polynomial(self) -> SetPolynomial:
+    def polynomial(self, terms: dict, den: int) -> SetPolynomial:
+        """{bitmask: numerator} over den as frozensets and Fractions."""
         res = SetPolynomial()
-        for mask, c in self.terms.items():
-            key = []
-            while mask:
-                low = mask & -mask
-                key.append(self.site(low.bit_length() - 1))
-                mask ^= low
-            res.terms[frozenset(key)] = Fraction(c, self.den)
+        res.terms = {self.key(mask): Fraction(c, den) for mask, c in terms.items()}
         return res
 
     def run(self) -> SetPolynomial:
         """Apply every step; the result."""
-        for _ in self:
-            pass
-        return self.polynomial()
+        *_, last = self
+        return last
+
+
+class _ExpandedPolynomial(SetPolynomial):
+    """A polynomial of an _Expansion kept as {bitmask: numerator} over den.
+    Its norms and term count read this integer form; its frozenset/Fraction
+    terms are built on first read, once."""
+
+    def __init__(self, expansion: _Expansion, masks: dict, den: int):
+        self.expansion, self.masks, self.den = expansion, masks, den
+
+    @functools.cached_property
+    def terms(self) -> dict:
+        return self.expansion.polynomial(self.masks, self.den).terms
+
+    def n_terms(self) -> int:
+        return len(self.masks)
+
+    def support(self) -> frozenset:
+        return self.expansion.key(functools.reduce(operator.or_, self.masks, 0))
+
+    def _integer_form(self) -> tuple[dict, int]:
+        return self.masks, self.den
 
 
 def apply_LB(B, poly: SetPolynomial) -> SetPolynomial:
@@ -310,6 +364,18 @@ def chain_bound(shape_sizes, a_size: int) -> int:
     return out
 
 
+def _checked(cls, poly: SetPolynomial, bound, estimate: str):
+    """cls(poly, sup, l1, bound, exact_available) from poly's norms, once
+    l1 <= bound and sup <= l1 are checked."""
+    l1 = poly.coeff_l1()
+    sup = poly.exact_sup_norm()
+    if l1 > bound:
+        raise RuntimeError(f"{estimate} violated: l1 norm {l1} > bound {bound}")
+    if sup is not None and sup > l1:
+        raise RuntimeError("sup norm exceeded the l1 coefficient norm")
+    return cls(poly, sup, l1, bound, sup is not None)
+
+
 @dataclass
 class ChainResult:
     polynomial: SetPolynomial
@@ -327,16 +393,7 @@ def apply_chain(shapes, A) -> ChainResult:
         raise ValueError("need at least one shape")
     a = as_monomial(A)
     poly = _Expansion(SetPolynomial.monomial(a), [{b: 1} for b in shapes]).run()
-    bound = chain_bound([len(b) for b in shapes], len(a))
-    l1 = poly.coeff_l1()
-    sup = poly.exact_sup_norm()
-    if l1 > bound:
-        raise RuntimeError(
-            f"uniform chain estimate violated: l1 norm {l1} > bound {bound}"
-        )
-    if sup is not None and sup > l1:
-        raise RuntimeError("sup norm exceeded the l1 coefficient norm")
-    return ChainResult(poly, sup, l1, bound, sup is not None)
+    return _checked(ChainResult, poly, chain_bound([len(b) for b in shapes], len(a)), "uniform chain estimate")
 
 
 class GeneratorSpec:
@@ -386,7 +443,12 @@ class GeneratorSpec:
                 offsets = tuple(
                     tuple(int(x) for x in tok.split(",")) for tok in rhs.split()
                 )
-                terms.append((offsets, Fraction(lam.strip())))
+                if len(set(offsets)) != len(offsets):
+                    raise ValueError(f"repeated offset in the shape {rhs.strip()!r}")
+                try:
+                    terms.append((offsets, Fraction(lam.strip())))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in the coefficient {lam.strip()!r}") from None
         if not terms:
             raise ValueError(f"no shapes in generator file {path}")
         return cls(terms)
@@ -403,13 +465,7 @@ class GeneratorSpec:
 
 def loccast_bound(gen: GeneratorSpec, n: int, a_size: int) -> Fraction:
     """2^n M^n |bb|^n (|A|+K)^n n!"""
-    return (
-        Fraction(2) ** n
-        * gen.m_max_coeff**n
-        * Fraction(gen.size) ** n
-        * Fraction(a_size + gen.k_max_shape) ** n
-        * math.factorial(n)
-    )
+    return (2 * gen.m_max_coeff * gen.size * (a_size + gen.k_max_shape)) ** n * math.factorial(n)
 
 
 @dataclass
@@ -437,35 +493,18 @@ def _start(gen: GeneratorSpec, n: int, A) -> frozenset:
 def generator_powers(gen: GeneratorSpec, n_max: int, A):
     """Yield L^n sigma_A for n = 0..n_max, from one expansion."""
     start = SetPolynomial.monomial(_start(gen, n_max, A))
-    expansion = _Expansion(start, [gen.shapes] * n_max, gen.dim)
-    yield start
-    for _ in expansion:
-        yield expansion.polynomial()
+    yield from _Expansion(start, [gen.shapes] * n_max, gen.dim)
 
 
 def power_result(gen: GeneratorSpec, n: int, A, poly: SetPolynomial) -> PowerResult:
     """poly = L^n sigma_A with its norms, the factorial bound checked."""
-    bound = loccast_bound(gen, n, len(as_monomial(A)))
-    l1 = poly.coeff_l1()
-    sup = poly.exact_sup_norm()
-    if l1 > bound:
-        raise RuntimeError(
-            f"factorial growth bound violated: l1 norm {l1} > bound {bound}"
-        )
-    if sup is not None and sup > l1:
-        raise RuntimeError("sup norm exceeded the l1 coefficient norm")
-    return PowerResult(poly, sup, l1, bound, sup is not None)
+    return _checked(PowerResult, poly, loccast_bound(gen, n, len(as_monomial(A))), "factorial growth bound")
 
 
-def apply_generator_power(
-    gen: GeneratorSpec,
-    n: int,
-    A,
-) -> PowerResult:
+def apply_generator_power(gen: GeneratorSpec, n: int, A) -> PowerResult:
     """Exact expansion of L^n sigma_A with the factorial bound checked."""
-    a = _start(gen, n, A)
-    poly = _Expansion(SetPolynomial.monomial(a), [gen.shapes] * n, gen.dim).run()
-    return power_result(gen, n, a, poly)
+    *_, poly = generator_powers(gen, n, A)
+    return power_result(gen, n, A, poly)
 
 
 def analyticity_radius(gen: GeneratorSpec, A) -> Fraction:
@@ -493,12 +532,12 @@ def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResul
     a = as_monomial(A)
     acc = {}
     for n, poly in enumerate(generator_powers(gen, n_max, a)):
-        w = t**n / math.factorial(n)
-        for key, c in poly.terms.items():
-            acc[key] = acc.get(key, 0.0) + w * float(c)
+        w, den = t**n / math.factorial(n), poly.den
+        for mask, c in poly.masks.items():
+            acc[mask] = acc.get(mask, 0.0) + w * (c / den)  # c / den rounds as float(Fraction(c, den))
     rho = 2.0 * t * float(gen.m_max_coeff) * gen.size * (len(a) + gen.k_max_shape)
     remainder = rho ** (n_max + 1) / (1.0 - rho)
-    acc = {k: v for k, v in acc.items() if v != 0.0}
+    acc = {poly.expansion.key(mask): v for mask, v in acc.items() if v != 0.0}
     return SeriesResult(acc, remainder, rho, n_max)
 
 

@@ -97,6 +97,8 @@ class TestDobrushin:
 
 
 class TestExitCodes:
+    GENERATORS = {"zero-denominator.gen": "1/0 : 1\n", "square.gen": "1 : 1,0\n1/2 : 0,1\n"}
+
     def test_cap_exceeded(self, tmp_path, capsys):
         code = main(["evolve", "--sides", "20", "--times", "0.5", "--out", str(tmp_path)])
         assert code == 2
@@ -154,6 +156,14 @@ class TestExitCodes:
             ["evolve", "--sides", "21", "--exact-cap", "30"],
             ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "9"],
             ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0", "--n", "-1"],
+            # sigma_0 sigma_0 = 1, not sigma_0: a repeated site is refused
+            ["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0 0", "--n", "2"],
+            ["radius", "--gen", "nn_decay.gen", "--A", "0,0"],
+            # generator files written by the test body (GENERATORS)
+            ["symbolic-bound", "--gen", "zero-denominator.gen", "--A", "0", "--n", "2"],
+            ["radius", "--gen", "zero-denominator.gen", "--A", "0"],
+            ["symbolic-bound", "--gen", "square.gen", "--A", "0,0 1,2 0,0", "--n", "2"],
+            ["radius", "--gen", "square.gen", "--A", "0,0 1"],
             ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "0.5"],
             ["conserve", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "inf"],
             ["gcb-scan", "--bound", "nan"],
@@ -186,7 +196,11 @@ class TestExitCodes:
         ],
         ids=" ".join,
     )
-    def test_bad_configuration_exits_two(self, tmp_path, capsys, argv):
+    def test_bad_configuration_exits_two(self, tmp_path, tmp_path_factory, capsys, argv):
+        gens = tmp_path_factory.mktemp("gen")
+        for name, text in self.GENERATORS.items():
+            (gens / name).write_text(text)
+        argv = [str(gens / a) if a in self.GENERATORS else a for a in argv]
         code = main(argv[:1] + ["--sides", "4"] + argv[1:] + ["--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -194,8 +208,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ["1 : a\n", "1 : 0\n1 : 0\n", "1 : 0 0,1\n", "0 : 1\n"],
-        ids=["malformed-offset", "duplicate-shape", "mixed-dimension", "zero-coefficients"],
+        ["1 : a\n", "1 : 0\n1 : 0\n", "1 : 0 0,1\n", "0 : 1\n", "1/0 : 1\n", "1 : 1 1\n", "1 : 0,1 2,3 0,1\n"],
+        ids=[
+            "malformed-offset",
+            "duplicate-shape",
+            "mixed-dimension",
+            "zero-coefficients",
+            "zero-denominator",
+            "repeated-offset",
+            "repeated-offset-2d",
+        ],
     )
     def test_bad_generator_file_exits_two(self, tmp_path, capsys, text):
         gen = tmp_path / "bad.gen"

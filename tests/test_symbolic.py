@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinflip import cli, symbolic
 from spinflip.dynamics import CustomRates, engine_for, generator_apply
 from spinflip.lattice import Observable, Torus
 from spinflip.symbolic import (
@@ -312,6 +313,17 @@ class TestGeneratorPower:
         with pytest.raises(ValueError):
             GeneratorSpec([(((0,),), 1), (((0,),), 2)])
 
+    @pytest.mark.parametrize(
+        "text, needle",
+        [("1/0 : 1\n", "zero denominator"), ("1 : 1 1\n", "repeated offset"), ("1 : 0,1 2,3 0,1\n", "repeated offset")],
+        ids=["zero-denominator", "repeated-offset", "repeated-offset-2d"],
+    )
+    def test_load_rejects(self, tmp_path, text, needle):
+        path = tmp_path / "bad.gen"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=needle):
+            GeneratorSpec.load(path)
+
     def test_file_roundtrip(self, tmp_path):
         gen = GeneratorSpec([((), Fraction(1)), (((1,),), Fraction(3, 10)), (((0,), (2,)), Fraction(-1, 7))])
         path = tmp_path / "model.gen"
@@ -418,6 +430,113 @@ class TestIntegerExpansion:
             apply_LB([(1, 0)], SetPolynomial.monomial([0]))
         assert GeneratorSpec([((), 1)]).dim == 1
         assert GeneratorSpec([(((0, 1), (2, 3)), 1)]).dim == 2
+
+
+def random_generator(rng, dim):
+    """Shapes within a box of side 3 around 0; coefficients k/d with d <= 6,
+    so the integer numerators of a power often share a factor with den."""
+    shapes = {}
+    while not any(shapes):
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(0, 3))
+            b = frozenset(tuple(int(x) for x in rng.integers(-1, 2, size=dim)) for _ in range(size))
+            lam = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 7)))
+            if lam:
+                shapes.setdefault(b, lam)
+    return GeneratorSpec(list(shapes.items()))
+
+
+def fraction_series(gen, t, a, n_max):
+    """The series sum read from the polynomials' Fraction terms."""
+    acc = {}
+    for n, poly in enumerate(generator_powers(gen, n_max, a)):
+        w = t**n / math.factorial(n)
+        for key, c in poly.terms.items():
+            acc[key] = acc.get(key, 0.0) + w * float(c)
+    return {k: v for k, v in acc.items() if v != 0.0}
+
+
+class TestIntegerRoute:
+    """Norms, bound checks and series sums read the expansion's integer form;
+    frozensets and Fractions are built only when a polynomial's terms are
+    read."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_norms_match_the_set_polynomial_route(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        reduced = 0
+        for _ in range(40):
+            gen = random_generator(rng, dim)
+            a = {tuple(int(x) for x in rng.integers(-2, 3, size=dim)) for _ in range(int(rng.integers(1, 4)))}
+            n = int(rng.integers(0, 6 if dim == 1 else 4))
+            res = apply_generator_power(gen, n, a)
+            poly = res.polynomial
+            reduced += math.gcd(poly.den, *poly.masks.values()) > 1
+            plain = SetPolynomial(poly.terms)
+            assert res.coeff_l1_norm == plain.coeff_l1()
+            assert res.exact_sup_norm == plain.exact_sup_norm()
+            if len(plain.support()) <= 8:
+                assert res.exact_sup_norm == brute_sup(plain)
+            chain = apply_chain([next(iter(gen.shapes)) for _ in range(n + 1)], a)
+            plain = SetPolynomial(chain.polynomial.terms)
+            assert chain.coeff_l1_norm == plain.coeff_l1()
+            assert chain.exact_sup_norm == plain.exact_sup_norm()
+        assert reduced > 10  # numerators and den shared a factor
+
+    @pytest.mark.parametrize(
+        "terms, start, available",
+        [
+            # -2 lam sigma_0 has the integer numerator -(2^63 - 2) over 2:
+            # reduced, 2^62 - 1 passes the guard and 2^62 + 1 does not
+            ([((), Fraction((1 << 62) - 1, 2))], [0], True),
+            ([((), Fraction((1 << 62) + 1, 2))], [0], False),
+            # -(2^61 - k) sigma_01 - sigma_0 / 2 - sigma_012 / 2: reduced l1
+            # norm 2^62 - 4 for k = 3 and 2^62 for k = 1
+            ([((), Fraction((1 << 61) - 3, 4)), (((1,),), Fraction(1, 4))], [0, 1], True),
+            ([((), Fraction((1 << 61) - 1, 4)), (((1,),), Fraction(1, 4))], [0, 1], False),
+            # supports of 20 sites and of 21 or 22: the latter exceed the cap
+            ([((), Fraction(1, 3))], list(range(20)), True),
+            ([((), Fraction(1, 3))], list(range(21)), False),
+            ([(((10,),), Fraction(2, 3))], list(range(10)), True),
+            ([(((11,),), Fraction(2, 3))], list(range(11)), False),
+        ],
+    )
+    def test_guards_match_the_set_polynomial_route(self, terms, start, available):
+        res = apply_generator_power(GeneratorSpec(terms), 1, start)
+        plain = SetPolynomial(res.polynomial.terms)
+        assert res.exact_available is available
+        assert res.exact_sup_norm == plain.exact_sup_norm()
+        assert res.coeff_l1_norm == plain.coeff_l1()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_series_is_bitwise_the_fraction_sum(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(20):
+            gen = random_generator(rng, dim)
+            a = [tuple(int(x) for x in rng.integers(-2, 3, size=dim))]
+            t = float(rng.uniform(0.05, 0.95)) * float(analyticity_radius(gen, a))
+            n_max = int(rng.integers(0, 6 if dim == 1 else 4))
+            got = truncated_series(gen, t, a, n_max).coeffs
+            want = fraction_series(gen, t, a, n_max)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_no_fraction_terms_until_read(self, monkeypatch, tmp_path):
+        def refuse(self, terms, den):
+            raise AssertionError("frozenset/Fraction terms built")
+
+        shapes = TestIntegerExpansion.SPECS["1d"]
+        gen = GeneratorSpec(list(shapes.items()))
+        a = as_monomial([0, 1])
+        with monkeypatch.context() as patch:
+            patch.setattr(symbolic._Expansion, "polynomial", refuse)
+            power = apply_generator_power(gen, 3, a)
+            chain = apply_chain([[0, 1], [-1]], a)
+            series = truncated_series(gen, 0.01, a, 4)
+            code = cli.main(["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0,1", "--n", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert series.coeffs
+        assert power.polynomial.terms == generator_recursion(shapes, {a: Fraction(1)}, 3)[0]
+        assert chain.polynomial.terms == chain_recursion([as_monomial([0, 1]), as_monomial([-1])], a)
 
 
 class TestSeries:

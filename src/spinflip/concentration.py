@@ -57,6 +57,7 @@ from .gibbs import probs_of
 from .lattice import (
     Observable,
     Torus,
+    bit_tensor,
     lipschitz_norm,
     lipschitz_vector,
     lipschitz_vector_dense,
@@ -386,12 +387,15 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     if steps < 2 or steps % 2:
         raise ValueError("steps must be even and >= 2")
     h = float(t) / steps
-    fi = engine.flip_index()
-    rr = engine.rate_table
+    n = rates.torus.n_sites
 
     def gamma_of(vals):
-        diffs = vals[fi] - vals[None, :]
-        return np.einsum("is,is->s", rr, diffs * diffs)
+        tensor = bit_tensor(vals, n)
+        out = np.zeros(vals.size)
+        for i, rate in enumerate(engine.rate_table):
+            diff = (np.flip(tensor, n - 1 - i) - tensor).reshape(-1)
+            out += rate * (diff * diff)
+        return out
 
     weights = simpson_weights(steps) * (h / 3.0)
 

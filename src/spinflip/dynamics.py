@@ -67,12 +67,13 @@ from .gibbs import Potential
 from .lattice import (
     Observable,
     Torus,
+    bit_tensor,
+    dense_size,
     gather_bits,
     lipschitz_vector,
     lipschitz_vector_dense,
     scatter_bits,
     state_bits,
-    states_arange,
     translate_states,
 )
 
@@ -107,10 +108,6 @@ class RateModel:
         sites, table = self._terms[i]
         return table.item(gather_bits(state_bits(state), sites))
 
-    def rate_values(self, i: int, states: np.ndarray) -> np.ndarray:
-        sites, table = self._terms[i]
-        return table[gather_bits(states, sites)]
-
     def stacked_table(self):
         """All sites' rates as one (positions, table) pair of shapes (N, w)
         and (N, 2^w), w the widest dependence: c(i, s) is table[i, key] with
@@ -127,10 +124,10 @@ class RateModel:
 
     def rate_matrix(self) -> np.ndarray:
         """(N, 2^N) array of c(i, s) over all states."""
-        states = states_arange(self.torus.n_sites)
-        out = np.empty((self.torus.n_sites, states.size))
-        for i in self.torus.sites():
-            out[i] = self.rate_values(i, states)
+        n = self.torus.n_sites
+        out = np.empty((n, dense_size(n)))
+        for row, (sites, table) in zip(out, self._terms):
+            bit_tensor(row, n)[...] = bit_tensor(table, n, sites)
         return out
 
     def rate_patterns(self, i: int, dep) -> np.ndarray:
@@ -185,15 +182,14 @@ class GlauberRates(RateModel):
         for i in torus.sites():
             dep = sorted({s for sites, _ in terms_at[i] for s in sites} | {i})
             pos = {s: j for j, s in enumerate(dep)}
-            pats = np.arange(1 << len(dep), dtype=np.int64)
-            dh = np.zeros(pats.size)
-            flipped = pats ^ np.int64(1 << pos[i])
+            k = len(dep)
+            dh = np.zeros(1 << k)
             # an energy difference past the float range gives an inf or NaN
             # rate, which is refused below rather than warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 for sites, table in terms_at[i]:
-                    positions = [pos[s] for s in sites]
-                    dh += table[gather_bits(flipped, positions)] - table[gather_bits(pats, positions)]
+                    term = bit_tensor(table, k, [pos[s] for s in sites])
+                    bit_tensor(dh, k)[...] += np.flip(term, k - 1 - pos[i]) - term
                 rates = np.exp(-0.5 * dh)
             if not np.all(np.isfinite(rates)):
                 raise ValueError(
@@ -317,8 +313,9 @@ def _flip_matrices(flips: np.ndarray, diag: np.ndarray):
     column s ^ (1 << i) for every i, then s.  The flip pattern is
     symmetric, so M^T differs from M only in its data,
     M^T[s, s ^ (1 << i)] = flips[i, s ^ (1 << i)], and products with
-    either matrix gather.  The shared index arrays are read-only: an
-    in-place sort of one matrix raises instead of scrambling the other."""
+    either matrix gather; that data is flips[i] with the axis of site i
+    reversed on the state tensor.  The shared index arrays are read-only:
+    an in-place sort of one matrix raises instead of scrambling the other."""
     n, size = flips.shape
     index = np.int32 if (n + 1) * size <= np.iinfo(np.int32).max else np.int64
     states = np.arange(size, dtype=index)
@@ -328,11 +325,13 @@ def _flip_matrices(flips: np.ndarray, diag: np.ndarray):
     indptr = np.arange(0, (n + 1) * size + 1, n + 1, dtype=index)
     cols.setflags(write=False)
     indptr.setflags(write=False)
-    data = np.empty((size, n + 1))
+    data, data_t = np.empty((size, n + 1)), np.empty((size, n + 1))
+    data[:, n] = data_t[:, n] = diag
     data[:, :n] = flips.T
-    data[:, n] = diag
-    data_t = data.copy()
-    data_t[:, :n] = np.take_along_axis(flips, cols[:, :n].T, axis=1).T
+    flipped = np.empty_like(flips)
+    for i, (row, out) in enumerate(zip(flips, flipped)):
+        bit_tensor(out, n)[...] = np.flip(bit_tensor(row, n), n - 1 - i)
+    data_t[:, :n] = flipped.T
     return tuple(
         sp.csr_matrix((d.reshape(-1), cols.reshape(-1), indptr), shape=(size, size)) for d in (data, data_t)
     )
@@ -441,7 +440,6 @@ class SemigroupEngine:
             self._top = self.rate_table[top, :h] * inv
         else:
             self.p, self.pt = _flip_matrices(self.rate_table * inv, 1.0 - exit_rate * inv)
-        self._flip_index = None
         self._weights = {}
 
     def summary(self) -> dict:
@@ -454,15 +452,6 @@ class SemigroupEngine:
             "operator_nnz": int(self.p.nnz),
             "operator_bytes": sum(a.nbytes for a in (self.p.data, self.pt.data, self.p.indices, self.p.indptr)),
         }
-
-    def flip_index(self) -> np.ndarray:
-        """(N, 2^N) index array: row i holds s ^ (1 << i)."""
-        if self._flip_index is None:
-            states = np.arange(self.n_states, dtype=np.int64)
-            self._flip_index = np.stack(
-                [states ^ np.int64(1 << i) for i in range(self.torus.n_sites)]
-            )
-        return self._flip_index
 
     def poisson_weights(self, t: float) -> np.ndarray:
         """Poisson(Lambda t) weights up to the certified tail, cached per t
@@ -806,17 +795,3 @@ def contraction_constants(
     return ContractionReport(
         float(t), k_t, k_schur, eps, m, alpha, rigid, verified, violation
     )
-
-
-def detailed_balance_residual(rates: RateModel, probs: np.ndarray) -> float:
-    """max |c(i,s) mu(s) - c(i,s^i) mu(s^i)|; zero iff mu is reversible."""
-    n = rates.torus.n_sites
-    states = states_arange(n)
-    probs = np.asarray(probs, dtype=float)
-    worst = 0.0
-    for i in range(n):
-        flipped = states ^ np.int64(1 << i)
-        ci = rates.rate_values(i, states)
-        cif = rates.rate_values(i, flipped)
-        worst = max(worst, float(np.max(np.abs(ci * probs - cif * probs[flipped]))))
-    return worst

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import RateModel, engine_for
 from .gibbs import probs_of
-from .lattice import Torus, gather_bits
+from .lattice import Torus, bit_tensor, dense_size
 
 
 def total_variation(mu, nu) -> float:
@@ -45,18 +45,21 @@ def relative_entropy(mu, nu) -> float:
 
 
 def marginal(probs, sites, n_sites: int | None = None) -> np.ndarray:
-    """Exact marginal on the given sites: sums over the complement bits.
-    Output keys pack the sites in sorted order, LSB first."""
+    """Exact marginal on the given sites: sums the state tensor over the
+    other sites' axes.  Output keys pack the sites in sorted order, LSB
+    first (the kept axes in C order)."""
     probs = probs_of(probs)
     if n_sites is None:
         n_sites = probs.size.bit_length() - 1
-    if probs.size != 1 << n_sites:
+    if probs.size != dense_size(n_sites):
         raise ValueError("vector length is not a power of two")
-    sites = sorted(set(int(s) for s in sites))
+    sites = set(int(s) for s in sites)
     if any(s < 0 or s >= n_sites for s in sites):
         raise ValueError("site outside the state space")
-    keys = gather_bits(np.arange(probs.size, dtype=np.int64), sites)
-    return np.bincount(keys, weights=probs, minlength=1 << len(sites))
+    keep = [n_sites - 1 - s for s in sorted(sites, reverse=True)]
+    # the kept axes go first, so each entry sums one contiguous run pairwise
+    tensor = bit_tensor(probs, n_sites).transpose(keep + [a for a in range(n_sites) if a not in keep])
+    return tensor.reshape(1 << len(keep), -1).sum(axis=1)
 
 
 def window_sites(torus: Torus, radius: int):

@@ -32,12 +32,11 @@ from .lattice import (
     Observable,
     SpinConfiguration,
     Torus,
+    bit_tensor,
     dense_size,
     gather_bits,
     scatter_bits,
-    spin_product,
     state_bits,
-    states_arange,
 )
 
 
@@ -256,17 +255,25 @@ class BoundaryCondition:
 
 def hamiltonian_periodic(potential: Potential, torus: Torus, states=None):
     """Energy of one state, or the full 2^N energy vector when states is None."""
-    single = states is not None and np.isscalar(_maybe_bits(states))
+    if states is not None:
+        states = _maybe_bits(states)
+    return _energy(potential.periodic_terms(torus), torus.n_sites, states)
+
+
+def _energy(terms, n_sites: int, states):
+    """sum over terms of table[key] at every state, one broadcast += per term
+    on the state tensor, when states is None; else at the given state(s)."""
     if states is None:
-        sv = states_arange(torus.n_sites)
-    else:
-        sv = np.atleast_1d(np.asarray(_maybe_bits(states), dtype=np.int64))
+        energy = np.zeros(dense_size(n_sites))
+        view = bit_tensor(energy, n_sites)
+        for positions, table in terms:
+            view += bit_tensor(table, n_sites, positions)
+        return energy
+    sv = np.atleast_1d(np.asarray(states, dtype=np.int64))
     energy = np.zeros(sv.shape, dtype=float)
-    for sites, table in potential.periodic_terms(torus):
-        energy += table[gather_bits(sv, sites)]
-    if single:
-        return float(energy[0])
-    return energy
+    for positions, table in terms:
+        energy += table[gather_bits(sv, positions)]
+    return float(energy[0]) if np.isscalar(states) else energy
 
 
 def _maybe_bits(states):
@@ -309,18 +316,7 @@ def fixed_volume_terms(potential: Potential, torus: Torus, volume_sites, boundar
 def hamiltonian_fixed(potential: Potential, torus: Torus, volume_sites, boundary, states=None):
     """Fixed-boundary energy over the volume's own 2^|volume| state indexing."""
     volume, terms = fixed_volume_terms(potential, torus, volume_sites, boundary)
-    if states is None:
-        sv = states_arange(len(volume))
-        single = False
-    else:
-        single = np.isscalar(states)
-        sv = np.atleast_1d(np.asarray(states, dtype=np.int64))
-    energy = np.zeros(sv.shape, dtype=float)
-    for positions, table in terms:
-        energy += table[gather_bits(sv, positions)]
-    if single:
-        return float(energy[0])
-    return energy
+    return _energy(terms, len(volume), states)
 
 
 def hamiltonian(potential: Potential, torus: Torus, state, boundary=None):
@@ -349,17 +345,15 @@ class GibbsMeasure:
     def expectation(self, obs) -> float:
         """E[f] for an Observable supported inside the volume, or E[sigma_A]
         for a bare site tuple."""
-        sv = np.arange(self.probs.size, dtype=np.int64)
         pos = {s: p for p, s in enumerate(self.volume)}
         sites = obs.support if isinstance(obs, Observable) else tuple(obs)
         if any(s not in pos for s in sites):
             raise ValueError("observable support leaves the volume")
-        if isinstance(obs, Observable):
-            return float(self.probs @ obs.table[gather_bits(sv, [pos[s] for s in sites])])
-        mask = 0
-        for s in sites:
-            mask ^= 1 << pos[s]  # a repeated site squares its spin away
-        return float(self.probs @ spin_product(sv, mask).astype(float))
+        if not isinstance(obs, Observable):
+            # a repeated site squares its spin away
+            obs = Observable.monomial(self.torus, [s for s in set(sites) if sites.count(s) % 2])
+        view = bit_tensor(obs.table, self.n_sites, [pos[s] for s in obs.support])
+        return float(self.probs @ np.broadcast_to(view, (2,) * self.n_sites).flatten())
 
 
 def gibbs_measure(
@@ -401,15 +395,16 @@ def uniform_measure(torus: Torus) -> np.ndarray:
 
 def product_measure(torus: Torus, p_plus) -> np.ndarray:
     """Product measure with per-site P(sigma_i = +1); scalar or per-site array."""
-    states = states_arange(torus.n_sites)
+    dense_size(torus.n_sites)
     p = np.broadcast_to(np.asarray(p_plus, dtype=float), (torus.n_sites,))
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    probs = np.ones(states.size)
-    for i in range(torus.n_sites):
-        up = ((states >> np.int64(i)) & 1).astype(bool)
-        probs *= np.where(up, p[i], 1.0 - p[i])
-    return probs
+    # the outer product puts site i on axis N-1-i of the state tensor, and
+    # each state's factors multiply in site order
+    probs = np.ones(())
+    for q in p:
+        probs = np.multiply.outer([1.0 - q, q], probs)
+    return probs.reshape(-1)
 
 
 def dirac_vector(torus: Torus, state) -> np.ndarray:

@@ -9,9 +9,13 @@ Conventions used across the package:
   range(2**N) and double as row/column indices of exact operators.
 * An observable depends on a finite support and is tabulated over the
   2**k patterns of its support, key bit j corresponding to the j-th site
-  of the sorted support (least significant bit first).  `gather_bits`
-  packs a state into such a key and `scatter_bits` unpacks a key back
-  into state bits; every table lookup in the package goes through them.
+  of the sorted support (least significant bit first).
+* A vector over all 2**N states is read as its C-order (2,)*N tensor, site
+  i on axis N-1-i, and a site table as a view that broadcasts onto it
+  (`bit_tensor`): full-state tables are broadcasts, reductions, transposes
+  and axis flips, with no per-state key.  `gather_bits` and `scatter_bits`
+  pack and unpack the table keys of Python-int states (the kinetic MC
+  path), of given state arrays and of the 2**k patterns of a support.
 * sigma_A, the product of the spins in A, is (-1)^(number of minus spins
   in A); `spin_product` computes it from a bit mask of A.
 * Sizes are capped before anything exponential is allocated: EXACT_SITE_CAP
@@ -61,6 +65,30 @@ def scatter_bits(keys, positions):
     for j, p in enumerate(positions):
         out |= ((keys >> np.int64(j)) & 1) << np.int64(p)
     return out
+
+
+def bit_tensor(values, n_sites: int, positions=None) -> np.ndarray:
+    """values as an n_sites-axis tensor of bits, site i on axis N-1-i,
+    once n_sites passes EXACT_SITE_CAP.  With positions None, values is a
+    vector over the 2^N states and the result is its C-order (2,)*N view,
+    writable when values is.  Otherwise values is a table keyed by the
+    sites positions[j] (key bit j, as gather_bits keys it), and the result
+    is a read-only view with length 2 on those sites' axes and 1
+    elsewhere, which broadcasts onto a state tensor; a repeated position
+    (a wrap collision on a tiny torus) reads the diagonal of its key bits."""
+    dense_size(n_sites)
+    if positions is None:
+        return values.reshape((2,) * n_sites)
+    table = np.asarray(values)
+    if table.shape != (1 << len(positions),):
+        raise ValueError("table length must be 2^len(positions)")
+    shape, strides = [1] * n_sites, [0] * n_sites
+    for j, p in enumerate(positions):
+        if not 0 <= p < n_sites:
+            raise ValueError(f"position {p} outside the {n_sites} sites")
+        shape[n_sites - 1 - p] = 2
+        strides[n_sites - 1 - p] += table.strides[0] << j
+    return np.lib.stride_tricks.as_strided(table, shape, strides, writeable=False)
 
 
 def spin_product(states, mask):
@@ -219,19 +247,11 @@ def dense_size(n_sites: int) -> int:
     return 1 << n_sites
 
 
-def states_arange(n_sites: int) -> np.ndarray:
-    return np.arange(dense_size(n_sites), dtype=np.int64)
-
-
 def monomial_values_dense(torus: Torus, sites) -> np.ndarray:
     """sigma_A over all 2^N states as a +-1 float vector."""
-    states = states_arange(torus.n_sites)
-    mask = 0
-    for i in sites:
-        if (mask >> i) & 1:
-            raise ValueError("repeated site in monomial")
-        mask |= 1 << i
-    return spin_product(states, mask).astype(float)
+    if len(set(sites)) != len(sites):
+        raise ValueError("repeated site in monomial")
+    return Observable.monomial(torus, sites).dense_values()
 
 
 class Observable:
@@ -300,7 +320,8 @@ class Observable:
 
     def dense_values(self) -> np.ndarray:
         """Values over all 2^N torus states, aligned with state indices."""
-        return self.table[gather_bits(states_arange(self.torus.n_sites), self.support)]
+        n = self.torus.n_sites
+        return np.broadcast_to(bit_tensor(self.table, n, self.support), (2,) * n).flatten()
 
     def restrict_support(self) -> "Observable":
         """Drop support sites the table does not actually depend on."""
@@ -385,11 +406,8 @@ def lipschitz_vector_dense(n_sites: int, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (1 << n_sites,):
         raise ValueError("values must enumerate all states")
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    out = np.empty(n_sites)
-    for i in range(n_sites):
-        out[i] = float(np.max(np.abs(values[states ^ np.int64(1 << i)] - values)))
-    return out
+    tensor = bit_tensor(values, n_sites)
+    return np.array([np.max(np.abs(np.flip(tensor, n_sites - 1 - i) - tensor)) for i in range(n_sites)])
 
 
 def lipschitz_norm(delta, p=2.0) -> float:
@@ -406,8 +424,10 @@ def lipschitz_norm(delta, p=2.0) -> float:
 def translate_states(torus: Torus, offset) -> np.ndarray:
     """Permutation p of state indices induced by the lattice translation
     site i -> i + offset; p[s] carries spin_i(s) to site i + offset."""
-    targets = [torus.translate(i, offset) for i in torus.sites()]
-    return scatter_bits(states_arange(torus.n_sites), targets)
+    n = torus.n_sites
+    # the axis of site i in p is the axis of site i + offset in the states
+    axes = [n - 1 - torus.translate(i, offset) for i in range(n - 1, -1, -1)]
+    return bit_tensor(np.arange(dense_size(n), dtype=np.int64), n).transpose(axes).reshape(-1)
 
 
 def load_observable(path, torus: Torus) -> Observable:

@@ -56,13 +56,14 @@ POWER_CAP = 8
 
 
 def as_monomial(sites) -> frozenset:
-    """Canonical monomial key: frozenset of coordinate tuples (ints -> 1D)."""
+    """Canonical monomial key: frozenset of coordinate tuples (ints -> 1D).
+    A repeated site raises: sigma_i sigma_i = 1, not sigma_i."""
     out = set()
     for s in sites:
-        if isinstance(s, int):
-            out.add((s,))
-        else:
-            out.add(tuple(int(x) for x in s))
+        key = (s,) if isinstance(s, int) else tuple(int(x) for x in s)
+        if key in out:
+            raise ValueError(f"repeated site {s}")
+        out.add(key)
     return frozenset(out)
 
 

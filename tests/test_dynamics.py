@@ -19,7 +19,6 @@ from spinflip.dynamics import (
     _Fold,
     _steps_by_row,
     contraction_constants,
-    detailed_balance_residual,
     engine_for,
     ergodicity_constants,
     gamma_matrix,
@@ -38,6 +37,17 @@ from spinflip.lattice import (
     lipschitz_vector_dense,
     monomial_values_dense,
 )
+
+
+def detailed_balance_residual(rates, probs):
+    """max |c(i,s) mu(s) - c(i,s^i) mu(s^i)| over sites and states, rates
+    read one Python-int state at a time: zero iff mu is reversible."""
+    n = rates.torus.n_sites
+    return max(
+        abs(rates.rate(i, s) * probs[s] - rates.rate(i, s ^ (1 << i)) * probs[s ^ (1 << i)])
+        for i in range(n)
+        for s in range(1 << n)
+    )
 
 
 def random_measure(n_states, rng):

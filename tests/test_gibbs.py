@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spinflip import dynamics, entropy, gibbs, lattice
+from spinflip.dynamics import IndependentRates
+from spinflip.entropy import marginal
 from spinflip.gibbs import (
     BoundaryCondition,
     Potential,
@@ -12,7 +17,7 @@ from spinflip.gibbs import (
     product_measure,
     uniform_measure,
 )
-from spinflip.lattice import Observable, SpinConfiguration, Torus, translate_states
+from spinflip.lattice import Observable, SpinConfiguration, Torus, monomial_values_dense, translate_states
 
 
 def ising_ring_pair_correlation(n, beta):
@@ -264,12 +269,34 @@ class TestFixedBoundary:
             uniform_measure,
             lambda t: product_measure(t, 0.5),
             lambda t: dirac_vector(t, 0),
+            lambda t: IndependentRates(t).rate_matrix(),
+            lambda t: Observable.monomial(t, [0]).dense_values(),
+            lambda t: monomial_values_dense(t, [0]),
+            lambda t: translate_states(t, (1,)),
+            lambda t: marginal(np.broadcast_to(0.0, (1 << t.n_sites,)), [0]),
         ],
-        ids=["gibbs-periodic", "gibbs-fixed", "uniform", "product", "dirac"],
+        ids=["gibbs-periodic", "gibbs-fixed", "uniform", "product", "dirac", "rate-matrix", "dense-values", "monomial", "translate", "marginal"],
     )
-    def test_dense_builders_share_the_cap(self, build):
-        with pytest.raises(ValueError, match="21 sites exceeds the dense-state cap 20"):
-            build(Torus((21,)))
+    def test_dense_builders_share_the_cap(self, build, monkeypatch):
+        """The cap is checked before any state tensor is viewed or any
+        2^N-sized array is allocated."""
+        views, real = [], lattice.bit_tensor
+
+        def spy(*args):
+            views.append(real(*args))
+            return views[-1]
+
+        for module in (lattice, gibbs, dynamics, entropy):
+            monkeypatch.setattr(module, "bit_tensor", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="21 sites exceeds the dense-state cap 20"):
+                build(Torus((21,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert views == []
+        assert peak < 1 << 21
 
     @pytest.mark.parametrize("state", [-1, 8, 1 << 40])
     def test_dirac_state_out_of_range_rejected(self, state):

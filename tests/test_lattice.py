@@ -147,6 +147,13 @@ def test_monomial_dense_matches_pointwise():
         assert vals[s] == monomial_eval(s, (0, 2))
 
 
+@pytest.mark.parametrize("sites, needle", [((0, 0), "repeated site"), ((5,), "site 5 outside the torus")])
+def test_monomial_dense_refuses_bad_sites(sites, needle):
+    """A site off the torus is refused, not read as a minus spin."""
+    with pytest.raises(ValueError, match=needle):
+        monomial_values_dense(Torus((3,)), sites)
+
+
 def test_observable_monomial_table():
     t = Torus((4,))
     f = Observable.monomial(t, (1, 3))

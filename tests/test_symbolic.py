@@ -314,6 +314,20 @@ class TestGeneratorPower:
             GeneratorSpec([(((0,),), 1), (((0,),), 2)])
 
     @pytest.mark.parametrize(
+        "call, needle",
+        [
+            (lambda: apply_generator_power(GeneratorSpec([((), 1)]), 1, [0, 0]), "repeated site 0"),
+            (lambda: apply_chain([[0, 0]], [0]), "repeated site 0"),
+            (lambda: GeneratorSpec([(((1,), (1,)), 1)]), r"repeated site \(1,\)"),
+        ],
+        ids=["power-start", "chain-shape", "generator-shape"],
+    )
+    def test_repeated_site_refused(self, call, needle):
+        """sigma_i sigma_i = 1, so a repeated site is not sigma_i: refused."""
+        with pytest.raises(ValueError, match=needle):
+            call()
+
+    @pytest.mark.parametrize(
         "text, needle",
         [("1/0 : 1\n", "zero denominator"), ("1 : 1 1\n", "repeated offset"), ("1 : 0,1 2,3 0,1\n", "repeated offset")],
         ids=["zero-denominator", "repeated-offset", "repeated-offset-2d"],

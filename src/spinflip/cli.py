@@ -20,7 +20,6 @@ import traceback
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -124,8 +123,8 @@ class Field(NamedTuple):
     help: str | None = None
 
 
-# The INI layout, the serializer, the flag overrides and the argparse flags
-# are all read from this table; sections keep this order in serialized files.
+# The INI layout, the flag overrides and the argparse flags are all read
+# from this table.
 FIELDS = (
     Field("torus", "sides", "sides", "--sides", _ints, help="torus side lengths, e.g. '8' or '4 4'"),
     Field("rates", "kind", "rates_kind", "--rates", str, ("independent", "glauber", "perturbed")),
@@ -201,23 +200,6 @@ class ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         return cls.parse(path.read_text())
-
-    def serialize(self) -> str:
-        lines = []
-        for sec, group in groupby(FIELDS, key=lambda f: f.section):
-            body = []
-            for f in group:
-                value = getattr(self, f.name)
-                if value is None:
-                    continue
-                if isinstance(value, tuple):
-                    value = " ".join(str(v) for v in value)
-                body.append(f"{f.key} = {value}")
-            if body:
-                lines.append(f"[{sec}]")
-                lines.extend(body)
-                lines.append("")
-        return "\n".join(lines)
 
     def override(self, values: dict) -> "ExperimentConfig":
         return replace(self, **values)

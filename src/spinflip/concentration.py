@@ -1,4 +1,4 @@
-"""Concentration measurements: exponential moments, variances, tails, and the
+"""Concentration measurements: exponential moments, variances, and the
 conservation-under-dynamics pipelines.
 
 Two inequality families are measured exactly over dense distribution vectors:
@@ -241,96 +241,6 @@ def check_uvb(
     Scale invariant, so the lambda-grid plays no role here."""
     probs = probs_of(mu)
     return _scan("uvb", family, bound, lambda values, l2sq: [(None, variance(probs, values) / l2sq)])
-
-
-@dataclass
-class TailReport:
-    rows: list
-    constant: float
-    lipschitz_sq: float
-
-    @property
-    def holds(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-
-def check_subgaussian_tail(mu, f: Observable, u_grid, constant: float) -> TailReport:
-    """Exact tail mu(f - E f >= u) against e^{-u^2 / (4 C ||delta f||_2^2)}."""
-    probs = probs_of(mu)
-    values = f.dense_values()
-    mean = float(probs @ values)
-    l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-    if l2sq == 0:
-        raise ValueError("constant function: the tail bound is undefined")
-    rows = []
-    for u in u_grid:
-        u = float(u)
-        tail = float(probs[values - mean >= u].sum())
-        bnd = math.exp(-u * u / (4.0 * constant * l2sq))
-        rows.append({"u": u, "tail": tail, "bound": bnd, "ok": tail <= bnd * (1 + 1e-12) + 1e-15})
-    return TailReport(rows, constant, l2sq)
-
-
-@dataclass
-class WeakGCBReport:
-    lambda0: float | None
-    holds: bool
-    var_ratio: float
-    taylor_ratio: float
-    small_lambda_ratio: float
-    window_bound: float
-    window_cutoff: float
-    window_holds: bool
-    rows: list
-
-
-def weak_gcb_check(mu, f: Observable, constant: float, lambda_grid=None) -> WeakGCBReport:
-    """Scans lambda down to 0.  lambda0 is the largest grid scale below which
-    every ratio stays within `constant`.  Also checks the variance connection
-    (the centered-moment ratio 2(E e^{lambda g} - 1)/lambda^2 tends to Var(g))
-    and the explicit window: a UVB constant C gives the moment bound with
-    constant e C / 2 for all lambda <= 1/(2||f||_inf + 1)."""
-    probs = probs_of(mu)
-    values = f.dense_values()
-    l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-    if l2sq == 0:
-        raise ValueError("constant function: the ratio is undefined")
-    if lambda_grid is None:
-        lambda_grid = [2.0**-j for j in range(0, 13)]
-    lambda_grid = sorted(set(float(l) for l in lambda_grid), reverse=True)
-    if any(l <= 0 for l in lambda_grid):
-        raise ValueError("scales must be positive")
-    var_ratio = variance(probs, values) / l2sq
-    logmoms = log_exponential_moment(probs, np.multiply.outer(lambda_grid, values))
-    rows = [
-        {"lam": lam, "ratio": logmom / (lam * lam * l2sq), "log_moment": logmom}
-        for lam, logmom in zip(lambda_grid, logmoms.tolist())
-    ]
-    lambda0 = None
-    for j, row in enumerate(rows):
-        if all(r["ratio"] <= constant * (1 + 1e-9) + 1e-12 for r in rows[j:]):
-            lambda0 = row["lam"]
-            break
-    lam_min = rows[-1]["lam"]
-    taylor_ratio = 2.0 * math.expm1(rows[-1]["log_moment"]) / (lam_min * lam_min * l2sq)
-    window_cutoff = 1.0 / (2.0 * f.sup_norm() + 1.0)
-    window_bound = math.e * constant / 2.0
-    window_holds = all(
-        r["ratio"] <= window_bound * (1 + 1e-9) + 1e-12
-        for r in rows
-        if r["lam"] <= window_cutoff
-    )
-    return WeakGCBReport(
-        lambda0,
-        lambda0 is not None,
-        var_ratio,
-        taylor_ratio,
-        rows[-1]["ratio"],
-        window_bound,
-        window_cutoff,
-        window_holds,
-        rows,
-    )
 
 
 def carre_du_champ(rates: RateModel, f: Observable) -> Observable:
@@ -583,17 +493,6 @@ def hjc_library(name: str, c: float = 1.0) -> HJCSpec:
             lambda x: abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), c, name
         )
     raise ValueError(f"unknown (H, J) pair {name!r}")
-
-
-def hjc_holds(mu, f: Observable, spec: HJCSpec) -> dict:
-    """Direct check of the defining inequality for one function."""
-    probs = probs_of(mu)
-    values = f.dense_values()
-    mean = float(probs @ values)
-    lhs = float(probs @ np.array([spec.h(x) for x in values - mean]))
-    l2 = lipschitz_norm(lipschitz_vector(f), 2.0)
-    rhs = spec.j(spec.c * l2)
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1 + 1e-9) + 1e-12}
 
 
 def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctionFamily) -> TheoremReport:

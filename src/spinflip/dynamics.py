@@ -47,15 +47,11 @@ to rounding), not read from a flag.  Only a non-normal Gamma takes the
 general route: expm and the largest singular value per K(t), and composite
 Simpson with step doubling for the integral, which reports whether it met
 its tolerance before the step cap.
-Since Gamma >= 0 entrywise, e^{t Gamma} never contracts; the decay rate
-alpha = 2 (eps - M), with eps = inf_sigma,i (c(i, sigma) + c(i, sigma^i))
-and M = sup_i sum_{j != i} Gamma_ij, is reported separately and verified
-against the exact semigroup before use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,13 +61,10 @@ from scipy.special import exprel, gammaln, pdtr, pdtrc, pdtrik
 
 from .gibbs import Potential
 from .lattice import (
-    Observable,
     Torus,
     bit_tensor,
     dense_size,
     gather_bits,
-    lipschitz_vector,
-    lipschitz_vector_dense,
     scatter_bits,
     state_bits,
     translate_states,
@@ -278,27 +271,6 @@ def validate_conditions(rates: RateModel) -> ConditionsReport:
                 break
     ok = (cmin > 0) and np.isfinite(cmax) and ti
     return ConditionsReport(cmin > 0, cmin, cmax, r, ti, checked, ok)
-
-
-def generator_apply(rates: RateModel, f: Observable) -> Observable:
-    """L f as an observable; the support grows by the interaction range."""
-    if f.torus != rates.torus:
-        raise ValueError("observable and rates live on different tori")
-    support = set(f.support)
-    grown = set(support)
-    for i in support:
-        grown.update(rates.dependence(i))
-    grown = tuple(sorted(grown))
-    pos = {s: j for j, s in enumerate(grown)}
-    keys = np.arange(1 << len(grown), dtype=np.int64)
-    table = np.zeros(keys.size)
-    fpos = [pos[s] for s in f.support]
-    fvals = f.table[gather_bits(keys, fpos)]
-    for i in f.support:
-        flipped = keys ^ np.int64(1 << pos[i])
-        grad = f.table[gather_bits(flipped, fpos)] - fvals
-        table += rates.rate_patterns(i, grown) * grad
-    return Observable(rates.torus, grown, table)
 
 
 def generator_matrix(rates: RateModel) -> sp.csr_matrix:
@@ -562,18 +534,6 @@ class SemigroupEngine:
             accs = accs.transpose(0, 2, 1)
         return (fold.unfold(accs) if fold else accs).reshape((len(times),) + vec.shape)
 
-    def stationary(self) -> np.ndarray:
-        """Left null vector of Q (P - I would cancel digits), as a probability vector."""
-        if self.torus.n_sites > 14:
-            raise ValueError("stationary solve capped at 14 sites for dense linear algebra")
-        a = generator_matrix(self.rates).T.toarray()
-        a[-1, :] = 1.0
-        b = np.zeros(self.n_states)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
-        pi = np.clip(pi, 0.0, None)
-        return pi / pi.sum()
-
 
 def engine_for(rates: RateModel) -> SemigroupEngine:
     """Engine cache: P and its Poisson weights are built once per rate model
@@ -581,14 +541,6 @@ def engine_for(rates: RateModel) -> SemigroupEngine:
     if rates._engine is None:
         rates._engine = SemigroupEngine(rates)
     return rates._engine
-
-
-def nonlinear_semigroup(rates: RateModel, t: float, values) -> np.ndarray:
-    """V(t) f = log S(t) e^f, stabilized by shifting out max f."""
-    values = np.asarray(values, dtype=float)
-    m = float(values.max())
-    g = engine_for(rates).evolve_functions(np.exp(values - m), t)
-    return np.log(g) + m
 
 
 def simpson_weights(steps: int) -> np.ndarray:
@@ -700,98 +652,9 @@ def gamma_matrix(rates: RateModel) -> GammaResult:
     return rates._gamma
 
 
-def lipschitz_propagation(rates: RateModel, t: float, delta) -> np.ndarray:
-    """Entrywise bound on the Lipschitz vector of S(t) f.
-
-    With Gamma_ij = sup (c(i, sigma^j) - c(i, sigma)) the growth of
-    delta_i is driven by sum_j Gamma_ji delta_j (rate at j reacting to a
-    flip at i), so the propagator acts through the transpose; for
-    translation-invariant rates this is the circular convolution with
-    the kernel gamma_t(i - j)."""
-    delta = np.asarray(delta, dtype=float)
-    g = gamma_matrix(rates).matrix
-    return expm(float(t) * g.T) @ delta
-
-
-@dataclass
-class ContractionReport:
-    t: float
-    k_of_t: float
-    k_schur_bound: float
-    epsilon: float
-    m: float
-    alpha: float | None
-    rigid: bool
-    alpha_verified: bool | None
-    alpha_violation: float = 0.0
-
-
 def k_of_t(gamma: np.ndarray, t: float) -> float:
     """K(t) = ||e^{t Gamma}||_{2->2}^2 for any Gamma, from expm and the
     largest singular value: the route GammaResult.k_of_t takes when Gamma
     is not normal."""
     e = expm(float(t) * gamma)
     return float(svdvals(e)[0] ** 2)
-
-
-def ergodicity_constants(rates: RateModel):
-    """(epsilon, M): eps = inf (c(i, sigma) + c(i, sigma^i)), M = sup_i of the
-    off-diagonal Gamma row sum."""
-    eps = np.inf
-    for i in rates.torus.sites():
-        dep = tuple(sorted(set(rates.dependence(i)) | {i}))
-        vals = rates.rate_patterns(i, dep)
-        pats = np.arange(vals.size, dtype=np.int64)
-        eps = min(eps, float(np.min(vals + vals[pats ^ np.int64(1 << dep.index(i))])))
-    g = gamma_matrix(rates).matrix
-    off = g - np.diag(np.diag(g))
-    m = float(np.max(off.sum(axis=1))) if g.size else 0.0
-    return eps, m
-
-
-def contraction_constants(
-    rates: RateModel,
-    t: float,
-    verify: bool = True,
-    seed: int = 7,
-) -> ContractionReport:
-    """K(t), its Schur upper bound, and the decay rate alpha = 2(eps - M).
-
-    alpha is only meaningful when M < eps; on tori of at most 10 sites it
-    is verified against the exact semigroup on random local functions
-    before being reported as verified.
-    """
-    gamma = gamma_matrix(rates)
-    g = gamma.matrix
-    k_t = gamma.k_of_t(t)
-    schur = float(
-        np.sqrt(np.abs(g).sum(axis=0).max() * np.abs(g).sum(axis=1).max())
-        if g.size
-        else 0.0
-    )
-    k_schur = float(np.exp(2.0 * t * schur))
-    eps, m = ergodicity_constants(rates)
-    rigid = bool(np.all(g == 0.0))
-    alpha = 2.0 * (eps - m) if m < eps else None
-    verified = None
-    violation = 0.0
-    n = rates.torus.n_sites
-    if verify and alpha is not None and n <= 10:
-        verified = True
-        eng = engine_for(rates)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            k = int(rng.integers(1, min(3, n) + 1))
-            sites = tuple(rng.choice(n, size=k, replace=False))
-            f = Observable.monomial_sum(
-                rates.torus, [(float(rng.normal()), sites), (float(rng.normal()), (sites[0],))]
-            )
-            d0 = lipschitz_vector(f)
-            lhs = lipschitz_vector_dense(n, eng.evolve_functions(f.dense_values(), t))
-            gap = float(np.sum(lhs**2) - np.exp(-alpha * t) * np.sum(d0**2))
-            if gap > 1e-8 * max(1.0, float(np.sum(d0**2))):
-                verified = False
-                violation = max(violation, gap)
-    return ContractionReport(
-        float(t), k_t, k_schur, eps, m, alpha, rigid, verified, violation
-    )

@@ -1,5 +1,5 @@
-"""Relative entropy, window profiles, data processing, and the
-distinguishability diagnostic.
+"""Relative entropy, window profiles, and the distinguishability
+diagnostic.
 
 All measures are dense probability vectors over the 2^N torus states.
 H(mu|nu) = sum mu log(mu/nu) is exact (with +inf when the support condition
@@ -113,32 +113,6 @@ def entropy_density_profile(mu, nu, windows, n_sites: int | None = None) -> Entr
             }
         )
     return EntropyProfile(rows, n_sites)
-
-
-@dataclass
-class DataProcessingReport:
-    rows: list  # {"t", "entropy"}
-    initial: float
-    monotone: bool
-
-
-def data_processing_check(
-    rates: RateModel, mu, nu, t_grid, tol: float = 1e-10
-) -> DataProcessingReport:
-    """H(mu S(t) | nu S(t)) along the grid; one exact semigroup step is a
-    Markov kernel, so the curve must be nonincreasing."""
-    mu = probs_of(mu)
-    nu = probs_of(nu)
-    grid = sorted(set(float(t) for t in t_grid))
-    pairs = engine_for(rates).evolve_measures_over(np.vstack([mu, nu]), grid)
-    rows = [{"t": t, "entropy": relative_entropy(*pair)} for t, pair in zip(grid, pairs)]
-    for a, b in zip(rows, rows[1:]):
-        if b["entropy"] > a["entropy"] + tol:
-            raise RuntimeError(
-                f"relative entropy increased along the flow: "
-                f"H({b['t']}) = {b['entropy']} > H({a['t']}) = {a['entropy']}"
-            )
-    return DataProcessingReport(rows, relative_entropy(mu, nu), True)
 
 
 @dataclass

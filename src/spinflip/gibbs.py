@@ -60,9 +60,6 @@ class Shape:
     def oscillation(self) -> float:
         return float(np.max(self.table) - np.min(self.table))
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.table)))
-
     def diameter(self) -> int:
         d = 0
         for a in self.offsets:
@@ -120,10 +117,6 @@ class Potential:
             + [(s.offsets, s.table) for s in other.shapes],
         )
 
-    def summability_norm(self) -> float:
-        """sup_i sum_{A ni i} |U(A, .)|_inf = sum over shapes of |A_0| |table|_inf."""
-        return float(sum(s.size * s.sup() for s in self.shapes))
-
     def dobrushin_constant(self) -> float:
         """c(U) = sup_i (1/2) sum_{A ni i} (|A| - 1) osc(U(A, .))."""
         return float(sum(0.5 * s.size * (s.size - 1) * s.oscillation() for s in self.shapes))
@@ -167,13 +160,6 @@ class Potential:
             for s in set(sites):
                 out[s].append((sites, table))
         return out
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for shape in self.shapes:
-                offs = " ".join(",".join(str(x) for x in o) for o in shape.offsets)
-                vals = shape.table[_file_order(shape.size)]
-                fh.write(f"{offs} | {' '.join(repr(float(v)) for v in vals)}\n")
 
     @classmethod
     def load(cls, path) -> "Potential":
@@ -317,14 +303,6 @@ def hamiltonian_fixed(potential: Potential, torus: Torus, volume_sites, boundary
     """Fixed-boundary energy over the volume's own 2^|volume| state indexing."""
     volume, terms = fixed_volume_terms(potential, torus, volume_sites, boundary)
     return _energy(terms, len(volume), states)
-
-
-def hamiltonian(potential: Potential, torus: Torus, state, boundary=None):
-    """Energy of one configuration under the given boundary (default periodic)."""
-    if boundary is None or boundary.kind == "periodic":
-        return hamiltonian_periodic(potential, torus, state)
-    volume = tuple(torus.sites())
-    return hamiltonian_fixed(potential, torus, volume, boundary, _maybe_bits(state))
 
 
 @dataclass

@@ -146,18 +146,6 @@ class Torus:
             d = max(d, min(raw, l - raw))
         return d
 
-    def neighbors(self, site: int):
-        """The 2d nearest neighbors (duplicates removed on tiny sides)."""
-        out = []
-        for a in range(self.dim):
-            for step in (-1, 1):
-                off = [0] * self.dim
-                off[a] = step
-                j = self.translate(site, off)
-                if j != site and j not in out:
-                    out.append(j)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Torus) and other.sides == self.sides
 
@@ -182,32 +170,11 @@ class SpinConfiguration:
     def __setattr__(self, *a):
         raise AttributeError("SpinConfiguration is immutable")
 
-    @classmethod
-    def all_plus(cls, torus: Torus):
-        return cls(torus, (1 << torus.n_sites) - 1)
-
-    @classmethod
-    def from_spins(cls, torus: Torus, spins):
-        bits = 0
-        for i, s in enumerate(spins):
-            if s == 1:
-                bits |= 1 << i
-            elif s != -1:
-                raise ValueError("spins must be +-1")
-        return cls(torus, bits)
-
     def spin(self, site: int) -> int:
         return 1 if (self.bits >> site) & 1 else -1
 
     def flip(self, site: int) -> "SpinConfiguration":
         return SpinConfiguration(self.torus, self.bits ^ (1 << site))
-
-    def spins(self) -> np.ndarray:
-        n = self.torus.n_sites
-        out = np.empty(n, dtype=np.int8)
-        for i in range(n):
-            out[i] = 1 if (self.bits >> i) & 1 else -1
-        return out
 
     def __eq__(self, other):
         return (
@@ -249,9 +216,17 @@ def dense_size(n_sites: int) -> int:
 
 def monomial_values_dense(torus: Torus, sites) -> np.ndarray:
     """sigma_A over all 2^N states as a +-1 float vector."""
-    if len(set(sites)) != len(sites):
-        raise ValueError("repeated site in monomial")
     return Observable.monomial(torus, sites).dense_values()
+
+
+def _distinct_sites(sites) -> tuple:
+    """The sites of sigma_A, sorted, once none repeats: sigma_i sigma_i = 1,
+    not sigma_i, so a repeated site raises."""
+    out = sorted(map(int, sites))
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError(f"repeated site {a} in monomial")
+    return tuple(out)
 
 
 class Observable:
@@ -282,7 +257,7 @@ class Observable:
 
     @classmethod
     def monomial(cls, torus: Torus, sites):
-        sites = tuple(sorted(set(sites)))
+        sites = _distinct_sites(sites)
         k = len(sites)
         if k > LIPSCHITZ_SUPPORT_CAP:
             raise ValueError("support too large to tabulate")
@@ -299,7 +274,7 @@ class Observable:
         table = np.zeros(1 << len(support))
         keys = np.arange(1 << len(support), dtype=np.int64)
         for coeff, sites in terms:
-            mask = sum(1 << pos[i] for i in {int(i) for i in sites})
+            mask = sum(1 << pos[i] for i in _distinct_sites(sites))
             table += float(coeff) * spin_product(keys, mask).astype(float)
         return cls(torus, support, table)
 
@@ -322,19 +297,6 @@ class Observable:
         """Values over all 2^N torus states, aligned with state indices."""
         n = self.torus.n_sites
         return np.broadcast_to(bit_tensor(self.table, n, self.support), (2,) * n).flatten()
-
-    def restrict_support(self) -> "Observable":
-        """Drop support sites the table does not actually depend on."""
-        keep = []
-        for j in range(len(self.support)):
-            flip = np.arange(1 << len(self.support)) ^ (1 << j)
-            if not np.array_equal(self.table, self.table[flip]):
-                keep.append(j)
-        if len(keep) == len(self.support):
-            return self
-        support = tuple(self.support[j] for j in keep)
-        keys = np.arange(1 << len(keep), dtype=np.int64)
-        return Observable(self.torus, support, self.table[scatter_bits(keys, keep)])
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -428,26 +390,3 @@ def translate_states(torus: Torus, offset) -> np.ndarray:
     # the axis of site i in p is the axis of site i + offset in the states
     axes = [n - 1 - torus.translate(i, offset) for i in range(n - 1, -1, -1)]
     return bit_tensor(np.arange(dense_size(n), dtype=np.int64), n).transpose(axes).reshape(-1)
-
-
-def load_observable(path, torus: Torus) -> Observable:
-    """Read a monomial expansion: one `coeff : i1 i2 ... ik` line per term."""
-    terms = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ValueError(f"malformed observable line: {raw!r}")
-            coeff, sites = line.split(":", 1)
-            terms.append((float(coeff), tuple(int(t) for t in sites.split())))
-    if not terms:
-        raise ValueError(f"no terms in observable file {path}")
-    return Observable.monomial_sum(torus, terms)
-
-
-def save_observable(path, terms) -> None:
-    with open(path, "w") as fh:
-        for coeff, sites in terms:
-            fh.write(f"{coeff!r} : {' '.join(str(i) for i in sites)}\n")

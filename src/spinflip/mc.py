@@ -163,13 +163,6 @@ def product_sampler(torus, p_plus):
     return sample
 
 
-def uniform_sampler(torus):
-    def sample(rng, count, n_sites):
-        return rng.integers(0, 2, size=(count, n_sites), dtype=np.uint8)
-
-    return sample
-
-
 def vector_sampler(probs):
     cum = np.cumsum(probs_of(probs))
     cum /= cum[-1]  # the last entry is exactly 1, above every uniform draw

@@ -345,14 +345,6 @@ class _ExpandedPolynomial(SetPolynomial):
         return self.masks, self.den
 
 
-def apply_LB(B, poly: SetPolynomial) -> SetPolynomial:
-    """L_B acting on a polynomial: linear extension of
-    L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) Delta A}."""
-    if isinstance(poly, (frozenset, set, tuple, list)):
-        poly = SetPolynomial.monomial(poly)
-    return _Expansion(poly, [{as_monomial(B): 1}]).run()
-
-
 def chain_bound(shape_sizes, a_size: int) -> int:
     """Telescoped product 2^n |A| (|A|+|B_1|) ... (|A|+|B_1|+...+|B_{n-1}|);
     shape_sizes in application order, the last size never enters."""
@@ -453,12 +445,6 @@ class GeneratorSpec:
         if not terms:
             raise ValueError(f"no shapes in generator file {path}")
         return cls(terms)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for b, lam in self.shapes.items():
-                offs = " ".join(",".join(str(x) for x in o) for o in sorted(b))
-                fh.write(f"{lam} : {offs}\n")
 
     def __repr__(self):
         return f"GeneratorSpec({self.size} shapes, K={self.k_max_shape}, M={self.m_max_coeff})"
@@ -599,21 +585,6 @@ class DeltaTail:
 
     def f_of_u(self, u: float) -> float:
         return self.mass * math.exp(u * self.k0)
-
-
-class PoissonTail:
-    """psi(k) = e^{-lam} lam^k / k!; F(u) = e^{lam (e^u - 1)}."""
-
-    def __init__(self, lam: float):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        self.lam = float(lam)
-
-    def psi(self, k: int) -> float:
-        return math.exp(-self.lam + k * math.log(self.lam) - math.lgamma(k + 1))
-
-    def f_of_u(self, u: float) -> float:
-        return math.exp(self.lam * (math.exp(u) - 1.0))
 
 
 @dataclass

@@ -81,6 +81,17 @@ class TestBounds:
         summary, _ = benchpair.summarize(pairs_of(parent, parent), SPEC)
         assert summary["wall_s"]["verdict"] == "unresolved"
 
+    @pytest.mark.parametrize(
+        "better, parent, change", [("lower", [0.5, 1.5], 0.4), ("higher", [0.5, 1.5], 1.6)], ids=["lower", "higher"]
+    )
+    def test_ok_when_every_change_run_beats_every_parent_run(self, benchpair, better, parent, change):
+        spec = {"wall_s": dict(SPEC["wall_s"], better=better)}
+        summary, _ = benchpair.summarize(pairs_of(parent * 5, [change] * 10), spec)
+        assert summary["wall_s"]["verdict"] == "ok"
+        # one change run inside the parent's range leaves it unresolved
+        summary, _ = benchpair.summarize(pairs_of(parent * 5, [change] * 9 + [1.0]), spec)
+        assert summary["wall_s"]["verdict"] == "unresolved"
+
     def test_each_metric_against_its_own_bound(self, benchpair):
         pairs = pairs_of(PARENT, PARENT, peak_rss_mb=100.0)
         for pair in pairs:

@@ -23,8 +23,33 @@ def read_json(out_dir, name):
 
 class TestConfig:
     def test_roundtrip_default(self):
-        cfg = ExperimentConfig()
-        assert ExperimentConfig.parse(cfg.serialize()) == cfg
+        text = """
+[torus]
+sides = 8
+[rates]
+kind = independent
+r = 1.0
+eps0 = 0.1
+[measure]
+kind = uniform
+p_plus = 0.5
+state = 0
+[times]
+grid = 0.25 0.5 1.0 2.0
+[family]
+kind = monomials
+k_max = 3
+count = 40
+seed = 0
+[run]
+seed = 0
+replicas = 2000
+out = out
+exact_cap = 12
+symbolic_n = 5
+"""
+        assert ExperimentConfig.parse(text) == ExperimentConfig()
+        assert ExperimentConfig.parse("") == ExperimentConfig()
 
     def test_roundtrip_custom(self):
         cfg = ExperimentConfig(
@@ -36,10 +61,20 @@ class TestConfig:
             state=0b1010,
             times=(0.1, 0.7),
         )
-        text = cfg.serialize()
-        again = ExperimentConfig.parse(text)
-        assert again == cfg
-        assert again.serialize() == text
+        text = """
+[torus]
+sides = 4 4
+[rates]
+kind = glauber
+beta = 0.35
+potential = ising1d_beta02.pot
+[measure]
+kind = dirac
+state = 0b1010
+[times]
+grid = 0.1 0.7
+"""
+        assert ExperimentConfig.parse(text) == cfg
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):

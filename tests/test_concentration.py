@@ -12,12 +12,10 @@ from spinflip.concentration import (
     HJCSpec,
     TestFunctionFamily,
     carre_du_champ,
-    check_subgaussian_tail,
     check_uvb,
     empirical_gcb_constant,
     gcb_ratio,
     hjc_check,
-    hjc_holds,
     hjc_library,
     log_exponential_moment,
     product_gcb_constant,
@@ -28,7 +26,6 @@ from spinflip.concentration import (
     theorem53_check,
     theorem53_constant,
     variance,
-    weak_gcb_check,
 )
 from spinflip.dynamics import (
     SIMPSON_STEP_CAP,
@@ -37,11 +34,10 @@ from spinflip.dynamics import (
     PerturbedRates,
     SemigroupEngine,
     engine_for,
-    generator_apply,
     generator_matrix,
 )
 from spinflip.gibbs import Potential, dirac_vector, gibbs_measure, uniform_measure
-from spinflip.lattice import Observable, Torus
+from spinflip.lattice import Observable, Torus, lipschitz_norm, lipschitz_vector
 
 
 def binomial_upper_tail(n, u):
@@ -189,53 +185,47 @@ class TestEmpiricalConstants:
 
 
 class TestSubgaussianTail:
-    def test_zero_threshold(self):
-        torus = Torus((3,))
-        f = Observable.monomial(torus, [0])
-        report = check_subgaussian_tail(uniform_measure(torus), f, [0.0], 0.5)
-        assert report.rows[0]["bound"] == 1.0
-        assert report.holds
-
     def test_binomial_oracle(self):
+        # GCB implies sub-Gaussian tails: the exact tail of the uniform
+        # product measure sits below e^{-u^2 / (4 C ||delta f||_2^2)} with
+        # its certified constant C = 1/8 (Hoeffding's e^{-u^2 / 2n})
         n = 6
         torus = Torus((n,))
         f = Observable.monomial_sum(torus, [(1.0, [i]) for i in range(n)])
-        report = check_subgaussian_tail(
-            uniform_measure(torus), f, [0.0, 1.0, 2.0, 4.0, 6.0], constant=0.5
-        )
-        for row in report.rows:
-            assert row["tail"] == pytest.approx(binomial_upper_tail(n, row["u"]), abs=1e-12)
-            assert row["bound"] == pytest.approx(math.exp(-row["u"] ** 2 / (8.0 * n)), abs=1e-12)
-            assert row["ok"]
-
-    def test_dirac_tail_vanishes(self):
-        torus = Torus((3,))
-        f = Observable.monomial(torus, [1])
-        report = check_subgaussian_tail(dirac_vector(torus, 2), f, [0.5, 1.0], 0.5)
-        for row in report.rows:
-            assert row["tail"] == 0.0
-            assert row["ok"]
+        probs = uniform_measure(torus)
+        values = f.dense_values()
+        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
+        for u in (0.0, 1.0, 2.0, 4.0, 6.0):
+            tail = float(probs[values - float(probs @ values) >= u].sum())
+            assert tail == pytest.approx(binomial_upper_tail(n, u), abs=1e-12)
+            bound = math.exp(-u * u / (4.0 * product_gcb_constant() * l2sq))
+            assert bound == pytest.approx(math.exp(-u * u / (2.0 * n)), abs=1e-12)
+            assert tail <= bound * (1 + 1e-12)
 
 
 class TestWeakGCB:
+    LAMS = np.array([2.0**-j for j in range(13)])
+
     def test_single_site_limits(self):
+        # for g = f - E f, log E e^{lambda g} / lambda^2 tends to Var(g) / 2
+        # and 2 (E e^{lambda g} - 1) / lambda^2 to Var(g) as lambda -> 0
         torus = Torus((1,))
-        f = Observable.monomial(torus, [0])
-        report = weak_gcb_check(uniform_measure(torus), f, constant=0.25)
-        assert report.holds
-        assert report.lambda0 == 1.0
-        assert report.var_ratio == pytest.approx(0.25, abs=1e-14)
-        assert report.taylor_ratio == pytest.approx(0.25, abs=1e-6)
-        assert report.small_lambda_ratio == pytest.approx(0.125, abs=1e-6)
-        assert report.window_holds
+        mu = uniform_measure(torus)
+        values = Observable.monomial(torus, [0]).dense_values()
+        l2sq = 4.0
+        logmoms = log_exponential_moment(mu, np.multiply.outer(self.LAMS, values))
+        ratios = logmoms / (self.LAMS**2 * l2sq)
+        assert np.all(ratios <= 0.25)
+        assert variance(mu, values) / l2sq == pytest.approx(0.25, abs=1e-14)
+        assert ratios[-1] == pytest.approx(0.125, abs=1e-6)
+        assert 2.0 * math.expm1(logmoms[-1]) / (self.LAMS[-1] ** 2 * l2sq) == pytest.approx(0.25, abs=1e-6)
 
     def test_dirac_vacuous(self):
+        # under a point mass f - E f = 0, so every scale's log-moment is 0
         torus = Torus((3,))
-        f = Observable.monomial(torus, [0, 1])
-        report = weak_gcb_check(dirac_vector(torus, 4), f, constant=0.1)
-        assert report.holds
-        assert report.lambda0 == 1.0
-        assert report.var_ratio == 0.0
+        values = Observable.monomial(torus, [0, 1]).dense_values()
+        logmoms = log_exponential_moment(dirac_vector(torus, 4), np.multiply.outer(self.LAMS, values))
+        assert np.all(logmoms == 0.0)
 
     def test_uvb_constant_covers_the_window(self):
         # the proof's window: ratio <= e C / 2 once lambda <= 1/(2||f||+1)
@@ -246,8 +236,10 @@ class TestWeakGCB:
         f = Observable.monomial_sum(torus, [(0.8, [0, 1]), (0.6, [2]), (-0.4, [3, 4])])
         l2sq = sum(d * d for d in (1.6, 1.6, 1.2, 0.8, 0.8))
         c_var = variance(mu, f.dense_values()) / l2sq
-        report = weak_gcb_check(mu, f, constant=c_var)
-        assert report.window_holds
+        lams = self.LAMS[self.LAMS <= 1.0 / (2.0 * f.sup_norm() + 1.0)]
+        assert lams.size
+        ratios = log_exponential_moment(mu, np.multiply.outer(lams, f.dense_values())) / (lams**2 * l2sq)
+        assert np.all(ratios <= math.e * c_var / 2.0 * (1 + 1e-9) + 1e-12)
 
 
 class TestCarreDuChamp:
@@ -269,8 +261,9 @@ class TestCarreDuChamp:
         rates = GlauberRates(torus, Potential.ising_nn(1, 0.3))
         f = Observable.monomial_sum(torus, [(1.0, [0, 1]), (-0.7, [3])])
         f2 = Observable(torus, f.support, f.table**2)
+        q = generator_matrix(rates)
         lhs = carre_du_champ(rates, f).dense_values()
-        rhs = generator_apply(rates, f2).dense_values() - 2.0 * f.dense_values() * generator_apply(rates, f).dense_values()
+        rhs = q @ f2.dense_values() - 2.0 * f.dense_values() * (q @ f.dense_values())
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_sup_bound_holds_for_random_functions(self):
@@ -553,28 +546,35 @@ class TestHJC:
         with pytest.raises(ValueError):
             HJCSpec(lambda x: x * x, lambda y: -y, lambda y: -y, 1.0)
 
+    @staticmethod
+    def at_time_zero(mu, f, spec):
+        """hjc_check at t = 0 on the single member f at scale 1, where every
+        row's left side is int H(f - E f) dmu."""
+        torus = f.torus
+        family = TestFunctionFamily([f], lambda_grid=(1.0,))
+        return hjc_check(IndependentRates(torus, 1.0), 0.0, mu, spec, family)
+
     def test_fourth_moment_example(self):
+        # one uniform spin: E |sigma|^4 = 1 = (C ||delta f||_2)^4 at C = 1/2,
+        # the measured constant of the initial measure
         torus = Torus((1,))
-        spec = hjc_library("abs_p:4", c=0.5)
-        row = hjc_holds(uniform_measure(torus), Observable.monomial(torus, [0]), spec)
-        assert row["lhs"] == pytest.approx(1.0)
-        assert row["rhs"] == pytest.approx(1.0)
-        assert row["ok"]
+        report = self.at_time_zero(uniform_measure(torus), Observable.monomial(torus, [0]), hjc_library("abs_p:4"))
+        assert report.rows[0]["lhs"] == pytest.approx(1.0)
+        assert report.c_mu == pytest.approx(0.5)
+        assert report.holds
 
     def test_square_reduces_to_variance(self):
         torus = Torus((4,))
         mu = uniform_measure(torus)
         f = Observable.monomial(torus, [0, 2])
-        spec = hjc_library("square", c=math.sqrt(0.25))
-        row = hjc_holds(mu, f, spec)
-        assert row["lhs"] == pytest.approx(variance(mu, f.dense_values()), abs=1e-12)
-        assert row["ok"]
+        report = self.at_time_zero(mu, f, hjc_library("square"))
+        assert report.rows[0]["lhs"] == pytest.approx(variance(mu, f.dense_values()), abs=1e-12)
+        assert report.holds
 
     def test_dirac_left_side_vanishes(self):
         torus = Torus((3,))
-        spec = hjc_library("square", c=1.0)
-        row = hjc_holds(dirac_vector(torus, 1), Observable.monomial(torus, [0]), spec)
-        assert row["lhs"] == 0.0
+        report = self.at_time_zero(dirac_vector(torus, 1), Observable.monomial(torus, [0]), hjc_library("square"))
+        assert report.rows[0]["lhs"] == 0.0
 
     def test_pipeline_square(self):
         torus = Torus((6,))

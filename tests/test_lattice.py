@@ -11,10 +11,8 @@ from spinflip.lattice import (
     lipschitz_norm,
     lipschitz_vector,
     lipschitz_vector_dense,
-    load_observable,
     monomial_eval,
     monomial_values_dense,
-    save_observable,
     scatter_bits,
     spin_product,
     translate_states,
@@ -108,13 +106,6 @@ def test_torus_distance_wraps():
     assert t2.distance(t2.site((0, 0)), t2.site((3, 3))) == 1
 
 
-def test_neighbors_dedupe_on_tiny_sides():
-    ring2 = Torus((2,))
-    assert ring2.neighbors(0) == [1]
-    ring3 = Torus((3,))
-    assert sorted(ring3.neighbors(0)) == [1, 2]
-
-
 def test_flip_involution_and_spin():
     t = Torus((5,))
     rng = np.random.default_rng(0)
@@ -152,6 +143,20 @@ def test_monomial_dense_refuses_bad_sites(sites, needle):
     """A site off the torus is refused, not read as a minus spin."""
     with pytest.raises(ValueError, match=needle):
         monomial_values_dense(Torus((3,)), sites)
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda t: Observable.monomial(t, [0, 0]), "repeated site 0"),
+        (lambda t: Observable.monomial_sum(t, [(1.0, (0,)), (0.5, (1, 2, 1))]), "repeated site 1"),
+    ],
+    ids=["monomial", "monomial-sum"],
+)
+def test_repeated_site_refused(build, needle):
+    """sigma_i sigma_i = 1, not sigma_i: a repeated site is refused, not merged."""
+    with pytest.raises(ValueError, match=needle):
+        build(Torus((3,)))
 
 
 def test_observable_monomial_table():
@@ -262,23 +267,3 @@ def test_translate_states_moves_monomials():
     g = monomial_values_dense(t, (1, 2))
     # evaluating sigma_{A+1} at the translated state equals sigma_A at the original
     assert np.array_equal(g[perm], f)
-
-
-def test_observable_file_roundtrip(tmp_path):
-    t = Torus((6,))
-    terms = [(0.75, (0, 2)), (-1.5, (3,)), (2.0, (1, 4, 5))]
-    path = tmp_path / "obs.txt"
-    save_observable(path, terms)
-    f = load_observable(path, t)
-    g = Observable.monomial_sum(t, terms)
-    assert f.support == g.support
-    assert np.allclose(f.table, g.table)
-
-
-def test_restrict_support_drops_dummy_sites():
-    t = Torus((4,))
-    f = Observable.from_function(t, (0, 1, 2), lambda c: float(c.spin(1)))
-    g = f.restrict_support()
-    assert g.support == (1,)
-    for s in range(16):
-        assert g(s) == f(s)

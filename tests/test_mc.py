@@ -21,7 +21,6 @@ from spinflip.mc import (
     ensemble_exponential_moment,
     product_sampler,
     sample_path,
-    uniform_sampler,
     vector_sampler,
 )
 
@@ -80,7 +79,7 @@ class TestSamplePath:
     def test_accepts_configuration(self):
         torus = Torus((5,))
         rates = IndependentRates(torus, 1.0)
-        start = SpinConfiguration.all_plus(torus)
+        start = SpinConfiguration(torus, 0b11111)
         traj = sample_path(rates, start, 0.0, seed=0)
         assert traj.final_state == (1 << 5) - 1
 
@@ -236,7 +235,7 @@ class TestSamplers:
 
     def test_uniform_range(self):
         torus = Torus((3,))
-        sampler = uniform_sampler(torus)
+        sampler = product_sampler(torus, 0.5)  # what `mc --measure uniform` draws from
         rng = np.random.default_rng(1)
         draws = sampler(rng, 200, 3)
         assert draws.shape == (200, 3)

@@ -82,8 +82,9 @@ def summarize(pairs, spec: dict, claims=()) -> tuple:
         parent's interquartile range, else "not met";
       * another metric with a bound in spec is "unresolved" when the
         parent's interquartile range is wider than bound x its median,
-        "worse" when the change's median is past the parent's by more
-        than that fraction, else "ok";
+        unless every change run beats every parent run ("ok"), "worse"
+        when the change's median is past the parent's by more than that
+        fraction, else "ok";
       * a metric with no bound has verdict None.
     flags names every run that is not correct or fails more operations
     than the other run of its pair."""
@@ -100,7 +101,7 @@ def summarize(pairs, spec: dict, claims=()) -> tuple:
         elif bound is None:
             verdict = None
         elif pq[2] - pq[0] > bound * abs(pq[1]):
-            verdict = "unresolved"
+            verdict = "ok" if max(sign * c for c in change) < min(sign * p for p in parent) else "unresolved"
         elif sign * (cq[1] - pq[1]) > bound * abs(pq[1]):
             verdict = "worse"
         else:

@@ -713,8 +713,6 @@ def cmd_mc(cfg: ExperimentConfig, args) -> dict:
     for s in sites:
         if not 0 <= s < torus.n_sites:
             raise ConfigError(f"observable site {s} out of range")
-    if len(set(sites)) != len(sites):
-        raise ConfigError(f"observable sites {sites} repeat a site")
     f = Observable.monomial(torus, sites)
     t = args.t if args.t is not None else max(cfg.times)
     if not 0 <= t < math.inf:

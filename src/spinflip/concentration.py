@@ -157,14 +157,6 @@ def log_exponential_moment(mu, values: np.ndarray):
     return out if values.ndim > 1 else float(out)
 
 
-def gcb_ratio(mu, f: Observable) -> float:
-    """log E_mu e^{f - E_mu f} / ||delta f||_2^2; rejects constant f."""
-    l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-    if l2sq == 0:
-        raise ValueError("constant function: the ratio is undefined")
-    return log_exponential_moment(mu, f.dense_values()) / l2sq
-
-
 def variance(mu, values: np.ndarray) -> float:
     probs = probs_of(mu)
     values = np.asarray(values, dtype=float)
@@ -225,7 +217,8 @@ def _scan(kind: str, family: TestFunctionFamily, bound, ratios) -> Concentration
 def empirical_gcb_constant(
     mu, family: TestFunctionFamily, bound: float | None = None
 ) -> ConcentrationReport:
-    """C-hat = max over members x lambda-grid of gcb_ratio(mu, lambda f).
+    """C-hat = max over members x lambda-grid of the ratio
+    log E_mu e^{lambda (f - E_mu f)} / (lambda^2 ||delta f||_2^2).
     A lower bound on any valid GCB constant for mu."""
     probs = probs_of(mu)
     return _scan("gcb", family, bound, lambda values, l2sq: [
@@ -243,34 +236,6 @@ def check_uvb(
     return _scan("uvb", family, bound, lambda values, l2sq: [(None, variance(probs, values) / l2sq)])
 
 
-def carre_du_champ(rates: RateModel, f: Observable) -> Observable:
-    """Gamma(f, f)(sigma) = sum_i c(i, sigma) (f(sigma^i) - f(sigma))^2,
-    tabulated on the grown support; checks ||Gamma(f,f)||_inf <= chat
-    ||delta f||_2^2 with chat the sup rate."""
-    if f.torus != rates.torus:
-        raise ValueError("observable and rates live on different tori")
-    support = set(f.support)
-    grown = set(support)
-    for i in support:
-        grown |= set(rates.dependence(i))
-
-    def fn(config):
-        total = 0.0
-        for i in support:
-            diff = f(config.flip(i)) - f(config)
-            total += rates.rate(i, config) * diff * diff
-        return total
-
-    out = Observable.from_function(rates.torus, sorted(grown), fn)
-    chat = rates.max_rate()
-    l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-    if out.sup_norm() > chat * l2sq * (1 + 1e-12) + 1e-12:
-        raise RuntimeError(
-            f"carre du champ bound violated: {out.sup_norm()} > {chat * l2sq}"
-        )
-    return out
-
-
 @dataclass
 class PsiReport:
     t: float
@@ -284,8 +249,8 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     """psi(t; f, f) = S(t)(f^2) - (S(t)f)^2 against the variation-of-constants
     form 2 int_0^t S(t-s) Gamma_half(S(s)f, S(s)f) ds, composite Simpson in s.
     Gamma_half is the halved quadratic form (L(f^2) - 2 f L f)/2, so with the
-    unhalved tabulation from carre_du_champ the prefactor is one.  The gap
-    shrinks at fourth order in the step count."""
+    unhalved carre du champ sum_i c(i, .) (f(.^i) - f)^2 tabulated here the
+    prefactor is one.  The gap shrinks at fourth order in the step count."""
     if t < 0:
         raise ValueError("t must be >= 0")
     engine = engine_for(rates)

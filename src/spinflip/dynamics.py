@@ -21,9 +21,11 @@ both step by gathering; it serves a time grid from one pass of P^k v, each
 sum stopping at its own truncation.  For rates that commute with the
 global spin flip (c(i, -sigma) = c(i, sigma)) that operator is the block
 of P on the 2^(N-1) states whose top spin is down, and vectors travel as
-pairs of half-vectors (see SemigroupEngine); other rates keep the full P.
-A narrow batch of (half-)vectors (two, or up to four on large operators)
-steps one vector at a time; other batches step as one multi-vector product.
+half-vectors in two blocks, the halves that are their own partners and
+then the pairs, so a step reads every partner from two reversed slices
+(see SemigroupEngine); other rates keep the full P.  A narrow batch of
+(half-)vectors (two, or up to four on large operators) steps one vector at
+a time; other batches step as one multi-vector product, in the same step.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -322,18 +324,20 @@ def _steps_by_row(h: int, m: int) -> bool:
 class _Fold:
     """A batch of columns (2H, m) carried as half-columns (H, m') on the
     states whose top bit is 0.  Column j's lo = v[:H] is half lo_of[j] and
-    its hi = v[:H-1:-1] is half hi_of[j] times sign[hi_of[j]].  A step of P
-    reads, for half u, half partner[u] reversed, times sign[u]: the sign is
-    -1 only for an odd column's half, its own partner."""
+    its hi = v[:H-1:-1] is half hi_of[j] times sign[hi_of[j]].  The halves
+    lie in two blocks, so that a step of P reads each half's partner
+    reversed from two slices: first the n_self halves that are their own
+    partners (hi = sign lo, sign -1 only for an odd column), then the
+    pairs, pair k's two halves at n_self + k and m' - 1 - k."""
 
     def __init__(self, cols: np.ndarray):
         h, m = len(cols) // 2, cols.shape[1]
         lo, hi = cols[:h], cols[: h - 1 : -1]
-        self.lo_of = np.empty(m, dtype=np.intp)
-        self.hi_of = np.empty(m, dtype=np.intp)
-        # (lo, hi) bytes -> (lo half, hi half): a repeated column, and the
-        # flip (hi, lo) of an earlier column, share its halves
-        halves, partner, sign, seen = [], [], [], {}
+        lo_of, hi_of = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+        # (lo, hi) bytes -> (lo half, hi half) in order of appearance: a
+        # repeated column, and the flip (hi, lo) of an earlier column, share
+        # its halves
+        halves, sign, selfs, firsts, seen = [], [], [], [], {}
         for j in range(m):
             a, b = lo[:, j], hi[:, j]
             key = (a.tobytes(), b.tobytes())
@@ -341,20 +345,23 @@ class _Fold:
                 k = len(halves)
                 parity = 1.0 if np.array_equal(b, a) else -1.0 if np.array_equal(b, -a) else 0.0
                 if parity:
-                    # its own partner: one half, read back with the column's sign
                     seen[key] = (k, k)
                     halves.append(a)
-                    partner.append(k)
+                    selfs.append(k)
                     sign.append(parity)
                 else:
                     seen[key], seen[key[::-1]] = (k, k + 1), (k + 1, k)
                     halves += [a, b]
-                    partner += [k + 1, k]
-                    sign += [1.0, 1.0]
-            self.lo_of[j], self.hi_of[j] = seen[key]
-        self.halves = np.column_stack(halves) if halves else np.empty((h, 0))
-        self.partner = np.array(partner, dtype=np.intp)
-        self.sign = np.array(sign)
+                    firsts.append(k)
+            lo_of[j], hi_of[j] = seen[key]
+        # into blocks: the self-partnered halves, each pair's first half, then
+        # the pairs' second halves in reverse
+        order = selfs + firsts + [k + 1 for k in reversed(firsts)]
+        at = np.argsort(order)
+        self.n_self = len(selfs)
+        self.lo_of, self.hi_of = at[lo_of], at[hi_of]
+        self.halves = np.column_stack([halves[k] for k in order]) if halves else np.empty((h, 0))
+        self.sign = np.array(sign + [1.0] * (len(order) - len(selfs)))
 
     def unfold(self, folded: np.ndarray) -> np.ndarray:
         """Stacked half-columns (T, H, m') back to full columns (T, 2H, m)."""
@@ -378,8 +385,10 @@ class SemigroupEngine:
     functions and rev(b) for measures (through A.T).  A column with
     hi = +-lo (every sigma_A, every even function) carries one half, and a
     column that repeats another, or is its flip (the plus/minus pair),
-    shares its halves.  Every term is as nonnegative as in P, so measures
-    stay >= 0.
+    shares its halves.  _Fold lays the halves out as [own partners | pairs],
+    pair k at both ends of the pair block, so the partner read rev(hi) is
+    two reversed slices of the batch, not a gather.  Every term is as
+    nonnegative as in P, so measures stay >= 0.
 
     `p` and `pt` (P^T, or A^T when folded) are CSR matrices that share one
     read-only index structure and differ only in data, so both directions
@@ -476,51 +485,36 @@ class SemigroupEngine:
 
         A batch of (half-)columns of shape (H, m) steps as m contiguous rows,
         one sparse matrix-vector product each, when _steps_by_row(H, m);
-        other batches step as one multi-vector product."""
+        other batches step as one multi-vector product.  On a fold, the step
+        then adds the top-site flips, each half's partner reversed times b,
+        read from _Fold's two blocks as two slices into one buffer."""
         weights = [self.poisson_weights(t) for t in times]
         op = self.pt if measures else self.p
         cols = vec.reshape(len(vec), -1)
         fold = _Fold(cols) if self.flip_symmetric else None
         cur = fold.halves if fold else cols
         by_row = _steps_by_row(*cur.shape)
-        if fold:
-            top = self._top[::-1] if measures else self._top
-            if by_row:
-                # half u reads half partner[u] reversed, times sign[u] top
-                coef = fold.sign[:, None] * top
-
-                def step(cur):
-                    nxt = cur[fold.partner, ::-1] * coef
-                    for row, out in zip(cur, nxt):
-                        out += op @ row
-                    return nxt
-
-            else:
-                coef = top[:, None] * fold.sign
-                # column v of cur[:, order] is half partner[-1 - v], so
-                # reversing rows and columns together (one contiguous
-                # reversal) reads each half's partner reversed
-                order = fold.partner[::-1]
-                flips = np.empty_like(cur)
-
-                def step(cur):
-                    np.multiply(cur[:, order][::-1, ::-1], coef, out=flips)
-                    nxt = op @ cur
-                    nxt += flips
-                    return nxt
-
-        elif by_row:
-
-            def step(cur):
-                nxt = np.empty_like(cur)
-                for row, out in zip(cur, nxt):
-                    out[:] = op @ row
-                return nxt
-
-        else:
-            step = op.__matmul__
         if by_row:
             cur = np.ascontiguousarray(cur.T)
+        if fold:
+            top = self._top[::-1] if measures else self._top
+            s = fold.n_self
+            # sign times top in the batch's layout, so one multiply reads
+            # both in memory order
+            coef = fold.sign[:s, None] * top if by_row else (top[:, None] * fold.sign[:s]).T
+            flips = np.empty_like(cur)
+
+        def step(cur):
+            nxt = np.array([op @ row for row in cur]) if by_row else op @ cur
+            if fold:
+                # half u's partner, reversed: a self-partnered half reads
+                # itself, and the pair block reads itself back to front
+                rows, into = (cur, flips) if by_row else (cur.T, flips.T)
+                np.multiply(rows[:s, ::-1], coef, out=into[:s])
+                np.multiply(rows[s:][::-1, ::-1], top, out=into[s:])
+                nxt += flips
+            return nxt
+
         accs = np.empty((len(times),) + cur.shape)
         term = np.empty_like(cur)
         for acc, w in zip(accs, weights):

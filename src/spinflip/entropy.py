@@ -78,10 +78,6 @@ class EntropyProfile:
     rows: list  # {"sites", "size", "h", "h_per_site", "saturated"}
     n_sites: int
 
-    @property
-    def densities(self):
-        return [r["h_per_site"] for r in self.rows]
-
 
 def entropy_density_profile(mu, nu, windows, n_sites: int | None = None) -> EntropyProfile:
     """Per-window h_Lambda(nu|mu)/|Lambda| over nested windows; each entry is

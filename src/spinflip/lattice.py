@@ -170,9 +170,6 @@ class SpinConfiguration:
     def __setattr__(self, *a):
         raise AttributeError("SpinConfiguration is immutable")
 
-    def spin(self, site: int) -> int:
-        return 1 if (self.bits >> site) & 1 else -1
-
     def flip(self, site: int) -> "SpinConfiguration":
         return SpinConfiguration(self.torus, self.bits ^ (1 << site))
 
@@ -278,18 +275,6 @@ class Observable:
             table += float(coeff) * spin_product(keys, mask).astype(float)
         return cls(torus, support, table)
 
-    @classmethod
-    def from_function(cls, torus: Torus, support, fn):
-        """Tabulate fn over the support patterns; fn sees a SpinConfiguration
-        whose off-support spins are all -1 (fn must not depend on them)."""
-        support = tuple(sorted(set(int(s) for s in support)))
-        if len(support) > LIPSCHITZ_SUPPORT_CAP:
-            raise ValueError("support too large to tabulate")
-        table = np.empty(1 << len(support))
-        for key in range(1 << len(support)):
-            table[key] = fn(SpinConfiguration(torus, scatter_bits(key, support)))
-        return cls(torus, support, table)
-
     def __call__(self, state) -> float:
         return self.table.item(gather_bits(state_bits(state), self.support))
 
@@ -325,9 +310,6 @@ class Observable:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Observable) else -float(other))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.table)))
 
     def __repr__(self):
         return f"Observable(support={self.support})"

@@ -128,10 +128,6 @@ class SetPolynomial:
                     self.terms[key] = c
 
     @classmethod
-    def zero(cls) -> "SetPolynomial":
-        return cls()
-
-    @classmethod
     def monomial(cls, sites, coeff=1) -> "SetPolynomial":
         return cls({as_monomial(sites): Fraction(coeff)})
 
@@ -181,16 +177,6 @@ class SetPolynomial:
 
     def coeff_l1(self) -> Fraction:
         return _norms(*self._integer_form(), cap=-1)[0]  # no support fits cap -1: no transform
-
-    def evaluate(self, assignment) -> Fraction:
-        """Value at a spin assignment {coordinate: +-1}."""
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            sign = 1
-            for site in key:
-                sign *= assignment[site]
-            total += c * sign
-        return total
 
     def exact_sup_norm(self, cap: int = EXACT_SITE_CAP):
         """Exact sup norm over every spin pattern of the support, as an exact

@@ -598,6 +598,32 @@ class TestBatchRoutes:
         assert all(np.array_equal(got[:, 6], got[:, j]) for j in range(7, 12))
         assert np.array_equal(got[:, :6], engine.evolve_functions(np.hstack([values, values[:, :1] ** 2]), 0.4)[:, :6])
 
+        # a mixed batch: the even, odd and zero columns are their own
+        # partners, and each general column and its flip make one pair
+        torus = Torus((12,))
+        rng = np.random.default_rng(5)
+        odd = monomial_values_dense(torus, (0,))
+        even = odd * monomial_values_dense(torus, (11,)) + 0.5
+        general, other = rng.normal(size=(2, odd.size))
+        cols = np.column_stack([general, even, general[::-1], odd, other, general, np.zeros(odd.size)])
+        fold = _Fold(cols)
+        h, m = fold.halves.shape
+        assert (fold.n_self, m) == (3, 7)
+        assert fold.sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        # pair k at n_self + k and m' - 1 - k; the flip and the repeat share them
+        for k, j in enumerate((0, 4)):
+            assert (fold.lo_of[j], fold.hi_of[j]) == (3 + k, m - 1 - k)
+        assert (fold.lo_of[2], fold.hi_of[2]) == (fold.hi_of[0], fold.lo_of[0])
+        assert (fold.lo_of[5], fold.hi_of[5]) == (fold.lo_of[0], fold.hi_of[0])
+        assert np.array_equal(fold.unfold(fold.halves[None])[0], cols)
+        # the first four columns fold to four halves, which step by row; the
+        # whole batch steps as one multi-vector product, folded or not
+        assert _steps_by_row(h, 4) and not _steps_by_row(h, m) and not _steps_by_row(2 * h, cols.shape[1])
+        for rates in self.models(torus):
+            engine = SemigroupEngine(rates)
+            assert np.array_equal(engine.evolve_functions(cols[:, :4], 0.4), engine.evolve_functions(cols, 0.4)[:, :4])
+            assert np.array_equal(engine.evolve_measures(cols[:, :4].T, 0.4), engine.evolve_measures(cols.T, 0.4)[:4])
+
 
 class TestLipschitzPropagation:
     def test_gamma_closed_forms(self):

@@ -16,7 +16,7 @@ from spinflip.gibbs import (
     product_measure,
     uniform_measure,
 )
-from spinflip.lattice import Observable, SpinConfiguration, Torus, monomial_values_dense, translate_states
+from spinflip.lattice import Observable, SpinConfiguration, Torus, monomial_eval, monomial_values_dense, translate_states
 
 
 def ising_ring_pair_correlation(n, beta):
@@ -53,9 +53,7 @@ class TestPotential:
         for _ in range(20):
             bits = int(rng.integers(0, 32))
             cfg = SpinConfiguration(t, bits)
-            want = -beta * sum(
-                cfg.spin(i) * cfg.spin((i + 1) % 5) for i in range(5)
-            )
+            want = -beta * sum(monomial_eval(cfg, (i, (i + 1) % 5)) for i in range(5))
             assert hamiltonian_periodic(pot, t, cfg) == pytest.approx(want)
 
     def test_dobrushin_constant_ising(self):

@@ -14,19 +14,15 @@ what the conservation pipelines consume as the initial-measure input.
 
 The pipelines measure the per-start constants the theorems quantify over,
 exactly and for every Dirac start, and assert the composite bounds term by
-term.  Every per-start quantity is a pointwise function of S(t) applied to
-function columns: S(t)f, S(t)f^2 and S(t)e^{lambda f} for Theorems 3.1, 5.2
-and 5.3, and for (H, J, C) the law of f under each start, which is S(t)
-applied to the indicators of the level sets of f.  The measured side, a
-constant of mu S(t), reads the same columns by duality,
-
-    <mu S(t), g> = <mu, S(t) g>,
-
-so row sigma of the evolved columns is the start delta_sigma, probs @ evolved
-is mu S(t), and one formula serves both.  Each check makes one batched
-`evolve_functions` call and evolves no measure, so no array grows with the
-square of the 2^N states.  Constant family members are skipped by every
-scan, since ||delta f||_2 = 0 leaves their ratios undefined.
+term.  Each checked quantity (the log-moment at every lambda, the variance,
+the H-integral, and S(t)f, which ||delta S(t)f|| needs) is a sum over the
+levels l of a member f against its law P(f = l), so one reader serves all
+four checks: one batched `evolve_functions` call of 2 1{f = l} - 1 for every
+level but the most frequent of every member gives the law under each start
+delta_sigma S(t), and by duality, <mu S(t), g> = <mu, S(t) g>, under mu S(t).
+No measure is evolved, so no array grows with the square of the 2^N states.
+Constant family members are skipped by every scan, since ||delta f||_2 = 0
+leaves their ratios undefined.
 
     exponential moments:  lhs <= D_t ||delta f||^2 + C_mu ||delta S(t)f||^2,
                           and C(mu S(t)) <= D_t + K(t) C_mu
@@ -192,13 +188,6 @@ def _nonconstant(family: TestFunctionFamily):
         raise ValueError("family contains only constant functions")
 
 
-def _members(family: TestFunctionFamily):
-    """Labels, the (members, 2^N) dense values, one row per member, and
-    ||delta f||_2^2 per member, over the non-constant members."""
-    labels, fs, l2sq = zip(*_nonconstant(family))
-    return list(labels), np.array([f.dense_values() for f in fs]), list(l2sq)
-
-
 def _scan(kind: str, family: TestFunctionFamily, bound, ratios) -> ConcentrationReport:
     """One report row per (member, lam, ratio) from ratios(values, l2sq),
     which sees one member's dense values at a time."""
@@ -283,16 +272,66 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     return PsiReport(float(t), steps, float(np.max(np.abs(direct))), float(np.max(np.abs(integral))), gap)
 
 
-def _moments(engine, values: np.ndarray, t: float):
-    """S(t)f and S(t)f^2 for every column of values, two (2^N, members)
-    arrays from one batched evolution."""
-    return np.hsplit(engine.evolve_functions(np.hstack([values, values * values]), t), 2)
+class _Laws:
+    """Member laws P(f = l), one row per level (each member's levels a run
+    from its entry of `starts`) and one column per measure: every Dirac
+    start, or mu S(t).  Readers sum over a member's levels by products with
+    the 0/1 (members, levels) matrix `member`, giving (members, measures)."""
+
+    def __init__(self, levels: np.ndarray, starts: np.ndarray, law: np.ndarray):
+        self.levels, self.starts, self.law = levels, starts, law
+        self.owner = np.repeat(np.arange(starts.size), np.diff(starts, append=levels.size))
+        self.member = np.equal.outer(np.arange(starts.size), self.owner).astype(float)
+        self.mean = self.total(levels)
+
+    def total(self, x: np.ndarray) -> np.ndarray:
+        """sum_l law_l x_l, x per level or per level and measure"""
+        return (self.member * x) @ self.law if x.ndim == 1 else self.member @ (self.law * x)
+
+    def under(self, probs: np.ndarray) -> "_Laws":
+        """The laws under sum_sigma mu(sigma) delta_sigma S(t) = mu S(t)"""
+        return _Laws(self.levels, self.starts, (self.law @ probs)[:, None])
+
+    def centered(self, lam: float) -> np.ndarray:
+        return lam * (self.levels[:, None] - self.mean[self.owner])
+
+    def log_moment(self, lam: float) -> np.ndarray:
+        """log E e^{lam (f - E f)}, each sum shifted by the member's largest lam l"""
+        top = np.maximum.reduceat(lam * self.levels, self.starts)
+        return np.log(self.total(np.exp(lam * self.levels - top[self.owner]))) + (top[:, None] - lam * self.mean)
+
+    def variance(self) -> np.ndarray:
+        return self.total(self.centered(1.0) ** 2)
+
+    def mean_lipschitz(self) -> np.ndarray:
+        """||delta E f||_2 per member, E f read as a function of the start"""
+        n = self.law.shape[1].bit_length() - 1
+        return np.array([lipschitz_norm(lipschitz_vector_dense(n, v), 2.0) for v in self.mean])
 
 
-def _variances(ex, ex2) -> np.ndarray:
-    """nu(f^2) - nu(f)^2 from the moments nu(f) and nu(f^2), clipped because
-    the difference can cancel below zero."""
-    return np.clip(ex2 - ex * ex, 0.0, None)
+def _member_laws(rates: RateModel, t: float, family: TestFunctionFamily):
+    """Labels, ||delta f||_2^2 and the laws under every Dirac start of the
+    non-constant members, from one batched evolution.  A member evolves
+    c_l = 2 1{f = l} - 1 for each level l but its most frequent (a monomial
+    is its own c_l, one half-column under the fold) and reads P(f = l) =
+    (1 + S(t)c_l)/2, the dropped level's as 1 minus the others.  In exact
+    arithmetic the truncated series sum_k w_k P^k (P stochastic, >= 0; W =
+    sum_k w_k) maps c_l into [-W, W]: for k evolved levels an entry is off by
+    at most k (1 - W)/2 (1 - W <= tail_tol) plus rounding, a few 2^-53 per
+    term, and negative by at most (k/2 - 1)(1 - W) plus rounding.  A reader
+    carries that error times the range it sums, far inside _TOL: no clip."""
+    labels, fs, l2sq = zip(*_nonconstant(family))
+    # each pattern of a member's support covers as many states, so its table
+    # gives the levels and their frequencies
+    tables = [np.unique(f.table, return_inverse=True) for f in fs]
+    dropped = [int(np.argmax(np.bincount(at))) for _, at in tables]
+    columns = [Observable(f.torus, f.support, 2.0 * (at == k) - 1.0).dense_values()
+               for f, (levels, at), d in zip(fs, tables, dropped) for k in range(levels.size) if k != d]
+    evolved = (1.0 + engine_for(rates).evolve_functions(np.column_stack(columns), t).T) / 2.0
+    parts = np.split(evolved, np.cumsum([levels.size - 1 for levels, _ in tables])[:-1])
+    law = np.vstack([np.insert(part, d, 1.0 - part.sum(axis=0), axis=0) for part, d in zip(parts, dropped)])
+    starts = np.cumsum([0] + [levels.size for levels, _ in tables[:-1]])
+    return list(labels), np.array(l2sq), _Laws(np.concatenate([v for v, _ in tables]), starts, law)
 
 
 @dataclass
@@ -315,39 +354,22 @@ def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     D_t + K(t) C_mu are asserted.  c_mu must be a GCB constant valid for every
     function (certified, not empirical).
 
-    The log-moment of lambda f under a measure nu is
-    log nu(e^{lambda f - m}) + m - lambda nu(f) with m = max lambda f, so one
-    batched evolution of the columns f and e^{lambda f - m} gives it for every
-    start (the rows) and for mu S(t) (their mu-average)."""
+    The log-moment of lambda f under nu is log sum_l nu(f = l) e^{lambda l - m}
+    + m - lambda nu(f), m the largest lambda l: the member laws under every
+    start and under mu S(t) give it at every lambda of the grid."""
     probs = probs_of(mu)
-    labels, values, l2sq = _members(family)
+    labels, l2sq, laws = _member_laws(rates, t, family)
+    at_mu = laws.under(probs)
     lams = np.array(family.lambda_grid)
-    scaled = values[:, None, :] * lams[:, None]  # (members, lambdas, 2^N)
-    shift = scaled.max(axis=2, keepdims=True)
-    n_members = len(labels)
-    columns = np.vstack([values, np.exp(scaled - shift).reshape(-1, values.shape[1])])
-    del scaled  # not held through the evolution, where the check peaks
-    evolved = engine_for(rates).evolve_functions(columns.T, t).T
-
-    def log_moments(read):
-        """(members, lambdas, readings) from columns read on the first axis"""
-        s_exp = read[n_members:].reshape(shift.shape[:2] + read.shape[1:])
-        return np.log(s_exp) + shift - lams[:, None] * read[:n_members, None, :]
-
-    start_max = log_moments(evolved).max(axis=2)
-    d_t = max(0.0, float(np.max(start_max / np.outer(l2sq, lams * lams))))
-    l2sq_t = [
-        lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, v), 2.0) ** 2
-        for v in evolved[:n_members]
-    ]
-    lhs_all = log_moments((evolved @ probs)[:, None])[..., 0].tolist()
-
+    start_max = np.array([laws.log_moment(lam).max(axis=1) for lam in lams])
+    d_t = max(0.0, float(np.max(start_max / np.outer(lams * lams, l2sq))))
+    l2sq_t = laws.mean_lipschitz() ** 2
+    lhs_all = np.array([at_mu.log_moment(lam)[:, 0] for lam in lams]).T
+    measured = max(0.0, float(np.max(lhs_all / np.outer(l2sq, lams * lams))))
     rows = []
-    measured = 0.0
-    for label, w, w_t, lhs_row in zip(labels, l2sq, l2sq_t, lhs_all):
+    for label, w, w_t, lhs_row in zip(labels, l2sq.tolist(), l2sq_t.tolist(), lhs_all.tolist()):
         for lam, lhs in zip(family.lambda_grid, lhs_row):
             rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
-            measured = max(measured, lhs / (lam * lam * w))
             rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + _TOL})
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = d_t + k_t * c_mu
@@ -355,25 +377,24 @@ def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     return TheoremReport("31", float(t), k_t, c_mu, d_t, composite, measured, rows, holds)
 
 
+def _ratio_rows(labels, ratios: np.ndarray, bound: float):
+    """A variance check's rows, its measured constant and whether it holds"""
+    rows = [{"label": l, "ratio": r, "bound": bound, "ok": r <= bound + _TOL} for l, r in zip(labels, ratios.tolist())]
+    return rows, max(0.0, *ratios.tolist()), all(r["ok"] for r in rows)
+
+
 def theorem52_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, c_mu: float) -> TheoremReport:
     """Variance conservation: measured UVB constant of mu S(t) against
     C_mu K(t) + int C(sigma, t) dmu(sigma), the start integral taken over the
     initial measure.  c_mu must be a UVB constant valid for every function.
-    Both sides read one evolution of the columns f and f^2."""
+    Both sides read the member laws."""
     probs = probs_of(mu)
-    labels, values, l2sq = _members(family)
-    ex, ex2 = _moments(engine_for(rates), values.T, t)
-    c_sigma = np.max(_variances(ex, ex2) / l2sq, axis=1)
+    labels, l2sq, laws = _member_laws(rates, t, family)
+    c_sigma = np.max(laws.variance() / l2sq[:, None], axis=0)
     avg_start = float(probs @ c_sigma)
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = c_mu * k_t + avg_start
-
-    rows = []
-    measured = 0.0
-    for label, ratio in zip(labels, (_variances(probs @ ex, probs @ ex2) / l2sq).tolist()):
-        measured = max(measured, ratio)
-        rows.append({"label": label, "ratio": ratio, "bound": composite, "ok": ratio <= composite + _TOL})
-    holds = all(r["ok"] for r in rows)
+    rows, measured, holds = _ratio_rows(labels, laws.under(probs).variance()[:, 0] / l2sq, composite)
     return TheoremReport("52", float(t), k_t, c_mu, avg_start, composite, measured, rows, holds)
 
 
@@ -399,20 +420,12 @@ def theorem53_constant(rates: RateModel, t: float, rel_tol=1e-10) -> TimeIntegra
 def theorem53_check(rates: RateModel, t: float, family: TestFunctionFamily) -> TheoremReport:
     """Exhaustive check that every Dirac start satisfies the UVB with the
     time-integrated constant."""
-    labels, values, l2sq = _members(family)
+    labels, l2sq, laws = _member_laws(rates, t, family)
     result = theorem53_constant(rates, t)
-    worst_starts = _variances(*_moments(engine_for(rates), values.T, t)).max(axis=0) / l2sq
-    rows = []
-    measured = 0.0
-    for label, worst in zip(labels, worst_starts.tolist()):
-        measured = max(measured, worst)
-        rows.append({"label": label, "ratio": worst, "bound": result.constant, "ok": worst <= result.constant + _TOL})
+    rows, measured, holds = _ratio_rows(labels, laws.variance().max(axis=1) / l2sq, result.constant)
     k_t = gamma_matrix(rates).k_of_t(t)
-    holds = all(r["ok"] for r in rows)
-    return TheoremReport(
-        "53", float(t), k_t, 0.0, result.constant, result.constant, measured, rows, holds,
-        result.integral,
-    )
+    c = result.constant
+    return TheoremReport("53", float(t), k_t, 0.0, c, c, measured, rows, holds, result.integral)
 
 
 class HJCSpec:
@@ -468,51 +481,35 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
         int H(f - E f) d(mu S(t)) <= J((2 C_start + 2 C_mu sqrt(K(t))) ||delta f||_2)
 
     is asserted for every family member and scale.  H(f - E_sigma f) depends
-    on the start sigma through its own mean, so it is not S(t) applied to a
-    fixed function, but it is a function of the law of f under
-    delta_sigma S(t): the masses S(t)1{f = l}(sigma) on the level values l of
-    f.  One batched evolution of every member's level-set indicators but its
-    most frequent level's, which is 1 minus the others, at most 2^k - 1
-    columns for a member on k sites, gives E_sigma(lambda f) = sum_l
-    law_l lambda l and int H(2(lambda f - E_sigma lambda f)) = sum_l law_l
-    H(2(lambda l - E_sigma lambda f)) for every start and scale; mu applied
-    to the same columns is the law under mu S(t)."""
+    on the start through its own mean, so it is not S(t) applied to a fixed
+    function; it is a sum over the levels of f against its law, which the
+    member laws give for every start and under mu S(t)."""
     probs = probs_of(mu)
     k_t = gamma_matrix(rates).k_of_t(t)
     hv = np.vectorize(spec.h, otypes=[float])
 
-    labels, dense, l2sqs = _members(family)
-    level_sets = [np.unique(v, return_inverse=True) for v in dense]
-    # a member's indicators sum to 1 and S(t)1 = 1, so its most frequent
-    # level's column is 1 minus the others and is not evolved
-    dropped = [int(np.argmax(np.bincount(level_of))) for _, level_of in level_sets]
-    kept = [np.delete(np.arange(levels.size), d) for (levels, _), d in zip(level_sets, dropped)]
-    indicators = np.hstack([level_of[:, None] == others for (_, level_of), others in zip(level_sets, kept)])
-    evolved = np.hsplit(engine_for(rates).evolve_functions(indicators, t), np.cumsum([o.size for o in kept])[:-1])
-    prepared = []
-    for label, l2sq, (levels, _), d, part in zip(labels, l2sqs, level_sets, dropped, evolved):
-        law = np.insert(part, d, 1.0 - part.sum(axis=1), axis=1)
-        law_t = probs @ law
-        for lam in family.lambda_grid:
-            values = lam * levels
-            l2 = abs(lam) * math.sqrt(l2sq)
-            # inner: every Dirac start, doubled centered function; J^-1 is
-            # increasing, so the largest moment gives its max
-            g = law @ values
-            inner = np.sum(law * hv(2.0 * (values[None, :] - g[:, None])), axis=1)
-            c_start = spec.j_inv(float(inner.max())) / (2.0 * l2)
-            # outer: the evolved function g = S(t)(lambda f) under the initial measure
-            m_out = float(probs @ hv(2.0 * (g - float(probs @ g))))
-            c_out = spec.j_inv(m_out) / (2.0 * lipschitz_norm(lipschitz_vector_dense(rates.torus.n_sites, g), 2.0))
-            # left side under mu S(t)
-            lhs = float(law_t @ hv(values - float(law_t @ values)))
-            prepared.append((label, lam, l2, c_start, c_out, lhs))
-    c_start = max(r[3] for r in prepared)
-    c_out = max(r[4] for r in prepared)
+    labels, l2sq, laws = _member_laws(rates, t, family)
+    at_mu = laws.under(probs)
+    inner, m_out, lhs = [], [], []
+    for lam in family.lambda_grid:
+        # inner: every Dirac start, doubled centered function; J^-1 is
+        # increasing, so the largest moment gives its max
+        inner.append(laws.total(hv(2.0 * laws.centered(lam))).max(axis=1))
+        # outer: the evolved function g = S(t)(lambda f) under the initial measure
+        g = lam * laws.mean
+        m_out.append(hv(2.0 * (g - (g @ probs)[:, None])) @ probs)
+        # left side under mu S(t)
+        lhs.append(at_mu.total(hv(at_mu.centered(lam)))[:, 0])
+    scale = np.abs(family.lambda_grid)[:, None]
+    l2 = scale * np.sqrt(l2sq)  # ||delta lambda f||_2 per lambda and member
+    j_inv = np.vectorize(spec.j_inv, otypes=[float])
+    c_start = float(np.max(j_inv(inner) / (2.0 * l2)))
+    c_out = float(np.max(j_inv(m_out) / (2.0 * scale * laws.mean_lipschitz())))
     composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
     rows = []
-    for label, lam, l2, _, _, lhs in prepared:
-        rhs = spec.j(composite * l2)
-        rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1 + 1e-9) + _TOL})
+    for label, l2_row, lhs_row in zip(labels, l2.T.tolist(), np.transpose(lhs).tolist()):
+        for lam, l2_one, lhs_one in zip(family.lambda_grid, l2_row, lhs_row):
+            rhs = spec.j(composite * l2_one)
+            rows.append({"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs, "ok": lhs_one <= rhs * (1 + 1e-9) + _TOL})
     holds = all(r["ok"] for r in rows)
     return TheoremReport("hjc", float(t), k_t, c_out, c_start, composite, c_start, rows, holds)

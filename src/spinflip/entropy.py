@@ -57,9 +57,11 @@ def marginal(probs, sites, n_sites: int | None = None) -> np.ndarray:
     if any(s < 0 or s >= n_sites for s in sites):
         raise ValueError("site outside the state space")
     keep = [n_sites - 1 - s for s in sorted(sites, reverse=True)]
-    # the kept axes go first, so each entry sums one contiguous run pairwise
+    # the kept axes go first, and the copy makes each entry's run contiguous:
+    # numpy sums a contiguous run pairwise, but a strided one (site 0 kept)
+    # one term at a time
     tensor = bit_tensor(probs, n_sites).transpose(keep + [a for a in range(n_sites) if a not in keep])
-    return tensor.reshape(1 << len(keep), -1).sum(axis=1)
+    return np.ascontiguousarray(tensor.reshape(1 << len(keep), -1)).sum(axis=1)
 
 
 def window_sites(torus: Torus, radius: int):

@@ -311,6 +311,22 @@ class TestTheorem31:
         report = theorem31_check(rates, 0.3, mu, fam, potential.gcb_constant_dobrushin())
         assert report.holds
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_flip_symmetry_fixes_single_site_rows(self, n):
+        # flip-symmetric rates keep the uniform measure flip-invariant, so
+        # under mu S(t) a one-site spin is a fair coin: every row's left side
+        # is log cosh lam, the same at lam and -lam
+        torus = Torus((n,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        fam = TestFunctionFamily.monomials(torus, 1)
+        for t in (0.25, 0.5, 1.0, 2.0):
+            rows = theorem31_check(rates, t, uniform_measure(torus), fam, product_gcb_constant()).rows
+            assert len(rows) == n * len(fam.lambda_grid)
+            lhs = {(row["label"], row["lam"]): row["lhs"] for row in rows}
+            for (label, lam), value in lhs.items():
+                assert value == pytest.approx(math.log(math.cosh(lam)), rel=1e-13, abs=0)
+                assert value == pytest.approx(lhs[label, -lam], rel=1e-13, abs=0)
+
 
 class TestTheorem52:
     def test_time_zero_reduces_to_the_initial_uvb(self):
@@ -399,18 +415,33 @@ class TestPerStartOracle:
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_dense_transition_matrix(self, t):
-        torus = Torus((6,))
-        rates = PerturbedRates.pair(torus, 0.1)
+        self.against_dense(PerturbedRates.pair(Torus((6,)), 0.1), t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_dense_transition_matrix_unfolded(self, t):
+        # the field breaks the flip symmetry, so the engine runs unfolded
+        potential = Potential.ising_nn(1, 0.3) + Potential.external_field(1, 0.25)
+        rates = GlauberRates(Torus((6,)), potential)
+        assert not engine_for(rates).flip_symmetric
+        self.against_dense(rates, t)
+
+    @staticmethod
+    def against_dense(rates, t):
+        # the family adds a two-level member with levels 0 and 1, not +-c,
+        # and a three-level member
+        torus = rates.torus
         mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
         fam = TestFunctionFamily(
             TestFunctionFamily.monomials(torus, 2, max_count=6).members
             + TestFunctionFamily.random_combinations(torus, 3, seed=5).members
+            + [Observable(torus, (0,), [0.0, 1.0]), Observable.monomial_sum(torus, [(1.0, [0]), (1.0, [2])])]
         )
+        assert [np.unique(f.dense_values()).size for f in fam.members[-2:]] == [2, 3]
         e = expm(t * generator_matrix(rates).toarray())
         mu_t = mu.probs @ e
         states = np.arange(1 << torus.n_sites)
-        d_t, c_sigma, worst_var = 0.0, np.zeros(states.size), 0.0
-        measured31, lhs31, measured52 = 0.0, [], 0.0
+        d_t, c_sigma = 0.0, np.zeros(states.size)
+        measured31, lhs31, ratios52, worst53 = 0.0, [], [], []
         for f in fam.members:
             v = f.dense_values()
             l2sq = sum(np.max(np.abs(v[states ^ (1 << i)] - v)) ** 2 for i in torus.sites())
@@ -421,8 +452,8 @@ class TestPerStartOracle:
                 measured31 = max(measured31, lhs31[-1] / (lam * lam * l2sq))
             start_var = e @ (v * v) - (e @ v) ** 2
             c_sigma = np.maximum(c_sigma, start_var / l2sq)
-            worst_var = max(worst_var, float(start_var.max()) / l2sq)
-            measured52 = max(measured52, float(mu_t @ (v - mu_t @ v) ** 2) / l2sq)
+            worst53.append(float(start_var.max()) / l2sq)
+            ratios52.append(float(mu_t @ (v - mu_t @ v) ** 2) / l2sq)
 
         assert not hasattr(concentration, "evolve_dirac_matrix")
         r31 = theorem31_check(rates, t, mu, fam, product_gcb_constant())
@@ -430,32 +461,36 @@ class TestPerStartOracle:
         r53 = theorem53_check(rates, t, fam)
         assert r31.inner_constant == pytest.approx(d_t, rel=1e-10, abs=1e-13)
         assert r52.inner_constant == pytest.approx(float(mu.probs @ c_sigma), rel=1e-10, abs=1e-13)
-        assert r53.measured_constant == pytest.approx(worst_var, rel=1e-10, abs=1e-13)
+        assert r53.measured_constant == pytest.approx(max(worst53), rel=1e-10, abs=1e-13)
+        assert [row["ratio"] for row in r53.rows] == pytest.approx(worst53, rel=1e-10, abs=1e-13)
         assert r31.measured_constant == pytest.approx(measured31, rel=1e-10, abs=1e-13)
         assert [row["lhs"] for row in r31.rows] == pytest.approx(lhs31, rel=1e-10, abs=1e-13)
-        assert r52.measured_constant == pytest.approx(measured52, rel=1e-10, abs=1e-13)
+        assert r52.measured_constant == pytest.approx(max(ratios52), rel=1e-10, abs=1e-13)
+        assert [row["ratio"] for row in r52.rows] == pytest.approx(ratios52, rel=1e-10, abs=1e-13)
 
 
 class TestOneEvolution:
-    """Each conservation check evolves its function columns once and evolves
-    no measure: the measured side reads the same columns by duality."""
+    """Each conservation check evolves its members' law columns once and
+    evolves no measure: the measured side reads the same columns by duality.
+    A member with L levels evolves L - 1 columns, so a monomial evolves one."""
 
-    @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
-    def test_one_function_evolution_per_check(self, monkeypatch, field):
-        torus = Torus((6,))
+    @staticmethod
+    def batches(monkeypatch, field, fam):
+        """(measures, width) of every _apply call, per check"""
+        torus = fam.members[0].torus
         potential = Potential.ising_nn(1, 0.3) + Potential.external_field(1, field)
         rates = GlauberRates(torus, potential)
         assert engine_for(rates).flip_symmetric is (field == 0.0)
         mu = gibbs_measure(potential, torus)
-        fam = TestFunctionFamily.random_combinations(torus, 4, seed=3)
         calls = []
         apply = SemigroupEngine._apply
 
         def counted(engine, vec, times, measures):
-            calls.append(measures)
+            calls.append((measures, vec.reshape(len(vec), -1).shape[1]))
             return apply(engine, vec, times, measures)
 
         monkeypatch.setattr(SemigroupEngine, "_apply", counted)
+        out = []
         for check in (
             lambda: theorem31_check(rates, 0.5, mu, fam, product_gcb_constant()),
             lambda: theorem52_check(rates, 0.5, mu, fam, product_uvb_constant()),
@@ -464,7 +499,22 @@ class TestOneEvolution:
         ):
             calls.clear()
             check()
-            assert calls == [False]
+            out.append(list(calls))
+        return out
+
+    @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
+    def test_one_function_evolution_per_check(self, monkeypatch, field):
+        fam = TestFunctionFamily.random_combinations(Torus((6,)), 4, seed=3)
+        n_levels = [np.unique(f.dense_values()).size for f in fam.members]
+        assert max(n_levels) > 2
+        width = sum(n_levels) - len(n_levels)
+        assert self.batches(monkeypatch, field, fam) == [[(False, width)]] * 4
+
+    @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
+    def test_default_monomials_one_column_per_member(self, monkeypatch, field):
+        fam = TestFunctionFamily.monomials(Torus((6,)), 3)  # the command line's default family
+        assert len(fam) == 40
+        assert self.batches(monkeypatch, field, fam) == [[(False, 40)]] * 4
 
 
 def six_checks(family):

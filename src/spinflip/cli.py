@@ -256,13 +256,13 @@ def build_rates(cfg: ExperimentConfig, torus: Torus):
 
 
 def build_engine(cfg: ExperimentConfig, rates):
-    """The rate model's engine with the Poisson weights of every time of the
-    grid in its cache, so that a rate table or a Lambda t the engine cannot
-    serve is a configuration error before any evolution starts."""
+    """The rate model's engine with the coefficients of its route for every
+    time of the grid in its cache, so that a rate table or a time the route
+    cannot serve is a configuration error before any evolution starts."""
     try:
         engine = engine_for(rates)
         for t in cfg.times:
-            engine.poisson_weights(t)
+            engine.coefficients(t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return engine

@@ -1,4 +1,4 @@
-"""Spin-flip rate models, exact generators, and uniformized semigroups.
+"""Spin-flip rate models, exact generators, and their semigroups.
 
 The generator acts on observables as
 
@@ -7,19 +7,49 @@ The generator acts on observables as
 with flip rates c satisfying: positivity, translation invariance, finite
 range R (c(i, .) reads only spins within Chebyshev distance R of i), and
 boundedness.  On a torus with N <= EXACT_SITE_CAP sites the full 2^N x 2^N
-generator is assembled sparsely and e^{tL} is applied by uniformization: with
-Lambda >= max exit rate and P = I + Q/Lambda,
+generator is assembled sparsely and e^{tL} is applied on one of two routes,
+both through the uniformized operator P = I + Q/Lambda, Lambda the largest
+exit rate.
+
+Uniformization serves every rate table:
 
     e^{tQ} = sum_k e^{-Lambda t} (Lambda t)^k / k!  P^k,
 
 truncated when the Poisson tail drops below a tolerance (default 1e-13),
 which bounds the total-variation truncation error for measures and the
-sup-norm error for normalized functions.  An engine stores the operator and
-its transpose as two CSR matrices on one index structure, built in place
-(row s lists its flips s ^ (1 << i), then s), so functions and measures
-both step by gathering; it serves a time grid from one pass of P^k v, each
-sum stopping at its own truncation.  For rates that commute with the
-global spin flip (c(i, -sigma) = c(i, sigma)) that operator is the block
+sup-norm error for normalized functions; measures step through P^T.
+
+A Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves reversible rates,
+and they always take it: no other input chooses the route.  The engine
+builds pi from the table by bit doubling, pi(s | 2^k) = pi(s) c(k, s) /
+c(k, s^k), and takes the route only if every rate is positive and
+pi(s) c(i, s) = pi(s^i) c(i, s^i) holds at every (i, s) to rounding.  Then
+Q is self-adjoint in l^2(pi), and Gershgorin on its pi-symmetrization
+bounds the spectrum of -Q by
+
+    rho = min(max_s sum_i (c(i, s) + sqrt(c(i, s) c(i, s^i))), 2 Lambda).
+
+With X = I + 2Q/rho = (2 Lambda/rho) P + (1 - 2 Lambda/rho) I, whose
+spectrum lies in [-1, 1], and z = rho t / 2,
+
+    e^{tQ} = sum_k eps_k ive(k, z) T_k(X),    eps_0 = 1, eps_k = 2,
+
+with T_k(X) v from T_{k+1} = 2 X T_k - T_{k-1}, one step of P per term:
+O(sqrt(Lambda t)) terms where uniformization needs O(Lambda t).  The sum
+stops at the smallest K with 2 sum_{k>K} ive(k, z) <= tail_tol sqrt(pi_min),
+which bounds the l^2(pi) error by that times the l^2(pi) norm.  So a
+function's sup error is at most tail_tol ||f||_inf.  A measure travels as
+its density g = mu / pi (mu S(t) = pi S(t) g by reversibility) and comes
+back multiplied by pi and clipped to [min g, max g], where S(t) g lies; as
+||g||_{l^2(pi)} <= ||mu||_1 / sqrt(pi_min), its total-variation error is at
+most tail_tol ||mu||_1, and it stays >= 0 when mu is.
+
+An engine stores the operator and its transpose as two CSR matrices on one
+index structure, built in place (row s lists its flips s ^ (1 << i), then
+s), so functions and measures both step by gathering; it serves a time grid
+from one pass of P^k v or T_k(X) v, each sum stopping at its own
+truncation.  For rates that commute with the global spin flip
+(c(i, -sigma) = c(i, sigma)) that operator is the block
 of P on the 2^(N-1) states whose top spin is down, and vectors travel as
 half-vectors in two blocks, the halves that are their own partners and
 then the pairs, so a step reads every partner from two reversed slices
@@ -53,13 +83,15 @@ its tolerance before the step cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
-from scipy.special import exprel, gammaln, pdtr, pdtrc, pdtrik
+from scipy.special import exprel, gammaln, ive, pdtr, pdtrc, pdtrik
 
 from .gibbs import Potential
 from .lattice import (
@@ -74,6 +106,12 @@ from .lattice import (
 
 DEFAULT_TAIL_TOL = 1e-13
 SIMPSON_STEP_CAP = 4096
+# relative slack of the detailed-balance check: a reversible table read in
+# floats balances to ~1e-15 (1.2e-15 on the 4x4 Ising model at beta = 0.6)
+_BALANCE_RTOL = 1e-13
+# Chebyshev terms past which a time is refused: 2^20 terms is rho t ~ 1e10,
+# a million steps of P
+_CHEBYSHEV_TERM_CAP = 1 << 20
 
 
 class RateModel:
@@ -372,8 +410,57 @@ class _Fold:
         return out
 
 
+class _Balance(NamedTuple):
+    """What the Chebyshev route runs on: the stationary law pi of reversible
+    rates (exactly flip-symmetric on a folded engine), its smallest entry,
+    and rho >= the spectral radius of -Q."""
+
+    pi: np.ndarray
+    pi_min: float
+    rho: float
+
+
+def _chebyshev_coefficients(z: float, tol: float) -> np.ndarray:
+    """eps_k ive(k, z) for k = 0..K, K the smallest with
+    2 sum_{k>K} ive(k, z) <= tol.  The terms past the last one evaluated are
+    bounded by a geometric series: I_{k+1}(z) / I_k(z) < z / (k + sqrt(k^2 + z^2))
+    (Amos 1974), which decreases in k."""
+    if not 0.0 <= z < np.inf:
+        raise ValueError(f"Chebyshev argument rho t / 2 = {z:.6g} is not finite")
+    m = 32
+    while m <= _CHEBYSHEV_TERM_CAP:
+        a = ive(np.arange(m), z)
+        r = z / (m - 1 + math.hypot(m - 1, z))
+        rest = a[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+        # tail[k] = sum_{j>k} a_j, the terms past m - 1 included
+        tail = np.append(np.cumsum(a[:0:-1])[::-1], 0.0) + rest
+        (hits,) = np.nonzero(2.0 * tail <= tol)
+        if hits.size:
+            coef = 2.0 * a[: hits[0] + 1]
+            coef[0] = a[0]
+            return coef
+        m *= 2
+    raise ValueError(
+        f"Chebyshev argument rho t / 2 = {z:.6g} is past what {_CHEBYSHEV_TERM_CAP} terms can certify"
+    )
+
+
+def _checked_time(t) -> float:
+    t = float(t)
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return t
+
+
 class SemigroupEngine:
-    """Uniformized exact semigroup on the full state space of one rate model.
+    """Exact semigroup on the full state space of one rate model, by
+    Chebyshev expansion when the rates are reversible and by uniformization
+    otherwise (see the module docstring for the rule and the certified
+    bounds).  Both routes step through the same P; the Chebyshev route
+    evolves a measure as its density mu / pi through P's function step, so
+    only uniformization reads `pt`.  pi and rho are found on the first
+    evolution (or `coefficients` call) and kept, as the expansion
+    coefficients are kept per t.
 
     When the rates commute with the global spin flip s -> S - 1 - s (every
     bit inverted), the engine folds the state space: `p` is the block A of P
@@ -388,7 +475,7 @@ class SemigroupEngine:
     shares its halves.  _Fold lays the halves out as [own partners | pairs],
     pair k at both ends of the pair block, so the partner read rev(hi) is
     two reversed slices of the batch, not a gather.  Every term is as
-    nonnegative as in P, so measures stay >= 0.
+    nonnegative as in P, so uniformized measures stay >= 0.
 
     `p` and `pt` (P^T, or A^T when folded) are CSR matrices that share one
     read-only index structure and differ only in data, so both directions
@@ -422,24 +509,62 @@ class SemigroupEngine:
         else:
             self.p, self.pt = _flip_matrices(self.rate_table * inv, 1.0 - exit_rate * inv)
         self._weights = {}
+        self._chebyshev = {}
 
     def summary(self) -> dict:
         """What the engine runs on, for reports; operator_bytes counts the
-        data of P and P^T and their shared index arrays once."""
-        return {
+        data of P and P^T and their shared index arrays once.  The route is
+        "chebyshev" or "uniformization"; the first also names rho and
+        pi_min, which set its number of terms."""
+        out = {
             "lam": self.lam,
             "flip_symmetric": self.flip_symmetric,
             "states": self.n_states,
             "operator_nnz": int(self.p.nnz),
             "operator_bytes": sum(a.nbytes for a in (self.p.data, self.pt.data, self.p.indices, self.p.indptr)),
+            "route": "uniformization" if self._balance is None else "chebyshev",
         }
+        if self._balance is not None:
+            out.update(rho=self._balance.rho, pi_min=self._balance.pi_min)
+        return out
+
+    @cached_property
+    def _balance(self) -> _Balance | None:
+        """pi and rho when every rate is positive and the table balances
+        against pi at every (i, s); None sends every evolution to
+        uniformization, as does a pi whose smallest entry is not a normal
+        float."""
+        c, n = self.rate_table, self.torus.n_sites
+        if not np.all(c > 0):
+            return None
+        pi = np.empty(self.n_states)
+        pi[0] = 1.0
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for k, row in enumerate(c):
+                h = 1 << k
+                np.multiply(pi[:h], row[:h] / row[h : 2 * h], out=pi[h : 2 * h])
+            pi /= pi.sum()
+        if self.flip_symmetric:
+            pi = 0.5 * (pi + pi[::-1])
+        pi_min = float(pi.min())
+        if not (np.all(np.isfinite(pi)) and pi_min >= np.finfo(float).tiny):
+            return None
+        gershgorin = np.zeros(self.n_states)
+        flipped = np.empty(self.n_states)
+        for i, row in enumerate(c):
+            flow = pi * row
+            bit_tensor(flipped, n)[...] = np.flip(bit_tensor(flow, n), n - 1 - i)
+            if np.any(np.abs(flow - flipped) > _BALANCE_RTOL * np.maximum(flow, flipped)):
+                return None
+            bit_tensor(flipped, n)[...] = np.flip(bit_tensor(row, n), n - 1 - i)
+            gershgorin += row + np.sqrt(row * flipped)
+        pi.setflags(write=False)
+        return _Balance(pi, pi_min, min(float(gershgorin.max()), 2.0 * self.lam))
 
     def poisson_weights(self, t: float) -> np.ndarray:
         """Poisson(Lambda t) weights up to the certified tail, cached per t
         (read-only: every evolve call at the same t shares the array)."""
-        t = float(t)
-        if not 0.0 <= t < np.inf:
-            raise ValueError(f"t must be finite and >= 0, got {t}")
+        t = _checked_time(t)
         w = self._weights.get(t)
         if w is None:
             w = self._weights[t] = self._poisson_weights(self.lam * t)
@@ -461,6 +586,21 @@ class SemigroupEngine:
         k = np.arange(k_max + 1)
         return np.exp(-m + k * np.log(m) - gammaln(k + 1))
 
+    def coefficients(self, t: float) -> np.ndarray:
+        """The coefficients the engine sums at t on its route, one per term:
+        eps_k ive(k, rho t / 2) on the Chebyshev route, else the Poisson
+        weights; cached per t and read-only.  A t the route cannot serve
+        raises a ValueError."""
+        if self._balance is None:
+            return self.poisson_weights(t)
+        t = _checked_time(t)
+        c = self._chebyshev.get(t)
+        if c is None:
+            tol = self.tail_tol * math.sqrt(self._balance.pi_min)
+            c = self._chebyshev[t] = _chebyshev_coefficients(0.5 * self._balance.rho * t, tol)
+            c.setflags(write=False)
+        return c
+
     def evolve_functions(self, values: np.ndarray, t: float) -> np.ndarray:
         """S(t) f for one function (2^N,) or a batch of columns (2^N, k)."""
         return self._apply(np.asarray(values, dtype=float), [t], measures=False)[0]
@@ -479,17 +619,25 @@ class SemigroupEngine:
         return stacked if probs.ndim == 1 else stacked.transpose(0, 2, 1)
 
     def _apply(self, vec: np.ndarray, times, measures: bool) -> np.ndarray:
-        """sum_k w_k(t) P^k vec (P^T for measures) for each t, stacked along a
-        new first axis, from one pass of P^k vec; each sum stops at its own
-        truncation, as it would in a pass of its own.
+        """sum_k c_k(t) B_k vec for each t, stacked along a new first axis,
+        from one pass of B_k vec: B_k = P^k (P^T for measures) on
+        uniformization, T_k(X) on the Chebyshev route, where measures travel
+        as densities; each sum stops at its own truncation, as it would in a
+        pass of its own.
 
         A batch of (half-)columns of shape (H, m) steps as m contiguous rows,
         one sparse matrix-vector product each, when _steps_by_row(H, m);
         other batches step as one multi-vector product.  On a fold, the step
         then adds the top-site flips, each half's partner reversed times b,
         read from _Fold's two blocks as two slices into one buffer."""
-        weights = [self.poisson_weights(t) for t in times]
-        op = self.pt if measures else self.p
+        coefs = [self.coefficients(t) for t in times]
+        balance = self._balance
+        density = measures and balance is not None
+        if density:
+            pi = balance.pi if vec.ndim == 1 else balance.pi[:, None]
+            vec = vec / pi
+        transposed = measures and not density
+        op = self.pt if transposed else self.p
         cols = vec.reshape(len(vec), -1)
         fold = _Fold(cols) if self.flip_symmetric else None
         cur = fold.halves if fold else cols
@@ -497,7 +645,7 @@ class SemigroupEngine:
         if by_row:
             cur = np.ascontiguousarray(cur.T)
         if fold:
-            top = self._top[::-1] if measures else self._top
+            top = self._top[::-1] if transposed else self._top
             s = fold.n_self
             # sign times top in the batch's layout, so one multiply reads
             # both in memory order
@@ -517,16 +665,32 @@ class SemigroupEngine:
 
         accs = np.empty((len(times),) + cur.shape)
         term = np.empty_like(cur)
-        for acc, w in zip(accs, weights):
-            np.multiply(cur, w[0], out=acc)
-        for k in range(1, max(w.size for w in weights)):
-            cur = step(cur)
-            for acc, w in zip(accs, weights):
-                if k < w.size:
-                    acc += np.multiply(cur, w[k], out=term)
+        for acc, c in zip(accs, coefs):
+            np.multiply(cur, c[0], out=acc)
+        if balance is not None:
+            # X = a P + (1 - a) I; T_1 = X T_0, T_{k+1} = 2 X T_k - T_{k-1}
+            a, prev = 2.0 * self.lam / balance.rho, None
+        for k in range(1, max(c.size for c in coefs)):
+            nxt = step(cur)
+            if balance is not None:
+                first = prev is None
+                nxt *= a if first else 2.0 * a
+                nxt += np.multiply(cur, 1.0 - a if first else 2.0 - 2.0 * a, out=term)
+                if not first:
+                    nxt -= prev
+                prev = cur
+            cur = nxt
+            for acc, c in zip(accs, coefs):
+                if k < c.size:
+                    acc += np.multiply(cur, c[k], out=term)
         if by_row:
             accs = accs.transpose(0, 2, 1)
-        return (fold.unfold(accs) if fold else accs).reshape((len(times),) + vec.shape)
+        out = (fold.unfold(accs) if fold else accs).reshape((len(times),) + vec.shape)
+        if density:
+            # S(t) g lies in [min g, max g] column by column
+            np.clip(out, vec.min(axis=0), vec.max(axis=0), out=out)
+            out *= pi
+        return out
 
 
 def engine_for(rates: RateModel) -> SemigroupEngine:

@@ -217,6 +217,9 @@ class TestExitCodes:
             ["nogo", "--beta", "1e308"],
             ["conserve", "--theorem", "31", "--rates", "perturbed", "--eps0", "0.1", "--times", "1e300"],
             ["conserve", "--theorem", "53", "--rates", "glauber", "--beta", "50", "--times", "1"],
+            # reversible rates: a time past what the Chebyshev term cap certifies
+            ["evolve", "--rates", "glauber", "--beta", "0.4", "--times", "1e10"],
+            ["nogo", "--beta", "0.6", "--sides", "4", "--times", "1e300"],
             # kinetic MC: Glauber rates past the float range, and a proposal
             # mean N c_max t past numpy's Poisson range
             ["mc", "--rates", "glauber", "--beta", "1e308", "--replicas", "10"],
@@ -364,6 +367,37 @@ class TestEngineBlock:
         assert engine["operator_bytes"] == 2 * 8 * nnz + 4 * nnz + 4 * (8 + 1)
         assert engine["lam"] > 0
 
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (["evolve", "--rates", "independent"], "chebyshev"),
+            (["gcb-scan", "--rates", "glauber", "--beta", "0.4"], "chebyshev"),
+            (["uvb-check", "--rates", "glauber", "--beta", "0.4"], "chebyshev"),
+            (["nogo", "--beta", "0.5"], "chebyshev"),
+            (["conserve", "--theorem", "31", "--rates", "glauber", "--beta", "0.4"], "chebyshev"),
+            (["conserve", "--theorem", "31", "--rates", "perturbed"], "uniformization"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_reports_name_the_route(self, tmp_path, argv, route):
+        code = main(argv + ["--sides", "4", "--times", "0.5 1", "--k-max", "1", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        engine = read_json(tmp_path, argv[0])["engine"]
+        assert engine["route"] == route
+        if route == "chebyshev":
+            assert 0 < engine["pi_min"] <= 1 / engine["states"]
+            assert engine["lam"] <= engine["rho"] <= 2 * engine["lam"]
+        else:
+            assert "rho" not in engine and "pi_min" not in engine
+
+    @pytest.mark.parametrize("rates, cache", [("glauber", "_chebyshev"), ("perturbed", "_weights")])
+    def test_build_engine_caches_its_route(self, rates, cache):
+        cfg = ExperimentConfig(sides=(4,), rates_kind=rates, beta=0.4, times=(0.25, 1.5))
+        engine = cli.build_engine(cfg, cli.build_rates(cfg, Torus(cfg.sides)))
+        assert sorted(getattr(engine, cache)) == [0.25, 1.5]
+        if rates == "glauber":
+            assert engine._weights == {}
+
     def test_field_keeps_the_full_operator(self, tmp_path):
         pot = tmp_path / "field.pot"
         pot.write_text("0 1 | -0.3 0.3 0.3 -0.3\n0 | 0.2 -0.2\n")
@@ -405,6 +439,16 @@ class TestConserve:
              "--measure", "product", "--times", "0.5", "--k-max", "1", "--out", str(tmp_path)]
         )
         assert code == 0
+
+    def test_hjc_exponential_j_past_the_float_range(self, tmp_path):
+        # J = e^y - 1 overflows on some rows: they read rhs = inf and hold
+        code = main(
+            ["conserve", "--theorem", "hjc", "--hjc", "exponential", "--sides", "8", "--rates", "glauber",
+             "--beta", "0.3", "--family", "random", "--measure", "gibbs", "--times", "2", "--out", str(tmp_path)]
+        )
+        assert code in (0, 1)
+        report = read_json(tmp_path, "conserve")
+        assert report["engine"]["route"] == "chebyshev"
 
     def test_hjc_abs_p(self, tmp_path):
         # --hjc-p is the exponent of the |x|^p pair, not its constant

@@ -141,6 +141,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             TestFunctionFamily([])
 
+    @pytest.mark.parametrize("max_count", [0, -3])
+    def test_monomials_need_room_for_a_member(self, max_count, monkeypatch):
+        # refused before any member is built
+        torus = Torus((4,))
+        monkeypatch.setattr(Observable, "monomial", None)
+        with pytest.raises(ValueError, match="max_count"):
+            TestFunctionFamily.monomials(torus, 2, max_count=max_count)
+
 
 class TestEmpiricalConstants:
     def test_dirac_best_constant_zero(self):
@@ -179,6 +187,19 @@ class TestEmpiricalConstants:
         a = check_uvb(mu, TestFunctionFamily([f]))
         b = check_uvb(mu, TestFunctionFamily([f * 7.0]))
         assert a.best_constant == pytest.approx(b.best_constant, rel=1e-12)
+
+    def test_translates_tie_to_the_first_label(self):
+        # the translates of sigma_0 sigma_1 under an evolved Gibbs state have
+        # equal ratios up to rounding: both scans name the first of them
+        torus = Torus((8,))
+        pot = Potential.ising_nn(1, 0.3)
+        nu = engine_for(GlauberRates(torus, pot)).evolve_measures(dirac_vector(torus, 0), 0.4)
+        members = [Observable.monomial(torus, sorted((i, (i + 1) % 8))) for i in range(8)]
+        fam = TestFunctionFamily(members, lambda_grid=(0.5, 1.0))
+        for report in (empirical_gcb_constant(nu, fam), check_uvb(nu, fam)):
+            ratios = [row["ratio"] for row in report.rows]
+            assert report.best_constant == max(ratios)
+            assert report.best_label == "f0[0,1]"
 
     def test_uvb_dirac_zero(self):
         torus = Torus((3,))
@@ -642,6 +663,17 @@ class TestHJC:
             assert report.c_mu == pytest.approx(c_out, rel=1e-10, abs=1e-13)
             assert [row["lhs"] for row in report.rows] == pytest.approx(lhs, rel=1e-10, abs=1e-13)
         assert not hasattr(concentration, "evolve_dirac_matrix")
+
+    def test_j_past_the_float_range_reads_inf(self):
+        # exponential J = e^y - 1 overflows at y > 709.8: such a bound is
+        # vacuous, so its row holds with rhs = inf
+        torus = Torus((8,))
+        pot = Potential.ising_nn(1, 0.3)
+        fam = TestFunctionFamily.random_combinations(torus, 40, seed=0)
+        spec = hjc_library("exponential")
+        report = hjc_check(GlauberRates(torus, pot), 2.0, gibbs_measure(pot, torus).probs, spec, fam)
+        vacuous = [row for row in report.rows if row["rhs"] == math.inf]
+        assert vacuous and all(row["ok"] for row in vacuous)
 
     def test_pipeline_fourth_power(self):
         torus = Torus((5,))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.special import ive
 
 import spinflip
 from spinflip.dynamics import (
@@ -16,6 +17,7 @@ from spinflip.dynamics import (
     IndependentRates,
     PerturbedRates,
     SemigroupEngine,
+    _chebyshev_coefficients,
     _Fold,
     _steps_by_row,
     engine_for,
@@ -491,6 +493,10 @@ class TestFoldedEngine:
             "operator_nnz": engine.p.nnz,
             # two float data arrays, one shared int32 index array and indptr
             "operator_bytes": 2 * 8 * engine.p.nnz + 4 * engine.p.nnz + 4 * (half + 1),
+            # reversible rates: the Chebyshev route, with what sets its terms
+            "route": "chebyshev",
+            "rho": engine._balance.rho,
+            "pi_min": engine._balance.pi_min,
         }
 
     def test_folded_matches_full_p_sum(self):
@@ -818,3 +824,157 @@ class TestGammaSpectrum:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+
+
+def metropolis_ring(torus, beta):
+    """Metropolis rates min(1, e^{-dH}) of the nearest-neighbour Ising ring,
+    tabulated: reversible against its Gibbs measure, though not Glauber's."""
+    n = torus.n_sites
+
+    def rate(i, bits):
+        spin = [2 * (bits >> j & 1) - 1 for j in range(n)]
+        return min(1.0, float(np.exp(-2.0 * beta * spin[i] * (spin[i - 1] + spin[(i + 1) % n]))))
+
+    return CustomRates(torus, lambda i: ((i - 1) % n, i, (i + 1) % n), rate, translation_invariant=True)
+
+
+def one_sided_ring(torus):
+    """c(i, s) = 1 + 0.5 * (spins i and i + 1 differ): c(i, s) / c(i, s^i)
+    reads the right neighbour only, where a balancing measure would need
+    both, so no measure balances the flips."""
+    n = torus.n_sites
+    return CustomRates(torus, lambda i: (i, (i + 1) % n), lambda i, bits: 1.0 + 0.5 * ((bits >> i ^ bits >> (i + 1) % n) & 1))
+
+
+CHEBYSHEV_MODELS = [
+    pytest.param((6,), GlauberRates, 0.3, id="ring-glauber-0.3"),
+    pytest.param((6,), GlauberRates, 0.9, id="ring-glauber-0.9"),
+    pytest.param((3, 3), GlauberRates, 0.3, id="square-glauber-0.3"),
+    pytest.param((3, 3), GlauberRates, 0.9, id="square-glauber-0.9"),
+    pytest.param((6,), IndependentRates, 1.3, id="ring-independent"),
+    pytest.param((3, 3), IndependentRates, 0.7, id="square-independent"),
+]
+
+
+def chebyshev_model(sides, kind, param):
+    torus = Torus(sides)
+    if kind is GlauberRates:
+        return GlauberRates(torus, Potential.ising_nn(torus.dim, param))
+    return IndependentRates(torus, param)
+
+
+class TestChebyshevRoute:
+    """Reversible rates run a Chebyshev expansion in X = I + 2Q/rho; measures
+    travel as densities against pi.  Certified: sup error <= tail_tol ||f||,
+    total variation <= tail_tol, measures >= 0."""
+
+    @pytest.mark.parametrize("sides, kind, param", CHEBYSHEV_MODELS)
+    def test_matches_expm(self, sides, kind, param):
+        rates = chebyshev_model(sides, kind, param)
+        engine = SemigroupEngine(rates)
+        assert engine.summary()["route"] == "chebyshev"
+        rng = np.random.default_rng(len(sides) + int(10 * param))
+        cols, rows = flip_columns(rates.torus, rng), flip_rows(rates.torus, rng)
+        q = generator_matrix(rates).toarray()
+        times = [0.0, 0.35, 1.2]
+        grid = engine.evolve_measures_over(rows, times)
+        scale = np.abs(cols).max(axis=0)
+        for j, t in enumerate(times):
+            e = scipy.linalg.expm(t * q)
+            got = engine.evolve_functions(cols, t)
+            assert np.all(np.abs(got - e @ cols).max(axis=0) <= 1e-13 * scale)
+            want = rows @ e
+            assert np.abs(grid[j] - want).sum(axis=1).max() <= 1e-13
+            assert np.array_equal(grid[j], engine.evolve_measures(rows, t))
+
+    def test_dirac_starts_stay_nonnegative(self):
+        # min g = 0 off the start: clipping keeps every entry >= 0, from the
+        # least and the most likely state alike
+        rates = GlauberRates(Torus((3, 3)), Potential.ising_nn(2, 0.9))
+        engine = SemigroupEngine(rates)
+        pi = engine._balance.pi
+        diracs = np.eye(engine.n_states)[[int(np.argmin(pi)), int(np.argmax(pi)), 5]]
+        q = generator_matrix(rates).toarray()
+        times = [0.05, 0.5, 3.0]
+        for t, nu in zip(times, engine.evolve_measures_over(diracs, times)):
+            assert np.all(nu >= 0)
+            assert np.allclose(nu.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+            assert np.abs(nu - diracs @ scipy.linalg.expm(t * q)).sum(axis=1).max() <= 1e-12
+
+    def test_route_follows_reversibility(self):
+        ring = Torus((6,))
+        chebyshev = [
+            GlauberRates(ring, Potential.ising_nn(1, 0.5)),
+            GlauberRates(ring, Potential.ising_nn(1, 0.3) + Potential.external_field(1, 0.25)),
+            IndependentRates(ring, 2.0),
+            metropolis_ring(ring, 0.4),
+        ]
+        zero_rate = CustomRates(ring, lambda i: (i,), lambda i, bits: float(bits >> i & 1))
+        uniformization = [PerturbedRates.pair(ring, 0.1), one_sided_ring(ring), zero_rate]
+        for rates in chebyshev:
+            engine = SemigroupEngine(rates)
+            summary = engine.summary()
+            assert summary["route"] == "chebyshev", rates
+            assert summary["pi_min"] == engine._balance.pi.min() > 0
+            assert engine.coefficients(0.7) is engine.coefficients(0.7)
+            assert not engine.coefficients(0.7).flags.writeable
+        for rates in uniformization:
+            engine = SemigroupEngine(rates)
+            assert engine._balance is None, rates
+            assert engine.summary()["route"] == "uniformization"
+            assert "rho" not in engine.summary()
+            assert engine.coefficients(0.7) is engine.poisson_weights(0.7)
+
+    def test_pi_is_the_gibbs_measure(self):
+        torus = Torus((3, 3))
+        pot = Potential.ising_nn(2, 0.6)
+        pi = SemigroupEngine(GlauberRates(torus, pot))._balance.pi
+        assert np.allclose(pi, gibbs_measure(pot, torus).probs, rtol=1e-13, atol=0)
+        # folded: exactly flip-symmetric
+        assert np.array_equal(pi, pi[::-1])
+        ring = Torus((6,))
+        metropolis = SemigroupEngine(metropolis_ring(ring, 0.4))._balance.pi
+        assert np.allclose(metropolis, gibbs_measure(Potential.ising_nn(1, 0.4), ring).probs, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sides, kind, param", CHEBYSHEV_MODELS)
+    def test_rho_bounds_the_spectrum(self, sides, kind, param):
+        rates = chebyshev_model(sides, kind, param)
+        engine = SemigroupEngine(rates)
+        rho = engine._balance.rho
+        spectrum = np.abs(np.linalg.eigvals(-generator_matrix(rates).toarray()))
+        assert spectrum.max() <= rho * (1 + 1e-12)
+        assert rho <= 2.0 * engine.lam
+        # Gershgorin on the pi-symmetrized generator, from the rate table
+        c = rates.rate_matrix()
+        states = np.arange(engine.n_states)
+        gershgorin = sum(row + np.sqrt(row * row[states ^ (1 << i)]) for i, row in enumerate(c))
+        assert rho == min(gershgorin.max(), 2.0 * engine.lam)
+
+    def test_truncation_rule(self):
+        # K is the smallest with 2 sum_{k>K} ive(k, z) <= tol, against a
+        # long direct sum; the ratio bound behind the evaluated range holds
+        for z in (0.0, 1e-3, 0.7, 12.0, 96.0, 850.0):
+            for tol in (1e-13, 1e-20):
+                coef = _chebyshev_coefficients(z, tol)
+                a = ive(np.arange(4000), z)
+                tail = 2.0 * np.append(np.cumsum(a[:0:-1])[::-1], 0.0)
+                assert coef.size - 1 == int(np.argmax(tail <= tol)), (z, tol)
+                assert coef[0] == a[0]
+                assert np.array_equal(coef[1:], 2.0 * a[1 : coef.size])
+        for z in np.geomspace(1e-3, 1e4, 60):
+            k = np.arange(2000)
+            a = ive(k, z)
+            live = a[:-1] > 1e-280
+            assert np.all(a[1:][live] / a[:-1][live] <= z / (k[:-1][live] + np.hypot(k[:-1][live], z)))
+
+    @pytest.mark.parametrize("t", [1e10, 1e300, 1e308])
+    def test_times_past_the_term_cap(self, t):
+        engine = SemigroupEngine(GlauberRates(Torus((4,)), Potential.ising_nn(1, 0.4)))
+        with pytest.raises(ValueError, match="Chebyshev argument"):
+            engine.coefficients(t)
+
+    def test_fewer_terms_than_uniformization(self):
+        engine = SemigroupEngine(GlauberRates(Torus((3, 3)), Potential.ising_nn(2, 0.6)))
+        for t, ratio in ((0.5, 0.6), (3.0, 0.4)):
+            assert engine.coefficients(t).size <= ratio * engine.poisson_weights(t).size

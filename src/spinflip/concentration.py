@@ -1,7 +1,7 @@
 """Concentration measurements: exponential moments, variances, and the
 conservation-under-dynamics pipelines.
 
-Two inequality families are measured exactly over dense distribution vectors:
+Two inequality families are measured exactly:
 
     GCB:  log E_mu e^{f - E_mu f} <= C ||delta f||_2^2
     UVB:  Var_mu(f)               <= C ||delta f||_2^2
@@ -12,12 +12,16 @@ constants for product measures (1/8 and 1/4) come from the Hoeffding moment
 bound and the Efron-Stein inequality, which hold for every function, and are
 what the conservation pipelines consume as the initial-measure input.
 
+Every number here (the log-moment at every lambda, the variance, the
+H-integral, and S(t)f, which ||delta S(t)f|| needs) is a sum over the levels
+l of a member f against its law P(f = l), so one reader, `_Laws`, serves the
+two scans and the four checks.  A scan reads the law under its measure nu as
+the push-forward of nu's marginal on f's support, 2^|support| patterns, not
+f at every state.
+
 The pipelines measure the per-start constants the theorems quantify over,
 exactly and for every Dirac start, and assert the composite bounds term by
-term.  Each checked quantity (the log-moment at every lambda, the variance,
-the H-integral, and S(t)f, which ||delta S(t)f|| needs) is a sum over the
-levels l of a member f against its law P(f = l), so one reader serves all
-four checks: one batched `evolve_functions` call of 2 1{f = l} - 1 for every
+term.  One batched `evolve_functions` call of 2 1{f = l} - 1 for every
 level but the most frequent of every member gives the law under each start
 delta_sigma S(t), and by duality, <mu S(t), g> = <mu, S(t) g>, under mu S(t).
 No measure is evolved, so no array grows with the square of the 2^N states.
@@ -45,10 +49,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamics import KSquaredIntegral, RateModel, engine_for, gamma_matrix, simpson_weights
 from .dynamics import k_of_t  # noqa: F401  (re-exported; tracers look it up here)
+from .entropy import marginal
 from .gibbs import probs_of
 from .lattice import (
     Observable,
@@ -146,23 +150,6 @@ class TestFunctionFamily:
             yield f"f{idx}[{','.join(map(str, f.support))}]", f
 
 
-def log_exponential_moment(mu, values: np.ndarray):
-    """log E_mu e^{v - E_mu v}, log-sum-exp stabilized.  values may stack
-    functions on leading axes, giving an array over those axes; one row
-    gives a float."""
-    probs = probs_of(mu)
-    values = np.asarray(values, dtype=float)
-    out = logsumexp(values - (values @ probs)[..., None], b=probs, axis=-1)
-    return out if values.ndim > 1 else float(out)
-
-
-def variance(mu, values: np.ndarray) -> float:
-    probs = probs_of(mu)
-    values = np.asarray(values, dtype=float)
-    mean = float(probs @ values)
-    return max(float(probs @ (values - mean) ** 2), 0.0)
-
-
 @dataclass
 class ConcentrationReport:
     kind: str  # "gcb" or "uvb"
@@ -178,30 +165,38 @@ class ConcentrationReport:
         return not self.violations
 
 
-def _nonconstant(family: TestFunctionFamily):
-    """(label, member, ||delta f||_2^2) for every non-constant member; raises
-    once the family is exhausted if every member was constant."""
-    kept = 0
-    for label, f in family.labeled():
-        l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
-        if l2sq > 0:
-            kept += 1
-            yield label, f, l2sq
+def _members(family: TestFunctionFamily):
+    """Labels, ||delta f||_2^2, the members and each one's (levels, level
+    index of every pattern of its table) for the non-constant members; each
+    pattern of a member's support covers as many states, so the table gives
+    the levels and their frequencies."""
+    kept = [(label, f, lipschitz_norm(lipschitz_vector(f), 2.0) ** 2) for label, f in family.labeled()]
+    kept = [row for row in kept if row[2] > 0]
     if not kept:
         raise ValueError("family contains only constant functions")
+    labels, fs, l2sq = zip(*kept)
+    return list(labels), np.array(l2sq), fs, [np.unique(f.table, return_inverse=True) for f in fs]
 
 
-def _scan(kind: str, family: TestFunctionFamily, bound, ratios) -> ConcentrationReport:
-    """One report row per (member, lam, ratio) from ratios(values, l2sq),
-    which sees one member's dense values at a time.  The best label is the
-    first row's within 1e-12 relative of the largest ratio, so members that
-    tie up to rounding (the translates of one member under a
-    translation-invariant mu) name the first of them, whichever route
-    evolved mu."""
+def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> ConcentrationReport:
+    """One report row per (member, lam): the log-moment at lam over lam^2
+    ||delta f||_2^2, or with lam None the variance over ||delta f||_2^2, read
+    from the member's law under mu, the push-forward of mu's marginal on its
+    support.  The best label is the first row's within 1e-12 relative of the
+    largest ratio, so members that tie up to rounding (the translates of one
+    member under a translation-invariant mu) name the first of them,
+    whichever route evolved mu."""
+    probs = probs_of(mu)
+    labels, l2sq, fs, tables = _members(family)
+    law = [np.bincount(at, weights=marginal(probs, f.support), minlength=levels.size)
+           for f, (levels, at) in zip(fs, tables)]
+    laws = _Laws(tables, np.concatenate(law)[:, None])
+    ratios = [laws.variance()[:, 0] / l2sq if lam is None else laws.log_moment(lam)[:, 0] / (lam * lam * l2sq)
+              for lam in lams]
     rows = [
-        {"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": l2sq}
-        for label, f, l2sq in _nonconstant(family)
-        for lam, ratio in ratios(f.dense_values(), l2sq)
+        {"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": w}
+        for label, w, row in zip(labels, l2sq.tolist(), np.transpose(ratios).tolist())
+        for lam, ratio in zip(lams, row)
     ]
     best = max(rows, key=lambda r: r["ratio"])
     top = best["ratio"]
@@ -219,11 +214,7 @@ def empirical_gcb_constant(
     """C-hat = max over members x lambda-grid of the ratio
     log E_mu e^{lambda (f - E_mu f)} / (lambda^2 ||delta f||_2^2).
     A lower bound on any valid GCB constant for mu."""
-    probs = probs_of(mu)
-    return _scan("gcb", family, bound, lambda values, l2sq: [
-        (lam, log_exponential_moment(probs, lam * values) / (lam * lam * l2sq))
-        for lam in family.lambda_grid
-    ])
+    return _scan("gcb", mu, family, bound, family.lambda_grid)
 
 
 def check_uvb(
@@ -231,8 +222,7 @@ def check_uvb(
 ) -> ConcentrationReport:
     """C-hat_var = max over members of Var_mu(f) / ||delta f||_2^2.
     Scale invariant, so the lambda-grid plays no role here."""
-    probs = probs_of(mu)
-    return _scan("uvb", family, bound, lambda values, l2sq: [(None, variance(probs, values) / l2sq)])
+    return _scan("uvb", mu, family, bound, (None,))
 
 
 @dataclass
@@ -283,16 +273,22 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
 
 
 class _Laws:
-    """Member laws P(f = l), one row per level (each member's levels a run
-    from its entry of `starts`) and one column per measure: every Dirac
-    start, or mu S(t).  Readers sum over a member's levels by products with
-    the 0/1 (members, levels) matrix `member`, giving (members, measures)."""
+    """Member laws P(f = l), one row per level (each member's levels a
+    contiguous run) and one column per measure: every Dirac start, mu S(t),
+    or one measure's support marginals.  `tables` holds each member's
+    (levels, level index of every table pattern).  Readers sum over a
+    member's levels by products with the 0/1 (members, levels) matrix
+    `member`, giving (members, measures); `runs` lists each member's levels,
+    padded with its last, for maxima."""
 
-    def __init__(self, levels: np.ndarray, starts: np.ndarray, law: np.ndarray):
-        self.levels, self.starts, self.law = levels, starts, law
-        self.owner = np.repeat(np.arange(starts.size), np.diff(starts, append=levels.size))
-        self.member = np.equal.outer(np.arange(starts.size), self.owner).astype(float)
-        self.mean = self.total(levels)
+    def __init__(self, tables, law: np.ndarray):
+        self.tables, self.law = tables, law
+        sizes = np.array([levels.size for levels, _ in tables])
+        self.levels = np.concatenate([levels for levels, _ in tables])
+        self.owner = np.repeat(np.arange(sizes.size), sizes)
+        self.member = np.equal.outer(np.arange(sizes.size), self.owner).astype(float)
+        self.runs = np.cumsum(sizes)[:, None] - np.maximum(sizes[:, None] - np.arange(sizes.max()), 1)
+        self.mean = self.total(self.levels)
 
     def total(self, x: np.ndarray) -> np.ndarray:
         """sum_l law_l x_l, x per level or per level and measure"""
@@ -300,15 +296,26 @@ class _Laws:
 
     def under(self, probs: np.ndarray) -> "_Laws":
         """The laws under sum_sigma mu(sigma) delta_sigma S(t) = mu S(t)"""
-        return _Laws(self.levels, self.starts, (self.law @ probs)[:, None])
+        return _Laws(self.tables, (self.law @ probs)[:, None])
 
     def centered(self, lam: float) -> np.ndarray:
         return lam * (self.levels[:, None] - self.mean[self.owner])
 
+    def h_integral(self, h, lam: float) -> np.ndarray:
+        """E h(lam (f - E f)), where h may overflow to +inf: a level of no
+        mass adds 0, and a member whose charged levels meet inf reads inf,
+        without a product 0 * inf in the others' sums"""
+        v = np.where(self.law != 0, h(self.centered(lam)), 0.0)
+        inf = np.isposinf(v)
+        return np.where(self.member @ inf > 0, np.inf, self.total(np.where(inf, 0.0, v)))
+
     def log_moment(self, lam: float) -> np.ndarray:
-        """log E e^{lam (f - E f)}, each sum shifted by the member's largest lam l"""
-        top = np.maximum.reduceat(lam * self.levels, self.starts)
-        return np.log(self.total(np.exp(lam * self.levels - top[self.owner]))) + (top[:, None] - lam * self.mean)
+        """log E e^{lam (f - E f)}, each sum shifted by the member's largest
+        lam l of positive mass under that measure; a level of no mass adds
+        e^{-inf} = 0, so a point mass reads 0 at every lam"""
+        x = np.where(self.law > 0, lam * self.levels[:, None], -np.inf)
+        top = x[self.runs].max(axis=1)
+        return np.log(self.total(np.exp(x - top[self.owner]))) + (top - lam * self.mean)
 
     def variance(self) -> np.ndarray:
         return self.total(self.centered(1.0) ** 2)
@@ -330,18 +337,14 @@ def _member_laws(rates: RateModel, t: float, family: TestFunctionFamily):
     at most k (1 - W)/2 (1 - W <= tail_tol) plus rounding, a few 2^-53 per
     term, and negative by at most (k/2 - 1)(1 - W) plus rounding.  A reader
     carries that error times the range it sums, far inside _TOL: no clip."""
-    labels, fs, l2sq = zip(*_nonconstant(family))
-    # each pattern of a member's support covers as many states, so its table
-    # gives the levels and their frequencies
-    tables = [np.unique(f.table, return_inverse=True) for f in fs]
+    labels, l2sq, fs, tables = _members(family)
     dropped = [int(np.argmax(np.bincount(at))) for _, at in tables]
     columns = [Observable(f.torus, f.support, 2.0 * (at == k) - 1.0).dense_values()
                for f, (levels, at), d in zip(fs, tables, dropped) for k in range(levels.size) if k != d]
     evolved = (1.0 + engine_for(rates).evolve_functions(np.column_stack(columns), t).T) / 2.0
     parts = np.split(evolved, np.cumsum([levels.size - 1 for levels, _ in tables])[:-1])
     law = np.vstack([np.insert(part, d, 1.0 - part.sum(axis=0), axis=0) for part, d in zip(parts, dropped)])
-    starts = np.cumsum([0] + [levels.size for levels, _ in tables[:-1]])
-    return list(labels), np.array(l2sq), _Laws(np.concatenate([v for v, _ in tables]), starts, law)
+    return labels, l2sq, _Laws(tables, law)
 
 
 @dataclass
@@ -365,8 +368,9 @@ def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     function (certified, not empirical).
 
     The log-moment of lambda f under nu is log sum_l nu(f = l) e^{lambda l - m}
-    + m - lambda nu(f), m the largest lambda l: the member laws under every
-    start and under mu S(t) give it at every lambda of the grid."""
+    + m - lambda nu(f), m the largest lambda l that nu charges: the member
+    laws under every start and under mu S(t) give it at every lambda of the
+    grid."""
     probs = probs_of(mu)
     labels, l2sq, laws = _member_laws(rates, t, family)
     at_mu = laws.under(probs)
@@ -440,7 +444,8 @@ def theorem53_check(rates: RateModel, t: float, family: TestFunctionFamily) -> T
 
 class HJCSpec:
     """Convex H, increasing J with its inverse, and a claimed constant C for
-    the inequality int H(f - E f) dmu <= J(C ||delta f||_2)."""
+    the inequality int H(f - E f) dmu <= J(C ||delta f||_2).  h, j and j_inv
+    act elementwise on arrays."""
 
     def __init__(self, h, j, j_inv, c: float, label: str = "custom"):
         if c <= 0:
@@ -453,32 +458,28 @@ class HJCSpec:
         self._verify()
 
     def _verify(self, lo: float = -6.0, hi: float = 6.0, n: int = 241):
-        xs = np.linspace(lo, hi, n)
-        hv = np.array([self.h(x) for x in xs])
-        if np.any(np.diff(hv, 2) < -1e-9):
+        if np.any(np.diff(self.h(np.linspace(lo, hi, n)), 2) < -1e-9):
             raise ValueError("H fails the convexity grid check")
-        ys = np.linspace(0.0, hi, n)
-        jv = np.array([self.j(y) for y in ys])
-        if np.any(np.diff(jv) < -1e-12):
+        if np.any(np.diff(self.j(np.linspace(0.0, hi, n))) < -1e-12):
             raise ValueError("J fails the monotonicity grid check")
-        for y in (0.1, 1.0, 3.0):
-            if abs(self.j_inv(self.j(y)) - y) > 1e-8:
-                raise ValueError("J inverse fails the roundtrip check")
+        ys = np.array([0.1, 1.0, 3.0])
+        if np.any(np.abs(self.j_inv(self.j(ys)) - ys) > 1e-8):
+            raise ValueError("J inverse fails the roundtrip check")
 
 
 def hjc_library(name: str, c: float = 1.0) -> HJCSpec:
     """Builtins: 'square' (x^2, x^2), 'exponential' (cosh x - 1, e^x - 1),
     'abs_p:p' (|x|^p, x^p)."""
     if name == "square":
-        return HJCSpec(lambda x: x * x, lambda y: y * y, math.sqrt, c, name)
+        return HJCSpec(lambda x: x * x, lambda y: y * y, np.sqrt, c, name)
     if name == "exponential":
-        return HJCSpec(lambda x: math.cosh(x) - 1.0, math.expm1, math.log1p, c, name)
+        return HJCSpec(lambda x: np.cosh(x) - 1.0, np.expm1, np.log1p, c, name)
     if name.startswith("abs_p:"):
         p = float(name.split(":", 1)[1])
         if p < 1:
             raise ValueError("|x|^p is convex only for p >= 1")
         return HJCSpec(
-            lambda x: abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), c, name
+            lambda x: np.abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), c, name
         )
     raise ValueError(f"unknown (H, J) pair {name!r}")
 
@@ -496,34 +497,31 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
     member laws give for every start and under mu S(t)."""
     probs = probs_of(mu)
     k_t = gamma_matrix(rates).k_of_t(t)
-    hv = np.vectorize(spec.h, otypes=[float])
-
     labels, l2sq, laws = _member_laws(rates, t, family)
     at_mu = laws.under(probs)
-    inner, m_out, lhs = [], [], []
-    for lam in family.lambda_grid:
-        # inner: every Dirac start, doubled centered function; J^-1 is
-        # increasing, so the largest moment gives its max
-        inner.append(laws.total(hv(2.0 * laws.centered(lam))).max(axis=1))
-        # outer: the evolved function g = S(t)(lambda f) under the initial measure
-        g = lam * laws.mean
-        m_out.append(hv(2.0 * (g - (g @ probs)[:, None])) @ probs)
-        # left side under mu S(t)
-        lhs.append(at_mu.total(hv(at_mu.centered(lam)))[:, 0])
     scale = np.abs(family.lambda_grid)[:, None]
     l2 = scale * np.sqrt(l2sq)  # ||delta lambda f||_2 per lambda and member
-    j_inv = np.vectorize(spec.j_inv, otypes=[float])
-    c_start = float(np.max(j_inv(inner) / (2.0 * l2)))
-    c_out = float(np.max(j_inv(m_out) / (2.0 * scale * laws.mean_lipschitz())))
-    composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
-    rows = []
-    for label, l2_row, lhs_row in zip(labels, l2.T.tolist(), np.transpose(lhs).tolist()):
-        for lam, l2_one, lhs_one in zip(family.lambda_grid, l2_row, lhs_row):
-            try:
-                rhs = spec.j(composite * l2_one)
-            except OverflowError:
-                # J past the float range: the bound is vacuous and the row holds
-                rhs = math.inf
-            rows.append({"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs, "ok": lhs_one <= rhs * (1 + 1e-9) + _TOL})
+    # H or J past the float range reads inf: such a bound is vacuous and its
+    # row holds
+    with np.errstate(over="ignore"):
+        inner, m_out, lhs = [], [], []
+        for lam in family.lambda_grid:
+            # inner: every Dirac start, doubled centered function; J^-1 is
+            # increasing, so the largest moment gives its max
+            inner.append(laws.h_integral(spec.h, 2.0 * lam).max(axis=1))
+            # outer: the evolved function g = S(t)(lambda f) under the initial measure
+            g = lam * laws.mean
+            m_out.append(spec.h(2.0 * (g - (g @ probs)[:, None])) @ probs)
+            # left side under mu S(t)
+            lhs.append(at_mu.h_integral(spec.h, lam)[:, 0])
+        c_start = float(np.max(spec.j_inv(np.array(inner)) / (2.0 * l2)))
+        c_out = float(np.max(spec.j_inv(np.array(m_out)) / (2.0 * scale * laws.mean_lipschitz())))
+        composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
+        rhs = spec.j(composite * l2)
+    rows = [
+        {"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs_one, "ok": lhs_one <= rhs_one * (1 + 1e-9) + _TOL}
+        for label, rhs_row, lhs_row in zip(labels, rhs.T.tolist(), np.transpose(lhs).tolist())
+        for lam, rhs_one, lhs_one in zip(family.lambda_grid, rhs_row, lhs_row)
+    ]
     holds = all(r["ok"] for r in rows)
     return TheoremReport("hjc", float(t), k_t, c_out, c_start, composite, c_start, rows, holds)

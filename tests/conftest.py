@@ -1,9 +1,29 @@
-"""Shared fixtures."""
+"""Shared fixtures and dense oracles."""
 
+import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spinflip.dynamics import CustomRates
+from spinflip.gibbs import probs_of
 from spinflip.lattice import Torus
+
+
+def log_exponential_moment(mu, values: np.ndarray):
+    """log E_mu e^{v - E_mu v}, log-sum-exp stabilized.  values may stack
+    functions on leading axes, giving an array over those axes; one row
+    gives a float."""
+    probs = probs_of(mu)
+    values = np.asarray(values, dtype=float)
+    out = logsumexp(values - (values @ probs)[..., None], b=probs, axis=-1)
+    return out if values.ndim > 1 else float(out)
+
+
+def variance(mu, values: np.ndarray) -> float:
+    probs = probs_of(mu)
+    values = np.asarray(values, dtype=float)
+    mean = float(probs @ values)
+    return max(float(probs @ (values - mean) ** 2), 0.0)
 
 
 @pytest.fixture

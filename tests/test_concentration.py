@@ -1,21 +1,23 @@
 """Concentration ratios, tails, and the theorem pipelines."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import log_exponential_moment, variance
 from scipy.linalg import expm
 
 from spinflip import concentration
 from spinflip.concentration import (
+    DEFAULT_LAMBDA_GRID,
     HJCSpec,
     TestFunctionFamily,
     check_uvb,
     empirical_gcb_constant,
     hjc_check,
     hjc_library,
-    log_exponential_moment,
     product_gcb_constant,
     product_uvb_constant,
     psi_identity_check,
@@ -23,7 +25,6 @@ from spinflip.concentration import (
     theorem52_check,
     theorem53_check,
     theorem53_constant,
-    variance,
 )
 from spinflip.dynamics import (
     SIMPSON_STEP_CAP,
@@ -34,7 +35,7 @@ from spinflip.dynamics import (
     engine_for,
     generator_matrix,
 )
-from spinflip.gibbs import Potential, dirac_vector, gibbs_measure, uniform_measure
+from spinflip.gibbs import Potential, dirac_vector, gibbs_measure, product_measure, uniform_measure
 from spinflip.lattice import Observable, Torus, lipschitz_norm, lipschitz_vector
 
 
@@ -583,7 +584,7 @@ class TestHJC:
 
     def test_nonconvex_h_rejected(self):
         with pytest.raises(ValueError):
-            HJCSpec(math.sin, lambda y: y, lambda y: y, 1.0)
+            HJCSpec(np.sin, lambda y: y, lambda y: y, 1.0)
 
     def test_nonmonotone_j_rejected(self):
         with pytest.raises(ValueError):
@@ -675,6 +676,19 @@ class TestHJC:
         vacuous = [row for row in report.rows if row["rhs"] == math.inf]
         assert vacuous and all(row["ok"] for row in vacuous)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_h_past_the_float_range_reads_inf(self, t):
+        # cosh(2 lam (f - E f)) - 1 overflows at lam = 400, so the bound reads
+        # inf and every row holds vacuously; at t = 0 each start's law is a
+        # point mass, whose unrealized level adds 0, not 0 * inf
+        torus = Torus((4,))
+        fam = TestFunctionFamily.monomials(torus, 1, lambda_grid=(400.0,))
+        spec = hjc_library("exponential")
+        report = hjc_check(IndependentRates(torus, 1.0), t, uniform_measure(torus), spec, fam)
+        assert report.inner_constant == (0.0 if t == 0 else math.inf)
+        assert [row["rhs"] for row in report.rows] == [math.inf] * len(fam)
+        assert report.holds
+
     def test_pipeline_fourth_power(self):
         torus = Torus((5,))
         rates = PerturbedRates.pair(torus, 0.1)
@@ -682,3 +696,69 @@ class TestHJC:
         spec = hjc_library("abs_p:4", c=1.0)
         report = hjc_check(rates, 0.4, uniform_measure(torus), spec, fam)
         assert report.holds
+
+
+class TestScanLaws:
+    """The GCB/UVB scans read each member's law under the measure from its
+    support marginal; every row against the dense log-sum-exp and variance
+    oracles over all 2^N states."""
+
+    @staticmethod
+    def family(torus, lambda_grid=DEFAULT_LAMBDA_GRID):
+        # a member built from unsorted sites, and one with more than two levels
+        members = TestFunctionFamily.monomials(torus, 2, max_count=10).members + [
+            Observable.monomial(torus, [5, 2]),
+            Observable.monomial_sum(torus, [(1.0, [0]), (0.5, [3, 6]), (-0.25, [1, 4, 7])]),
+        ]
+        assert np.unique(members[-1].table).size >= 3
+        return TestFunctionFamily(members, lambda_grid)
+
+    @pytest.mark.parametrize("kind", ["product", "gibbs", "evolved"])
+    def test_rows_match_the_dense_oracles(self, kind):
+        torus = Torus((8,))
+        pot = Potential.ising_nn(1, 0.3)
+        mu = {
+            "product": lambda: product_measure(torus, 0.3),
+            "gibbs": lambda: gibbs_measure(pot, torus).probs,
+            "evolved": lambda: engine_for(GlauberRates(torus, pot)).evolve_measures(product_measure(torus, 0.3), 0.5),
+        }[kind]()
+        fam = self.family(torus)
+        gcb, uvb = empirical_gcb_constant(mu, fam), check_uvb(mu, fam)
+        want_gcb, want_uvb = [], []
+        for f in fam.members:
+            v = f.dense_values()
+            l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
+            want_gcb += [log_exponential_moment(mu, lam * v) / (lam * lam * l2sq) for lam in fam.lambda_grid]
+            want_uvb.append(variance(mu, v) / l2sq)
+        assert [row["ratio"] for row in gcb.rows] == pytest.approx(want_gcb, rel=1e-12, abs=0)
+        assert [row["ratio"] for row in uvb.rows] == pytest.approx(want_uvb, rel=1e-12, abs=0)
+        assert [row["lam"] for row in gcb.rows] == list(fam.lambda_grid) * len(fam)
+        assert [row["label"] for row in uvb.rows] == [label for label, _ in fam.labeled()]
+
+    @pytest.mark.parametrize("start", ["dirac", "all_minus"])
+    def test_point_masses_read_zero_at_large_scales(self, start):
+        # a level of no mass adds e^{-inf} = 0, so the realized level's term
+        # does not underflow against a larger lam l of an unrealized level
+        torus = Torus((8,))
+        mu = dirac_vector(torus, 0b10110010) if start == "dirac" else product_measure(torus, 0.0)
+        fam = self.family(torus, lambda_grid=(400.0, -400.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [empirical_gcb_constant(mu, fam), check_uvb(mu, fam)]
+            t31 = theorem31_check(IndependentRates(torus, 1.0), 0.0, mu, fam, product_gcb_constant())
+        assert [row["ratio"] for report in reports for row in report.rows] == [0.0] * (4 * len(fam))
+        assert [row["lhs"] for row in t31.rows] == [0.0] * (3 * len(fam))
+        assert t31.inner_constant == 0.0 and t31.measured_constant == 0.0 and t31.holds
+
+    def test_no_member_is_read_at_every_state(self, monkeypatch):
+        torus = Torus((6,))
+        pot = Potential.ising_nn(1, 0.3)
+        mu = gibbs_measure(pot, torus)
+        fam = TestFunctionFamily.random_combinations(torus, 6, seed=4)
+
+        def refused(self):
+            raise AssertionError("a scan read a member at every state")
+
+        monkeypatch.setattr(Observable, "dense_values", refused)
+        assert empirical_gcb_constant(mu, fam).rows
+        assert check_uvb(mu, fam).rows

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from conftest import log_exponential_moment
 
-from spinflip.concentration import log_exponential_moment
 from spinflip.dynamics import (
     CustomRates,
     GlauberRates,

@@ -496,6 +496,9 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
     function; it is a sum over the levels of f against its law, which the
     member laws give for every start and under mu S(t)."""
     probs = probs_of(mu)
+    # the outer constant weighs the starts mu charges only, so an H past the
+    # float range at a start of no mass adds 0, not 0 * inf = NaN
+    charged = probs > 0
     k_t = gamma_matrix(rates).k_of_t(t)
     labels, l2sq, laws = _member_laws(rates, t, family)
     at_mu = laws.under(probs)
@@ -511,7 +514,7 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
             inner.append(laws.h_integral(spec.h, 2.0 * lam).max(axis=1))
             # outer: the evolved function g = S(t)(lambda f) under the initial measure
             g = lam * laws.mean
-            m_out.append(spec.h(2.0 * (g - (g @ probs)[:, None])) @ probs)
+            m_out.append(spec.h(2.0 * (g[:, charged] - (g @ probs)[:, None])) @ probs[charged])
             # left side under mu S(t)
             lhs.append(at_mu.h_integral(spec.h, lam)[:, 0])
         c_start = float(np.max(spec.j_inv(np.array(inner)) / (2.0 * l2)))

@@ -53,9 +53,34 @@ truncation.  For rates that commute with the global spin flip
 of P on the 2^(N-1) states whose top spin is down, and vectors travel as
 half-vectors in two blocks, the halves that are their own partners and
 then the pairs, so a step reads every partner from two reversed slices
-(see SemigroupEngine); other rates keep the full P.  A narrow batch of
-(half-)vectors (two, or up to four on large operators) steps one vector at
-a time; other batches step as one multi-vector product, in the same step.
+(see SemigroupEngine); other rates keep the full P.  A wide batch steps as
+one multi-vector product.
+
+A narrow batch (one vector, or the two to four that would step one at a
+time) on at least 2^14 states steps each vector on the orbits of its
+lattice stabilizer, the symmetry-adapted basis of exact diagonalization
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  A torus automorphism g
+(translation, axis reflection, swap of equal sides) that maps every site's
+rate term to its image's bitwise commutes with P, so S(t)(f o g) =
+(S(t) f) o g.  A vector v admits g with character chi(g) = +-1 when
+||v o g - chi(g) v|| <= _SYMMETRY_RTOL ||v||, in the norm its route
+certifies: sup for functions, l1 for measures, and for a density
+v = mu / pi the l1(pi) norm sum_s pi(s) |v(s)|, which is mu's l1 and in
+which S(t) contracts as well (pi is S(t)-invariant, and invariant under g
+up to rounding, as the rates are).  The global flip joins with its
+character on a folded engine.  The admitted maps must form a group G with
+multiplying characters, every element admitted.  The vector then travels
+as its mean over each orbit of G (times the characters), through P
+restricted to the orbits, and is gathered back; an orbit that an element
+of character -1 fixes carries 0.  The mean is the projection onto the symmetric vectors,
+the average of chi(g) v o g over G, which moves v by at most
+_SYMMETRY_RTOL ||v|| in that norm, and S(t) is a contraction there, so the
+route adds at most that to the truncation error.  A vector that repeats
+one evolved so, or is its global flip (on a folded engine), reads its
+result flipped or not; one within _SYMMETRY_RTOL of its image under a rate
+automorphism reads that result moved, which adds that much once more.  A
+vector with no lattice symmetry steps with the narrow batch's rest, one
+(half-)vector at a time.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -99,6 +124,7 @@ from .lattice import (
     bit_tensor,
     dense_size,
     gather_bits,
+    permute_states,
     scatter_bits,
     state_bits,
     translate_states,
@@ -112,6 +138,16 @@ _BALANCE_RTOL = 1e-13
 # Chebyshev terms past which a time is refused: 2^20 terms is rho t ~ 1e10,
 # a million steps of P
 _CHEBYSHEV_TERM_CAP = 1 << 20
+# a column admits a lattice symmetry g when moving it by g changes it by at
+# most this share of its norm: sup for functions, l1 for measures (of mu, for
+# a density mu / pi)
+_SYMMETRY_RTOL = 1e-15
+# narrow batches on fewer states keep the fold: there the symmetry search,
+# the orbit labels and the gathers cost about what the shorter steps save.
+# Glauber rings and tori, orbit route against fold (psi_identity_check, a
+# three-time measure evolution on a new engine, nogo_experiment): 1.1-3.4x
+# the fold's time at 2^6-2^12 states, 0.7-1.1x at 2^14, 0.6-0.8x at 2^16
+_ORBIT_MIN_STATES = 1 << 14
 
 
 class RateModel:
@@ -216,14 +252,17 @@ class GlauberRates(RateModel):
             dep = sorted({s for sites, _ in terms_at[i] for s in sites} | {i})
             pos = {s: j for j, s in enumerate(dep)}
             k = len(dep)
-            dh = np.zeros(1 << k)
+            parts = np.empty((len(terms_at[i]), 1 << k))
             # an energy difference past the float range gives an inf or NaN
             # rate, which is refused below rather than warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                for sites, table in terms_at[i]:
+                for part, (sites, table) in zip(parts, terms_at[i]):
                     term = bit_tensor(table, k, [pos[s] for s in sites])
-                    bit_tensor(dh, k)[...] += np.flip(term, k - 1 - pos[i]) - term
-                rates = np.exp(-0.5 * dh)
+                    bit_tensor(part, k)[...] = np.flip(term, k - 1 - pos[i]) - term
+                # summed in sorted order, so a site whose terms are the images
+                # of another's under a lattice symmetry gets its rates bitwise
+                parts.sort(axis=0)
+                rates = np.exp(-0.5 * parts.sum(axis=0))
             if not np.all(np.isfinite(rates)):
                 raise ValueError(
                     f"Glauber rate at site {i} is not finite: the potential's energy differences pass the float range"
@@ -410,6 +449,152 @@ class _Fold:
         return out
 
 
+def _maps_terms(terms, image) -> bool:
+    """Whether the site map i -> image[i] carries every site's rate term onto
+    its image's bitwise: c(image[i], g(s)) = c(i, s) at every state s, g(s)
+    carrying spin_i(s) to site image[i].  terms[i] holds the sorted
+    dependence of c(i, .) as an array, c(i, .) over its patterns, and the
+    bits of those patterns, one column per dependence site."""
+    for i, (dep, values, bits) in enumerate(terms):
+        moved, target, _ = terms[image[i]]
+        to = image[dep]
+        if not np.array_equal(np.sort(to), moved):
+            return False
+        # key bit j of c(i, .) is key bit searchsorted(moved, to[j]) of its image
+        if not np.array_equal(target[bits @ (1 << np.searchsorted(moved, to))], values):
+            return False
+    return True
+
+
+def _norm(v: np.ndarray, weights) -> float:
+    """The norm a route certifies: sup for functions (weights None), l1 for
+    measures (weights 1.0), and for a density mu / pi the pi-weighted l1
+    (weights pi), which is mu's l1"""
+    a = np.abs(v)
+    return float(a.max() if weights is None else (a * weights).sum())
+
+
+def _generate(n: int, gens):
+    """The group that site maps generate, from gens of (image, character,
+    deviation): {image bytes: (image, character, deviation bound)}, identity
+    first.  Composing (image a after b, a[b]) multiplies characters and adds
+    deviations, which bounds the composite's by the triangle inequality, as
+    moving a vector permutes its entries (and the l1(pi) weights pi, which
+    the maps keep up to rounding).  None when one map is reached with both
+    characters."""
+    identity = np.arange(n)
+    out = {identity.tobytes(): (identity, 1.0, 0.0)}
+    queue = [out[identity.tobytes()]]
+    for image, chi, bound in queue:
+        for g, c, d in gens:
+            moved = image[g]
+            found = out.setdefault(moved.tobytes(), (moved, chi * c, bound + d))
+            if found[1] != chi * c:
+                return None
+            if found[0] is moved:
+                queue.append(found)
+    return out
+
+
+class _Symmetry(NamedTuple):
+    """A group of site maps with characters +-1 (`images`, `chars`, identity
+    first), the generators it was found from (`gens`, `gen_chars`) and the
+    global flip's character, 0 when the flip is not in the group."""
+
+    images: np.ndarray
+    chars: np.ndarray
+    gens: np.ndarray
+    gen_chars: np.ndarray
+    flip: float
+
+
+class _Quotient:
+    """P (P^T for measures) on the orbits of a group G of state
+    permutations, for the columns v with v(g(s)) = chi(g) v(s), chi = +-1:
+    such a v is its values at the smallest state r of each orbit, and
+    v(s) = sign[s] v(r) with sign[s] = chi(g) for a g with g(s) = r.  An
+    orbit that an element of character -1 fixes carries 0 and is dropped
+    (sign 0).  ids[s] is the orbit of s among the K kept ones, K for a
+    dropped one, and `op` is the K x K CSR matrix whose row r holds
+    c(i, r) / lam (c(i, r^i) / lam for measures) at the orbit of r^i, times
+    sign[r^i], and 1 - sum_i c(i, r) / lam at r: exact on such columns, as
+    the rates commute with G."""
+
+    def __init__(self, engine, sym: _Symmetry, transposed: bool):
+        n, size = engine.torus.n_sites, engine.n_states
+        states = np.arange(size, dtype=np.int32)
+        moves = [(permute_states(states, n, g), c) for g, c in zip(sym.gens, sym.gen_chars)]
+        if sym.flip:
+            moves.append((states[::-1], sym.flip))
+        # label[s] is a state of the orbit of s with v(s) = sign[s] v(label[s])
+        # on the symmetric columns: from v(s) = chi(g) v(g(s)), each generator
+        # pulls the smaller label of g(s) to s, and a jump to the label's label
+        # halves the distance left, until every orbit reads its smallest state
+        label, sign = states.copy(), np.ones(size, dtype=np.int8)
+        changed = True
+        while changed:
+            changed = False
+            for g_s, c in moves:
+                pulled = label[g_s]
+                lower = pulled < label
+                if lower.any():
+                    changed = True
+                    sign[lower] = c * sign[g_s[lower]]
+                    label[lower] = pulled[lower]
+            sign *= sign[label]
+            label = label[label]
+        # a generator whose character disagrees with the signs inside an orbit
+        # means an element of character -1 fixes its states, so v is 0 there
+        clash = np.zeros(size, dtype=bool)
+        for g_s, c in moves:
+            clash |= sign != c * sign[g_s]
+        dropped = np.zeros(size, dtype=bool)
+        dropped[label[clash]] = True
+        dropped = dropped[label]
+        reps = np.flatnonzero((label == states) & ~dropped)
+        k = reps.size
+        at = np.full(size, k, dtype=np.int32)
+        at[reps] = np.arange(k)
+        self.ids, self.sign = at[label], np.where(dropped, np.int8(0), sign)
+        self.counts = np.bincount(self.ids, minlength=k + 1)[:k]
+        self.order = len(sym.images) << bool(sym.flip)
+        odd = int(np.sum(sym.chars < 0))
+        self.odd = odd if not sym.flip else 2 * odd if sym.flip > 0 else len(sym.images)
+        self.transposed = transposed
+        c = engine.rate_table
+        here = c[:, reps]
+        flips = reps ^ (1 << np.arange(n))[:, None]
+        inv = 1.0 / engine.lam if engine.lam > 0 else 0.0
+        rate = c[np.arange(n)[:, None], flips] if transposed else here
+        # row r lists the orbits of its flips, then r itself
+        data = np.vstack([rate * inv * self.sign[flips], 1.0 - here.sum(axis=0) * inv]).T
+        cols = np.vstack([self.ids[flips], np.arange(k, dtype=np.int32)]).T
+        keep = data != 0
+        indptr = np.append(0, np.cumsum(keep.sum(axis=1))).astype(np.int32)
+        self.op = sp.csr_matrix((data[keep], cols[keep], indptr), shape=(k, k))
+        # flips of r that land in one orbit become one entry
+        self.op.sum_duplicates()
+
+    def reduce(self, col: np.ndarray) -> np.ndarray:
+        """col's mean over each kept orbit, read at its smallest state: col
+        itself when col has the symmetry, else its projection onto it"""
+        k = self.counts.size
+        return np.bincount(self.ids, weights=self.sign * col, minlength=k + 1)[:k] / self.counts
+
+    def expand(self, reduced: np.ndarray) -> np.ndarray:
+        """Rows of orbit values (T, K) back to states (T, 2^N)"""
+        padded = np.hstack([reduced, np.zeros((len(reduced), 1))])
+        return padded[:, self.ids] * self.sign
+
+    def summary(self) -> dict:
+        return {
+            "order": self.order,
+            "odd": self.odd,
+            "orbits": int(self.counts.size),
+            "direction": "measures" if self.transposed else "functions",
+        }
+
+
 class _Balance(NamedTuple):
     """What the Chebyshev route runs on: the stationary law pi of reversible
     rates (exactly flip-symmetric on a folded engine), its smallest entry,
@@ -481,8 +666,17 @@ class SemigroupEngine:
     read-only index structure and differ only in data, so both directions
     gather.  A batch whose (half-)columns _steps_by_row picks travels as
     contiguous rows, one `p @ row` per step each; other batches keep one
-    multi-vector product per step.  The route depends only on the batch's
-    shape."""
+    multi-vector product per step.
+
+    A narrow batch on at least _ORBIT_MIN_STATES states first tries each
+    column on the orbit route of the module docstring (_narrow): the rate
+    automorphisms are found once per engine, on the first such evolution,
+    and each column's stabilizer per call (_stabilizer); the orbit operator
+    of a group, its characters and direction (_Quotient) is cached like the
+    Chebyshev coefficients, and `summary()` lists each one's group order,
+    elements of character -1 and orbits.  Every route depends only on the
+    batch's shape, so a wide batch, such as a theorem check's law columns,
+    never searches."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
@@ -510,12 +704,15 @@ class SemigroupEngine:
             self.p, self.pt = _flip_matrices(self.rate_table * inv, 1.0 - exit_rate * inv)
         self._weights = {}
         self._chebyshev = {}
+        self._quotients = {}
 
     def summary(self) -> dict:
         """What the engine runs on, for reports; operator_bytes counts the
         data of P and P^T and their shared index arrays once.  The route is
         "chebyshev" or "uniformization"; the first also names rho and
-        pi_min, which set its number of terms."""
+        pi_min, which set its number of terms.  `quotients` lists the orbit
+        operators cached so far: group order, its elements of character -1
+        ("odd"), kept orbits and direction."""
         out = {
             "lam": self.lam,
             "flip_symmetric": self.flip_symmetric,
@@ -526,6 +723,7 @@ class SemigroupEngine:
         }
         if self._balance is not None:
             out.update(rho=self._balance.rho, pi_min=self._balance.pi_min)
+        out["quotients"] = [q.summary() for q in self._quotients.values()]
         return out
 
     @cached_property
@@ -623,22 +821,71 @@ class SemigroupEngine:
         from one pass of B_k vec: B_k = P^k (P^T for measures) on
         uniformization, T_k(X) on the Chebyshev route, where measures travel
         as densities; each sum stops at its own truncation, as it would in a
-        pass of its own.
-
-        A batch of (half-)columns of shape (H, m) steps as m contiguous rows,
-        one sparse matrix-vector product each, when _steps_by_row(H, m);
-        other batches step as one multi-vector product.  On a fold, the step
-        then adds the top-site flips, each half's partner reversed times b,
-        read from _Fold's two blocks as two slices into one buffer."""
+        pass of its own.  A narrow batch (one column, or columns that
+        _steps_by_row steps by row) on at least _ORBIT_MIN_STATES states goes
+        column by column through _narrow, which steps a column with a lattice
+        symmetry on the orbits of its stabilizer; every other batch, and the
+        narrow columns without one, step through _folded.  The route follows
+        from the batch's shape before any symmetry search."""
         coefs = [self.coefficients(t) for t in times]
         balance = self._balance
         density = measures and balance is not None
+        weights = balance.pi if density else 1.0 if measures else None
         if density:
             pi = balance.pi if vec.ndim == 1 else balance.pi[:, None]
             vec = vec / pi
         transposed = measures and not density
-        op = self.pt if transposed else self.p
         cols = vec.reshape(len(vec), -1)
+        m, size = cols.shape[1], len(cols)
+        narrow = m == 1 or _steps_by_row(size // 2 if self.flip_symmetric else size, m)
+        if narrow and size >= _ORBIT_MIN_STATES:
+            out = self._narrow(cols, coefs, transposed, weights)
+        else:
+            out = self._folded(cols, coefs, transposed)
+        out = out.reshape((len(times),) + vec.shape)
+        if density:
+            # S(t) g lies in [min g, max g] column by column
+            np.clip(out, vec.min(axis=0), vec.max(axis=0), out=out)
+            out *= pi
+        return out
+
+    def _sum(self, cur: np.ndarray, step, coefs) -> np.ndarray:
+        """sum_k c_k B_k cur for each coefficient vector, stacked, where
+        step(v) is one product with P on cur's layout: B_k = P^k on
+        uniformization, T_k(X) by T_{k+1} = 2 X T_k - T_{k-1} on the
+        Chebyshev route."""
+        balance = self._balance
+        accs = np.empty((len(coefs),) + cur.shape)
+        term = np.empty_like(cur)
+        for acc, c in zip(accs, coefs):
+            np.multiply(cur, c[0], out=acc)
+        if balance is not None:
+            # X = a P + (1 - a) I; T_1 = X T_0, T_{k+1} = 2 X T_k - T_{k-1}
+            a, prev = 2.0 * self.lam / balance.rho, None
+        for k in range(1, max(c.size for c in coefs)):
+            nxt = step(cur)
+            if balance is not None:
+                first = prev is None
+                nxt *= a if first else 2.0 * a
+                nxt += np.multiply(cur, 1.0 - a if first else 2.0 - 2.0 * a, out=term)
+                if not first:
+                    nxt -= prev
+                prev = cur
+            cur = nxt
+            for acc, c in zip(accs, coefs):
+                if k < c.size:
+                    acc += np.multiply(cur, c[k], out=term)
+        return accs
+
+    def _folded(self, cols: np.ndarray, coefs, transposed: bool) -> np.ndarray:
+        """The sums for a batch of columns (2^N, m), as (T, 2^N, m), on
+        half-columns when the engine folds.  A batch of (half-)columns of
+        shape (H, m') steps as m' contiguous rows, one sparse matrix-vector
+        product each, when _steps_by_row(H, m'); other batches step as one
+        multi-vector product.  On a fold, the step then adds the top-site
+        flips, each half's partner reversed times b, read from _Fold's two
+        blocks as two slices into one buffer."""
+        op = self.pt if transposed else self.p
         fold = _Fold(cols) if self.flip_symmetric else None
         cur = fold.halves if fold else cols
         by_row = _steps_by_row(*cur.shape)
@@ -663,34 +910,175 @@ class SemigroupEngine:
                 nxt += flips
             return nxt
 
-        accs = np.empty((len(times),) + cur.shape)
-        term = np.empty_like(cur)
-        for acc, c in zip(accs, coefs):
-            np.multiply(cur, c[0], out=acc)
-        if balance is not None:
-            # X = a P + (1 - a) I; T_1 = X T_0, T_{k+1} = 2 X T_k - T_{k-1}
-            a, prev = 2.0 * self.lam / balance.rho, None
-        for k in range(1, max(c.size for c in coefs)):
-            nxt = step(cur)
-            if balance is not None:
-                first = prev is None
-                nxt *= a if first else 2.0 * a
-                nxt += np.multiply(cur, 1.0 - a if first else 2.0 - 2.0 * a, out=term)
-                if not first:
-                    nxt -= prev
-                prev = cur
-            cur = nxt
-            for acc, c in zip(accs, coefs):
-                if k < c.size:
-                    acc += np.multiply(cur, c[k], out=term)
+        accs = self._sum(cur, step, coefs)
         if by_row:
             accs = accs.transpose(0, 2, 1)
-        out = (fold.unfold(accs) if fold else accs).reshape((len(times),) + vec.shape)
-        if density:
-            # S(t) g lies in [min g, max g] column by column
-            np.clip(out, vec.min(axis=0), vec.max(axis=0), out=out)
-            out *= pi
+        return fold.unfold(accs) if fold else accs
+
+    def _narrow(self, cols: np.ndarray, coefs, transposed: bool, weights) -> np.ndarray:
+        """_folded's sums for a narrow batch, column by column, each judged
+        in the norm of `weights` (see _norm).  A column that admits a lattice
+        symmetry steps on the orbits of its stabilizer (see _stabilizer and
+        _Quotient) and is gathered back.  A repeat of an evolved column, or
+        on a folded engine its flip, reads its result, and so does its image
+        under an automorphism of the rates (see _image), moved:
+        S(t)(f o g) = (S(t) f) o g.  The other columns step through _folded
+        together."""
+        n = self.torus.n_sites
+        out = np.empty((len(coefs),) + cols.shape)
+        done, rest, evolved = {}, [], []
+        for j, col in enumerate(cols.T):
+            source = done.get(col.tobytes())
+            if source:
+                k, flipped = source
+                out[:, :, j] = out[:, ::-1, k] if flipped else out[:, :, k]
+                continue
+            image = self._image(col, cols[:, evolved], weights)
+            if image:
+                k, g = image
+                for at, result in zip(out[:, :, j], out[:, :, evolved[k]]):
+                    at[...] = permute_states(result, n, g)
+            else:
+                found = self._stabilizer(col, weights)
+                if found is None:
+                    rest.append(j)
+                    continue
+                q = self._quotient(found, transposed)
+                out[:, :, j] = q.expand(self._sum(q.reduce(col), q.op.dot, coefs))
+                evolved.append(j)
+            done[col.tobytes()] = (j, False)
+            if self.flip_symmetric:
+                done.setdefault(col[::-1].tobytes(), (j, True))
+        if rest:
+            out[:, :, rest] = self._folded(cols[:, rest], coefs, transposed)
         return out
+
+    @cached_property
+    def _automorphisms(self) -> np.ndarray:
+        """The rows of Torus.automorphisms that carry every rate term onto its
+        image's bitwise, identity first: they commute with P, and form a
+        group, as maps that keep the terms exactly compose; so a candidate
+        that the maps kept so far generate is not checked again."""
+        rates, terms = self.rates, []
+        for i in self.torus.sites():
+            dep = rates.dependence(i)
+            keys = np.arange(1 << len(dep))
+            terms.append((np.array(dep, dtype=np.int64), rates.rate_patterns(i, dep), (keys[:, None] >> np.arange(len(dep))) & 1))
+        n, gens = self.torus.n_sites, []
+        kept = _generate(n, gens)
+        for g in self.torus.automorphisms():
+            # a map the kept ones generate keeps the terms exactly too
+            if g.tobytes() not in kept and _maps_terms(terms, g):
+                gens.append((g, 1.0, 0.0))
+                kept = _generate(n, gens)
+        return np.array([image for image, _, _ in kept.values()])
+
+    @cached_property
+    def _probe(self):
+        """31 fixed states spread over the state space and, row by row, their
+        images under every automorphism of the rates: g(s) sets bit g[i] for
+        each set bit i of s."""
+        states = np.random.default_rng(0).integers(self.n_states, size=31)
+        bits = (states[:, None] >> np.arange(self.torus.n_sites)) & 1
+        return states, bits @ (1 << self._automorphisms.T)
+
+    def _stabilizer(self, col: np.ndarray, weights) -> _Symmetry | None:
+        """The automorphisms g of the rates that col admits, with characters
+        chi(g) = +-1: moving col by g, col(g(s)), differs from chi(g) col by at
+        most _SYMMETRY_RTOL times col's norm, both in the norm of `weights`
+        (see _norm).  The global flip is tried on a folded engine only, and
+        joins when col admits g o flip for every admitted g as well.  None
+        when col admits no lattice symmetry but the identity, or when the
+        admitted maps are not a group with multiplying characters.
+
+        Every candidate is first read at the largest entry of col and the
+        states of _probe, a necessary test.  A candidate that passes it is
+        moved whole, one at a time, unless the maps admitted so far generate
+        it with a deviation bound (see _generate) within the tolerance; each
+        admitted map joins the generators.  The group they generate must then
+        hold only admitted maps."""
+        group, n = self._automorphisms, self.torus.n_sites
+        norm = _norm(col, weights)
+        if len(group) < 2 or not 0.0 < norm < np.inf:
+            return None
+        tol = _SYMMETRY_RTOL * norm
+
+        def character(moved, chis):
+            """The first chi with col o g within tol of chi col, and the gap"""
+            for chi in chis:
+                dev = _norm(moved - chi * col, weights)
+                if dev <= tol:
+                    return chi, dev
+            return 0.0, math.inf
+
+        plus, minus = self._near(col, col, tol, weights)
+        gens, checked = [], {}
+        found = _generate(n, gens)
+        for g in np.flatnonzero(plus | minus)[1:]:
+            key = group[g].tobytes()
+            if key in found and found[key][2] <= tol:
+                continue
+            chis = [chi for chi, ok in ((1.0, plus[g]), (-1.0, minus[g])) if ok]
+            chi, dev = character(permute_states(col, n, group[g]), chis)
+            if chi:
+                checked[key] = chi
+                gens.append((group[g], chi, dev))
+                found = _generate(n, gens)
+                if found is None:
+                    return None
+        if not gens or any(bound > tol and checked.get(key) != chi for key, (_, chi, bound) in found.items()):
+            return None
+        flip = 0.0
+        if self.flip_symmetric:
+            flip, dev = character(col[::-1], (1.0, -1.0))
+            # so must every g o flip, col(g(flip(s))): by the bound or moved whole
+            if flip and any(
+                bound + dev > tol and not character(permute_states(col, n, image)[::-1], (chi * flip,))[0]
+                for image, chi, bound in found.values()
+            ):
+                flip = 0.0
+        images, chars, _ = zip(*found.values())
+        gen_images, gen_chars, _ = zip(*gens)
+        return _Symmetry(np.array(images), np.array(chars), np.array(gen_images), np.array(gen_chars), flip)
+
+    def _near(self, source: np.ndarray, col: np.ndarray, tol: float, weights):
+        """Masks over the automorphisms g of the rates: source(g(s)) within
+        tol of col(s), and of -col(s), times the weight at s (see _norm), at
+        the states of _probe and at col's largest weighted entry.  A
+        necessary test of |source o g -+ col| <= tol in that norm."""
+        probe, moved = self._probe
+        w = np.broadcast_to(1.0 if weights is None else weights, col.shape)
+        top = np.argmax(np.abs(col) * w)
+        n, group = self.torus.n_sites, self._automorphisms
+        at = source[np.vstack([moved, ((top >> np.arange(n)) & 1) @ (1 << group.T)])]
+        states = np.append(probe, top)
+        want, w = col[states, None], w[states, None]
+        return np.all(w * np.abs(at - want) <= tol, axis=0), np.all(w * np.abs(at + want) <= tol, axis=0)
+
+    def _image(self, col: np.ndarray, sources: np.ndarray, weights):
+        """(k, g) for the first column k of sources and automorphism g of the
+        rates with sources[:, k] moved by g, sources[g(s), k], within
+        _SYMMETRY_RTOL of col's norm of col (in the norm of `weights`, see
+        _norm), so that S(t) col is S(t) sources[:, k] moved by g to that
+        error; None when there is none."""
+        norm = _norm(col, weights) if sources.size else 0.0
+        if not 0.0 < norm < np.inf:
+            return None
+        tol, n, group = _SYMMETRY_RTOL * norm, self.torus.n_sites, self._automorphisms
+        for k, source in enumerate(sources.T):
+            for g in np.flatnonzero(self._near(source, col, tol, weights)[0]):
+                if _norm(permute_states(source, n, group[g]) - col, weights) <= tol:
+                    return k, group[g]
+        return None
+
+    def _quotient(self, sym: _Symmetry, transposed: bool) -> _Quotient:
+        """The _Quotient of a group, characters and direction, cached on the
+        engine as the Chebyshev coefficients are."""
+        key = (sym.images.tobytes(), sym.chars.tobytes(), sym.flip, transposed)
+        q = self._quotients.get(key)
+        if q is None:
+            q = self._quotients[key] = _Quotient(self, sym, transposed)
+        return q
 
 
 def engine_for(rates: RateModel) -> SemigroupEngine:

@@ -18,6 +18,11 @@ Conventions used across the package:
   path), of given state arrays and of the 2**k patterns of a support.
 * sigma_A, the product of the spins in A, is (-1)^(number of minus spins
   in A); `spin_product` computes it from a bit mask of A.
+* A site map g (a row of `Torus.automorphisms`: translations, axis
+  reflections, swaps of equal sides) acts on states by carrying the spin
+  at site i to site g[i]; `permute_states` moves a state vector by it, one
+  axis transpose of the state tensor, and `translate_states` is the case
+  of a translation.
 * Sizes are capped before anything exponential is allocated: EXACT_SITE_CAP
   (20) bounds every dense object indexed by all 2**N states (state
   vectors, Gibbs enumeration, generators, semigroups, exact sup norms of
@@ -29,6 +34,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -136,6 +142,25 @@ class Torus:
     def translate(self, site: int, offset) -> int:
         base = self.coord(site)
         return self.site(tuple(b + o for b, o in zip(base, offset)))
+
+    def automorphisms(self) -> np.ndarray:
+        """The site permutations built from translations, axis reflections
+        and swaps of axes of equal side, as an (M, N) array whose row g maps
+        site i to g[i]: every map x -> (e_a x_{pi(a)} + o_a)_a with pi a
+        side-preserving axis permutation, e_a = +-1 and o an offset.  Row 0 is
+        the identity and no two rows are equal (on sides 1 and 2 a reflection
+        is the identity or a translation)."""
+        coords = np.array([self.coord(i) for i in self.sites()]).reshape(self.n_sites, self.dim)
+        rows = {}
+        for axes in itertools.permutations(range(self.dim)):
+            if any(self.sides[a] != self.sides[b] for b, a in enumerate(axes)):
+                continue
+            for signs in itertools.product((1, -1), repeat=self.dim):
+                moved = coords[:, axes] * signs
+                for offset in itertools.product(*map(range, self.sides)):
+                    image = ((moved + offset) % self.sides) @ self._strides
+                    rows.setdefault(image.tobytes(), image)
+        return np.array(list(rows.values()))
 
     def distance(self, i: int, j: int) -> int:
         """Chebyshev distance with wraparound (the range metric)."""
@@ -365,10 +390,20 @@ def lipschitz_norm(delta, p=2.0) -> float:
     return float(np.sum(np.abs(delta) ** p) ** (1.0 / p))
 
 
+def permute_states(values: np.ndarray, n_sites: int, image) -> np.ndarray:
+    """values moved by the site permutation i -> image[i]: entry s of the
+    result is values[g(s)], where g(s) carries spin_i(s) to site image[i].
+    So values = arange(2^N) gives the state permutation g itself, and a
+    vector with values[g(s)] = values[s] comes back equal to itself.  One
+    strided copy of the state tensor, with no per-state key."""
+    # the axis of site i in the result is the axis of site image[i] in values
+    axes = [n_sites - 1 - int(image[i]) for i in range(n_sites - 1, -1, -1)]
+    return bit_tensor(values, n_sites).transpose(axes).reshape(-1)
+
+
 def translate_states(torus: Torus, offset) -> np.ndarray:
     """Permutation p of state indices induced by the lattice translation
     site i -> i + offset; p[s] carries spin_i(s) to site i + offset."""
     n = torus.n_sites
-    # the axis of site i in p is the axis of site i + offset in the states
-    axes = [n - 1 - torus.translate(i, offset) for i in range(n - 1, -1, -1)]
-    return bit_tensor(np.arange(dense_size(n), dtype=np.int64), n).transpose(axes).reshape(-1)
+    image = [torus.translate(i, offset) for i in range(n)]
+    return permute_states(np.arange(dense_size(n), dtype=np.int64), n, image)

@@ -689,6 +689,21 @@ class TestHJC:
         assert [row["rhs"] for row in report.rows] == [math.inf] * len(fam)
         assert report.holds
 
+    def test_outer_constant_weighs_charged_starts_only(self):
+        # from a point mass the outer H overflows at every other start, whose
+        # weight 0 must add 0, not 0 * inf = NaN: the point mass has no
+        # spread, so C_mu reads 0
+        torus = Torus((4,))
+        fam = TestFunctionFamily.monomials(torus, 1, lambda_grid=(1000.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = hjc_check(
+                IndependentRates(torus, 1.0), 0.5, dirac_vector(torus, 3), hjc_library("exponential"), fam
+            )
+        assert report.c_mu == 0.0
+        assert report.holds
+        assert not any(math.isnan(row[k]) for row in report.rows for k in ("lhs", "rhs"))
+
     def test_pipeline_fourth_power(self):
         torus = Torus((5,))
         rates = PerturbedRates.pair(torus, 0.1)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from scipy.special import ive
 
 import spinflip
+from spinflip import dynamics
 from spinflip.dynamics import (
     SIMPSON_STEP_CAP,
     CustomRates,
@@ -17,6 +18,7 @@ from spinflip.dynamics import (
     IndependentRates,
     PerturbedRates,
     SemigroupEngine,
+    _SYMMETRY_RTOL,
     _chebyshev_coefficients,
     _Fold,
     _steps_by_row,
@@ -26,13 +28,15 @@ from spinflip.dynamics import (
     k_of_t,
     validate_conditions,
 )
-from spinflip.gibbs import Potential, gibbs_measure
+from spinflip.concentration import TestFunctionFamily, theorem31_check
+from spinflip.gibbs import BoundaryCondition, Potential, gibbs_measure
 from spinflip.lattice import (
     Observable,
     Torus,
     lipschitz_vector,
     lipschitz_vector_dense,
     monomial_values_dense,
+    permute_states,
 )
 
 
@@ -156,6 +160,21 @@ class TestRateModels:
         bad = CustomRates(t, lambda i: (i,), lambda i, s: -1.0 if i == 0 else 1.0)
         rep = validate_conditions(bad)
         assert not rep.positive and not rep.ok
+
+    def test_glauber_tables_are_bitwise_symmetric(self):
+        # each site sums its terms' energy differences in sorted order, so
+        # every automorphism of the 4x4 torus maps the table to itself bit
+        # for bit: c(g[i], g(s)) = c(i, s)
+        torus = Torus((4, 4))
+        c = GlauberRates(torus, Potential.ising_nn(2, 0.6)).rate_matrix()
+        states = np.arange(c.shape[1])
+        autos = torus.automorphisms()
+        assert len(autos) == 128
+        for g in autos:
+            moved = permute_states(states, torus.n_sites, g)
+            assert all(np.array_equal(c[g[i]][moved], c[i]) for i in torus.sites())
+        rep = validate_conditions(GlauberRates(Torus((3, 4)), Potential.ising_nn(2, 0.6)))
+        assert rep.translation_invariant and rep.translation_checked and rep.ok
 
 
     def test_engine_rejects_negative_rates(self):
@@ -497,6 +516,8 @@ class TestFoldedEngine:
             "route": "chebyshev",
             "rho": engine._balance.rho,
             "pi_min": engine._balance.pi_min,
+            # no narrow evolution has run, so no orbit quotient is cached
+            "quotients": [],
         }
 
     def test_folded_matches_full_p_sum(self):
@@ -526,7 +547,8 @@ class TestFoldedEngine:
 class TestBatchRoutes:
     """Narrow batches step one contiguous row per (half-)column, wide ones
     as one multi-vector product; both on CSR P and P^T with one index
-    structure."""
+    structure.  Every torus here has fewer than _ORBIT_MIN_STATES states, so
+    narrow batches keep the fold; TestQuotientRoute covers the orbit route."""
 
     @staticmethod
     def models(torus):
@@ -629,6 +651,239 @@ class TestBatchRoutes:
             engine = SemigroupEngine(rates)
             assert np.array_equal(engine.evolve_functions(cols[:, :4], 0.4), engine.evolve_functions(cols, 0.4)[:, :4])
             assert np.array_equal(engine.evolve_measures(cols[:, :4].T, 0.4), engine.evolve_measures(cols.T, 0.4)[:4])
+
+
+def acceptance_grid():
+    """(label, rates, potential of its Gibbs states): 4x4 Glauber on the
+    Chebyshev route, folded; 3x4 Glauber with a field, unfolded, so lattice
+    characters only; pair-perturbed rates on a 12-ring, by uniformization,
+    which admit the translations and refuse the reflections."""
+    ising = Potential.ising_nn(2, 0.6)
+    field = ising + Potential.external_field(2, 0.25)
+    return [
+        ("glauber-4x4", GlauberRates(Torus((4, 4)), ising), ising),
+        ("field-3x4", GlauberRates(Torus((3, 4)), field), field),
+        ("perturbed-12", PerturbedRates.pair(Torus((12,)), 0.2), Potential.ising_nn(1, 0.4)),
+    ]
+
+
+def widened(batch, rng, measures):
+    """batch (columns, or rows for measures) and six random ones: a batch
+    wide enough for one multi-vector product on the fold at any size"""
+    size = batch.shape[-1] if measures else len(batch)
+    extra = np.stack([random_measure(size, rng) for _ in range(6)]) if measures else rng.normal(size=(size, 6))
+    return np.vstack([batch, extra]) if measures else np.column_stack([batch, extra])
+
+
+def sup_gap(got, want):
+    """max over columns of |got - want|_inf / |want|_inf"""
+    return float(np.max(np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)))
+
+
+@pytest.fixture
+def orbits_everywhere(monkeypatch):
+    """The orbit route on tori of any size, dense-expm oracles included."""
+    monkeypatch.setattr(dynamics, "_ORBIT_MIN_STATES", 1)
+
+
+class TestQuotientRoute:
+    """A narrow batch steps each column that has a lattice symmetry on the
+    orbits of its stabilizer.  Against the fold (the same columns in a wide
+    batch) and a dense expm, to 1e-13: sup relative to ||f||_inf for
+    functions, l1 for measures."""
+
+    @pytest.mark.parametrize("label, rates, potential", acceptance_grid(), ids=lambda x: x if isinstance(x, str) else "")
+    def test_matches_the_fold(self, label, rates, potential, orbits_everywhere):
+        torus = rates.torus
+        engine = SemigroupEngine(rates)
+        rng = np.random.default_rng(len(label))
+        # a site, its bond along the last axis and one more across (the
+        # second neighbour on a ring)
+        across = torus.sides[-1] if torus.dim > 1 else 2
+        cols = np.column_stack([monomial_values_dense(torus, a) for a in ((0,), (0, 1), (0, across))])
+        dirac, point = np.zeros((2, engine.n_states))
+        dirac[3] = point[-1] = 1.0
+        plus, minus = (gibbs_measure(potential, torus, BoundaryCondition.fixed(e)).probs for e in (1, -1))
+        starts = np.vstack([dirac, point, gibbs_measure(potential, torus).probs, plus, minus])
+        times = [0.2, 0.5]
+        for t in times:
+            wide = engine.evolve_functions(widened(cols, rng, False), t)[:, :3]
+            assert sup_gap(engine.evolve_functions(cols, t), wide) <= 1e-13
+            if t == times[0]:
+                batch_quotients = engine.summary()["quotients"]
+            for j in range(3):
+                assert sup_gap(engine.evolve_functions(cols[:, j], t)[:, None], wide[:, j : j + 1]) <= 1e-13
+        wide = engine.evolve_measures_over(widened(starts, rng, True), times)[:, :5]
+        # one start at a time, and the plus/minus pair as one narrow batch
+        for batch in (starts[:1], starts[1:2], starts[2:3], starts[3:]):
+            grid = engine.evolve_measures_over(batch, times)
+            at = [np.flatnonzero((starts == row).all(axis=1))[0] for row in batch]
+            for j, t in enumerate(times):
+                assert np.abs(grid[j] - wide[j][at]).sum(axis=1).max() <= 1e-13
+                assert np.array_equal(grid[j], engine.evolve_measures(batch, t))
+        quotients = engine.summary()["quotients"]
+        assert quotients and all(q["orbits"] < engine.n_states for q in quotients)
+        if label == "glauber-4x4":
+            # sigma_x: the point group of x (8) and the odd global flip; a
+            # bond: its 4 reflections and the even flip
+            # the vertical bond is the horizontal one's image under a swap of
+            # the axes, and in one batch reads its result moved
+            assert batch_quotients == [
+                {"order": 16, "odd": 8, "orbits": 4808, "direction": "functions"},
+                {"order": 8, "odd": 0, "orbits": 8832, "direction": "functions"},
+            ]
+            # the plus density, judged in l1(pi): its 8 reflections and
+            # rotations hold to rounding, the global flip does not
+            assert {"order": 8, "odd": 0, "orbits": 8548, "direction": "functions"} in quotients
+        if label == "field-3x4":
+            assert not engine.flip_symmetric and len(engine._automorphisms) == 48
+        if label == "perturbed-12":
+            # the 12 translations only; measures step through P^T
+            assert len(engine._automorphisms) == 12
+            assert all(np.array_equal(g, np.roll(np.arange(12), -g[0])) for g in engine._automorphisms)
+            assert all(q["direction"] == "measures" for q in quotients)
+
+    @pytest.mark.parametrize(
+        "model", range(6), ids=["independent", "glauber", "pair", "glauber-field", "site", "custom"]
+    )
+    def test_ring_models_match_the_fold(self, model, orbits_everywhere):
+        # TestBatchRoutes' inputs on a 12-ring, every rate model there: the
+        # narrow slices and each column or row alone against a wide batch
+        torus = Torus((12,))
+        rng = np.random.default_rng(12)
+        cols, rows = flip_columns(torus, rng), flip_rows(torus, rng)
+        rates = (model_zoo(torus) + asymmetric_models(torus))[model]
+        engine = SemigroupEngine(rates)
+        jc, jr = TestBatchRoutes.routed(engine, cols, rows)
+        scale = np.maximum(np.abs(cols).max(axis=0), 1.0)
+        for t in (0.3, 1.1):
+            wide = engine.evolve_functions(cols, t)
+            narrow = engine.evolve_functions(cols[:, :jc], t)
+            assert np.all(np.abs(narrow - wide[:, :jc]).max(axis=0) <= 1e-13 * scale[:jc])
+            for j, col in enumerate(cols.T):
+                assert np.abs(engine.evolve_functions(col, t) - wide[:, j]).max() <= 1e-13 * scale[j]
+            wide = engine.evolve_measures(rows, t)
+            assert np.abs(engine.evolve_measures(rows[:jr], t) - wide[:jr]).sum(axis=1).max() <= 1e-13
+            for row, want in zip(rows, wide):
+                assert np.abs(engine.evolve_measures(row, t) - want).sum() <= 1e-13
+        # the custom rates differ from site to site: no lattice symmetry
+        assert bool(engine.summary()["quotients"]) == rates.translation_invariant
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 3), (3, 3)], ids=str)
+    def test_symmetric_columns_match_expm(self, sides, orbits_everywhere):
+        torus = Torus(sides)
+        n = torus.n_sites
+        cols = [monomial_values_dense(torus, (0,)), monomial_values_dense(torus, (0, n - 1)) + 0.5, np.full(1 << n, 2.0)]
+        point = np.zeros(1 << n)
+        point[-1] = 1.0
+        rows = [point, np.full(1 << n, 1.0 / (1 << n)), gibbs_measure(Potential.ising_nn(torus.dim, 0.4), torus).probs]
+        for rates in model_zoo(torus) + asymmetric_models(torus):
+            engine = SemigroupEngine(rates)
+            q = generator_matrix(rates).toarray()
+            for t in (0.35, 1.2):
+                e = scipy.linalg.expm(t * q)
+                for col in cols:
+                    assert np.abs(engine.evolve_functions(col, t) - e @ col).max() <= 1e-13 * np.abs(col).max()
+                for row in rows:
+                    assert np.abs(engine.evolve_measures(row, t) - row @ e).sum() <= 1e-13
+            if rates.translation_invariant:
+                assert engine.summary()["quotients"]
+
+    def test_a_column_off_its_symmetry_keeps_the_fold(self):
+        torus = Torus((4, 4))
+        engine = SemigroupEngine(GlauberRates(torus, Potential.ising_nn(2, 0.6)))
+        col = monomial_values_dense(torus, (0,))
+        sym = engine._stabilizer(col, None)
+        assert (len(sym.images), sym.flip) == (8, -1.0) and np.all(sym.chars == 1.0)
+        # an entry that no symmetry of sigma_0 fixes, moved by 1e-10
+        moved = [permute_states(np.arange(col.size), 16, g) for g in sym.images[1:]]
+        s = next(s for s in range(col.size) if all(m[s] != s for m in moved))
+        off = col.copy()
+        off[s] += 1e-10
+        assert engine._stabilizer(off, None) is None
+        got = engine.evolve_functions(off, 0.5)
+        assert engine.summary()["quotients"] == []
+        rng = np.random.default_rng(0)
+        assert sup_gap(got[:, None], engine.evolve_functions(widened(off, rng, False), 0.5)[:, :1]) <= 1e-13
+        # within _SYMMETRY_RTOL of the norm the symmetry holds
+        near = col.copy()
+        near[s] += 0.5 * _SYMMETRY_RTOL
+        assert len(engine._stabilizer(near, None).images) == 8
+
+    def test_a_density_is_judged_in_the_measures_l1(self):
+        # the Gibbs state with its least likely entry raised by 1e-8 of
+        # itself moves by ~1e-25 in l1 under every symmetry, inside the
+        # tolerance, though its density moves by 1e-8 at that state, past
+        # the tolerance in a plain l1 of the density
+        torus = Torus((4, 4))
+        potential = Potential.ising_nn(2, 0.6)
+        engine = SemigroupEngine(GlauberRates(torus, potential))
+        mu = gibbs_measure(potential, torus).probs
+        mu[np.argmin(mu)] *= 1.0 + 1e-8
+        got = engine.evolve_measures(mu, 0.5)
+        assert engine.summary()["quotients"] == [{"order": 256, "odd": 0, "orbits": 433, "direction": "functions"}]
+        rng = np.random.default_rng(1)
+        assert np.abs(got - engine.evolve_measures(widened(mu[None], rng, True), 0.5)[0]).sum() <= 1e-13
+
+    def test_a_table_that_breaks_a_reflection_is_not_admitted(self, orbits_everywhere):
+        # flagged translation invariant, but site 0 reads sigma_1 and not
+        # sigma_5, so the reflection x -> -x, which fixes sigma_0, does not
+        # commute with P
+        torus = Torus((6,))
+        reflection = (-np.arange(6)) % 6
+
+        def model(extra):
+            def rate(i, s):
+                spin = [1.0 if s >> j & 1 else -1.0 for j in range(6)]
+                return 1.0 + 0.2 * spin[(i - 1) % 6] * spin[(i + 1) % 6] + (extra * spin[1] if i == 0 else 0.0)
+
+            return CustomRates(torus, lambda i: ((i - 1) % 6, i, (i + 1) % 6), rate, translation_invariant=True)
+
+        def admitted(engine):
+            return {g.tobytes() for g in engine._automorphisms}
+
+        assert reflection.tobytes() in admitted(SemigroupEngine(model(0.0)))
+        engine = SemigroupEngine(model(0.1))
+        assert reflection.tobytes() not in admitted(engine)
+        col = monomial_values_dense(torus, (0,))
+        e = scipy.linalg.expm(0.7 * generator_matrix(engine.rates).toarray())
+        assert np.abs(engine.evolve_functions(col, 0.7) - e @ col).max() <= 1e-13
+
+    def test_odd_orbits_read_zero(self, orbits_everywhere):
+        # sigma_0 - sigma_1 is odd under the reflection swapping sites 0 and
+        # 1, which fixes every state with equal spins at 0 and 1 and a
+        # mirror-symmetric rest: those orbits carry 0 and are dropped
+        torus = Torus((3, 3))
+        rates = GlauberRates(torus, Potential.ising_nn(2, 0.6))
+        engine = SemigroupEngine(rates)
+        col = monomial_values_dense(torus, (0,)) - monomial_values_dense(torus, (1,))
+        got = engine.evolve_functions(col, 0.5)
+        (odd,) = engine.summary()["quotients"]
+        assert odd["odd"] > 0
+        swap = next(g for g in engine._automorphisms if g[0] == 1 and g[1] == 0)
+        states = np.arange(engine.n_states)
+        fixed = permute_states(states, torus.n_sites, swap) == states
+        assert fixed.sum() > 0 and np.all(got[fixed] == 0.0)
+        e = scipy.linalg.expm(0.5 * generator_matrix(rates).toarray())
+        assert np.abs(got - e @ col).max() <= 1e-13 * np.abs(col).max()
+
+    def test_wide_batches_skip_the_search(self, monkeypatch, orbits_everywhere):
+        def refuse(self, col, weights):
+            raise AssertionError("symmetry search on a wide batch")
+
+        monkeypatch.setattr(SemigroupEngine, "_stabilizer", refuse)
+        torus = Torus((12,))
+        rates = GlauberRates(torus, Potential.ising_nn(1, 0.4))
+        engine = engine_for(rates)
+        rng = np.random.default_rng(4)
+        engine.evolve_functions(flip_columns(torus, rng), 0.3)
+        engine.evolve_measures_over(flip_rows(torus, rng), [0.2, 0.6])
+        # the law columns of a theorem check: one wide batch
+        family = TestFunctionFamily.monomials(torus, 2)
+        theorem31_check(rates, 0.4, gibbs_measure(Potential.ising_nn(1, 0.4), torus), family, 1.0)
+        assert engine.summary()["quotients"] == []
+        with pytest.raises(AssertionError, match="wide batch"):
+            engine.evolve_functions(flip_columns(torus, rng)[:, :1], 0.3)
 
 
 class TestLipschitzPropagation:

@@ -13,6 +13,7 @@ from spinflip.lattice import (
     lipschitz_vector_dense,
     monomial_eval,
     monomial_values_dense,
+    permute_states,
     scatter_bits,
     spin_product,
     translate_states,
@@ -250,3 +251,47 @@ def test_translate_states_moves_monomials():
     g = monomial_values_dense(t, (1, 2))
     # evaluating sigma_{A+1} at the translated state equals sigma_A at the original
     assert np.array_equal(g[perm], f)
+
+
+@pytest.mark.parametrize(
+    "sides, count",
+    # translations x reflections x swaps of equal sides; on sides 1 and 2 a
+    # reflection is the identity or a translation
+    [((1,), 1), ((2,), 2), ((5,), 10), ((12,), 24), ((2, 2), 8), ((2, 3), 12), ((3, 4), 48), ((4, 4), 128)],
+    ids=str,
+)
+def test_automorphisms_keep_the_torus_distance(sides, count):
+    torus = Torus(sides)
+    autos = torus.automorphisms()
+    assert autos.shape == (count, torus.n_sites)
+    assert np.array_equal(autos[0], np.arange(torus.n_sites))
+    assert len({g.tobytes() for g in autos}) == count
+    pairs = [(i, j) for i in torus.sites() for j in torus.sites()]
+    for g in autos:
+        assert sorted(g.tolist()) == list(torus.sites())
+        assert all(torus.distance(g[i], g[j]) == torus.distance(i, j) for i, j in pairs)
+    # every translation is one of them
+    for offset in [(1,) + (0,) * (torus.dim - 1), (0,) * (torus.dim - 1) + (1,)]:
+        moved = [torus.translate(i, offset) for i in torus.sites()]
+        assert any(g.tolist() == moved for g in autos)
+
+
+@pytest.mark.parametrize("sides", [(5,), (3, 3), (2, 4)], ids=str)
+def test_permute_states_moves_spins_to_the_image_sites(sides):
+    torus = Torus(sides)
+    n = torus.n_sites
+    states = np.arange(1 << n, dtype=np.int64)
+    autos = torus.automorphisms()
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=states.size)
+    for g, h in zip(autos, autos[rng.permutation(len(autos))]):
+        # g(s) carries spin_i(s) to site g[i]
+        assert np.array_equal(permute_states(states, n, g), scatter_bits(states, g))
+        # moving by g, then by h, is moving by g after h
+        assert np.array_equal(permute_states(permute_states(values, n, g), n, h), permute_states(values, n, g[h]))
+    a = (0,) if torus.dim == 1 else (0, 1)
+    f = monomial_values_dense(torus, a)
+    for g in autos:
+        # sigma_A at g(s) is sigma_{g^-1 A} at s
+        pre = [int(np.flatnonzero(g == i)[0]) for i in a]
+        assert np.array_equal(permute_states(f, n, g), monomial_values_dense(torus, pre))

@@ -34,8 +34,9 @@ spectrum lies in [-1, 1], and z = rho t / 2,
 
     e^{tQ} = sum_k eps_k ive(k, z) T_k(X),    eps_0 = 1, eps_k = 2,
 
-with T_k(X) v from T_{k+1} = 2 X T_k - T_{k-1}, one step of P per term:
-O(sqrt(Lambda t)) terms where uniformization needs O(Lambda t).  The sum
+with T_k(X) v from T_{k+1} = 2 X T_k - T_{k-1}, one product with P per
+term, added into the negated T_{k-1}: O(sqrt(Lambda t)) terms where
+uniformization needs O(Lambda t).  The sum
 stops at the smallest K with 2 sum_{k>K} ive(k, z) <= tail_tol sqrt(pi_min),
 which bounds the l^2(pi) error by that times the l^2(pi) norm.  So a
 function's sup error is at most tail_tol ||f||_inf.  A measure travels as
@@ -54,7 +55,8 @@ of P on the 2^(N-1) states whose top spin is down, and vectors travel as
 half-vectors in two blocks, the halves that are their own partners and
 then the pairs, so a step reads every partner from two reversed slices
 (see SemigroupEngine); other rates keep the full P.  A wide batch steps as
-one multi-vector product.
+one multi-vector product.  Every product adds into a buffer, y += A x, as
+scipy's CSR kernels compute it, so a sum allocates nothing per term.
 
 A narrow batch (one vector, or the two to four that would step one at a
 time) on at least 2^14 states steps each vector on the orbits of its
@@ -70,9 +72,10 @@ which S(t) contracts as well (pi is S(t)-invariant, and invariant under g
 up to rounding, as the rates are).  The global flip joins with its
 character on a folded engine.  The admitted maps must form a group G with
 multiplying characters, every element admitted.  The vector then travels
-as its mean over each orbit of G (times the characters), through P
-restricted to the orbits, and is gathered back; an orbit that an element
-of character -1 fixes carries 0.  The mean is the projection onto the symmetric vectors,
+as its mean over each orbit of G (times the characters), through the
+route's step restricted to the orbits (P, or 2X on the Chebyshev route,
+stored so scaled), and is gathered back; an orbit that an element of
+character -1 fixes carries 0.  The mean is the projection onto the symmetric vectors,
 the average of chi(g) v o g over G, which moves v by at most
 _SYMMETRY_RTOL ||v|| in that norm, and S(t) is a contraction there, so the
 route adds at most that to the truncation error.  A vector that repeats
@@ -80,7 +83,11 @@ one evolved so, or is its global flip (on a folded engine), reads its
 result flipped or not; one within _SYMMETRY_RTOL of its image under a rate
 automorphism reads that result moved, which adds that much once more.  A
 vector with no lattice symmetry steps with the narrow batch's rest, one
-(half-)vector at a time.
+(half-)vector at a time.  The engine keeps what the search found for the
+vectors of its last narrow batch of each kind (functions, measures,
+densities), so a batch evolved again, as at each time of a scan, is not
+searched again; and it keeps the orbit operators it built, the most
+recently used, while their bytes fit in those of its own operator.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -116,6 +123,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, svdvals
+from scipy.linalg.blas import daxpy
+# y += A x for a CSR matrix A, one vector or a C-ordered block of them; the
+# kernels behind scipy's sparse products, pinned by a test of their own
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.special import exprel, gammaln, ive, pdtr, pdtrc, pdtrik
 
 from .gibbs import Potential
@@ -146,7 +157,8 @@ _SYMMETRY_RTOL = 1e-15
 # the orbit labels and the gathers cost about what the shorter steps save.
 # Glauber rings and tori, orbit route against fold (psi_identity_check, a
 # three-time measure evolution on a new engine, nogo_experiment): 1.1-3.4x
-# the fold's time at 2^6-2^12 states, 0.7-1.1x at 2^14, 0.6-0.8x at 2^16
+# the fold's time at 2^6-2^10 states; with the accumulating step,
+# 1.05-1.43x at 2^12, 0.72-1.23x at 2^14 and 0.61-0.64x at 2^16
 _ORBIT_MIN_STATES = 1 << 14
 
 
@@ -441,11 +453,14 @@ class _Fold:
         self.sign = np.array(sign + [1.0] * (len(order) - len(selfs)))
 
     def unfold(self, folded: np.ndarray) -> np.ndarray:
-        """Stacked half-columns (T, H, m') back to full columns (T, 2H, m)."""
+        """Stacked half-columns (T, H, m') back to full columns (T, 2H, m),
+        gathered into place without a temporary."""
         t, h, _ = folded.shape
         out = np.empty((t, 2 * h, self.lo_of.size))
-        out[:, :h] = folded[:, :, self.lo_of]
-        out[:, h:] = (folded[:, :, self.hi_of] * self.sign[self.hi_of])[:, ::-1]
+        for full, halves in zip(out, folded):
+            np.take(halves, self.lo_of, axis=1, out=full[:h], mode="clip")
+            np.take(halves[::-1], self.hi_of, axis=1, out=full[h:], mode="clip")
+            full[h:] *= self.sign[self.hi_of]
         return out
 
 
@@ -508,17 +523,36 @@ class _Symmetry(NamedTuple):
     flip: float
 
 
+def _match(pairs, key: bytes, default=None):
+    """The value of the first (bytes, value) pair whose bytes equal key.  A
+    batch's columns are few and long: comparing bytes stops at the first
+    difference, where hashing them would read them whole."""
+    return next((value for b, value in pairs if b == key), default)
+
+
+class _Image(NamedTuple):
+    """A column read as the result of the batch's column with bytes
+    `source`, moved by the automorphism `image` of the rates"""
+
+    source: bytes
+    image: np.ndarray
+
+
 class _Quotient:
-    """P (P^T for measures) on the orbits of a group G of state
-    permutations, for the columns v with v(g(s)) = chi(g) v(s), chi = +-1:
-    such a v is its values at the smallest state r of each orbit, and
-    v(s) = sign[s] v(r) with sign[s] = chi(g) for a g with g(s) = r.  An
-    orbit that an element of character -1 fixes carries 0 and is dropped
-    (sign 0).  ids[s] is the orbit of s among the K kept ones, K for a
-    dropped one, and `op` is the K x K CSR matrix whose row r holds
-    c(i, r) / lam (c(i, r^i) / lam for measures) at the orbit of r^i, times
-    sign[r^i], and 1 - sum_i c(i, r) / lam at r: exact on such columns, as
-    the rates commute with G."""
+    """The engine's step operator B (its transpose for measures) on the
+    orbits of a group G of state permutations, for the columns v with
+    v(g(s)) = chi(g) v(s), chi = +-1: such a v is its values at the smallest
+    state r of each orbit, and v(s) = sign[s] v(r) with sign[s] = chi(g) for
+    a g with g(s) = r.  An orbit that an element of character -1 fixes
+    carries 0 and is dropped (sign 0).  With the K kept orbits numbered,
+    `index[s]` is the orbit of s, plus K when sign[s] = -1, and 2K for a
+    dropped one, so v is one gather from [v(r), -v(r), 0].  `op` is the
+    K x K CSR matrix of B = w I + u Q there, w = s + shift and u = s / lam
+    for the (s, shift) of SemigroupEngine._step_form: row r holds u c(i, r)
+    (u c(i, r^i) for measures) at the orbit of r^i, times sign[r^i], and
+    w - u sum_i c(i, r) at r; exact on such columns, as the rates commute
+    with G.  It is built pre-scaled, 2X on the Chebyshev route, and is the
+    only copy of the orbit operator."""
 
     def __init__(self, engine, sym: _Symmetry, transposed: bool):
         n, size = engine.torus.n_sites, engine.n_states
@@ -555,8 +589,9 @@ class _Quotient:
         k = reps.size
         at = np.full(size, k, dtype=np.int32)
         at[reps] = np.arange(k)
-        self.ids, self.sign = at[label], np.where(dropped, np.int8(0), sign)
-        self.counts = np.bincount(self.ids, minlength=k + 1)[:k]
+        ids, sign = at[label], np.where(dropped, np.int8(0), sign)
+        self.index = np.where(dropped, 2 * k, ids + k * (sign < 0)).astype(np.int32)
+        self.counts = np.bincount(ids, minlength=k + 1)[:k]
         self.order = len(sym.images) << bool(sym.flip)
         odd = int(np.sum(sym.chars < 0))
         self.odd = odd if not sym.flip else 2 * odd if sym.flip > 0 else len(sym.images)
@@ -564,27 +599,42 @@ class _Quotient:
         c = engine.rate_table
         here = c[:, reps]
         flips = reps ^ (1 << np.arange(n))[:, None]
-        inv = 1.0 / engine.lam if engine.lam > 0 else 0.0
+        s, shift = engine._step_form
+        u = s / engine.lam if engine.lam > 0 else 0.0
         rate = c[np.arange(n)[:, None], flips] if transposed else here
         # row r lists the orbits of its flips, then r itself
-        data = np.vstack([rate * inv * self.sign[flips], 1.0 - here.sum(axis=0) * inv]).T
-        cols = np.vstack([self.ids[flips], np.arange(k, dtype=np.int32)]).T
+        data = np.vstack([rate * u * sign[flips], (s + shift) - here.sum(axis=0) * u]).T
+        cols = np.vstack([ids[flips], np.arange(k, dtype=np.int32)]).T
         keep = data != 0
         indptr = np.append(0, np.cumsum(keep.sum(axis=1))).astype(np.int32)
         self.op = sp.csr_matrix((data[keep], cols[keep], indptr), shape=(k, k))
         # flips of r that land in one orbit become one entry
         self.op.sum_duplicates()
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.op.data, self.op.indices, self.op.indptr, self.index, self.counts))
+
+    def step(self, v: np.ndarray, out: np.ndarray) -> None:
+        """out += op v, for orbit vectors v and out"""
+        k = self.counts.size
+        csr_matvec(k, k, self.op.indptr, self.op.indices, self.op.data, v, out)
+
     def reduce(self, col: np.ndarray) -> np.ndarray:
         """col's mean over each kept orbit, read at its smallest state: col
         itself when col has the symmetry, else its projection onto it"""
         k = self.counts.size
-        return np.bincount(self.ids, weights=self.sign * col, minlength=k + 1)[:k] / self.counts
+        sums = np.bincount(self.index, weights=col, minlength=2 * k + 1)
+        return (sums[:k] - sums[k : 2 * k]) / self.counts
 
-    def expand(self, reduced: np.ndarray) -> np.ndarray:
-        """Rows of orbit values (T, K) back to states (T, 2^N)"""
-        padded = np.hstack([reduced, np.zeros((len(reduced), 1))])
-        return padded[:, self.ids] * self.sign
+    def expand(self, reduced: np.ndarray, out: np.ndarray) -> None:
+        """Rows of orbit values (T, K) back to states, into out (T, 2^N)"""
+        k = self.counts.size
+        padded = np.zeros(2 * k + 1)
+        for row, at in zip(reduced, out):
+            padded[:k] = row
+            np.negative(row, out=padded[k : 2 * k])
+            np.take(padded, self.index, out=at)
 
     def summary(self) -> dict:
         return {
@@ -671,12 +721,15 @@ class SemigroupEngine:
     A narrow batch on at least _ORBIT_MIN_STATES states first tries each
     column on the orbit route of the module docstring (_narrow): the rate
     automorphisms are found once per engine, on the first such evolution,
-    and each column's stabilizer per call (_stabilizer); the orbit operator
-    of a group, its characters and direction (_Quotient) is cached like the
-    Chebyshev coefficients, and `summary()` lists each one's group order,
-    elements of character -1 and orbits.  Every route depends only on the
-    batch's shape, so a wide batch, such as a theorem check's law columns,
-    never searches."""
+    and each column's stabilizer (_stabilizer) or image (_image) once per
+    engine while it stays in the last narrow batch of its kind, which
+    `_searched` remembers by the column's bytes.  The orbit operator of a
+    group, its characters and direction (_Quotient, the route's step
+    operator pre-scaled) is cached while the cached operators' bytes fit in
+    `operator_bytes`, the least recently used leaving first, and `summary()`
+    lists each cached one's group order, elements of character -1 and
+    orbits.  Every route depends only on the batch's shape, so a wide batch,
+    such as a theorem check's law columns, never searches."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
@@ -705,26 +758,31 @@ class SemigroupEngine:
         self._weights = {}
         self._chebyshev = {}
         self._quotients = {}
+        self._searched = {}
 
     def summary(self) -> dict:
         """What the engine runs on, for reports; operator_bytes counts the
         data of P and P^T and their shared index arrays once.  The route is
         "chebyshev" or "uniformization"; the first also names rho and
         pi_min, which set its number of terms.  `quotients` lists the orbit
-        operators cached so far: group order, its elements of character -1
-        ("odd"), kept orbits and direction."""
+        operators cached now, least recently used first: group order, its
+        elements of character -1 ("odd"), kept orbits and direction."""
         out = {
             "lam": self.lam,
             "flip_symmetric": self.flip_symmetric,
             "states": self.n_states,
             "operator_nnz": int(self.p.nnz),
-            "operator_bytes": sum(a.nbytes for a in (self.p.data, self.pt.data, self.p.indices, self.p.indptr)),
+            "operator_bytes": self._operator_bytes,
             "route": "uniformization" if self._balance is None else "chebyshev",
         }
         if self._balance is not None:
             out.update(rho=self._balance.rho, pi_min=self._balance.pi_min)
         out["quotients"] = [q.summary() for q in self._quotients.values()]
         return out
+
+    @cached_property
+    def _operator_bytes(self) -> int:
+        return sum(a.nbytes for a in (self.p.data, self.pt.data, self.p.indices, self.p.indptr))
 
     @cached_property
     def _balance(self) -> _Balance | None:
@@ -836,45 +894,66 @@ class SemigroupEngine:
             vec = vec / pi
         transposed = measures and not density
         cols = vec.reshape(len(vec), -1)
+        # S(t) g lies in [min g, max g] column by column
+        bounds = (cols.min(axis=0), cols.max(axis=0)) if density else None
         m, size = cols.shape[1], len(cols)
         narrow = m == 1 or _steps_by_row(size // 2 if self.flip_symmetric else size, m)
         if narrow and size >= _ORBIT_MIN_STATES:
-            out = self._narrow(cols, coefs, transposed, weights)
+            out = self._narrow(cols, coefs, transposed, weights, bounds)
         else:
             out = self._folded(cols, coefs, transposed)
+            if bounds:
+                np.clip(out, *bounds, out=out)
         out = out.reshape((len(times),) + vec.shape)
         if density:
-            # S(t) g lies in [min g, max g] column by column
-            np.clip(out, vec.min(axis=0), vec.max(axis=0), out=out)
             out *= pi
         return out
 
+    @cached_property
+    def _step_form(self) -> tuple:
+        """(s, shift) with the route's step operator B = s P + shift I: P
+        itself on uniformization, 2X = 2a P + (2 - 2a) I, a = 2 lam / rho, on
+        the Chebyshev route"""
+        if self._balance is None:
+            return 1.0, 0.0
+        a = 2.0 * self.lam / self._balance.rho
+        return 2.0 * a, 2.0 - 2.0 * a
+
     def _sum(self, cur: np.ndarray, step, coefs) -> np.ndarray:
         """sum_k c_k B_k cur for each coefficient vector, stacked, where
-        step(v) is one product with P on cur's layout: B_k = P^k on
-        uniformization, T_k(X) by T_{k+1} = 2 X T_k - T_{k-1} on the
-        Chebyshev route."""
-        balance = self._balance
+        step(v, out) adds B v to out, B the route's step operator on cur's
+        layout (see _step_form), as scipy's CSR kernels add A x to y:
+        B_k = P^k on uniformization, and on the Chebyshev route B_k = T_k(X),
+        T_1 = (2X T_0) / 2 and T_{k+1} = 2X T_k - T_{k-1}, which negates
+        the buffer of T_{k-1} and adds 2X T_k into it.  cur (C-ordered) and
+        two buffers rotate, so no step allocates, and each coefficient adds
+        its term as one axpy."""
+        chebyshev = self._balance is not None
         accs = np.empty((len(coefs),) + cur.shape)
-        term = np.empty_like(cur)
         for acc, c in zip(accs, coefs):
             np.multiply(cur, c[0], out=acc)
-        if balance is not None:
-            # X = a P + (1 - a) I; T_1 = X T_0, T_{k+1} = 2 X T_k - T_{k-1}
-            a, prev = 2.0 * self.lam / balance.rho, None
-        for k in range(1, max(c.size for c in coefs)):
-            nxt = step(cur)
-            if balance is not None:
-                first = prev is None
-                nxt *= a if first else 2.0 * a
-                nxt += np.multiply(cur, 1.0 - a if first else 2.0 - 2.0 * a, out=term)
-                if not first:
-                    nxt -= prev
-                prev = cur
-            cur = nxt
-            for acc, c in zip(accs, coefs):
+        terms = max(c.size for c in coefs)
+        if terms == 1 or cur.size == 0:
+            return accs
+        flat = [acc.reshape(-1) for acc in accs]
+        prev, now, spare = cur, np.zeros(cur.shape), np.empty(cur.shape)
+        step(cur, now)
+        if chebyshev:
+            now *= 0.5
+        for k in range(1, terms):
+            if k > 1:
+                # the buffer of B_{k-2}, unless that is cur itself
+                nxt = spare if prev is cur else prev
+                if chebyshev:
+                    np.negative(prev, out=nxt)
+                else:
+                    nxt.fill(0.0)
+                step(now, nxt)
+                prev, now = now, nxt
+            term = now.reshape(-1)
+            for acc, c in zip(flat, coefs):
                 if k < c.size:
-                    acc += np.multiply(cur, c[k], out=term)
+                    daxpy(term, acc, a=c[k])
         return accs
 
     def _folded(self, cols: np.ndarray, coefs, transposed: bool) -> np.ndarray:
@@ -884,74 +963,120 @@ class SemigroupEngine:
         product each, when _steps_by_row(H, m'); other batches step as one
         multi-vector product.  On a fold, the step then adds the top-site
         flips, each half's partner reversed times b, read from _Fold's two
-        blocks as two slices into one buffer."""
+        blocks as two slices into one buffer.  The step adds B v = s P v +
+        shift v (see _step_form) through `p` itself: out is divided by s
+        before P v and shift / s v are added, and multiplied by s after."""
         op = self.pt if transposed else self.p
         fold = _Fold(cols) if self.flip_symmetric else None
         cur = fold.halves if fold else cols
         by_row = _steps_by_row(*cur.shape)
-        if by_row:
-            cur = np.ascontiguousarray(cur.T)
+        cur = np.ascontiguousarray(cur.T if by_row else cur)
+        h, s, shift = op.shape[0], *self._step_form
+        kernel = (h, h, op.indptr, op.indices, op.data)
         if fold:
             top = self._top[::-1] if transposed else self._top
-            s = fold.n_self
+            n_self = fold.n_self
             # sign times top in the batch's layout, so one multiply reads
             # both in memory order
-            coef = fold.sign[:s, None] * top if by_row else (top[:, None] * fold.sign[:s]).T
+            coef = fold.sign[:n_self, None] * top if by_row else (top[:, None] * fold.sign[:n_self]).T
             flips = np.empty_like(cur)
 
-        def step(cur):
-            nxt = np.array([op @ row for row in cur]) if by_row else op @ cur
+        def step(v, out):
+            if s != 1.0:
+                out *= 1.0 / s
+            if by_row:
+                for row, into in zip(v, out):
+                    csr_matvec(*kernel, row, into)
+            elif v.shape[1] == 1:
+                csr_matvec(*kernel, v.reshape(-1), out.reshape(-1))
+            else:
+                csr_matvecs(h, h, v.shape[1], *kernel[2:], v.reshape(-1), out.reshape(-1))
             if fold:
                 # half u's partner, reversed: a self-partnered half reads
                 # itself, and the pair block reads itself back to front
-                rows, into = (cur, flips) if by_row else (cur.T, flips.T)
-                np.multiply(rows[:s, ::-1], coef, out=into[:s])
-                np.multiply(rows[s:][::-1, ::-1], top, out=into[s:])
-                nxt += flips
-            return nxt
+                rows, into = (v, flips) if by_row else (v.T, flips.T)
+                np.multiply(rows[:n_self, ::-1], coef, out=into[:n_self])
+                np.multiply(rows[n_self:][::-1, ::-1], top, out=into[n_self:])
+                out += flips
+            if shift:
+                daxpy(v.reshape(-1), out.reshape(-1), a=shift / s)
+            if s != 1.0:
+                out *= s
 
         accs = self._sum(cur, step, coefs)
         if by_row:
             accs = accs.transpose(0, 2, 1)
         return fold.unfold(accs) if fold else accs
 
-    def _narrow(self, cols: np.ndarray, coefs, transposed: bool, weights) -> np.ndarray:
+    def _narrow(self, cols: np.ndarray, coefs, transposed: bool, weights, bounds) -> np.ndarray:
         """_folded's sums for a narrow batch, column by column, each judged
-        in the norm of `weights` (see _norm).  A column that admits a lattice
+        in the norm of `weights` (see _norm), as (T, 2^N, m): the transpose
+        of a C-ordered (T, m, 2^N) buffer.  A column that admits a lattice
         symmetry steps on the orbits of its stabilizer (see _stabilizer and
-        _Quotient) and is gathered back.  A repeat of an evolved column, or
-        on a folded engine its flip, reads its result, and so does its image
-        under an automorphism of the rates (see _image), moved:
-        S(t)(f o g) = (S(t) f) o g.  The other columns step through _folded
-        together."""
-        n = self.torus.n_sites
-        out = np.empty((len(coefs),) + cols.shape)
-        done, rest, evolved = {}, [], []
+        _Quotient) and is gathered back; bounds (a density's [min, max] per
+        column, or None) clip it on its orbit values.  A repeat of an evolved
+        column, or on a folded engine its flip, reads its result, and so
+        does its image under an automorphism of the rates (see _image),
+        moved: S(t)(f o g) = (S(t) f) o g.  The other columns step through
+        _folded together.
+
+        What the search found for each column, keyed by its norm (function,
+        measure or density) and bytes, is kept until the next narrow batch
+        of that norm: a group, an image of another column of the batch, or
+        None.  A batch that repeats the last one of its norm, as a time scan
+        does, searches nothing; an image whose source is not in the batch is
+        searched again."""
+        n, size, m = self.torus.n_sites, len(cols), cols.shape[1]
+        kind = "functions" if weights is None else "measures" if transposed else "densities"
+        memo, found = self._searched.get(kind, []), []
+        out = np.empty((len(coefs), m, size))
+        # (bytes, column) of the evolved columns, and of those on orbits
+        done, rest, on_orbits = [], [], []
         for j, col in enumerate(cols.T):
-            source = done.get(col.tobytes())
-            if source:
-                k, flipped = source
-                out[:, :, j] = out[:, ::-1, k] if flipped else out[:, :, k]
+            key = col.tobytes()
+            k = _match(done, key)
+            # on a folded engine, a column may be an evolved column's flip
+            flipped = k is None and self.flip_symmetric
+            if flipped:
+                k = next((k for _, k in done if np.array_equal(col, cols[::-1, k])), None)
+            if k is not None:
+                out[:, j] = out[:, k, ::-1] if flipped else out[:, k]
                 continue
-            image = self._image(col, cols[:, evolved], weights)
-            if image:
-                k, g = image
-                for at, result in zip(out[:, :, j], out[:, :, evolved[k]]):
-                    at[...] = permute_states(result, n, g)
+            # a hit keeps the memo's bytes, so a batch evolved again holds its
+            # keys once
+            key, outcome = next(((b, o) for b, o in memo if b == key), (key, False))
+            if isinstance(outcome, _Image):
+                # the source's bytes as this batch holds them, or a search
+                # when the batch has not evolved it on orbits
+                source = next((b for b, _ in on_orbits if b == outcome.source), None)
+                outcome = source is not None and outcome._replace(source=source)
+            if outcome is False:
+                image = self._image(col, cols[:, [k for _, k in on_orbits]], weights)
+                outcome = _Image(on_orbits[image[0]][0], image[1]) if image else self._stabilizer(col, weights)
+            found.append((key, outcome))
+            if outcome is None:
+                rest.append(j)
+                continue
+            if isinstance(outcome, _Image):
+                for at, result in zip(out[:, j], out[:, _match(on_orbits, outcome.source)]):
+                    at[...] = permute_states(result, n, outcome.image)
+                if bounds:
+                    np.clip(out[:, j], bounds[0][j], bounds[1][j], out=out[:, j])
             else:
-                found = self._stabilizer(col, weights)
-                if found is None:
-                    rest.append(j)
-                    continue
-                q = self._quotient(found, transposed)
-                out[:, :, j] = q.expand(self._sum(q.reduce(col), q.op.dot, coefs))
-                evolved.append(j)
-            done[col.tobytes()] = (j, False)
-            if self.flip_symmetric:
-                done.setdefault(col[::-1].tobytes(), (j, True))
+                q = self._quotient(outcome, transposed)
+                sums = self._sum(q.reduce(col), q.step, coefs)
+                if bounds:
+                    np.clip(sums, bounds[0][j], bounds[1][j], out=sums)
+                q.expand(sums, out[:, j])
+                on_orbits.append((key, j))
+            done.append((key, j))
+        self._searched[kind] = found
         if rest:
-            out[:, :, rest] = self._folded(cols[:, rest], coefs, transposed)
-        return out
+            folded = self._folded(cols[:, rest], coefs, transposed)
+            if bounds:
+                np.clip(folded, bounds[0][rest], bounds[1][rest], out=folded)
+            out[:, rest] = folded.transpose(0, 2, 1)
+        return out.transpose(0, 2, 1)
 
     @cached_property
     def _automorphisms(self) -> np.ndarray:
@@ -1073,11 +1198,19 @@ class SemigroupEngine:
 
     def _quotient(self, sym: _Symmetry, transposed: bool) -> _Quotient:
         """The _Quotient of a group, characters and direction, cached on the
-        engine as the Chebyshev coefficients are."""
+        engine.  The cache keeps the most recently used operators whose bytes
+        (see _Quotient.nbytes) fit in the engine's own operator bytes (`p`,
+        `pt` and their shared index), and always the one asked for; a group
+        asked for again after its eviction is built again, to the same bits.
+        Half that, `p` alone, would not hold the two operators that
+        psi_identity_check alternates between on a 14-site ring (sigma_0's
+        reflection with either flip character), which were then rebuilt at
+        every step."""
         key = (sym.images.tobytes(), sym.chars.tobytes(), sym.flip, transposed)
-        q = self._quotients.get(key)
-        if q is None:
-            q = self._quotients[key] = _Quotient(self, sym, transposed)
+        q = self._quotients.pop(key, None) or _Quotient(self, sym, transposed)
+        self._quotients[key] = q
+        while sum(c.nbytes for c in self._quotients.values()) > self._operator_bytes and len(self._quotients) > 1:
+            del self._quotients[next(iter(self._quotients))]
         return q
 
 

@@ -426,6 +426,31 @@ class TestSemigroup:
             assert np.allclose(batch_m[j], engine_for(rates).evolve_measures(rows[j], 0.7))
 
 
+@pytest.mark.parametrize("vectors", [0, 1, 3], ids=["1-D", "one column", "three columns"])
+def test_private_csr_kernels_add_the_product(vectors):
+    # the engine steps through scipy.sparse._sparsetools' csr_matvec and
+    # csr_matvecs, which add A x to y in place (x and y C-ordered, int32
+    # indices); a rename or a change of that contract fails here
+    rng = np.random.default_rng(vectors)
+    a = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+    assert a.indices.dtype == np.int32
+    shape = (30,) if vectors == 0 else (30, vectors)
+    x = rng.normal(size=shape)
+    y0 = rng.normal(size=(40,) + shape[1:])
+    y = y0.copy()
+    if vectors == 0:
+        dynamics.csr_matvec(40, 30, a.indptr, a.indices, a.data, x, y)
+    else:
+        dynamics.csr_matvecs(40, 30, vectors, a.indptr, a.indices, a.data, x.reshape(-1), y.reshape(-1))
+    assert np.allclose(y, y0 + a @ x, rtol=1e-14, atol=1e-14)
+    zero = np.zeros_like(y0)
+    if vectors == 0:
+        dynamics.csr_matvec(40, 30, a.indptr, a.indices, a.data, x, zero)
+    else:
+        dynamics.csr_matvecs(40, 30, vectors, a.indptr, a.indices, a.data, x.reshape(-1), zero.reshape(-1))
+    assert np.array_equal(zero, a @ x)
+
+
 def flip_columns(torus, rng):
     """Columns of every parity class on the states of a torus: even, odd,
     neither, a column next to its global flip, a repeat, and zero."""
@@ -884,6 +909,114 @@ class TestQuotientRoute:
         assert engine.summary()["quotients"] == []
         with pytest.raises(AssertionError, match="wide batch"):
             engine.evolve_functions(flip_columns(torus, rng)[:, :1], 0.3)
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        """Counters of _stabilizer and _image calls on every engine"""
+        calls = {"_stabilizer": 0, "_image": 0}
+        for name in calls:
+            search = getattr(SemigroupEngine, name)
+
+            def counted(self, *args, name=name, search=search):
+                calls[name] += 1
+                return search(self, *args)
+
+            monkeypatch.setattr(SemigroupEngine, name, counted)
+        return calls
+
+    def test_a_repeated_batch_reads_the_memo(self, monkeypatch, orbits_everywhere):
+        # two bonds, the second the first's image under the swap of the axes:
+        # a group and an image, found once per engine
+        torus = Torus((3, 3))
+        engine = SemigroupEngine(GlauberRates(torus, Potential.ising_nn(2, 0.6)))
+        cols = np.column_stack([monomial_values_dense(torus, a) for a in ((0, 1), (0, 3))])
+        calls = self.count_searches(monkeypatch)
+        first = engine.evolve_functions(cols, 0.4)
+        assert calls == {"_stabilizer": 1, "_image": 2}
+        again = engine.evolve_functions(cols, 0.4)
+        later = engine.evolve_functions(cols, 0.9)
+        assert calls == {"_stabilizer": 1, "_image": 2}
+        assert np.array_equal(again, first)
+        rng = np.random.default_rng(3)
+        for t, got in ((0.4, first), (0.9, later)):
+            assert sup_gap(got, engine.evolve_functions(widened(cols, rng, False), t)[:, :2]) <= 1e-13
+        # the memo holds the last batch's two columns, one operator
+        assert [len(found) for found in engine._searched.values()] == [2]
+        assert len(engine.summary()["quotients"]) == 1
+        # the vertical bond alone: its source is not in the batch, so it is
+        # searched again and steps on its own group's orbits
+        alone = engine.evolve_functions(cols[:, 1], 0.4)
+        assert calls == {"_stabilizer": 2, "_image": 3}
+        assert sup_gap(alone[:, None], first[:, 1:]) <= 1e-13
+
+    def test_a_column_changed_in_place_is_searched_again(self, monkeypatch, orbits_everywhere):
+        torus = Torus((3, 3))
+        rates = GlauberRates(torus, Potential.ising_nn(2, 0.6))
+        engine = SemigroupEngine(rates)
+        col = monomial_values_dense(torus, (0,))
+        engine.evolve_functions(col, 0.5)
+        calls = self.count_searches(monkeypatch)
+        # off every symmetry of sigma_0 by 1e-3: a stale group would project
+        # it back onto sigma_0's symmetric columns
+        col += 1e-3 * np.random.default_rng(5).normal(size=col.size)
+        got = engine.evolve_functions(col, 0.5)
+        assert calls["_stabilizer"] == 1
+        assert np.array_equal(got, SemigroupEngine(rates).evolve_functions(col, 0.5))
+        e = scipy.linalg.expm(0.5 * generator_matrix(rates).toarray())
+        assert np.abs(got - e @ col).max() <= 1e-13 * np.abs(col).max()
+
+    def test_functions_and_densities_are_keyed_apart(self, monkeypatch):
+        # the density g = mu / pi of test_a_density_is_judged_in_the_measures_l1
+        # has the 256-element group in l1(pi), and only the stabilizer of the
+        # raised state in sup; as a function its bytes are searched again
+        torus = Torus((4, 4))
+        potential = Potential.ising_nn(2, 0.6)
+        engine = SemigroupEngine(GlauberRates(torus, potential))
+        mu = gibbs_measure(potential, torus).probs
+        mu[np.argmin(mu)] *= 1.0 + 1e-8
+        engine.evolve_measures(mu, 0.5)
+        assert [q["order"] for q in engine.summary()["quotients"]] == [256]
+        g = mu / engine._balance.pi
+        calls = self.count_searches(monkeypatch)
+        got = engine.evolve_functions(g, 0.5)
+        assert calls["_stabilizer"] == 1
+        assert engine.summary()["quotients"][-1]["order"] < 256
+        rng = np.random.default_rng(2)
+        assert sup_gap(got[:, None], engine.evolve_functions(widened(g, rng, False), 0.5)[:, :1]) <= 1e-13
+
+    def test_the_cache_keeps_what_fits_in_the_operator(self):
+        # one engine, one narrow evolution after another: sigma_0, two
+        # bonds, sigma_0 - sigma_1, two Dirac starts, the periodic Gibbs state
+        # and the plus/minus pair, 7 groups and 12.6 MB of orbit operators
+        # against the engine's own 10.6 MB
+        torus = Torus((4, 4))
+        potential = Potential.ising_nn(2, 0.6)
+        engine = SemigroupEngine(GlauberRates(torus, potential))
+        budget = engine.summary()["operator_bytes"]
+        sigma = [monomial_values_dense(torus, a) for a in ((0,), (0, 1), (0, 4), (1,))]
+        dirac, point = np.zeros((2, engine.n_states))
+        dirac[3] = point[-1] = 1.0
+        plus, minus = (gibbs_measure(potential, torus, BoundaryCondition.fixed(e)).probs for e in (1, -1))
+        first = engine.evolve_functions(sigma[0], 0.3)
+        built = []
+        for run in (
+            lambda: engine.evolve_functions(sigma[1], 0.3),
+            lambda: engine.evolve_functions(sigma[2], 0.3),
+            lambda: engine.evolve_functions(sigma[0] - sigma[3], 0.3),
+            lambda: engine.evolve_measures(dirac, 0.3),
+            lambda: engine.evolve_measures(point, 0.3),
+            lambda: engine.evolve_measures(gibbs_measure(potential, torus).probs, 0.3),
+            lambda: engine.evolve_measures(np.vstack([plus, minus]), 0.3),
+        ):
+            run()
+            cached = engine._quotients.values()
+            assert sum(q.nbytes for q in cached) <= budget
+            built.append(len(cached))
+        assert max(built) < 7 and {"order": 16, "odd": 8, "orbits": 4808, "direction": "functions"} not in (
+            engine.summary()["quotients"]
+        )
+        assert np.array_equal(engine.evolve_functions(sigma[0], 0.3), first)
+        assert engine.summary()["quotients"][-1] == {"order": 16, "odd": 8, "orbits": 4808, "direction": "functions"}
 
 
 class TestLipschitzPropagation:

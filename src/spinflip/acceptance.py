@@ -153,7 +153,7 @@ def series_vs_semigroup(quick=False):
         right = 1.0 if (bits >> ((i + 1) % n)) & 1 else -1.0
         return 1.0 + 0.3 * right
 
-    rates = CustomRates(torus, lambda i: (i, (i + 1) % n), rate_fn, translation_invariant=True)
+    rates = CustomRates(torus, lambda i: (i, (i + 1) % n), rate_fn)
     f = Observable.monomial(torus, [0]).dense_values()
     exact = SemigroupEngine(rates).evolve_functions(f, t)
     gap = float(np.max(np.abs(exact - realize_polynomial(series.coeffs, torus))))

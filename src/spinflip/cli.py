@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -44,6 +44,7 @@ from .dynamics import (
     PerturbedRates,
     engine_for,
     gamma_matrix,
+    validate_conditions,
 )
 from .entropy import nogo_experiment
 from .gibbs import (
@@ -272,10 +273,11 @@ def build_gamma(cfg: ExperimentConfig, rates, integral: bool = False):
     """The rate model's Gamma, with K(t), and int_0^t K(s)^2 ds when the
     command reads it, checked at the largest time of the grid: both grow
     with t (Gamma >= 0), so one past the float range there is a
-    configuration error before any evolution starts."""
-    gamma = gamma_matrix(rates)
+    configuration error before any evolution starts, as is a Gamma that is
+    not normal (rates that are not translation invariant)."""
     t = max(cfg.times)
     try:
+        gamma = gamma_matrix(rates)
         gamma.k_of_t(t)
         if integral:
             gamma.k_squared_integral(t)
@@ -462,6 +464,7 @@ def _scan(cfg: ExperimentConfig, args, kind: str) -> dict:
     name = "gcb_hat" if kind == "gcb" else "uvb_hat"
     report = new_report("gcb-scan" if kind == "gcb" else "uvb-check", cfg)
     report["engine"] = engine.summary()
+    report["conditions"] = asdict(validate_conditions(rates))
     report["table"] = {"columns": ["t", "c_hat", "best_label", "bound"], "rows": rows}
     columns = ["t", "value"] + ([] if bound is None else ["bound"])
     report["curves"] = [{"name": name, "columns": columns, "rows": curve_rows}]
@@ -503,7 +506,6 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
         raise ConfigError(f"--hjc-p {args.hjc_p}: need 1 <= p < inf (|x|^p is convex only for p >= 1)")
     engine = build_engine(cfg, rates)
     gamma = build_gamma(cfg, rates, integral=theorem == "53")
-    integrals = []
     if theorem == "53":
         check = partial(theorem53_check, rates, family=family)
     else:
@@ -522,8 +524,6 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     failures = []
     for t in cfg.times:
         rep = check(t=t)
-        if rep.integral is not None:
-            integrals.append(rep.integral)
         rows.append([t, rep.k_t, rep.measured_constant, rep.composite_constant, rep.holds])
         curve_rows.append([t, rep.measured_constant, rep.composite_constant])
         if not rep.holds:
@@ -535,12 +535,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     report = new_report("conserve", cfg)
     report["theorem"] = theorem
     report["engine"] = engine.summary()
-    report["gamma"] = {"normal": gamma.normal, "alpha": gamma.alpha}
-    if integrals:
-        # per time of the grid; Simpson steps are 0 on the closed form
-        report["gamma"]["route"] = integrals[0].route
-        report["gamma"]["steps"] = [q.steps for q in integrals]
-        report["gamma"]["converged"] = [q.converged for q in integrals]
+    report["conditions"] = asdict(validate_conditions(rates))
+    report["gamma"] = {"alpha": gamma.alpha}
     report["table"] = {"columns": ["t", "k_t", "measured", "bound", "holds"], "rows": rows}
     report["curves"] = [
         {"name": f"theorem{theorem}", "columns": ["t", "value", "bound"], "rows": curve_rows}

@@ -107,10 +107,11 @@ Gamma, ||e^{s Gamma}||_2 = e^{s alpha} with alpha the largest eigenvalue of
 
 exact at alpha = 0; a value past the float range raises rather than
 reading inf.  Normality is tested on Gamma itself (G G^T = G^T G up
-to rounding), not read from a flag.  Only a non-normal Gamma takes the
-general route: expm and the largest singular value per K(t), and composite
-Simpson with step doubling for the integral, which reports whether it met
-its tolerance before the step cap.
+to rounding), and a Gamma that is not normal raises: the bound is stated
+for translation-invariant rates.  Whether rates are translation invariant
+is read from their tables: RateModel.automorphisms holds the torus
+automorphisms that carry every rate term onto its image's bitwise, and
+the rates are translation invariant when every unit translation is one.
 """
 
 from __future__ import annotations
@@ -138,11 +139,9 @@ from .lattice import (
     permute_states,
     scatter_bits,
     state_bits,
-    translate_states,
 )
 
 DEFAULT_TAIL_TOL = 1e-13
-SIMPSON_STEP_CAP = 4096
 # relative slack of the detailed-balance check: a reversible table read in
 # floats balances to ~1e-15 (1.2e-15 on the 4x4 Ising model at beta = 0.6)
 _BALANCE_RTOL = 1e-13
@@ -170,13 +169,12 @@ class RateModel:
     keep one bit per listed site.
     """
 
-    def __init__(self, torus: Torus, site_terms, label: str, translation_invariant: bool):
+    def __init__(self, torus: Torus, site_terms, label: str):
         self.torus = torus
         self._terms = list(site_terms)
         if len(self._terms) != torus.n_sites:
             raise ValueError("need one rate table per site")
         self.label = label
-        self.translation_invariant = bool(translation_invariant)
         self._engine = None
         self._gamma = None
 
@@ -235,6 +233,38 @@ class RateModel:
                 r = max(r, self.torus.distance(i, j))
         return r
 
+    @cached_property
+    def automorphisms(self) -> np.ndarray:
+        """The rows of Torus.automorphisms that carry every rate term onto its
+        image's bitwise, identity first: they commute with the generator, and
+        form a group, as maps that keep the terms exactly compose; so a
+        candidate that the maps kept so far generate is not checked again.
+        Found on first use and kept."""
+        terms = []
+        for i in self.torus.sites():
+            dep = self.dependence(i)
+            keys = np.arange(1 << len(dep))
+            terms.append((np.array(dep, dtype=np.int64), self.rate_patterns(i, dep), (keys[:, None] >> np.arange(len(dep))) & 1))
+        n, gens = self.torus.n_sites, []
+        kept = _generate(n, gens)
+        for g in self.torus.automorphisms():
+            # a map the kept ones generate keeps the terms exactly too
+            if g.tobytes() not in kept and _maps_terms(terms, g):
+                gens.append((g, 1.0, 0.0))
+                kept = _generate(n, gens)
+        return np.array([image for image, _, _ in kept.values()])
+
+    @property
+    def translation_invariant(self) -> bool:
+        """Whether every unit translation of the torus is among the
+        automorphisms, so that c(i + e, theta_e sigma) = c(i, sigma) holds
+        bitwise for every unit vector e; read from the rate tables."""
+        torus = self.torus
+        return all(
+            (self.automorphisms == [torus.translate(i, unit) for i in torus.sites()]).all(axis=1).any()
+            for unit in np.eye(torus.dim, dtype=int).tolist()
+        )
+
     def __repr__(self):
         return f"{type(self).__name__}({self.label}, torus={self.torus.sides})"
 
@@ -249,7 +279,7 @@ class IndependentRates(RateModel):
         self.r = r
         table = np.array([r])
         terms = [((), table) for _ in torus.sites()]
-        super().__init__(torus, terms, f"independent:{r}", True)
+        super().__init__(torus, terms, f"independent:{r}")
 
 
 class GlauberRates(RateModel):
@@ -280,7 +310,7 @@ class GlauberRates(RateModel):
                     f"Glauber rate at site {i} is not finite: the potential's energy differences pass the float range"
                 )
             site_terms.append((tuple(dep), rates))
-        super().__init__(torus, site_terms, "glauber", True)
+        super().__init__(torus, site_terms, "glauber")
 
 
 class PerturbedRates(RateModel):
@@ -303,7 +333,7 @@ class PerturbedRates(RateModel):
                 torus.site(tuple(b + o for b, o in zip(base, off))) for off in offsets
             )
             site_terms.append((sites, 1.0 + table))
-        super().__init__(torus, site_terms, f"perturbed:{self.eps0}", True)
+        super().__init__(torus, site_terms, f"perturbed:{self.eps0}")
 
     @classmethod
     def pair(cls, torus: Torus, eps0: float) -> "PerturbedRates":
@@ -316,15 +346,18 @@ class PerturbedRates(RateModel):
 
 
 class CustomRates(RateModel):
-    """Tabulated per-site rates; used for experiments and signed-rate algebra."""
+    """Tabulated per-site rates; used for experiments and signed-rate algebra.
+    c(i, .) is rate_fn(i, state) on the sites dep_fn(i) lists, so a rate that
+    varies from site to site is allowed: translation invariance is read from
+    the tables (RateModel.translation_invariant), not declared."""
 
-    def __init__(self, torus: Torus, dep_fn, rate_fn, translation_invariant=False, label="custom"):
+    def __init__(self, torus: Torus, dep_fn, rate_fn, label="custom"):
         site_terms = []
         for i in torus.sites():
             dep = tuple(sorted(set(dep_fn(i))))
             table = np.array([rate_fn(i, scatter_bits(key, dep)) for key in range(1 << len(dep))], dtype=float)
             site_terms.append((dep, table))
-        super().__init__(torus, site_terms, label, translation_invariant)
+        super().__init__(torus, site_terms, label)
 
 
 @dataclass
@@ -334,34 +367,17 @@ class ConditionsReport:
     max_rate: float
     interaction_range: int
     translation_invariant: bool
-    translation_checked: bool
     ok: bool
 
 
 def validate_conditions(rates: RateModel) -> ConditionsReport:
-    """Positivity, boundedness, finite range, translation invariance; the
-    invariance is checked state by state on tori of at most 12 sites."""
-    cmin = rates.min_rate()
-    cmax = rates.max_rate()
-    r = rates.interaction_range()
+    """Positivity, boundedness, finite range and translation invariance, the
+    last read from the tables bitwise at any size (one automorphism search
+    per rate model, shared with its engine)."""
+    cmin, cmax = rates.min_rate(), rates.max_rate()
     ti = rates.translation_invariant
-    checked = False
-    n = rates.torus.n_sites
-    if ti and n <= 12:
-        c = rates.rate_matrix()
-        checked = True
-        for axis in range(rates.torus.dim):
-            off = tuple(1 if a == axis else 0 for a in range(rates.torus.dim))
-            perm = translate_states(rates.torus, off)
-            for i in rates.torus.sites():
-                j = rates.torus.translate(i, off)
-                if not np.array_equal(c[j][perm], c[i]):
-                    ti = False
-                    break
-            if not ti:
-                break
-    ok = (cmin > 0) and np.isfinite(cmax) and ti
-    return ConditionsReport(cmin > 0, cmin, cmax, r, ti, checked, ok)
+    ok = cmin > 0 and math.isfinite(cmax) and ti
+    return ConditionsReport(cmin > 0, cmin, cmax, rates.interaction_range(), ti, ok)
 
 
 def generator_matrix(rates: RateModel) -> sp.csr_matrix:
@@ -719,10 +735,10 @@ class SemigroupEngine:
     multi-vector product per step.
 
     A narrow batch on at least _ORBIT_MIN_STATES states first tries each
-    column on the orbit route of the module docstring (_narrow): the rate
-    automorphisms are found once per engine, on the first such evolution,
-    and each column's stabilizer (_stabilizer) or image (_image) once per
-    engine while it stays in the last narrow batch of its kind, which
+    column on the orbit route of the module docstring (_narrow): it reads
+    the rate model's automorphisms (RateModel.automorphisms, found once per
+    rate model on first use), and finds each column's stabilizer
+    (_stabilizer) or image (_image) once per engine while it stays in the last narrow batch of its kind, which
     `_searched` remembers by the column's bytes.  The orbit operator of a
     group, its characters and direction (_Quotient, the route's step
     operator pre-scaled) is cached while the cached operators' bytes fit in
@@ -1079,33 +1095,13 @@ class SemigroupEngine:
         return out.transpose(0, 2, 1)
 
     @cached_property
-    def _automorphisms(self) -> np.ndarray:
-        """The rows of Torus.automorphisms that carry every rate term onto its
-        image's bitwise, identity first: they commute with P, and form a
-        group, as maps that keep the terms exactly compose; so a candidate
-        that the maps kept so far generate is not checked again."""
-        rates, terms = self.rates, []
-        for i in self.torus.sites():
-            dep = rates.dependence(i)
-            keys = np.arange(1 << len(dep))
-            terms.append((np.array(dep, dtype=np.int64), rates.rate_patterns(i, dep), (keys[:, None] >> np.arange(len(dep))) & 1))
-        n, gens = self.torus.n_sites, []
-        kept = _generate(n, gens)
-        for g in self.torus.automorphisms():
-            # a map the kept ones generate keeps the terms exactly too
-            if g.tobytes() not in kept and _maps_terms(terms, g):
-                gens.append((g, 1.0, 0.0))
-                kept = _generate(n, gens)
-        return np.array([image for image, _, _ in kept.values()])
-
-    @cached_property
     def _probe(self):
         """31 fixed states spread over the state space and, row by row, their
         images under every automorphism of the rates: g(s) sets bit g[i] for
         each set bit i of s."""
         states = np.random.default_rng(0).integers(self.n_states, size=31)
         bits = (states[:, None] >> np.arange(self.torus.n_sites)) & 1
-        return states, bits @ (1 << self._automorphisms.T)
+        return states, bits @ (1 << self.rates.automorphisms.T)
 
     def _stabilizer(self, col: np.ndarray, weights) -> _Symmetry | None:
         """The automorphisms g of the rates that col admits, with characters
@@ -1122,7 +1118,7 @@ class SemigroupEngine:
         it with a deviation bound (see _generate) within the tolerance; each
         admitted map joins the generators.  The group they generate must then
         hold only admitted maps."""
-        group, n = self._automorphisms, self.torus.n_sites
+        group, n = self.rates.automorphisms, self.torus.n_sites
         norm = _norm(col, weights)
         if len(group) < 2 or not 0.0 < norm < np.inf:
             return None
@@ -1174,7 +1170,7 @@ class SemigroupEngine:
         probe, moved = self._probe
         w = np.broadcast_to(1.0 if weights is None else weights, col.shape)
         top = np.argmax(np.abs(col) * w)
-        n, group = self.torus.n_sites, self._automorphisms
+        n, group = self.torus.n_sites, self.rates.automorphisms
         at = source[np.vstack([moved, ((top >> np.arange(n)) & 1) @ (1 << group.T)])]
         states = np.append(probe, top)
         want, w = col[states, None], w[states, None]
@@ -1189,7 +1185,7 @@ class SemigroupEngine:
         norm = _norm(col, weights) if sources.size else 0.0
         if not 0.0 < norm < np.inf:
             return None
-        tol, n, group = _SYMMETRY_RTOL * norm, self.torus.n_sites, self._automorphisms
+        tol, n, group = _SYMMETRY_RTOL * norm, self.torus.n_sites, self.rates.automorphisms
         for k, source in enumerate(sources.T):
             for g in np.flatnonzero(self._near(source, col, tol, weights)[0]):
                 if _norm(permute_states(source, n, group[g]) - col, weights) <= tol:
@@ -1222,82 +1218,27 @@ def engine_for(rates: RateModel) -> SemigroupEngine:
     return rates._engine
 
 
-def simpson_weights(steps: int) -> np.ndarray:
-    """The composite Simpson pattern 1, 4, 2, ..., 2, 4, 1 over an even
-    number of steps, unscaled."""
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return weights
-
-
-class KSquaredIntegral(NamedTuple):
-    """int_0^t K(s)^2 ds and the route that took it: "closed_form" (no
-    steps) or "simpson", whose step doubling may stop at SIMPSON_STEP_CAP
-    before two successive rules agree (converged False)."""
-
-    value: float
-    route: str
-    steps: int
-    converged: bool
-
-
-def _simpson_doubling(integrand, t: float, rel_tol: float) -> KSquaredIntegral:
-    """int_0^t integrand by composite Simpson, doubling from 4 steps until two
-    successive rules agree to rel_tol (1e-14 absolute) or the cap is reached."""
-    if t == 0:
-        return KSquaredIntegral(0.0, "simpson", 0, True)
-    steps = 4
-    vals = np.array([integrand(s) for s in np.linspace(0.0, t, steps + 1)])
-    prev = None
-    while True:
-        integral = t / steps / 3.0 * float(simpson_weights(steps) @ vals)
-        if prev is not None and abs(integral - prev) <= rel_tol * abs(integral) + 1e-14:
-            return KSquaredIntegral(integral, "simpson", steps, True)
-        if steps >= SIMPSON_STEP_CAP:
-            return KSquaredIntegral(integral, "simpson", steps, False)
-        prev = integral
-        steps *= 2
-        # the old nodes are the even nodes of the doubled rule: evaluate only
-        # the new midpoints
-        doubled = np.empty(steps + 1)
-        doubled[0::2] = vals
-        doubled[1::2] = [integrand(s) for s in np.linspace(0.0, t, steps + 1)[1::2]]
-        vals = doubled
-
-
 @dataclass(frozen=True, eq=False)
 class GammaResult:
-    """Gamma of one rate model and the K(t) computations on it.  The arrays
-    are read-only; alpha, the largest eigenvalue of (Gamma + Gamma^T)/2, is
-    set exactly when Gamma is normal, and then K(t) and its squared integral
-    are closed forms, which raise a ValueError where they pass the float
+    """Gamma of one rate model, read-only and normal, and K(t) and its
+    squared integral in closed form from alpha, the largest eigenvalue of
+    (Gamma + Gamma^T)/2; both raise a ValueError where they pass the float
     range rather than return inf."""
 
     matrix: np.ndarray
-    kernel: np.ndarray | None  # row of site 0 when translation invariant
-    alpha: float | None
-
-    @property
-    def normal(self) -> bool:
-        return self.alpha is not None
+    alpha: float
 
     def k_of_t(self, t: float) -> float:
-        """K(t) = ||e^{t Gamma}||_{2->2}^2."""
-        if self.alpha is None:
-            return k_of_t(self.matrix, t)
+        """K(t) = ||e^{t Gamma}||_{2->2}^2 = e^{2 t alpha}."""
         with np.errstate(over="ignore"):
             k_t = float(np.exp(2.0 * float(t) * self.alpha))
         return self._finite("K(t) = exp(2 t alpha)", t, k_t)
 
-    def k_squared_integral(self, t: float, rel_tol: float = 1e-10) -> KSquaredIntegral:
-        """int_0^t K(s)^2 ds; rel_tol steers only the Simpson route."""
+    def k_squared_integral(self, t: float) -> float:
+        """int_0^t K(s)^2 ds = t exprel(4 t alpha)."""
         t = float(t)
-        if self.alpha is None:
-            return _simpson_doubling(lambda s: k_of_t(self.matrix, s) ** 2, t, rel_tol)
         value = t * float(exprel(4.0 * self.alpha * t))
-        value = self._finite("int_0^t K(s)^2 ds = t exprel(4 t alpha)", t, value)
-        return KSquaredIntegral(value, "closed_form", 0, True)
+        return self._finite("int_0^t K(s)^2 ds = t exprel(4 t alpha)", t, value)
 
     def _finite(self, what: str, t: float, value: float) -> float:
         if not np.isfinite(value):
@@ -1314,7 +1255,9 @@ def _is_normal(g: np.ndarray) -> bool:
 
 def gamma_matrix(rates: RateModel) -> GammaResult:
     """Gamma_ij = sup_sigma (c(i, sigma^j) - c(i, sigma)), literal diagonal;
-    built once per rate model and cached on it, like its engine."""
+    built once per rate model and cached on it, like its engine.  A Gamma
+    that is not normal raises a ValueError: K(t) is kept in closed form,
+    which holds for translation-invariant rates."""
     if rates._gamma is None:
         n = rates.torus.n_sites
         g = np.zeros((n, n))
@@ -1324,16 +1267,20 @@ def gamma_matrix(rates: RateModel) -> GammaResult:
             pats = np.arange(vals.size, dtype=np.int64)
             for bit, j in enumerate(dep):
                 g[i, j] = float(np.max(vals[pats ^ np.int64(1 << bit)] - vals))
+        if not _is_normal(g):
+            raise ValueError(
+                f"{rates!r}: Gamma is not normal, so K(t) has no closed form; the Lipschitz "
+                "propagation bound is taken for translation-invariant rates, whose Gamma is circulant"
+            )
         g.setflags(write=False)
-        kernel = g[0] if rates.translation_invariant else None  # a read-only view
-        alpha = float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1]) if _is_normal(g) else None
-        rates._gamma = GammaResult(g, kernel, alpha)
+        rates._gamma = GammaResult(g, float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1]))
     return rates._gamma
 
 
 def k_of_t(gamma: np.ndarray, t: float) -> float:
     """K(t) = ||e^{t Gamma}||_{2->2}^2 for any Gamma, from expm and the
-    largest singular value: the route GammaResult.k_of_t takes when Gamma
-    is not normal."""
+    largest singular value.  The package reads K(t) from GammaResult; this
+    is the tests' expm/SVD reference for it, and the name perfbench's
+    tracer wraps."""
     e = expm(float(t) * gamma)
     return float(svdvals(e)[0] ** 2)

@@ -21,8 +21,7 @@ Conventions used across the package:
 * A site map g (a row of `Torus.automorphisms`: translations, axis
   reflections, swaps of equal sides) acts on states by carrying the spin
   at site i to site g[i]; `permute_states` moves a state vector by it, one
-  axis transpose of the state tensor, and `translate_states` is the case
-  of a translation.
+  axis transpose of the state tensor.
 * Sizes are capped before anything exponential is allocated: EXACT_SITE_CAP
   (20) bounds every dense object indexed by all 2**N states (state
   vectors, Gibbs enumeration, generators, semigroups, exact sup norms of
@@ -399,11 +398,3 @@ def permute_states(values: np.ndarray, n_sites: int, image) -> np.ndarray:
     # the axis of site i in the result is the axis of site image[i] in values
     axes = [n_sites - 1 - int(image[i]) for i in range(n_sites - 1, -1, -1)]
     return bit_tensor(values, n_sites).transpose(axes).reshape(-1)
-
-
-def translate_states(torus: Torus, offset) -> np.ndarray:
-    """Permutation p of state indices induced by the lattice translation
-    site i -> i + offset; p[s] carries spin_i(s) to site i + offset."""
-    n = torus.n_sites
-    image = [torus.translate(i, offset) for i in range(n)]
-    return permute_states(np.arange(dense_size(n), dtype=np.int64), n, image)

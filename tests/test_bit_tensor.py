@@ -32,9 +32,9 @@ from spinflip.lattice import (
     gather_bits,
     lipschitz_vector_dense,
     monomial_values_dense,
+    permute_states,
     scatter_bits,
     spin_product,
-    translate_states,
 )
 
 GRID = [(1,), (2,), (3,), (2, 2), (3, 3), (4, 4)]
@@ -117,7 +117,7 @@ def random_rates(torus, rng):
     for _ in range(n):
         k = int(rng.integers(0, 5))
         terms.append((tuple(int(s) for s in rng.integers(n, size=k)), rng.random(1 << k) + 0.1))
-    return RateModel(torus, terms, "random", False)
+    return RateModel(torus, terms, "random")
 
 
 @pytest.fixture(params=GRID, ids=str)
@@ -231,11 +231,13 @@ class TestOracles:
                 assert mu.expectation(a) == expectation_oracle(mu, a)
 
     def test_translate_states(self, torus, rng):
+        # permute_states by a translation's site image moves each state's
+        # spins as scattering its bits there does
         n = torus.n_sites
         offsets = [tuple(1 if b == a else 0 for b in range(torus.dim)) for a in range(torus.dim)]
         for offset in offsets + [tuple(int(x) for x in rng.integers(-3, 4, size=torus.dim))]:
             targets = [torus.translate(i, offset) for i in torus.sites()]
-            assert_bitwise(translate_states(torus, offset), scatter_bits(states_of(n), targets))
+            assert_bitwise(permute_states(states_of(n), n, targets), scatter_bits(states_of(n), targets))
 
     def test_marginal(self, torus, rng):
         """Within 1e-15 relative of the exactly rounded sums, and within the

@@ -398,6 +398,21 @@ class TestEngineBlock:
         if rates == "glauber":
             assert engine._weights == {}
 
+    @pytest.mark.parametrize("rates", ["independent", "glauber", "perturbed"])
+    @pytest.mark.parametrize(
+        "argv", [["conserve", "--theorem", "31"], ["gcb-scan"], ["uvb-check"]], ids=lambda argv: argv[0]
+    )
+    def test_reports_check_the_conditions(self, tmp_path, argv, rates):
+        # the rates' standing conditions, translation invariance read from
+        # the tables
+        code = main(argv + ["--rates", rates, "--beta", "0.3", "--sides", "5", "--times", "0.5", "--k-max", "1", "--out", str(tmp_path)])
+        assert code == 0
+        conditions = read_json(tmp_path, argv[0])["conditions"]
+        assert set(conditions) == {"positive", "min_rate", "max_rate", "interaction_range", "translation_invariant", "ok"}
+        assert conditions["translation_invariant"] is True and conditions["ok"] is True
+        assert conditions["positive"] is True and 0 < conditions["min_rate"] <= conditions["max_rate"]
+        assert conditions["interaction_range"] == (0 if rates == "independent" else 1)
+
     def test_field_keeps_the_full_operator(self, tmp_path):
         pot = tmp_path / "field.pot"
         pot.write_text("0 1 | -0.3 0.3 0.3 -0.3\n0 | 0.2 -0.2\n")
@@ -480,15 +495,10 @@ class TestConserve:
         assert report["engine"]["flip_symmetric"] is True
         assert report["engine"]["states"] == 32
         # pair-perturbed rates on a ring: Gamma is circulant, alpha = 4 eps0
+        # K(t) and its integral are closed forms of alpha alone
         gamma = report["gamma"]
-        assert gamma["normal"] is True
+        assert set(gamma) == {"alpha"}
         assert gamma["alpha"] == pytest.approx(0.4, rel=1e-12)
-        if theorem == "53":
-            assert gamma["route"] == "closed_form"
-            assert gamma["steps"] == [0] * len(times)
-            assert gamma["converged"] == [True] * len(times)
-        else:
-            assert set(gamma) == {"normal", "alpha"}
 
     @pytest.mark.parametrize(
         "theorem, builds",

@@ -27,7 +27,6 @@ from spinflip.concentration import (
     theorem53_constant,
 )
 from spinflip.dynamics import (
-    SIMPSON_STEP_CAP,
     GlauberRates,
     IndependentRates,
     PerturbedRates,
@@ -413,21 +412,14 @@ class TestTheorem53:
         fam = TestFunctionFamily.monomials(torus, 2, max_count=8)
         report = theorem53_check(rates, 0.5, fam)
         assert report.holds
-        assert report.integral.route == "closed_form" and report.integral.converged
+        assert report.composite_constant == theorem53_constant(rates, 0.5).constant
 
-    def test_unconverged_simpson_is_reported(self, weighted_cycle):
-        # a non-translation-invariant model whose Gamma is not normal: the
-        # integral takes the Simpson route, and rel_tol = 0 forces its cap
-        capped = theorem53_constant(weighted_cycle, 3.0, rel_tol=0.0)
-        assert capped.integral.route == "simpson"
-        assert capped.integral.steps == SIMPSON_STEP_CAP and not capped.integral.converged
+    def test_non_normal_gamma_raises(self, weighted_cycle):
+        # a model that is not translation invariant and whose Gamma is not
+        # normal: int_0^t K(s)^2 ds has no closed form, and the check refuses
         family = TestFunctionFamily.monomials(weighted_cycle.torus, 1)
-        report = theorem53_check(weighted_cycle, 3.0, family)
-        assert report.holds
-        assert report.integral.route == "simpson" and report.integral.converged
-        assert report.integral.steps < SIMPSON_STEP_CAP
-        assert report.composite_constant == 2.0 * weighted_cycle.max_rate() * report.integral.value
-        assert report.composite_constant == pytest.approx(capped.constant, rel=1e-9)
+        with pytest.raises(ValueError, match="translation"):
+            theorem53_check(weighted_cycle, 3.0, family)
 
 
 class TestPerStartOracle:

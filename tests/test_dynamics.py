@@ -12,7 +12,6 @@ from scipy.special import ive
 import spinflip
 from spinflip import dynamics
 from spinflip.dynamics import (
-    SIMPSON_STEP_CAP,
     CustomRates,
     GlauberRates,
     IndependentRates,
@@ -156,10 +155,27 @@ class TestRateModels:
             rep = validate_conditions(rates)
             assert rep.ok
             assert rep.positive and rep.min_rate > 0
-            assert rep.translation_invariant and rep.translation_checked
+            assert rep.translation_invariant
         bad = CustomRates(t, lambda i: (i,), lambda i, s: -1.0 if i == 0 else 1.0)
         rep = validate_conditions(bad)
         assert not rep.positive and not rep.ok
+
+    @pytest.mark.parametrize("weights", ["site-dependent", "uniform"])
+    def test_translation_invariance_is_read_from_the_tables(self, weights):
+        # read from the tables on a 14-site ring: a rate whose weight varies
+        # from site to site is not translation invariant, a uniform one is
+        n = 14
+        a = [0.1 + 0.02 * i if weights == "site-dependent" else 0.1 for i in range(n)]
+        rates = CustomRates(
+            Torus((n,)),
+            lambda i: (i, (i + 1) % n),
+            lambda i, s: 1.0 + a[i] * (1.0 if s >> ((i + 1) % n) & 1 else -1.0),
+        )
+        uniform = weights == "uniform"
+        rep = validate_conditions(rates)
+        assert rates.translation_invariant is rep.translation_invariant is uniform
+        assert rep.positive and rep.ok is uniform
+        assert len(rates.automorphisms) == (n if uniform else 1)
 
     def test_glauber_tables_are_bitwise_symmetric(self):
         # each site sums its terms' energy differences in sorted order, so
@@ -174,7 +190,7 @@ class TestRateModels:
             moved = permute_states(states, torus.n_sites, g)
             assert all(np.array_equal(c[g[i]][moved], c[i]) for i in torus.sites())
         rep = validate_conditions(GlauberRates(Torus((3, 4)), Potential.ising_nn(2, 0.6)))
-        assert rep.translation_invariant and rep.translation_checked and rep.ok
+        assert rep.translation_invariant and rep.ok
 
 
     def test_engine_rejects_negative_rates(self):
@@ -761,11 +777,11 @@ class TestQuotientRoute:
             # rotations hold to rounding, the global flip does not
             assert {"order": 8, "odd": 0, "orbits": 8548, "direction": "functions"} in quotients
         if label == "field-3x4":
-            assert not engine.flip_symmetric and len(engine._automorphisms) == 48
+            assert not engine.flip_symmetric and len(rates.automorphisms) == 48
         if label == "perturbed-12":
             # the 12 translations only; measures step through P^T
-            assert len(engine._automorphisms) == 12
-            assert all(np.array_equal(g, np.roll(np.arange(12), -g[0])) for g in engine._automorphisms)
+            assert len(rates.automorphisms) == 12
+            assert all(np.array_equal(g, np.roll(np.arange(12), -g[0])) for g in rates.automorphisms)
             assert all(q["direction"] == "measures" for q in quotients)
 
     @pytest.mark.parametrize(
@@ -851,9 +867,8 @@ class TestQuotientRoute:
         assert np.abs(got - engine.evolve_measures(widened(mu[None], rng, True), 0.5)[0]).sum() <= 1e-13
 
     def test_a_table_that_breaks_a_reflection_is_not_admitted(self, orbits_everywhere):
-        # flagged translation invariant, but site 0 reads sigma_1 and not
-        # sigma_5, so the reflection x -> -x, which fixes sigma_0, does not
-        # commute with P
+        # site 0 reads sigma_1 and not sigma_5, so the reflection x -> -x,
+        # which fixes sigma_0, does not commute with P
         torus = Torus((6,))
         reflection = (-np.arange(6)) % 6
 
@@ -862,10 +877,10 @@ class TestQuotientRoute:
                 spin = [1.0 if s >> j & 1 else -1.0 for j in range(6)]
                 return 1.0 + 0.2 * spin[(i - 1) % 6] * spin[(i + 1) % 6] + (extra * spin[1] if i == 0 else 0.0)
 
-            return CustomRates(torus, lambda i: ((i - 1) % 6, i, (i + 1) % 6), rate, translation_invariant=True)
+            return CustomRates(torus, lambda i: ((i - 1) % 6, i, (i + 1) % 6), rate)
 
         def admitted(engine):
-            return {g.tobytes() for g in engine._automorphisms}
+            return {g.tobytes() for g in engine.rates.automorphisms}
 
         assert reflection.tobytes() in admitted(SemigroupEngine(model(0.0)))
         engine = SemigroupEngine(model(0.1))
@@ -885,7 +900,7 @@ class TestQuotientRoute:
         got = engine.evolve_functions(col, 0.5)
         (odd,) = engine.summary()["quotients"]
         assert odd["odd"] > 0
-        swap = next(g for g in engine._automorphisms if g[0] == 1 and g[1] == 0)
+        swap = next(g for g in rates.automorphisms if g[0] == 1 and g[1] == 0)
         states = np.arange(engine.n_states)
         fixed = permute_states(states, torus.n_sites, swap) == states
         assert fixed.sum() > 0 and np.all(got[fixed] == 0.0)
@@ -1036,12 +1051,6 @@ class TestLipschitzPropagation:
             assert gp[i, (i - 1) % 6] == 0.0
         assert np.all(gamma_matrix(IndependentRates(t, 1.0)).matrix == 0.0)
 
-    def test_gamma_kernel_row(self):
-        t = Torus((5,))
-        res = gamma_matrix(GlauberRates(t, Potential.ising_nn(1, 0.2)))
-        assert res.kernel is not None
-        assert np.allclose(res.kernel, res.matrix[0])
-
     def test_pointwise_bound_dominates(self):
         # delta_i S(t) f <= (e^{t Gamma} delta f)_i for every model and t
         t = Torus((5,))
@@ -1158,41 +1167,27 @@ class TestGammaSpectrum:
     )
     def test_closed_form_matches_the_oracles(self, rates):
         gamma = gamma_matrix(rates)
-        assert gamma.normal
         assert gamma.alpha == pytest.approx(
             np.linalg.eigvalsh(0.5 * (gamma.matrix + gamma.matrix.T))[-1], rel=1e-15
         )
         for t in (0.1, 0.25):
             assert gamma.k_of_t(t) == pytest.approx(k_of_t(gamma.matrix, t), rel=1e-12)
             q = gamma.k_squared_integral(t)
-            assert (q.route, q.steps, q.converged) == ("closed_form", 0, True)
-            assert q.value == pytest.approx(gauss_legendre_k_squared(gamma.matrix, t), rel=1e-12)
+            assert type(q) is float
+            assert q == pytest.approx(gauss_legendre_k_squared(gamma.matrix, t), rel=1e-12)
 
     def test_independent_rates_are_exact_at_alpha_zero(self):
         gamma = gamma_matrix(IndependentRates(Torus((5,)), 1.0))
         assert gamma.alpha == 0.0
         assert gamma.k_of_t(3.0) == 1.0
-        assert gamma.k_squared_integral(3.0).value == 3.0
-        assert gamma.k_squared_integral(0.0).value == 0.0
+        assert gamma.k_squared_integral(3.0) == 3.0
+        assert gamma.k_squared_integral(0.0) == 0.0
 
-    def test_non_normal_gamma_takes_the_simpson_route(self, weighted_cycle):
-        gamma = gamma_matrix(weighted_cycle)
-        assert not gamma.normal and gamma.alpha is None
-        for t in (0.5, 2.0):
-            assert gamma.k_of_t(t) == k_of_t(gamma.matrix, t)
-            q = gamma.k_squared_integral(t)
-            assert q.route == "simpson" and q.converged and 0 < q.steps < SIMPSON_STEP_CAP
-            assert q.value == pytest.approx(gauss_legendre_k_squared(gamma.matrix, t), rel=1e-9)
-
-    def test_simpson_reports_the_step_cap(self, weighted_cycle):
-        # rel_tol = 0 cannot be met: the doubling stops at the cap and says so
-        q = gamma_matrix(weighted_cycle).k_squared_integral(3.0, rel_tol=0.0)
-        assert (q.route, q.steps, q.converged) == ("simpson", SIMPSON_STEP_CAP, False)
-
-    def test_normality_is_tested_not_read_from_the_flag(self, weighted_cycle):
-        # flagged translation invariant, but Gamma is not normal
-        weighted_cycle.translation_invariant = True
-        assert not gamma_matrix(weighted_cycle).normal
+    def test_non_normal_gamma_raises(self, weighted_cycle):
+        # K(t) is kept in closed form only: a Gamma that is not normal
+        # (rates that are not translation invariant) is refused
+        with pytest.raises(ValueError, match="translation"):
+            gamma_matrix(weighted_cycle)
 
     def test_closed_form_past_the_float_range_raises(self):
         # field-free Glauber at beta = 3: alpha is about 1.2e3, so
@@ -1208,10 +1203,9 @@ class TestGammaSpectrum:
         rates = GlauberRates(Torus((5,)), Potential.ising_nn(1, 0.3))
         gamma = gamma_matrix(rates)
         assert gamma_matrix(rates) is gamma
-        for array in (gamma.matrix, gamma.kernel):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        assert not gamma.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            gamma.matrix[0] = 1.0
 
 
 
@@ -1224,7 +1218,7 @@ def metropolis_ring(torus, beta):
         spin = [2 * (bits >> j & 1) - 1 for j in range(n)]
         return min(1.0, float(np.exp(-2.0 * beta * spin[i] * (spin[i - 1] + spin[(i + 1) % n]))))
 
-    return CustomRates(torus, lambda i: ((i - 1) % n, i, (i + 1) % n), rate, translation_invariant=True)
+    return CustomRates(torus, lambda i: ((i - 1) % n, i, (i + 1) % n), rate)
 
 
 def one_sided_ring(torus):

@@ -15,9 +15,6 @@ CALLERS = ("src", "tools", "perfbench")
 
 # qualified name -> why it stays without a caller outside the tests
 EXEMPT = {
-    "validate_conditions": "checks the paper's standing conditions on the rates "
-    "(positivity, boundedness, finite range, translation invariance); "
-    "ROADMAP Direction 6 wires it into reports as a `conditions` block",
     "Potential.external_field": "the tests' only builder of a field potential, "
     "whose Glauber rates lack the global flip symmetry and so reach the "
     "engine's unfolded route",

@@ -591,7 +591,6 @@ class TestSeries:
             torus,
             dep_fn=lambda i: [(i + 1) % 10],
             rate_fn=lambda i, bits: 1.0 + 0.3 * (1.0 if (bits >> ((i + 1) % 10)) & 1 else -1.0),
-            translation_invariant=True,
         )
         engine = engine_for(rates)
         exact = engine.evolve_functions(Observable.monomial(torus, a).dense_values(), t)

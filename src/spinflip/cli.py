@@ -30,6 +30,7 @@ from .concentration import (
     TestFunctionFamily,
     check_uvb,
     empirical_gcb_constant,
+    family_summary,
     hjc_check,
     hjc_library,
     product_gcb_constant,
@@ -537,6 +538,8 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     report["engine"] = engine.summary()
     report["conditions"] = asdict(validate_conditions(rates))
     report["gamma"] = {"alpha": gamma.alpha}
+    # the orbits do not depend on t: found by the first check, kept on the family
+    report["family"] = family_summary(rates, family)
     report["table"] = {"columns": ["t", "k_t", "measured", "bound", "holds"], "rows": rows}
     report["curves"] = [
         {"name": f"theorem{theorem}", "columns": ["t", "value", "bound"], "rows": curve_rows}

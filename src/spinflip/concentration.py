@@ -25,6 +25,22 @@ term.  One batched `evolve_functions` call of 2 1{f = l} - 1 for every
 level but the most frequent of every member gives the law under each start
 delta_sigma S(t), and by duality, <mu S(t), g> = <mu, S(t) g>, under mu S(t).
 No measure is evolved, so no array grows with the square of the 2^N states.
+
+The theorems assume translation-invariant rates, and a rate automorphism g
+(RateModel.automorphisms: a site map that carries every rate term onto its
+image bitwise) commutes with S(t).  So a member f' = f o g, f'(s) = f(g(s)),
+has under the start s the law f has under g(s), and the checks evolve and
+read one representative per orbit of the family (_Orbits).  A member joins
+an earlier representative only when g maps its support onto the
+representative's and the re-keyed tables are bitwise equal, and it keeps
+its own g, so the family need not be closed under the group.  Its maxima
+over starts are the representative's, its per-start vectors the
+representative's moved by g (lattice.permute_states), and its law under
+mu S(t) the representative's laws against mu moved by g^-1: no invariance
+of mu is assumed, and Dirac, product and fixed-boundary starts stay exact.
+A family without orbits, or rates with no automorphism but the identity,
+makes every member its own representative, and each evolves and reads its
+own laws.
 Constant family members are skipped by every scan, since ||delta f||_2 = 0
 leaves their ratios undefined.
 
@@ -62,6 +78,7 @@ from .lattice import (
     lipschitz_norm,
     lipschitz_vector,
     lipschitz_vector_dense,
+    permute_states,
 )
 
 DEFAULT_LAMBDA_GRID = tuple(
@@ -103,6 +120,8 @@ class TestFunctionFamily:
         if any(l == 0 for l in self.lambda_grid):
             raise ValueError("zero scale makes the ratio undefined")
         self.label = label
+        # _Orbits per group of site maps, with the members they were found for
+        self._orbits = {}
 
     def __len__(self):
         return len(self.members)
@@ -166,17 +185,17 @@ class ConcentrationReport:
         return not self.violations
 
 
-def _members(family: TestFunctionFamily):
-    """Labels, ||delta f||_2^2, the members and each one's (levels, level
-    index of every pattern of its table) for the non-constant members; each
-    pattern of a member's support covers as many states, so the table gives
-    the levels and their frequencies."""
-    kept = [(label, f, lipschitz_norm(lipschitz_vector(f), 2.0) ** 2) for label, f in family.labeled()]
+def _members(tagged):
+    """Tags, ||delta f||_2^2, the members and each one's (levels, level
+    index of every pattern of its table) for the non-constant members of
+    the (tag, member) pairs; each pattern of a member's support covers as
+    many states, so the table gives the levels and their frequencies."""
+    kept = [(tag, f, lipschitz_norm(lipschitz_vector(f), 2.0) ** 2) for tag, f in tagged]
     kept = [row for row in kept if row[2] > 0]
     if not kept:
         raise ValueError("family contains only constant functions")
-    labels, fs, l2sq = zip(*kept)
-    return list(labels), np.array(l2sq), fs, [np.unique(f.table, return_inverse=True) for f in fs]
+    tags, fs, l2sq = zip(*kept)
+    return list(tags), np.array(l2sq), fs, [np.unique(f.table, return_inverse=True) for f in fs]
 
 
 def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> ConcentrationReport:
@@ -188,7 +207,7 @@ def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> Concentrati
     member under a translation-invariant mu) name the first of them,
     whichever route evolved mu."""
     probs = probs_of(mu)
-    labels, l2sq, fs, tables = _members(family)
+    labels, l2sq, fs, tables = _members(family.labeled())
     law = [np.bincount(at, weights=marginal(probs, f.support), minlength=levels.size)
            for f, (levels, at) in zip(fs, tables)]
     laws = _Laws(tables, np.concatenate(law)[:, None])
@@ -331,9 +350,125 @@ class _Laws:
         return np.array([lipschitz_norm(lipschitz_vector_dense(n, v), 2.0) for v in self.mean])
 
 
+class _Orbits:
+    """The non-constant members of a family on the orbits of a group of site
+    maps, the rate automorphisms (identity first).  Member m is its
+    representative r = of[m] moved by its own map g, a row of `group`:
+    f_m(s) = f_r(g(s)), g(s) carrying the spin at site i to site g[i], as
+    lattice.permute_states moves a state vector.  A member joins the first
+    earlier representative and the first map for which that holds exactly:
+    g maps its support onto the representative's and the re-keyed tables
+    are bitwise equal, so a family need not be closed under the group.  A
+    representative is its own image under the identity.
+
+    As g commutes with S(t), f_m's law under the start s is f_r's under
+    g(s): a maximum over starts is the representative's, a per-start vector
+    is the representative's moved by g, and the law under mu S(t) is f_r's
+    laws against mu moved by g^-1, s -> mu(g^-1(s)).  `labels` and `l2sq`
+    are per member (||delta f||_2^2 is the representative's, as g permutes
+    sites); `fs`, `tables`, `rep_l2sq` and `rows` (each one's law rows)
+    per representative; `groups` lists (map index, its members) per map
+    in use, the identity first."""
+
+    def __init__(self, family: TestFunctionFamily, group: np.ndarray):
+        members = family.members
+        # rank[k, i]: the key bit of site i in representative k's table, -1
+        # off its support; reps[k] and rep_of[m] index members
+        reps, rank, sizes, rep_of, maps = [], np.zeros((0, group.shape[1]), dtype=np.intp), [], [], []
+        for m, f in enumerate(members):
+            sup = np.array(f.support, dtype=np.intp)
+            # every map at once: g maps the support onto a representative's
+            # when the images of its sites lie in it and the sizes agree
+            pos = rank[:, group[:, sup]]
+            k, g = np.nonzero((pos >= 0).all(axis=2) & (np.array(sizes, dtype=int) == sup.size)[:, None])
+            # then the tables of those candidates: key bit j of f is key bit
+            # pos[k, g, j] of the representative
+            bits = (np.arange(1 << sup.size)[:, None] >> np.arange(sup.size)) & 1
+            tables = np.array([members[reps[c]].table for c in k]).reshape(k.size, bits.shape[0])
+            hit = np.flatnonzero((tables[np.arange(k.size), bits @ (1 << pos[k, g]).T] == f.table[:, None]).all(axis=0))
+            if hit.size:
+                rep_of.append(reps[k[hit[0]]])
+                maps.append(g[hit[0]])
+            else:
+                rep_of.append(m)
+                maps.append(0)
+                reps.append(m)
+                rank = np.vstack([rank, np.full(group.shape[1], -1)])
+                rank[-1, sup] = np.arange(sup.size)
+                sizes.append(sup.size)
+        kept, self.rep_l2sq, self.fs, self.tables = _members((r, members[r]) for r in reps)
+        row = {r: k for k, r in enumerate(kept)}
+        keep = [m for m, r in enumerate(rep_of) if r in row]
+        labels = [label for label, _ in family.labeled()]
+        self.labels = [labels[m] for m in keep]
+        self.of = np.array([row[rep_of[m]] for m in keep])
+        self.l2sq = self.rep_l2sq[self.of]
+        ends = np.cumsum([levels.size for levels, _ in self.tables])
+        self.rows = [np.arange(end - levels.size, end) for end, (levels, _) in zip(ends, self.tables)]
+        self.group = group
+        maps = np.array([maps[m] for m in keep])
+        self.groups = [(g, np.flatnonzero(maps == g)) for g in np.unique(maps)]
+
+    @property
+    def trivial(self) -> bool:
+        """Whether every member is its own representative"""
+        return len(self.fs) == len(self.labels)
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """Per representative along the last axis to per member"""
+        return x[..., self.of]
+
+    def measures(self, probs: np.ndarray):
+        """(members, mu moved by g^-1) for each group's map g, one at a time"""
+        n = self.group.shape[1]
+        for g, ms in self.groups:
+            yield ms, permute_states(probs, n, np.argsort(self.group[g])) if g else probs
+
+    def max_over_members(self, per_start: np.ndarray) -> np.ndarray:
+        """The largest member's value at each start, from one row per
+        representative: each group's representatives' maximum, moved by its
+        map"""
+        n = self.group.shape[1]
+        return np.max([permute_states(per_start[self.of[ms]].max(axis=0), n, self.group[g]) for g, ms in self.groups],
+                      axis=0)
+
+    def under(self, laws: "_Laws", probs: np.ndarray) -> "_Laws":
+        """Every member's laws under mu S(t), one column: its
+        representative's laws against mu moved by g^-1"""
+        if self.trivial:
+            return laws.under(probs)
+        parts = {}
+        for ms, moved in self.measures(probs):
+            for m in ms:
+                parts[m] = laws.law[self.rows[self.of[m]]] @ moved
+        return _Laws([self.tables[r] for r in self.of], np.concatenate([parts[m] for m in sorted(parts)])[:, None])
+
+
+def _orbits(family: TestFunctionFamily, group: np.ndarray) -> _Orbits:
+    """The family's _Orbits under the site maps of group, kept on the family
+    per group while its members stay the same objects"""
+    members, orbits = family._orbits.get(group.tobytes(), ((), None))
+    if orbits is None or len(members) != len(family.members) or any(
+        a is not b for a, b in zip(members, family.members)
+    ):
+        orbits = _Orbits(family, group)
+        family._orbits[group.tobytes()] = (tuple(family.members), orbits)
+    return orbits
+
+
+def family_summary(rates: RateModel, family: TestFunctionFamily) -> dict:
+    """What a conservation check reads of the family under these rates: its
+    non-constant members, their orbits under the rate automorphisms and the
+    law columns one check evolves"""
+    orbits = _orbits(family, rates.automorphisms)
+    columns = sum(levels.size - 1 for levels, _ in orbits.tables)
+    return {"members": len(orbits.labels), "orbits": len(orbits.fs), "law_columns": columns}
+
+
 def _member_laws(rates: RateModel, t: float, family: TestFunctionFamily):
-    """Labels, ||delta f||_2^2 and the laws under every Dirac start of the
-    non-constant members, from one batched evolution.  A member evolves
+    """The family's _Orbits under the rate automorphisms and the laws under
+    every Dirac start of their representatives, from one batched
+    evolution.  A representative evolves
     c_l = 2 1{f = l} - 1 for each level l but its most frequent (a monomial
     is its own c_l, one half-column under the fold) and reads P(f = l) =
     (1 + S(t)c_l)/2, the dropped level's as 1 minus the others.  In exact
@@ -342,14 +477,15 @@ def _member_laws(rates: RateModel, t: float, family: TestFunctionFamily):
     at most k (1 - W)/2 (1 - W <= tail_tol) plus rounding, a few 2^-53 per
     term, and negative by at most (k/2 - 1)(1 - W) plus rounding.  A reader
     carries that error times the range it sums, far inside _TOL: no clip."""
-    labels, l2sq, fs, tables = _members(family)
+    orbits = _orbits(family, rates.automorphisms)
+    tables = orbits.tables
     dropped = [int(np.argmax(np.bincount(at))) for _, at in tables]
     columns = [Observable(f.torus, f.support, 2.0 * (at == k) - 1.0).dense_values()
-               for f, (levels, at), d in zip(fs, tables, dropped) for k in range(levels.size) if k != d]
+               for f, (levels, at), d in zip(orbits.fs, tables, dropped) for k in range(levels.size) if k != d]
     evolved = (1.0 + engine_for(rates).evolve_functions(np.column_stack(columns), t).T) / 2.0
     parts = np.split(evolved, np.cumsum([levels.size - 1 for levels, _ in tables])[:-1])
     law = np.vstack([np.insert(part, d, 1.0 - part.sum(axis=0), axis=0) for part, d in zip(parts, dropped)])
-    return labels, l2sq, _Laws(tables, law)
+    return orbits, _Laws(tables, law)
 
 
 @dataclass
@@ -376,16 +512,17 @@ def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     laws under every start and under mu S(t) give it at every lambda of the
     grid."""
     probs = probs_of(mu)
-    labels, l2sq, laws = _member_laws(rates, t, family)
-    at_mu = laws.under(probs)
+    orbits, laws = _member_laws(rates, t, family)
+    at_mu = orbits.under(laws, probs)
     lams = np.array(family.lambda_grid)
+    # a member's maximum over starts is its representative's
     start_max = np.array([laws.log_moment(lam).max(axis=1) for lam in lams])
-    d_t = max(0.0, float(np.max(start_max / np.outer(lams * lams, l2sq))))
-    l2sq_t = laws.mean_lipschitz() ** 2
+    d_t = max(0.0, float(np.max(start_max / np.outer(lams * lams, orbits.rep_l2sq))))
+    l2sq_t = orbits.spread(laws.mean_lipschitz() ** 2)
     lhs_all = np.array([at_mu.log_moment(lam)[:, 0] for lam in lams]).T
-    measured = max(0.0, float(np.max(lhs_all / np.outer(l2sq, lams * lams))))
+    measured = max(0.0, float(np.max(lhs_all / np.outer(orbits.l2sq, lams * lams))))
     rows = []
-    for label, w, w_t, lhs_row in zip(labels, l2sq.tolist(), l2sq_t.tolist(), lhs_all.tolist()):
+    for label, w, w_t, lhs_row in zip(orbits.labels, orbits.l2sq.tolist(), l2sq_t.tolist(), lhs_all.tolist()):
         for lam, lhs in zip(family.lambda_grid, lhs_row):
             rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
             rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + _TOL})
@@ -407,12 +544,13 @@ def theorem52_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     initial measure.  c_mu must be a UVB constant valid for every function.
     Both sides read the member laws."""
     probs = probs_of(mu)
-    labels, l2sq, laws = _member_laws(rates, t, family)
-    c_sigma = np.max(laws.variance() / l2sq[:, None], axis=0)
+    orbits, laws = _member_laws(rates, t, family)
+    c_sigma = orbits.max_over_members(laws.variance() / orbits.rep_l2sq[:, None])
     avg_start = float(probs @ c_sigma)
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = c_mu * k_t + avg_start
-    rows, measured, holds = _ratio_rows(labels, laws.under(probs).variance()[:, 0] / l2sq, composite)
+    ratios = orbits.under(laws, probs).variance()[:, 0] / orbits.l2sq
+    rows, measured, holds = _ratio_rows(orbits.labels, ratios, composite)
     return TheoremReport("52", float(t), k_t, c_mu, avg_start, composite, measured, rows, holds)
 
 
@@ -439,8 +577,8 @@ def theorem53_check(rates: RateModel, t: float, family: TestFunctionFamily) -> T
     """Exhaustive check that every Dirac start satisfies the UVB with the
     time-integrated constant."""
     c = theorem53_constant(rates, t).constant
-    labels, l2sq, laws = _member_laws(rates, t, family)
-    rows, measured, holds = _ratio_rows(labels, laws.variance().max(axis=1) / l2sq, c)
+    orbits, laws = _member_laws(rates, t, family)
+    rows, measured, holds = _ratio_rows(orbits.labels, orbits.spread(laws.variance().max(axis=1) / orbits.rep_l2sq), c)
     k_t = gamma_matrix(rates).k_of_t(t)
     return TheoremReport("53", float(t), k_t, 0.0, c, c, measured, rows, holds)
 
@@ -499,34 +637,39 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
     function; it is a sum over the levels of f against its law, which the
     member laws give for every start and under mu S(t)."""
     probs = probs_of(mu)
-    # the outer constant weighs the starts mu charges only, so an H past the
-    # float range at a start of no mass adds 0, not 0 * inf = NaN
-    charged = probs > 0
     k_t = gamma_matrix(rates).k_of_t(t)
-    labels, l2sq, laws = _member_laws(rates, t, family)
-    at_mu = laws.under(probs)
+    orbits, laws = _member_laws(rates, t, family)
+    at_mu = orbits.under(laws, probs)
     scale = np.abs(family.lambda_grid)[:, None]
-    l2 = scale * np.sqrt(l2sq)  # ||delta lambda f||_2 per lambda and member
+    l2 = scale * np.sqrt(orbits.l2sq)  # ||delta lambda f||_2 per lambda and member
     # H or J past the float range reads inf: such a bound is vacuous and its
     # row holds
     with np.errstate(over="ignore"):
-        inner, m_out, lhs = [], [], []
+        inner, lhs = [], []
         for lam in family.lambda_grid:
             # inner: every Dirac start, doubled centered function; J^-1 is
             # increasing, so the largest moment gives its max
-            inner.append(laws.h_integral(spec.h, 2.0 * lam).max(axis=1))
-            # outer: the evolved function g = S(t)(lambda f) under the initial measure
-            g = lam * laws.mean
-            m_out.append(spec.h(2.0 * (g[:, charged] - (g @ probs)[:, None])) @ probs[charged])
+            inner.append(orbits.spread(laws.h_integral(spec.h, 2.0 * lam).max(axis=1)))
             # left side under mu S(t)
             lhs.append(at_mu.h_integral(spec.h, lam)[:, 0])
+        # outer: the evolved function g = S(t)(lambda f) under the initial
+        # measure, a member's per-start means being its representative's
+        # moved by g, so read against mu moved by g^-1 instead; at the starts
+        # that charges only, so an H past the float range at a start of no
+        # mass adds 0, not 0 * inf = NaN
+        m_out = np.empty(l2.shape)
+        for ms, p in orbits.measures(probs):
+            charged = p > 0
+            for k, lam in enumerate(family.lambda_grid):
+                g = lam * laws.mean[orbits.of[ms]]
+                m_out[k, ms] = spec.h(2.0 * (g[:, charged] - (g @ p)[:, None])) @ p[charged]
         c_start = float(np.max(spec.j_inv(np.array(inner)) / (2.0 * l2)))
-        c_out = float(np.max(spec.j_inv(np.array(m_out)) / (2.0 * scale * laws.mean_lipschitz())))
+        c_out = float(np.max(spec.j_inv(m_out) / (2.0 * scale * orbits.spread(laws.mean_lipschitz()))))
         composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
         rhs = spec.j(composite * l2)
     rows = [
         {"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs_one, "ok": lhs_one <= rhs_one * (1 + 1e-9) + _TOL}
-        for label, rhs_row, lhs_row in zip(labels, rhs.T.tolist(), np.transpose(lhs).tolist())
+        for label, rhs_row, lhs_row in zip(orbits.labels, rhs.T.tolist(), np.transpose(lhs).tolist())
         for lam, rhs_one, lhs_one in zip(family.lambda_grid, rhs_row, lhs_row)
     ]
     holds = all(r["ok"] for r in rows)

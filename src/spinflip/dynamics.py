@@ -239,12 +239,18 @@ class RateModel:
         image's bitwise, identity first: they commute with the generator, and
         form a group, as maps that keep the terms exactly compose; so a
         candidate that the maps kept so far generate is not checked again.
-        Found on first use and kept."""
+        A term is compared on the sites its table reads: a listed site whose
+        bit leaves every entry equal is dropped first.  Found on first use
+        and kept."""
         terms = []
         for i in self.torus.sites():
             dep = self.dependence(i)
-            keys = np.arange(1 << len(dep))
-            terms.append((np.array(dep, dtype=np.int64), self.rate_patterns(i, dep), (keys[:, None] >> np.arange(len(dep))) & 1))
+            values = self.rate_patterns(i, dep)
+            keys = np.arange(values.size)
+            read = [j for j in range(len(dep)) if not np.array_equal(values[keys ^ (1 << j)], values)]
+            values = values[scatter_bits(np.arange(1 << len(read)), read)]
+            keys = np.arange(values.size)
+            terms.append((np.array(dep, dtype=np.int64)[read], values, (keys[:, None] >> np.arange(len(read))) & 1))
         n, gens = self.torus.n_sites, []
         kept = _generate(n, gens)
         for g in self.torus.automorphisms():
@@ -744,8 +750,11 @@ class SemigroupEngine:
     operator pre-scaled) is cached while the cached operators' bytes fit in
     `operator_bytes`, the least recently used leaving first, and `summary()`
     lists each cached one's group order, elements of character -1 and
-    orbits.  Every route depends only on the batch's shape, so a wide batch,
-    such as a theorem check's law columns, never searches."""
+    orbits.  Every route depends only on the batch's shape, so a wide batch
+    never searches.  A theorem check's law columns (one per level but one
+    of each orbit representative of its family) search when they are
+    narrow, as the single column of the one-site monomials does on at
+    least 2^14 states."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates

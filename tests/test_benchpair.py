@@ -115,3 +115,12 @@ class TestFlags:
         pairs[5]["parent"]["failed"] = 2
         _, flags = benchpair.summarize(pairs, SPEC)
         assert flags == ["seed 5 parent: 2 failed operations, 0 in its pair"]
+
+
+class TestPairRatio:
+    def test_median_of_the_ratios_within_pairs(self, benchpair):
+        # the machine slows between pairs: the ratio of the medians reads the
+        # change 2x slower, while it halves the time within two of three pairs
+        summary, _ = benchpair.summarize(pairs_of([1.0, 1.0, 4.0], [0.5, 2.0, 2.0]), SPEC)
+        assert summary["wall_s"]["ratio"] == 2.0
+        assert summary["wall_s"]["pair_ratio"] == 0.5

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from spinflip import acceptance, cli
@@ -12,6 +13,7 @@ from spinflip.cli import (
     emit_plot_data,
     main,
 )
+from spinflip.concentration import TestFunctionFamily
 from spinflip.lattice import Torus
 from spinflip.mc import ensemble_expectation, ensemble_exponential_moment
 
@@ -499,6 +501,31 @@ class TestConserve:
         gamma = report["gamma"]
         assert set(gamma) == {"alpha"}
         assert gamma["alpha"] == pytest.approx(0.4, rel=1e-12)
+
+    @pytest.mark.parametrize("theorem", ["31", "52", "53", "hjc"])
+    @pytest.mark.parametrize(
+        "family, block",
+        [
+            # the 5 one-site monomials are one orbit under the ring's rotations
+            (["--k-max", "1"], {"members": 5, "orbits": 1, "law_columns": 1}),
+            # random members are no rotation of one another: one law column
+            # per level but one of each
+            (["--family", "random", "--count", "3", "--family-seed", "2"], {"members": 3, "orbits": 3}),
+        ],
+        ids=["monomials", "random"],
+    )
+    def test_family_block(self, tmp_path, theorem, family, block):
+        code = main(
+            ["conserve", "--theorem", theorem, "--sides", "5", "--rates", "perturbed",
+             "--times", "0.2 0.6", *family, "--out", str(tmp_path)]
+        )
+        assert code == 0
+        got = read_json(tmp_path, "conserve")["family"]
+        assert set(got) == {"members", "orbits", "law_columns"}
+        assert got.items() >= block.items()
+        if "law_columns" not in block:
+            fam = TestFunctionFamily.random_combinations(Torus((5,)), 3, seed=2)
+            assert got["law_columns"] == sum(np.unique(f.table).size - 1 for f in fam.members) > 3
 
     @pytest.mark.parametrize(
         "theorem, builds",

@@ -16,6 +16,7 @@ from spinflip.concentration import (
     TestFunctionFamily,
     check_uvb,
     empirical_gcb_constant,
+    family_summary,
     hjc_check,
     hjc_library,
     product_gcb_constant,
@@ -27,6 +28,7 @@ from spinflip.concentration import (
     theorem53_constant,
 )
 from spinflip.dynamics import (
+    CustomRates,
     GlauberRates,
     IndependentRates,
     PerturbedRates,
@@ -45,6 +47,11 @@ def binomial_upper_tail(n, u):
         if 2 * k - n >= u:
             total += math.comb(n, k) / 2.0**n
     return total
+
+
+def spin(s, i, n=6):
+    """The spin at site i mod n of the state s, as +-1"""
+    return 1.0 if s >> (i % n) & 1 else -1.0
 
 
 def gcb_ratio(mu, f):
@@ -349,6 +356,37 @@ class TestTheorem31:
                 assert value == pytest.approx(lhs[label, -lam], rel=1e-13, abs=0)
 
 
+    @pytest.mark.parametrize("kind", ["orbits", "random"])
+    def test_large_scales_match_logsumexp(self, kind):
+        # at lam = +-400, e^{lam f} is past the float range: the shifted
+        # reader stays finite and matches the log-sum-exp of a dense expm
+        torus = Torus((6,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        lams = (400.0, -400.0)
+        if kind == "orbits":
+            fam = TestFunctionFamily.monomials(torus, 2, lambda_grid=lams)
+            assert family_summary(rates, fam)["orbits"] < len(fam)
+        else:
+            fam = TestFunctionFamily.random_combinations(torus, 4, seed=3, lambda_grid=lams)
+        mu = product_measure(torus, np.linspace(0.2, 0.7, 6))
+        e = expm(0.5 * generator_matrix(rates).toarray())
+        d_t, measured, lhs = 0.0, 0.0, []
+        for f in fam.members:
+            v = f.dense_values()
+            l2sq = lipschitz_norm(lipschitz_vector(f), 2.0) ** 2
+            for lam in lams:
+                d_t = max(d_t, max(log_exponential_moment(row, lam * v) for row in e) / (lam * lam * l2sq))
+                lhs.append(log_exponential_moment(mu @ e, lam * v))
+                measured = max(measured, lhs[-1] / (lam * lam * l2sq))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = theorem31_check(rates, 0.5, mu, fam, product_gcb_constant())
+        assert all(math.isfinite(row[k]) for row in report.rows for k in ("lhs", "rhs"))
+        assert report.inner_constant == pytest.approx(d_t, rel=1e-10, abs=0)
+        assert report.measured_constant == pytest.approx(measured, rel=1e-10, abs=0)
+        assert [row["lhs"] for row in report.rows] == pytest.approx(lhs, rel=1e-10, abs=0)
+
+
 class TestTheorem52:
     def test_time_zero_reduces_to_the_initial_uvb(self):
         torus = Torus((6,))
@@ -440,11 +478,11 @@ class TestPerStartOracle:
         self.against_dense(rates, t)
 
     @staticmethod
-    def against_dense(rates, t):
+    def against_dense(rates, t, mu=None):
         # the family adds a two-level member with levels 0 and 1, not +-c,
-        # and a three-level member
+        # and a three-level member; mu defaults to a Gibbs measure
         torus = rates.torus
-        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
+        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus).probs if mu is None else mu
         fam = TestFunctionFamily(
             TestFunctionFamily.monomials(torus, 2, max_count=6).members
             + TestFunctionFamily.random_combinations(torus, 3, seed=5).members
@@ -452,7 +490,7 @@ class TestPerStartOracle:
         )
         assert [np.unique(f.dense_values()).size for f in fam.members[-2:]] == [2, 3]
         e = expm(t * generator_matrix(rates).toarray())
-        mu_t = mu.probs @ e
+        mu_t = mu @ e
         states = np.arange(1 << torus.n_sites)
         d_t, c_sigma = 0.0, np.zeros(states.size)
         measured31, lhs31, ratios52, worst53 = 0.0, [], [], []
@@ -474,7 +512,7 @@ class TestPerStartOracle:
         r52 = theorem52_check(rates, t, mu, fam, product_uvb_constant())
         r53 = theorem53_check(rates, t, fam)
         assert r31.inner_constant == pytest.approx(d_t, rel=1e-10, abs=1e-13)
-        assert r52.inner_constant == pytest.approx(float(mu.probs @ c_sigma), rel=1e-10, abs=1e-13)
+        assert r52.inner_constant == pytest.approx(float(mu @ c_sigma), rel=1e-10, abs=1e-13)
         assert r53.measured_constant == pytest.approx(max(worst53), rel=1e-10, abs=1e-13)
         assert [row["ratio"] for row in r53.rows] == pytest.approx(worst53, rel=1e-10, abs=1e-13)
         assert r31.measured_constant == pytest.approx(measured31, rel=1e-10, abs=1e-13)
@@ -483,10 +521,41 @@ class TestPerStartOracle:
         assert [row["ratio"] for row in r52.rows] == pytest.approx(ratios52, rel=1e-10, abs=1e-13)
 
 
+def four_checks(rates, t, mu, family):
+    """Theorems 3.1, 5.2 and 5.3 and the square (H, J, C) check, each as a
+    zero-argument call"""
+    return [
+        lambda: theorem31_check(rates, t, mu, family, product_gcb_constant()),
+        lambda: theorem52_check(rates, t, mu, family, product_uvb_constant()),
+        lambda: theorem53_check(rates, t, family),
+        lambda: hjc_check(rates, t, mu, hjc_library("square"), family),
+    ]
+
+
+def law_batches(monkeypatch, rates, mu, family):
+    """(measures, width) of every _apply call, per check of four_checks at
+    t = 0.5"""
+    calls = []
+    apply = SemigroupEngine._apply
+
+    def counted(engine, vec, times, measures):
+        calls.append((measures, vec.reshape(len(vec), -1).shape[1]))
+        return apply(engine, vec, times, measures)
+
+    monkeypatch.setattr(SemigroupEngine, "_apply", counted)
+    out = []
+    for check in four_checks(rates, 0.5, mu, family):
+        calls.clear()
+        check()
+        out.append(list(calls))
+    return out
+
+
 class TestOneEvolution:
     """Each conservation check evolves its members' law columns once and
     evolves no measure: the measured side reads the same columns by duality.
-    A member with L levels evolves L - 1 columns, so a monomial evolves one."""
+    A member with L levels evolves L - 1 columns, so a monomial evolves one,
+    and only one member of each orbit under the rate automorphisms evolves."""
 
     @staticmethod
     def batches(monkeypatch, field, fam):
@@ -495,26 +564,7 @@ class TestOneEvolution:
         potential = Potential.ising_nn(1, 0.3) + Potential.external_field(1, field)
         rates = GlauberRates(torus, potential)
         assert engine_for(rates).flip_symmetric is (field == 0.0)
-        mu = gibbs_measure(potential, torus)
-        calls = []
-        apply = SemigroupEngine._apply
-
-        def counted(engine, vec, times, measures):
-            calls.append((measures, vec.reshape(len(vec), -1).shape[1]))
-            return apply(engine, vec, times, measures)
-
-        monkeypatch.setattr(SemigroupEngine, "_apply", counted)
-        out = []
-        for check in (
-            lambda: theorem31_check(rates, 0.5, mu, fam, product_gcb_constant()),
-            lambda: theorem52_check(rates, 0.5, mu, fam, product_uvb_constant()),
-            lambda: theorem53_check(rates, 0.5, fam),
-            lambda: hjc_check(rates, 0.5, mu, hjc_library("square"), fam),
-        ):
-            calls.clear()
-            check()
-            out.append(list(calls))
-        return out
+        return law_batches(monkeypatch, rates, gibbs_measure(potential, torus), fam)
 
     @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
     def test_one_function_evolution_per_check(self, monkeypatch, field):
@@ -526,9 +576,12 @@ class TestOneEvolution:
 
     @pytest.mark.parametrize("field", [0.0, 0.25], ids=["flip-symmetric", "asymmetric"])
     def test_default_monomials_one_column_per_member(self, monkeypatch, field):
-        fam = TestFunctionFamily.monomials(Torus((6,)), 3)  # the command line's default family
+        # the command line's default family: on the 6-ring its 40 members
+        # fall into 7 orbits under the translations and reflections, which
+        # the field keeps
+        fam = TestFunctionFamily.monomials(Torus((6,)), 3)
         assert len(fam) == 40
-        assert self.batches(monkeypatch, field, fam) == [[(False, 40)]] * 4
+        assert self.batches(monkeypatch, field, fam) == [[(False, 7)]] * 4
 
 
 def six_checks(family):
@@ -536,14 +589,98 @@ def six_checks(family):
     torus = family.members[0].torus
     rates = PerturbedRates.pair(torus, 0.1)
     mu = uniform_measure(torus)
-    return [
-        lambda: theorem31_check(rates, 0.5, mu, family, product_gcb_constant()),
-        lambda: theorem52_check(rates, 0.5, mu, family, product_uvb_constant()),
-        lambda: theorem53_check(rates, 0.5, family),
-        lambda: hjc_check(rates, 0.5, mu, hjc_library("square"), family),
+    return four_checks(rates, 0.5, mu, family) + [
         lambda: empirical_gcb_constant(mu, family),
         lambda: check_uvb(mu, family),
     ]
+
+
+def member_route(rates):
+    """rates with the identity as their only automorphism, so that every
+    member of a family evolves and reads its own laws"""
+    rates.__dict__["automorphisms"] = np.arange(rates.torus.n_sites)[None, :]
+    return rates
+
+
+def assert_same_reports(got, want):
+    """Two lists of theorem reports agree to 1e-12 relative, with equal
+    labels, holds and row verdicts"""
+    for a, b in zip(got, want, strict=True):
+        for key in ("k_t", "c_mu", "inner_constant", "composite_constant", "measured_constant"):
+            assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-12, abs=1e-15), key
+        assert a.holds == b.holds
+        assert [(r["label"], r["ok"]) for r in a.rows] == [(r["label"], r["ok"]) for r in b.rows]
+        for key in a.rows[0].keys() - {"label", "ok"}:
+            assert [r[key] for r in a.rows] == pytest.approx([r[key] for r in b.rows], rel=1e-12, abs=1e-15), key
+
+
+class TestOrbitRoute:
+    """A member that is an earlier one moved by a rate automorphism reads
+    that representative's laws: start maxima copied, per-start vectors and
+    the start measure moved.  Every report matches the per-member route, in
+    which each member evolves its own columns, and the dense oracle where
+    2^N allows, with no invariance of the start measure assumed."""
+
+    @staticmethod
+    def compare(build_rates, mu, family, t=0.5):
+        got = [check() for check in four_checks(build_rates(), t, mu, family)]
+        want = [check() for check in four_checks(member_route(build_rates()), t, mu, family)]
+        assert_same_reports(got, want)
+        return got
+
+    def test_dirac_start(self):
+        torus = Torus((6,))
+        build = lambda: PerturbedRates.pair(torus, 0.1)
+        mu = dirac_vector(torus, 0b001101)
+        family = TestFunctionFamily.monomials(torus, 2)
+        assert family_summary(build(), family) == {"members": 21, "orbits": 4, "law_columns": 4}
+        reports = self.compare(build, mu, family)
+        # the translates of sigma_0 read different laws from this start
+        assert len({round(row["lhs"], 12) for row in reports[0].rows[:6 * len(family.lambda_grid)]}) > 8
+        TestPerStartOracle.against_dense(build(), 0.5, mu)
+
+    def test_family_that_leaves_a_translate_out(self):
+        # 8 one-site members and 12 of the 28 pairs: no pair orbit is whole
+        torus = Torus((8,))
+        build = lambda: PerturbedRates.pair(torus, 0.1)
+        family = TestFunctionFamily.monomials(torus, 3, max_count=20)
+        assert family_summary(build(), family) == {"members": 20, "orbits": 5, "law_columns": 5}
+        mu = product_measure(torus, np.linspace(0.2, 0.7, 8))
+        self.compare(build, mu, family)
+        # the pairs alone, whose maxima over members at a start no whole
+        # orbit covers, so Theorem 5.2's start integral reads each member's
+        # map in its direction
+        self.compare(build, mu, TestFunctionFamily(family.members[8:]))
+
+    def test_one_orbit_takes_the_narrow_route(self, monkeypatch):
+        # the 14 one-site monomials evolve one column, which steps on the
+        # orbits of its stabilizer: the reflection through site 0 and the flip
+        torus = Torus((14,))
+        pot = Potential.ising_nn(1, 0.3)
+        family = TestFunctionFamily.monomials(torus, 1)
+        mu = product_measure(torus, np.linspace(0.1, 0.8, 14))
+        rates = GlauberRates(torus, pot)
+        assert family_summary(rates, family) == {"members": 14, "orbits": 1, "law_columns": 1}
+        assert law_batches(monkeypatch, rates, mu, family) == [[(False, 1)]] * 4
+        assert [q["order"] for q in engine_for(rates).summary()["quotients"]] == [4]
+        monkeypatch.undo()
+        self.compare(lambda: GlauberRates(torus, pot), mu, family)
+
+    def test_site_dependent_rates_evolve_every_member(self, monkeypatch):
+        # a site-dependent own-spin bias next to a symmetric pair term: Gamma
+        # is symmetric, hence normal, and the identity is the only automorphism
+        torus = Torus((6,))
+        rates = CustomRates(
+            torus,
+            lambda i: (i, (i - 1) % 6, (i + 1) % 6),
+            lambda i, s: 1.0 + 0.05 * (i + 1) * spin(s, i) + 0.1 * spin(s, i - 1) * spin(s, i + 1),
+        )
+        assert len(rates.automorphisms) == 1
+        family = TestFunctionFamily.monomials(torus, 3)
+        assert family_summary(rates, family) == {"members": 40, "orbits": 40, "law_columns": 40}
+        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus).probs
+        assert law_batches(monkeypatch, rates, mu, family) == [[(False, 40)]] * 4
+        TestPerStartOracle.against_dense(rates, 0.5)
 
 
 class TestConstantMembers:

@@ -177,6 +177,21 @@ class TestRateModels:
         assert rep.positive and rep.ok is uniform
         assert len(rates.automorphisms) == (n if uniform else 1)
 
+    def test_automorphisms_ignore_listed_sites_the_table_does_not_read(self):
+        # c(i, .) = 1 + 0.2 sigma_{i+1} on a 6-ring, listed once with only
+        # i + 1 at every site and once with site 0 also listing itself: the
+        # same rates, so the same automorphisms and conditions
+        n = 6
+        rate = lambda i, s: 1.0 + 0.2 * (1.0 if s >> ((i + 1) % n) & 1 else -1.0)
+        plain = CustomRates(Torus((n,)), lambda i: ((i + 1) % n,), rate)
+        padded = CustomRates(Torus((n,)), lambda i: (0, 1) if i == 0 else ((i + 1) % n,), rate)
+        assert padded.dependence(0) == (0, 1)
+        assert np.array_equal(plain.rate_matrix(), padded.rate_matrix())
+        assert len(plain.automorphisms) == n
+        assert np.array_equal(padded.automorphisms, plain.automorphisms)
+        assert validate_conditions(padded) == validate_conditions(plain)
+        assert validate_conditions(padded).ok and padded.translation_invariant
+
     def test_glauber_tables_are_bitwise_symmetric(self):
         # each site sums its terms' energy differences in sorted order, so
         # every automorphism of the 4x4 torus maps the table to itself bit

@@ -14,8 +14,9 @@ so that drift of the machine lands on both sides.  Only the last line of
 each run's standard output is read; it is perfbench's JSON result.
 
 The output holds every run and, per workload and metric, the quartiles of
-both sides, the ratio of the medians (change / parent), the number of
-pairs in which the change is better and a verdict against the bounds of
+both sides, the ratio of the medians (change / parent), the median of the
+change / parent ratios within pairs, the number of pairs in which the
+change is better and a verdict against the bounds of
 BENCHMARK.json (see `summarize`); `--claim workload/metric` names a
 metric the change claims to improve.  Runs that are not correct, or fail
 more operations than their pair, are flagged.  The exit code is 1 when a
@@ -74,8 +75,10 @@ def quartiles(values) -> list:
 def summarize(pairs, spec: dict, claims=()) -> tuple:
     """(summary, flags) of one workload's pairs.
 
-    summary holds per metric both sides' quartiles, the median ratio, how
-    many pairs the change wins (lower, or higher where spec says better
+    summary holds per metric both sides' quartiles, the ratio of their
+    medians, the median of the change / parent ratios within pairs
+    (`pair_ratio`, which drift of the machine between pairs moves less),
+    how many pairs the change wins (lower, or higher where spec says better
     "higher") and a verdict:
       * a metric named in claims is "met" when the change wins at least 9
         in 10 pairs and its median beats the parent's by more than the
@@ -110,6 +113,7 @@ def summarize(pairs, spec: dict, claims=()) -> tuple:
             "parent_quartiles": pq,
             "change_quartiles": cq,
             "ratio": cq[1] / pq[1],
+            "pair_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "change_better_in_pairs": wins,
             "pairs": len(pairs),
             "verdict": verdict,
@@ -177,7 +181,7 @@ def main(argv=None) -> int:
     for workload, entry in report["workloads"].items():
         for name, s in entry["summary"].items():
             print(f"{workload:10s} {name:12s} parent {s['parent_quartiles'][1]:.4g} change "
-                  f"{s['change_quartiles'][1]:.4g} ratio {s['ratio']:.3f} "
+                  f"{s['change_quartiles'][1]:.4g} ratio {s['ratio']:.3f} pair ratio {s['pair_ratio']:.3f} "
                   f"better in {s['change_better_in_pairs']}/{s['pairs']}"
                   + (f"  {s['verdict']}" if s["verdict"] else ""))
             passed &= s["verdict"] in (None, "ok", "met")

@@ -519,7 +519,7 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
             check = partial(theorem52_check, rates, mu=mu, family=family, c_mu=c_mu)
         else:
             name = f"abs_p:{args.hjc_p}" if args.hjc == "abs_p" else args.hjc
-            check = partial(hjc_check, rates, mu=mu, spec=hjc_library(name, 1.0), family=family)
+            check = partial(hjc_check, rates, mu=mu, spec=hjc_library(name), family=family)
     rows = []
     curve_rows = []
     failures = []

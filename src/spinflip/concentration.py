@@ -17,7 +17,11 @@ H-integral, and S(t)f, which ||delta S(t)f|| needs) is a sum over the levels
 l of a member f against its law P(f = l), so one reader, `_Laws`, serves the
 two scans and the four checks.  A scan reads the law under its measure nu as
 the push-forward of nu's marginal on f's support, 2^|support| patterns, not
-f at every state.
+f at every state.  Scans and checks prepare a family's members (||delta
+f||_2^2 and the level tables) once, in the _Orbits the family keeps per
+group of site maps: a check's group is the rate automorphisms, a scan's
+the identity alone, under which only a bitwise copy joins an earlier
+member.
 
 The pipelines measure the per-start constants the theorems quantify over,
 exactly and for every Dirac start, and assert the composite bounds term by
@@ -185,37 +189,28 @@ class ConcentrationReport:
         return not self.violations
 
 
-def _members(tagged):
-    """Tags, ||delta f||_2^2, the members and each one's (levels, level
-    index of every pattern of its table) for the non-constant members of
-    the (tag, member) pairs; each pattern of a member's support covers as
-    many states, so the table gives the levels and their frequencies."""
-    kept = [(tag, f, lipschitz_norm(lipschitz_vector(f), 2.0) ** 2) for tag, f in tagged]
-    kept = [row for row in kept if row[2] > 0]
-    if not kept:
-        raise ValueError("family contains only constant functions")
-    tags, fs, l2sq = zip(*kept)
-    return list(tags), np.array(l2sq), fs, [np.unique(f.table, return_inverse=True) for f in fs]
-
-
 def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> ConcentrationReport:
     """One report row per (member, lam): the log-moment at lam over lam^2
     ||delta f||_2^2, or with lam None the variance over ||delta f||_2^2, read
     from the member's law under mu, the push-forward of mu's marginal on its
-    support.  The best label is the first row's within 1e-12 relative of the
-    largest ratio, so members that tie up to rounding (the translates of one
-    member under a translation-invariant mu) name the first of them,
+    support.  The members are the family's cached _Orbits under the
+    identity alone, so a bitwise copy of an earlier member reads that
+    member's law.  The best label is the first row's within 1e-12 relative
+    of the largest ratio, so members that tie up to rounding (the translates
+    of one member under a translation-invariant mu) name the first of them,
     whichever route evolved mu."""
     probs = probs_of(mu)
-    labels, l2sq, fs, tables = _members(family.labeled())
+    orbits = _orbits(family, np.arange(family.members[0].torus.n_sites)[None, :])
     law = [np.bincount(at, weights=marginal(probs, f.support), minlength=levels.size)
-           for f, (levels, at) in zip(fs, tables)]
-    laws = _Laws(tables, np.concatenate(law)[:, None])
-    ratios = [laws.variance()[:, 0] / l2sq if lam is None else laws.log_moment(lam)[:, 0] / (lam * lam * l2sq)
-              for lam in lams]
+           for f, (levels, at) in zip(orbits.fs, orbits.tables)]
+    laws = _Laws(orbits.tables, np.concatenate(law)[:, None])
+    l2sq = orbits.rep_l2sq
+    ratios = orbits.spread(np.array([
+        laws.variance()[:, 0] / l2sq if lam is None else laws.log_moment(lam)[:, 0] / (lam * lam * l2sq) for lam in lams
+    ]))
     rows = [
         {"label": label, "lam": lam, "ratio": ratio, "lipschitz_sq": w}
-        for label, w, row in zip(labels, l2sq.tolist(), np.transpose(ratios).tolist())
+        for label, w, row in zip(orbits.labels, orbits.l2sq.tolist(), ratios.T.tolist())
         for lam, ratio in zip(lams, row)
     ]
     best = max(rows, key=lambda r: r["ratio"])
@@ -318,10 +313,6 @@ class _Laws:
         """sum_l law_l x_l, x per level or per level and measure"""
         return (self.member * x) @ self.law if x.ndim == 1 else self.member @ (self.law * x)
 
-    def under(self, probs: np.ndarray) -> "_Laws":
-        """The laws under sum_sigma mu(sigma) delta_sigma S(t) = mu S(t)"""
-        return _Laws(self.tables, (self.law @ probs)[:, None])
-
     def centered(self, lam: float) -> np.ndarray:
         return lam * (self.levels[:, None] - self.mean[self.owner])
 
@@ -352,7 +343,8 @@ class _Laws:
 
 class _Orbits:
     """The non-constant members of a family on the orbits of a group of site
-    maps, the rate automorphisms (identity first).  Member m is its
+    maps, identity first: the rate automorphisms for the checks, the
+    identity alone for the scans.  Member m is its
     representative r = of[m] moved by its own map g, a row of `group`:
     f_m(s) = f_r(g(s)), g(s) carrying the spin at site i to site g[i], as
     lattice.permute_states moves a state vector.  A member joins the first
@@ -366,9 +358,11 @@ class _Orbits:
     is the representative's moved by g, and the law under mu S(t) is f_r's
     laws against mu moved by g^-1, s -> mu(g^-1(s)).  `labels` and `l2sq`
     are per member (||delta f||_2^2 is the representative's, as g permutes
-    sites); `fs`, `tables`, `rep_l2sq` and `rows` (each one's law rows)
-    per representative; `groups` lists (map index, its members) per map
-    in use, the identity first."""
+    sites); `fs`, `tables` (levels, level index of every pattern of the
+    member's table: each pattern covers as many states, so the table gives
+    the levels and their frequencies), `rep_l2sq` and `rows` (each one's
+    law rows) per representative; `groups` lists (map index, its members)
+    per map in use, the identity first."""
 
     def __init__(self, family: TestFunctionFamily, group: np.ndarray):
         members = family.members
@@ -396,7 +390,12 @@ class _Orbits:
                 rank = np.vstack([rank, np.full(group.shape[1], -1)])
                 rank[-1, sup] = np.arange(sup.size)
                 sizes.append(sup.size)
-        kept, self.rep_l2sq, self.fs, self.tables = _members((r, members[r]) for r in reps)
+        l2sq = np.array([lipschitz_norm(lipschitz_vector(members[r]), 2.0) ** 2 for r in reps])
+        if not np.any(l2sq > 0):
+            raise ValueError("family contains only constant functions")
+        kept = [r for r, w in zip(reps, l2sq) if w > 0]
+        self.rep_l2sq, self.fs = l2sq[l2sq > 0], [members[r] for r in kept]
+        self.tables = [np.unique(f.table, return_inverse=True) for f in self.fs]
         row = {r: k for k, r in enumerate(kept)}
         keep = [m for m, r in enumerate(rep_of) if r in row]
         labels = [label for label, _ in family.labeled()]
@@ -408,11 +407,6 @@ class _Orbits:
         self.group = group
         maps = np.array([maps[m] for m in keep])
         self.groups = [(g, np.flatnonzero(maps == g)) for g in np.unique(maps)]
-
-    @property
-    def trivial(self) -> bool:
-        """Whether every member is its own representative"""
-        return len(self.fs) == len(self.labels)
 
     def spread(self, x: np.ndarray) -> np.ndarray:
         """Per representative along the last axis to per member"""
@@ -435,13 +429,12 @@ class _Orbits:
     def under(self, laws: "_Laws", probs: np.ndarray) -> "_Laws":
         """Every member's laws under mu S(t), one column: its
         representative's laws against mu moved by g^-1"""
-        if self.trivial:
-            return laws.under(probs)
-        parts = {}
+        parts = [None] * self.of.size
         for ms, moved in self.measures(probs):
+            law = laws.law @ moved
             for m in ms:
-                parts[m] = laws.law[self.rows[self.of[m]]] @ moved
-        return _Laws([self.tables[r] for r in self.of], np.concatenate([parts[m] for m in sorted(parts)])[:, None])
+                parts[m] = law[self.rows[self.of[m]]]
+        return _Laws([self.tables[r] for r in self.of], np.concatenate(parts)[:, None])
 
 
 def _orbits(family: TestFunctionFamily, group: np.ndarray) -> _Orbits:
@@ -584,17 +577,14 @@ def theorem53_check(rates: RateModel, t: float, family: TestFunctionFamily) -> T
 
 
 class HJCSpec:
-    """Convex H, increasing J with its inverse, and a claimed constant C for
-    the inequality int H(f - E f) dmu <= J(C ||delta f||_2).  h, j and j_inv
-    act elementwise on arrays."""
+    """Convex H and increasing J with its inverse, for the inequality
+    int H(f - E f) dmu <= J(C ||delta f||_2), whose constant C hjc_check
+    measures.  h, j and j_inv act elementwise on arrays."""
 
-    def __init__(self, h, j, j_inv, c: float, label: str = "custom"):
-        if c <= 0:
-            raise ValueError("C must be positive")
+    def __init__(self, h, j, j_inv, label: str = "custom"):
         self.h = h
         self.j = j
         self.j_inv = j_inv
-        self.c = float(c)
         self.label = label
         self._verify()
 
@@ -608,20 +598,18 @@ class HJCSpec:
             raise ValueError("J inverse fails the roundtrip check")
 
 
-def hjc_library(name: str, c: float = 1.0) -> HJCSpec:
+def hjc_library(name: str) -> HJCSpec:
     """Builtins: 'square' (x^2, x^2), 'exponential' (cosh x - 1, e^x - 1),
     'abs_p:p' (|x|^p, x^p)."""
     if name == "square":
-        return HJCSpec(lambda x: x * x, lambda y: y * y, np.sqrt, c, name)
+        return HJCSpec(lambda x: x * x, lambda y: y * y, np.sqrt, name)
     if name == "exponential":
-        return HJCSpec(lambda x: np.cosh(x) - 1.0, np.expm1, np.log1p, c, name)
+        return HJCSpec(lambda x: np.cosh(x) - 1.0, np.expm1, np.log1p, name)
     if name.startswith("abs_p:"):
         p = float(name.split(":", 1)[1])
         if p < 1:
             raise ValueError("|x|^p is convex only for p >= 1")
-        return HJCSpec(
-            lambda x: np.abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), c, name
-        )
+        return HJCSpec(lambda x: np.abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), name)
     raise ValueError(f"unknown (H, J) pair {name!r}")
 
 

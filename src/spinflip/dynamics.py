@@ -109,9 +109,10 @@ exact at alpha = 0; a value past the float range raises rather than
 reading inf.  Normality is tested on Gamma itself (G G^T = G^T G up
 to rounding), and a Gamma that is not normal raises: the bound is stated
 for translation-invariant rates.  Whether rates are translation invariant
-is read from their tables: RateModel.automorphisms holds the torus
-automorphisms that carry every rate term onto its image's bitwise, and
-the rates are translation invariant when every unit translation is one.
+is read from their tables, as their range R is: RateModel.automorphisms
+holds the torus automorphisms that carry every rate term onto its image's
+bitwise, and the rates are translation invariant when every unit
+translation is one.
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ class RateModel:
 
     table has 2^k entries, k = len(sites); key bit j is the spin at
     sites[j] (+1 = bit 1).  Repeated sites (wrap collisions on tiny tori)
-    keep one bit per listed site.
+    keep one bit per listed site.  `rate`, `rate_matrix` and
+    `stacked_table` read these listed terms.  Everything read off the
+    rates' structure (dependence, range, extreme rates, automorphisms,
+    Gamma) reads each site's reduced form instead: the sorted sites c(i, .)
+    reads and c(i, .) over their patterns, found on first use and kept.
     """
 
     def __init__(self, torus: Torus, site_terms, label: str):
@@ -178,10 +183,24 @@ class RateModel:
         self._engine = None
         self._gamma = None
 
+    @cached_property
+    def _reads(self):
+        """Per site, (sites, values): the sorted sites c(i, .) reads as an
+        array and c(i, .) over their patterns, key bit j the spin at
+        sites[j].  A site listed twice reads the diagonal of its key bits,
+        and a listed site whose bit changes no entry is dropped."""
+        reads = []
+        for sites, table in self._terms:
+            dep = sorted(set(sites))
+            values = table[gather_bits(np.arange(1 << len(dep), dtype=np.int64), [dep.index(s) for s in sites])]
+            keys = np.arange(values.size)
+            read = [j for j in range(len(dep)) if not np.array_equal(values[keys ^ (1 << j)], values)]
+            reads.append((np.array(dep, dtype=np.int64)[read], values[scatter_bits(np.arange(1 << len(read)), read)]))
+        return reads
+
     def dependence(self, i: int):
         """Sorted set of sites c(i, .) actually reads."""
-        sites, _ = self._terms[i]
-        return tuple(sorted(set(sites)))
+        return tuple(self._reads[i][0].tolist())
 
     def rate(self, i: int, state) -> float:
         sites, table = self._terms[i]
@@ -189,7 +208,7 @@ class RateModel:
 
     def stacked_table(self):
         """All sites' rates as one (positions, table) pair of shapes (N, w)
-        and (N, 2^w), w the widest dependence: c(i, s) is table[i, key] with
+        and (N, 2^w), w the longest listing: c(i, s) is table[i, key] with
         key bit j the bit of s at positions[i, j].  A narrower site's table
         is tiled to 2^w entries and its unused positions point at site 0, so
         the extra high key bits select identical copies."""
@@ -209,29 +228,14 @@ class RateModel:
             bit_tensor(row, n)[...] = bit_tensor(table, n, sites)
         return out
 
-    def rate_patterns(self, i: int, dep) -> np.ndarray:
-        """c(i, .) over the 2^len(dep) patterns of the sorted site tuple dep
-        (key bit j = spin at dep[j]); dep must hold every site c(i, .) reads."""
-        sites, table = self._terms[i]
-        pats = np.arange(1 << len(dep), dtype=np.int64)
-        return table[gather_bits(pats, [dep.index(s) for s in sites])]
-
-    def reachable_rates(self, i: int) -> np.ndarray:
-        """All values c(i, .) attains (patterns of the deduped dependence set)."""
-        return self.rate_patterns(i, self.dependence(i))
-
     def min_rate(self) -> float:
-        return min(float(self.reachable_rates(i).min()) for i in self.torus.sites())
+        return min(float(values.min()) for _, values in self._reads)
 
     def max_rate(self) -> float:
-        return max(float(self.reachable_rates(i).max()) for i in self.torus.sites())
+        return max(float(values.max()) for _, values in self._reads)
 
     def interaction_range(self) -> int:
-        r = 0
-        for i in self.torus.sites():
-            for j in self.dependence(i):
-                r = max(r, self.torus.distance(i, j))
-        return r
+        return max((self.torus.distance(i, j) for i in self.torus.sites() for j in self.dependence(i)), default=0)
 
     @cached_property
     def automorphisms(self) -> np.ndarray:
@@ -239,18 +243,10 @@ class RateModel:
         image's bitwise, identity first: they commute with the generator, and
         form a group, as maps that keep the terms exactly compose; so a
         candidate that the maps kept so far generate is not checked again.
-        A term is compared on the sites its table reads: a listed site whose
-        bit leaves every entry equal is dropped first.  Found on first use
+        A term is compared on the sites its table reads.  Found on first use
         and kept."""
-        terms = []
-        for i in self.torus.sites():
-            dep = self.dependence(i)
-            values = self.rate_patterns(i, dep)
-            keys = np.arange(values.size)
-            read = [j for j in range(len(dep)) if not np.array_equal(values[keys ^ (1 << j)], values)]
-            values = values[scatter_bits(np.arange(1 << len(read)), read)]
-            keys = np.arange(values.size)
-            terms.append((np.array(dep, dtype=np.int64)[read], values, (keys[:, None] >> np.arange(len(read))) & 1))
+        terms = [(sites, values, (np.arange(values.size)[:, None] >> np.arange(sites.size)) & 1)
+                 for sites, values in self._reads]
         n, gens = self.torus.n_sites, []
         kept = _generate(n, gens)
         for g in self.torus.automorphisms():
@@ -331,7 +327,6 @@ class PerturbedRates(RateModel):
         if self.eps0 >= 1.0:
             raise ValueError(f"perturbation bound {self.eps0} must be < 1")
         self.offsets = offsets
-        self.eps_table = table
         site_terms = []
         for i in torus.sites():
             base = torus.coord(i)
@@ -489,9 +484,9 @@ class _Fold:
 def _maps_terms(terms, image) -> bool:
     """Whether the site map i -> image[i] carries every site's rate term onto
     its image's bitwise: c(image[i], g(s)) = c(i, s) at every state s, g(s)
-    carrying spin_i(s) to site image[i].  terms[i] holds the sorted
-    dependence of c(i, .) as an array, c(i, .) over its patterns, and the
-    bits of those patterns, one column per dependence site."""
+    carrying spin_i(s) to site image[i].  terms[i] holds the sorted sites
+    c(i, .) reads as an array, c(i, .) over their patterns, and the bits of
+    those patterns, one column per site."""
     for i, (dep, values, bits) in enumerate(terms):
         moved, target, _ = terms[image[i]]
         to = image[dep]
@@ -1270,11 +1265,9 @@ def gamma_matrix(rates: RateModel) -> GammaResult:
     if rates._gamma is None:
         n = rates.torus.n_sites
         g = np.zeros((n, n))
-        for i in rates.torus.sites():
-            dep = rates.dependence(i)
-            vals = rates.rate_patterns(i, dep)
+        for i, (sites, vals) in enumerate(rates._reads):
             pats = np.arange(vals.size, dtype=np.int64)
-            for bit, j in enumerate(dep):
+            for bit, j in enumerate(sites):
                 g[i, j] = float(np.max(vals[pats ^ np.int64(1 << bit)] - vals))
         if not _is_normal(g):
             raise ValueError(

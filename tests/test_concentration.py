@@ -713,11 +713,11 @@ class TestHJC:
 
     def test_nonconvex_h_rejected(self):
         with pytest.raises(ValueError):
-            HJCSpec(np.sin, lambda y: y, lambda y: y, 1.0)
+            HJCSpec(np.sin, lambda y: y, lambda y: y)
 
     def test_nonmonotone_j_rejected(self):
         with pytest.raises(ValueError):
-            HJCSpec(lambda x: x * x, lambda y: -y, lambda y: -y, 1.0)
+            HJCSpec(lambda x: x * x, lambda y: -y, lambda y: -y)
 
     @staticmethod
     def at_time_zero(mu, f, spec):
@@ -753,7 +753,7 @@ class TestHJC:
         torus = Torus((6,))
         rates = IndependentRates(torus, 1.0)
         fam = TestFunctionFamily.monomials(torus, 2, max_count=8)
-        spec = hjc_library("square", c=1.0)
+        spec = hjc_library("square")
         report = hjc_check(rates, 0.5, uniform_measure(torus), spec, fam)
         assert report.holds
 
@@ -837,7 +837,7 @@ class TestHJC:
         torus = Torus((5,))
         rates = PerturbedRates.pair(torus, 0.1)
         fam = TestFunctionFamily.monomials(torus, 1, lambda_grid=(0.5, -0.5, 1.0))
-        spec = hjc_library("abs_p:4", c=1.0)
+        spec = hjc_library("abs_p:4")
         report = hjc_check(rates, 0.4, uniform_measure(torus), spec, fam)
         assert report.holds
 
@@ -849,11 +849,13 @@ class TestScanLaws:
 
     @staticmethod
     def family(torus, lambda_grid=DEFAULT_LAMBDA_GRID):
-        # a member built from unsorted sites, and one with more than two levels
+        # a member built from unsorted sites, one with more than two levels,
+        # and a bitwise copy of that one, a new object
         members = TestFunctionFamily.monomials(torus, 2, max_count=10).members + [
             Observable.monomial(torus, [5, 2]),
             Observable.monomial_sum(torus, [(1.0, [0]), (0.5, [3, 6]), (-0.25, [1, 4, 7])]),
         ]
+        members.append(Observable(torus, members[-1].support, members[-1].table))
         assert np.unique(members[-1].table).size >= 3
         return TestFunctionFamily(members, lambda_grid)
 
@@ -893,6 +895,34 @@ class TestScanLaws:
         assert [row["ratio"] for report in reports for row in report.rows] == [0.0] * (4 * len(fam))
         assert [row["lhs"] for row in t31.rows] == [0.0] * (3 * len(fam))
         assert t31.inner_constant == 0.0 and t31.measured_constant == 0.0 and t31.holds
+
+    def test_a_copy_reads_the_rows_of_its_original(self):
+        torus = Torus((8,))
+        fam = self.family(torus)
+        *_, (original, _), (copy, _) = fam.labeled()
+        mu = gibbs_measure(Potential.ising_nn(1, 0.3), torus)
+        for report in (empirical_gcb_constant(mu, fam), check_uvb(mu, fam)):
+            rows = {}
+            for row in report.rows:
+                rows.setdefault(row["label"], []).append((row["lam"], row["ratio"], row["lipschitz_sq"]))
+            assert rows[copy] == rows[original]
+
+    def test_two_scans_prepare_each_member_once(self, monkeypatch):
+        # the copy joins its original, so it is not prepared at all
+        torus = Torus((8,))
+        fam = self.family(torus)
+        prepared = []
+
+        def counted(f):
+            prepared.append(f)
+            return lipschitz_vector(f)
+
+        monkeypatch.setattr(concentration, "lipschitz_vector", counted)
+        mu = product_measure(torus, 0.3)
+        empirical_gcb_constant(mu, fam)
+        check_uvb(mu, fam)
+        assert len(prepared) == len(fam) - 1
+        assert all(a is b for a, b in zip(prepared, fam.members))
 
     def test_no_member_is_read_at_every_state(self, monkeypatch):
         torus = Torus((6,))

@@ -179,18 +179,34 @@ class TestRateModels:
 
     def test_automorphisms_ignore_listed_sites_the_table_does_not_read(self):
         # c(i, .) = 1 + 0.2 sigma_{i+1} on a 6-ring, listed once with only
-        # i + 1 at every site and once with site 0 also listing itself: the
-        # same rates, so the same automorphisms and conditions
+        # i + 1 at every site, and with site 0 also listing itself or the
+        # farther site 3: the same rates, so the same dependence, range,
+        # automorphisms and conditions
         n = 6
         rate = lambda i, s: 1.0 + 0.2 * (1.0 if s >> ((i + 1) % n) & 1 else -1.0)
         plain = CustomRates(Torus((n,)), lambda i: ((i + 1) % n,), rate)
-        padded = CustomRates(Torus((n,)), lambda i: (0, 1) if i == 0 else ((i + 1) % n,), rate)
-        assert padded.dependence(0) == (0, 1)
-        assert np.array_equal(plain.rate_matrix(), padded.rate_matrix())
-        assert len(plain.automorphisms) == n
-        assert np.array_equal(padded.automorphisms, plain.automorphisms)
-        assert validate_conditions(padded) == validate_conditions(plain)
-        assert validate_conditions(padded).ok and padded.translation_invariant
+        assert len(plain.automorphisms) == n and plain.interaction_range() == 1
+        for extra in (0, 3):
+            padded = CustomRates(Torus((n,)), lambda i: (extra, 1) if i == 0 else ((i + 1) % n,), rate)
+            assert padded.dependence(0) == (1,)
+            assert padded.interaction_range() == 1
+            assert np.array_equal(plain.rate_matrix(), padded.rate_matrix())
+            assert np.array_equal(padded.automorphisms, plain.automorphisms)
+            assert validate_conditions(padded) == validate_conditions(plain)
+            assert validate_conditions(padded).ok and padded.translation_invariant
+
+    def test_repeated_sites_read_the_diagonal(self):
+        # on a side-2 ring the offsets 0 and 2 land on the same site, whose
+        # two key bits read the diagonal of the table: the same structure as
+        # the rates listing each read site once
+        torus = Torus((2,))
+        repeated = PerturbedRates(torus, ((0,), (1,), (2,)), np.linspace(-0.7, 0.7, 8))
+        once = CustomRates(torus, lambda i: (i, (i + 1) % 2), repeated.rate)
+        assert np.array_equal(repeated.rate_matrix(), once.rate_matrix())
+        assert repeated.min_rate() == once.min_rate() and repeated.max_rate() == once.max_rate()
+        assert np.array_equal(gamma_matrix(repeated).matrix, gamma_matrix(once).matrix)
+        assert np.array_equal(repeated.automorphisms, once.automorphisms)
+        assert [repeated.dependence(i) for i in range(2)] == [once.dependence(i) for i in range(2)] == [(0, 1)] * 2
 
     def test_glauber_tables_are_bitwise_symmetric(self):
         # each site sums its terms' energy differences in sorted order, so

@@ -652,7 +652,10 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
                 g = lam * laws.mean[orbits.of[ms]]
                 m_out[k, ms] = spec.h(2.0 * (g[:, charged] - (g @ p)[:, None])) @ p[charged]
         c_start = float(np.max(spec.j_inv(np.array(inner)) / (2.0 * l2)))
-        c_out = float(np.max(spec.j_inv(m_out) / (2.0 * scale * orbits.spread(laws.mean_lipschitz()))))
+        # a member constant to rounding after S(t) bounds nothing: 0 <= J(0)
+        lip = scale * orbits.spread(laws.mean_lipschitz())
+        ratios = spec.j_inv(m_out[lip > 0]) / (2.0 * lip[lip > 0])
+        c_out = float(np.max(ratios)) if ratios.size else 0.0
         composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
         rhs = spec.j(composite * l2)
     rows = [

@@ -78,16 +78,21 @@ stored so scaled), and is gathered back; an orbit that an element of
 character -1 fixes carries 0.  The mean is the projection onto the symmetric vectors,
 the average of chi(g) v o g over G, which moves v by at most
 _SYMMETRY_RTOL ||v|| in that norm, and S(t) is a contraction there, so the
-route adds at most that to the truncation error.  A vector that repeats
-one evolved so, or is its global flip (on a folded engine), reads its
-result flipped or not; one within _SYMMETRY_RTOL of its image under a rate
-automorphism reads that result moved, which adds that much once more.  A
-vector with no lattice symmetry steps with the narrow batch's rest, one
-(half-)vector at a time.  The engine keeps what the search found for the
-vectors of its last narrow batch of each kind (functions, measures,
-densities), so a batch evolved again, as at each time of a scan, is not
-searched again; and it keeps the orbit operators it built, the most
-recently used, while their bytes fit in those of its own operator.
+route adds at most that to the truncation error.  A density is
+nonnegative, so its characters are +1 and the one clip to [min g, max g]
+after either route clips its orbit values as well.
+
+A narrow batch is planned before it steps, one step per vector.  A vector
+within _SYMMETRY_RTOL of an earlier one moved by a rate automorphism g
+and, on a folded engine, by the global flip (both commute with S(t))
+reads that vector's result so moved, which adds that much once more; a
+repeat is the identity's image.  Any other vector steps on the orbits of
+its stabilizer, or with the batch's vectors that have no lattice symmetry,
+one (half-)vector at a time.  The engine keeps its last narrow batch of
+each kind (functions, measures, densities) with its plan, which the same
+batch evolved again, as at each time of a scan, replays without a search;
+and it keeps the orbit operators it built, the most recently used, while
+their bytes fit in those of its own operator.
 
 Lipschitz propagation uses the flip-discrepancy matrix
 
@@ -540,21 +545,6 @@ class _Symmetry(NamedTuple):
     flip: float
 
 
-def _match(pairs, key: bytes, default=None):
-    """The value of the first (bytes, value) pair whose bytes equal key.  A
-    batch's columns are few and long: comparing bytes stops at the first
-    difference, where hashing them would read them whole."""
-    return next((value for b, value in pairs if b == key), default)
-
-
-class _Image(NamedTuple):
-    """A column read as the result of the batch's column with bytes
-    `source`, moved by the automorphism `image` of the rates"""
-
-    source: bytes
-    image: np.ndarray
-
-
 class _Quotient:
     """The engine's step operator B (its transpose for measures) on the
     orbits of a group G of state permutations, for the columns v with
@@ -735,21 +725,23 @@ class SemigroupEngine:
     contiguous rows, one `p @ row` per step each; other batches keep one
     multi-vector product per step.
 
-    A narrow batch on at least _ORBIT_MIN_STATES states first tries each
-    column on the orbit route of the module docstring (_narrow): it reads
-    the rate model's automorphisms (RateModel.automorphisms, found once per
-    rate model on first use), and finds each column's stabilizer
-    (_stabilizer) or image (_image) once per engine while it stays in the last narrow batch of its kind, which
-    `_searched` remembers by the column's bytes.  The orbit operator of a
-    group, its characters and direction (_Quotient, the route's step
-    operator pre-scaled) is cached while the cached operators' bytes fit in
-    `operator_bytes`, the least recently used leaving first, and `summary()`
-    lists each cached one's group order, elements of character -1 and
-    orbits.  Every route depends only on the batch's shape, so a wide batch
-    never searches.  A theorem check's law columns (one per level but one
-    of each orbit representative of its family) search when they are
-    narrow, as the single column of the one-site monomials does on at
-    least 2^14 states."""
+    A narrow batch on at least _ORBIT_MIN_STATES states takes the orbit
+    route of the module docstring (_narrow): _plan reads the rate model's
+    automorphisms (RateModel.automorphisms, found once per rate model on
+    first use) and gives each column one step, an earlier column's result
+    moved and flipped (_image, the one lookup), its stabilizer
+    (_stabilizer) or the fold.  `_plans` keeps the last narrow batch of each
+    kind, copied once, with its plan, which a batch equal to it replays
+    without a search or a copy.  A density is clipped once, after either
+    route (_apply).  The orbit operator of a group, its characters and
+    direction (_Quotient, the route's step operator pre-scaled) is cached
+    while the cached operators' bytes fit in `operator_bytes`, the least
+    recently used leaving first, and `summary()` lists each cached one's
+    group order, elements of character -1 and orbits.  Every route depends
+    only on the batch's shape, so a wide batch never searches.  A theorem
+    check's law columns (one per level but one of each orbit representative
+    of its family) search when they are narrow, as the single column of the
+    one-site monomials does on at least 2^14 states."""
 
     def __init__(self, rates: RateModel, tail_tol: float = DEFAULT_TAIL_TOL):
         self.rates = rates
@@ -778,7 +770,7 @@ class SemigroupEngine:
         self._weights = {}
         self._chebyshev = {}
         self._quotients = {}
-        self._searched = {}
+        self._plans = {}
 
     def summary(self) -> dict:
         """What the engine runs on, for reports; operator_bytes counts the
@@ -914,16 +906,15 @@ class SemigroupEngine:
             vec = vec / pi
         transposed = measures and not density
         cols = vec.reshape(len(vec), -1)
-        # S(t) g lies in [min g, max g] column by column
-        bounds = (cols.min(axis=0), cols.max(axis=0)) if density else None
         m, size = cols.shape[1], len(cols)
         narrow = m == 1 or _steps_by_row(size // 2 if self.flip_symmetric else size, m)
         if narrow and size >= _ORBIT_MIN_STATES:
-            out = self._narrow(cols, coefs, transposed, weights, bounds)
+            out = self._narrow(cols, coefs, transposed, weights)
         else:
             out = self._folded(cols, coefs, transposed)
-            if bounds:
-                np.clip(out, *bounds, out=out)
+        if density:
+            # S(t) g lies in [min g, max g] column by column
+            np.clip(out, cols.min(axis=0), cols.max(axis=0), out=out)
         out = out.reshape((len(times),) + vec.shape)
         if density:
             out *= pi
@@ -1028,75 +1019,49 @@ class SemigroupEngine:
             accs = accs.transpose(0, 2, 1)
         return fold.unfold(accs) if fold else accs
 
-    def _narrow(self, cols: np.ndarray, coefs, transposed: bool, weights, bounds) -> np.ndarray:
-        """_folded's sums for a narrow batch, column by column, each judged
-        in the norm of `weights` (see _norm), as (T, 2^N, m): the transpose
-        of a C-ordered (T, m, 2^N) buffer.  A column that admits a lattice
-        symmetry steps on the orbits of its stabilizer (see _stabilizer and
-        _Quotient) and is gathered back; bounds (a density's [min, max] per
-        column, or None) clip it on its orbit values.  A repeat of an evolved
-        column, or on a folded engine its flip, reads its result, and so
-        does its image under an automorphism of the rates (see _image),
-        moved: S(t)(f o g) = (S(t) f) o g.  The other columns step through
-        _folded together.
-
-        What the search found for each column, keyed by its norm (function,
-        measure or density) and bytes, is kept until the next narrow batch
-        of that norm: a group, an image of another column of the batch, or
-        None.  A batch that repeats the last one of its norm, as a time scan
-        does, searches nothing; an image whose source is not in the batch is
-        searched again."""
-        n, size, m = self.torus.n_sites, len(cols), cols.shape[1]
+    def _narrow(self, cols: np.ndarray, coefs, transposed: bool, weights) -> np.ndarray:
+        """_folded's sums for a narrow batch, column by column, as
+        (T, 2^N, m): the transpose of a C-ordered (T, m, 2^N) buffer.  Each
+        column takes its step of the batch's plan (see _plan): an earlier
+        column's result moved, S(t)(f o g) = (S(t) f) o g, and flipped; its
+        stabilizer's orbits (see _Quotient), gathered back; or _folded, with
+        the other columns without a step.  The last batch of each norm
+        (functions, measures, densities) is kept with its plan, which a batch
+        equal to it, as at each time of a scan, replays without a search."""
         kind = "functions" if weights is None else "measures" if transposed else "densities"
-        memo, found = self._searched.get(kind, []), []
-        out = np.empty((len(coefs), m, size))
-        # (bytes, column) of the evolved columns, and of those on orbits
-        done, rest, on_orbits = [], [], []
-        for j, col in enumerate(cols.T):
-            key = col.tobytes()
-            k = _match(done, key)
-            # on a folded engine, a column may be an evolved column's flip
-            flipped = k is None and self.flip_symmetric
-            if flipped:
-                k = next((k for _, k in done if np.array_equal(col, cols[::-1, k])), None)
-            if k is not None:
-                out[:, j] = out[:, k, ::-1] if flipped else out[:, k]
-                continue
-            # a hit keeps the memo's bytes, so a batch evolved again holds its
-            # keys once
-            key, outcome = next(((b, o) for b, o in memo if b == key), (key, False))
-            if isinstance(outcome, _Image):
-                # the source's bytes as this batch holds them, or a search
-                # when the batch has not evolved it on orbits
-                source = next((b for b, _ in on_orbits if b == outcome.source), None)
-                outcome = source is not None and outcome._replace(source=source)
-            if outcome is False:
-                image = self._image(col, cols[:, [k for _, k in on_orbits]], weights)
-                outcome = _Image(on_orbits[image[0]][0], image[1]) if image else self._stabilizer(col, weights)
-            found.append((key, outcome))
-            if outcome is None:
-                rest.append(j)
-                continue
-            if isinstance(outcome, _Image):
-                for at, result in zip(out[:, j], out[:, _match(on_orbits, outcome.source)]):
-                    at[...] = permute_states(result, n, outcome.image)
-                if bounds:
-                    np.clip(out[:, j], bounds[0][j], bounds[1][j], out=out[:, j])
-            else:
-                q = self._quotient(outcome, transposed)
-                sums = self._sum(q.reduce(col), q.step, coefs)
-                if bounds:
-                    np.clip(sums, bounds[0][j], bounds[1][j], out=sums)
-                q.expand(sums, out[:, j])
-                on_orbits.append((key, j))
-            done.append((key, j))
-        self._searched[kind] = found
+        last = self._plans.get(kind)
+        if last is not None and np.array_equal(last[0], cols):
+            plan = last[1]
+        else:
+            plan = self._plan(cols, weights)
+            self._plans[kind] = (cols.copy(), plan)
+        n = self.torus.n_sites
+        out = np.empty((len(coefs), cols.shape[1], len(cols)))
+        # the fold first: an image may read the result of a column stepped there
+        rest = [j for j, step in enumerate(plan) if step is None]
         if rest:
-            folded = self._folded(cols[:, rest], coefs, transposed)
-            if bounds:
-                np.clip(folded, bounds[0][rest], bounds[1][rest], out=folded)
-            out[:, rest] = folded.transpose(0, 2, 1)
+            out[:, rest] = self._folded(cols[:, rest], coefs, transposed).transpose(0, 2, 1)
+        for j, step in enumerate(plan):
+            if isinstance(step, _Symmetry):
+                q = self._quotient(step, transposed)
+                q.expand(self._sum(q.reduce(cols[:, j]), q.step, coefs), out[:, j])
+            elif step is not None:
+                k, g, flip = step
+                for at, result in zip(out[:, j], out[:, k]):
+                    moved = permute_states(result, n, g)
+                    at[...] = moved[::-1] if flip else moved
         return out.transpose(0, 2, 1)
+
+    def _plan(self, cols: np.ndarray, weights) -> list:
+        """One step per column of a narrow batch, each judged in the norm of
+        `weights` (see _norm): (k, g, flip) when the column is an earlier
+        column k moved by g and, when flip is set, flipped (see _image), a
+        repeat being the identity's image; else its stabilizer (see
+        _stabilizer), or None when it has no lattice symmetry."""
+        return [
+            self._image(col, cols[:, :j], weights) or self._stabilizer(col, weights)
+            for j, col in enumerate(cols.T)
+        ]
 
     @cached_property
     def _probe(self):
@@ -1181,19 +1146,23 @@ class SemigroupEngine:
         return np.all(w * np.abs(at - want) <= tol, axis=0), np.all(w * np.abs(at + want) <= tol, axis=0)
 
     def _image(self, col: np.ndarray, sources: np.ndarray, weights):
-        """(k, g) for the first column k of sources and automorphism g of the
-        rates with sources[:, k] moved by g, sources[g(s), k], within
-        _SYMMETRY_RTOL of col's norm of col (in the norm of `weights`, see
-        _norm), so that S(t) col is S(t) sources[:, k] moved by g to that
-        error; None when there is none."""
-        norm = _norm(col, weights) if sources.size else 0.0
+        """(k, g, flip) for the first column k of sources, automorphism g of
+        the rates and, on a folded engine, global flip or not, with
+        sources[:, k] moved by g, sources[g(s), k], and read at the flipped
+        state S - 1 - s when flip is set, within _SYMMETRY_RTOL of col's
+        norm of col (in the norm of `weights`, see _norm), so that S(t) col
+        is S(t) sources[:, k] so moved to that error; None when there is
+        none.  A repeat is the identity's image."""
+        norm = _norm(col, weights)
         if not 0.0 < norm < np.inf:
             return None
         tol, n, group = _SYMMETRY_RTOL * norm, self.torus.n_sites, self.rates.automorphisms
         for k, source in enumerate(sources.T):
-            for g in np.flatnonzero(self._near(source, col, tol, weights)[0]):
-                if _norm(permute_states(source, n, group[g]) - col, weights) <= tol:
-                    return k, group[g]
+            for flip in (False, True)[: 1 + self.flip_symmetric]:
+                moving = source[::-1] if flip else source
+                for g in np.flatnonzero(self._near(moving, col, tol, weights)[0]):
+                    if _norm(permute_states(moving, n, group[g]) - col, weights) <= tol:
+                        return k, group[g], flip
         return None
 
     def _quotient(self, sym: _Symmetry, transposed: bool) -> _Quotient:

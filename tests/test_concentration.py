@@ -757,6 +757,24 @@ class TestHJC:
         report = hjc_check(rates, 0.5, uniform_measure(torus), spec, fam)
         assert report.holds
 
+    @pytest.mark.parametrize(
+        "rates, t",
+        [(IndependentRates(Torus((6,)), 1.0), 50.0), (PerturbedRates.pair(Torus((6,)), 0.1), 20.0)],
+        ids=["independent-50", "perturbed-20"],
+    )
+    def test_a_member_constant_to_rounding_bounds_nothing(self, rates, t):
+        # the conserve defaults on a 6-ring (uniform start, 40 monomials of
+        # up to 3 sites, square (H, J)): by these times some evolved members
+        # are constant to rounding, with Lipschitz norm exactly 0, and 0 <=
+        # J(0) leaves C_out to the others
+        torus = rates.torus
+        family = TestFunctionFamily.monomials(torus, 3, max_count=40)
+        _, laws = concentration._member_laws(rates, t, family)
+        assert np.any(laws.mean_lipschitz() == 0.0) and np.any(laws.mean_lipschitz() > 0.0)
+        report = hjc_check(rates, t, uniform_measure(torus), hjc_library("square"), family)
+        assert report.holds
+        assert math.isfinite(report.c_mu) and math.isfinite(report.composite_constant)
+
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_dense_transition_matrix(self, t):
         # C_start, C_out and every row's left side from a dense expm(t Q),

@@ -986,14 +986,33 @@ class TestQuotientRoute:
         rng = np.random.default_rng(3)
         for t, got in ((0.4, first), (0.9, later)):
             assert sup_gap(got, engine.evolve_functions(widened(cols, rng, False), t)[:, :2]) <= 1e-13
-        # the memo holds the last batch's two columns, one operator
-        assert [len(found) for found in engine._searched.values()] == [2]
+        # the plan store holds the last batch's two columns, one operator
+        assert [len(plan) for _, plan in engine._plans.values()] == [2]
         assert len(engine.summary()["quotients"]) == 1
         # the vertical bond alone: its source is not in the batch, so it is
         # searched again and steps on its own group's orbits
         alone = engine.evolve_functions(cols[:, 1], 0.4)
         assert calls == {"_stabilizer": 2, "_image": 3}
         assert sup_gap(alone[:, None], first[:, 1:]) <= 1e-13
+
+    def test_a_flipped_translate_reads_the_moved_result(self, monkeypatch, orbits_everywhere):
+        # sigma_0 + sigma_{0,1} / 2 and the global flip of its translate by
+        # (1, 1): one lookup reads the second as the first moved and
+        # flipped, so only the first is searched for its stabilizer
+        torus = Torus((3, 3))
+        rates = GlauberRates(torus, Potential.ising_nn(2, 0.6))
+        engine = SemigroupEngine(rates)
+        assert engine.flip_symmetric
+
+        def column(a, b):
+            return monomial_values_dense(torus, (a,)) + 0.5 * monomial_values_dense(torus, (a, b))
+
+        cols = np.column_stack([column(0, 1), column(*(torus.translate(i, (1, 1)) for i in (0, 1)))[::-1]])
+        calls = self.count_searches(monkeypatch)
+        got = engine.evolve_functions(cols, 0.5)
+        assert calls["_stabilizer"] == 1
+        e = scipy.linalg.expm(0.5 * generator_matrix(rates).toarray())
+        assert sup_gap(got, e @ cols) <= 1e-13
 
     def test_a_column_changed_in_place_is_searched_again(self, monkeypatch, orbits_everywhere):
         torus = Torus((3, 3))

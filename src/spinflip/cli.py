@@ -27,6 +27,7 @@ import numpy as np
 
 from . import acceptance
 from .concentration import (
+    ABS_P_RANGE,
     TestFunctionFamily,
     check_uvb,
     empirical_gcb_constant,
@@ -504,7 +505,7 @@ def cmd_conserve(cfg: ExperimentConfig, args) -> dict:
     family = build_family(cfg, torus)
     theorem = args.theorem
     if theorem == "hjc" and args.hjc == "abs_p" and not 1 <= args.hjc_p < math.inf:
-        raise ConfigError(f"--hjc-p {args.hjc_p}: need 1 <= p < inf (|x|^p is convex only for p >= 1)")
+        raise ConfigError(f"--hjc-p {args.hjc_p}: {ABS_P_RANGE}")
     engine = build_engine(cfg, rates)
     gamma = build_gamma(cfg, rates, integral=theorem == "53")
     if theorem == "53":

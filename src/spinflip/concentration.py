@@ -589,13 +589,20 @@ class HJCSpec:
         self._verify()
 
     def _verify(self, lo: float = -6.0, hi: float = 6.0, n: int = 241):
-        if np.any(np.diff(self.h(np.linspace(lo, hi, n)), 2) < -1e-9):
-            raise ValueError("H fails the convexity grid check")
-        if np.any(np.diff(self.j(np.linspace(0.0, hi, n))) < -1e-12):
-            raise ValueError("J fails the monotonicity grid check")
-        ys = np.array([0.1, 1.0, 3.0])
-        if np.any(np.abs(self.j_inv(self.j(ys)) - ys) > 1e-8):
-            raise ValueError("J inverse fails the roundtrip check")
+        # an H or J past the float range reads inf, and differences of infs
+        # nan, on the grid; the checks read those values as they are
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.any(np.diff(self.h(np.linspace(lo, hi, n)), 2) < -1e-9):
+                raise ValueError("H fails the convexity grid check")
+            if np.any(np.diff(self.j(np.linspace(0.0, hi, n))) < -1e-12):
+                raise ValueError("J fails the monotonicity grid check")
+            ys = np.array([0.1, 1.0, 3.0])
+            if np.any(np.abs(self.j_inv(self.j(ys)) - ys) > 1e-8):
+                raise ValueError("J inverse fails the roundtrip check")
+
+
+# the exponents p for which |x|^p and y^p make an (H, J) pair
+ABS_P_RANGE = "need 1 <= p < inf (|x|^p is convex only for p >= 1)"
 
 
 def hjc_library(name: str) -> HJCSpec:
@@ -607,8 +614,8 @@ def hjc_library(name: str) -> HJCSpec:
         return HJCSpec(lambda x: np.cosh(x) - 1.0, np.expm1, np.log1p, name)
     if name.startswith("abs_p:"):
         p = float(name.split(":", 1)[1])
-        if p < 1:
-            raise ValueError("|x|^p is convex only for p >= 1")
+        if not 1 <= p < math.inf:
+            raise ValueError(ABS_P_RANGE)
         return HJCSpec(lambda x: np.abs(x) ** p, lambda y: y**p, lambda m: m ** (1.0 / p), name)
     raise ValueError(f"unknown (H, J) pair {name!r}")
 

@@ -19,15 +19,23 @@ followed verbatim), and generator powers of L = sum_B lambda(B) L_B obey
 with K = max |B|, M = max |lambda(B)|, |bb| the shape count, giving the
 analyticity radius t0 = 1/(2 M |bb| (|A|+K)).
 
-Expansions run on integers.  A monomial is a Python-int bitmask over a
-row-major box of Z^d holding every site the expansion can reach, so a
-translate is one integer shift and sigma_G sigma_F is G ^ F; the
-coefficients of L^n sigma_A are integer numerators over den^n, den the lcm
-of the denominators of the lambda(B).  Norms, bound checks and series sums
-read this integer form; monomials become frozensets of coordinates, and
-coefficients exact Fractions, only when a caller reads a result's
-polynomial terms, and then once.  Floats appear only when a time series is
-summed.  The exact sup norm over a support of m sites is the largest
+Expansions run on integers.  Each site of a row-major box of Z^d holding
+every site the expansion can reach is one bit, so the monomials of a
+polynomial are the rows of a (T, W) array of little-endian uint64 words,
+W = ceil(box volume / 64), and its coefficients are a (T,) array of integer
+numerators over den^n, den the lcm of the denominators of the lambda(B).
+The numerators are int64 while a bound proves every partial sum of the
+next step below 2^62, and Python ints in an object array past it.  A step
+of L = sum_B lambda(B) L_B unpacks each term's sites and, per shape, XORs
+the shape's bit pattern shifted to each site into a copy of the term's
+words (L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) ^ A}); a shape's block of
+candidates is merged by a sort and a segmented sum of equal rows before
+the next shape's is built (small steps merge all shapes' candidates at
+once), the merged blocks are merged the same way, and zero sums drop out.
+Norms, bound checks and series sums read this integer form; monomials
+become frozensets of coordinates, and coefficients exact Fractions, only
+when a caller reads a result's polynomial terms, and then once.  Floats
+appear only when a time series is summed.  The exact sup norm over a support of m sites is the largest
 absolute entry of one fast Walsh-Hadamard transform (Fino & Algazi 1976)
 of the 2^m vector of numerators: m 2^m integer additions.
 
@@ -43,7 +51,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +59,8 @@ import numpy as np
 from .lattice import EXACT_SITE_CAP, Torus, monomial_values_dense
 
 TERM_CAP = 10**7
+# candidates merged at once
+_BLOCK = 1 << 16
 POWER_CAP = 8
 
 
@@ -82,38 +91,154 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _patterns(masks, support: int) -> np.ndarray:
-    """Each bitmask's bits at the set positions of `support`, packed low to
-    high into an int64: its index among the 2^|support| patterns."""
-    width = max(1, (support.bit_length() + 7) // 8)
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    sup = np.frombuffer(support.to_bytes(width, "little"), dtype=np.uint8)
+# Bitmask words: little-endian, so that a row's bytes read low bits first on
+# every host.
+_WORD = np.dtype("<u8")
+
+
+def _sites(masks: np.ndarray) -> tuple:
+    """(t, j): row t of the (T, W) words has bit j set, in row order."""
+    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+    return np.divmod(np.flatnonzero(bits.view(bool)), 64 * masks.shape[1])
+
+
+def _words(rows, n_bits: int) -> np.ndarray:
+    """(T, W) words, W = ceil(n_bits / 64) and at least 1, row t with the
+    bits of the positions rows[t] set."""
+    size = 8 * max(1, -(-n_bits // 64))
+    data = b"".join(sum(1 << j for j in row).to_bytes(size, "little") for row in rows)
+    return np.frombuffer(data, dtype=_WORD).reshape(len(rows), size // 8)
+
+
+def _numerators(values) -> np.ndarray:
+    """Integer numerators: int64 while their l1 norm is below 2^62 (so every
+    sum of them is exact), Python ints in an object array past it."""
+    return np.array(values, dtype=np.int64 if sum(map(abs, values)) < 1 << 62 else object)
+
+
+def _runs(masks: np.ndarray) -> tuple:
+    """(order, starts): the order that sorts the rows of masks, and where
+    each run of equal rows begins in it (read one word at a time)."""
+    order = masks[:, 0].argsort() if masks.shape[1] == 1 else np.lexsort(masks.T)
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for w in range(masks.shape[1]):
+        word = masks[order, w]
+        new[1:] |= word[1:] != word[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _merge(masks: np.ndarray, nums: np.ndarray) -> tuple:
+    """(masks, nums) with the numerators of equal rows summed and zero sums
+    dropped."""
+    if not len(nums):
+        return masks, nums
+    order, starts = _runs(masks)
+    sums = np.add.reduceat(nums[order], starts)
+    keep = sums != 0
+    return masks[order[starts[keep]]], sums[keep]
+
+
+def _toggles(offsets, width: int) -> tuple:
+    """(shift, pattern) for rows of box offsets.  At a term site j, row r
+    toggles the bits j + lo + e for its lowest offset lo and the set bits e
+    of pattern[r], its offsets less lo as words, low word first.  Pattern
+    word l lands in word w shifted up by j + shift[r, w] + 64 l bits, with
+    shift[r, w] = lo - 64 w as a wrapped uint64."""
+    lo = np.array([min(ds, default=0) for ds in offsets], dtype=np.int64)
+    span = max((max(ds) - min(ds) for ds in offsets if ds), default=0)
+    pattern = _words([[d - m for d in ds] for ds, m in zip(offsets, lo.tolist())], span + 1)
+    return (lo[:, None] - 64 * np.arange(width)).astype(np.uint64), pattern
+
+
+def _step(masks: np.ndarray, nums: np.ndarray, toggles: tuple, lams) -> tuple:
+    """sum_B lambda(B) L_B on the terms (masks, nums), from one row per
+    shape B: its _toggles and lam = -2 * numerator of lambda(B), by
+    L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) ^ A}.
+
+    The step has sum_t |A_t| candidates per row; their count is checked
+    against TERM_CAP before any of them is built.  Every partial sum of a
+    merge is at most l1(nums) * max |A_t| * sum |lam|, so the step runs on
+    int64 while that bound, read in float64 for int64 numerators, is below
+    2^62 (float rounding is far inside the factor 2 to int64's range), and
+    on Python ints past it."""
+    pops = np.bitwise_count(masks).sum(axis=1)
+    candidates = int(pops.sum()) * len(lams)
+    if candidates > TERM_CAP:
+        raise RuntimeError("term-count overflow in the expansion")
+    if not candidates:
+        return masks[:0], nums[:0]
+    factor = int(pops.max()) * sum(map(abs, lams))
+    l1 = np.abs(nums).sum(dtype=object if nums.dtype == object else np.float64)
+    dtype = np.int64 if factor < 1 << 62 and l1 * factor < 1 << 62 else object
+    blocks = list(_blocks(masks, nums.astype(dtype, copy=False), toggles, np.array(lams, dtype=dtype)))
+    if len(blocks) == 1:
+        return blocks[0]
+    joined = [np.concatenate(part) for part in zip(*blocks)]
+    del blocks  # the last merge holds the joined copy only
+    return _merge(*joined)
+
+
+def _blocks(masks: np.ndarray, nums: np.ndarray, toggles: tuple, lams: np.ndarray):
+    """The candidates of a step, merged block by block: a row's candidates
+    are the words of every term with the row's _toggles applied at each of
+    the term's sites.  Rows go into one block up to _BLOCK candidates, and
+    past it one row is a block, so a wide step holds one row's candidates
+    at a time besides the merged blocks."""
+    t, s = _sites(masks)
+    src, vals = masks[t], nums[t]
+    shift, pattern = toggles
+    per = max(1, _BLOCK // max(1, s.size))
+    for k in range(0, len(lams), per):
+        # a shift c >= 0 moves a pattern word up (<< c), one below 0 down
+        # (>> -c); numpy shifts an unsigned word by 64 or more to 0, so a
+        # word the pattern misses, and each wrong-way shift, reads 0
+        c = s.view(np.uint64)[:, None] + shift[k : k + per, None, :]
+        block = src
+        for l in range(pattern.shape[1]):
+            word = pattern[k : k + per, l, None, None]
+            block = block ^ (np.left_shift(word, c) | np.right_shift(word, -c))
+            c += np.uint64(64)
+        yield _merge(block.reshape(-1, masks.shape[1]), np.multiply.outer(lams[k : k + per], vals).reshape(-1))
+
+
+def _patterns(masks: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Each row's bits at the set positions of `support` (a (1, W) row of
+    words), packed low to high into an int64: its index among the
+    2^|support| patterns."""
+    sup = support.view(np.uint8)[0]
     used = np.flatnonzero(sup)
-    bits = np.unpackbits(raw.reshape(-1, width)[:, used], axis=1, bitorder="little")
+    bits = np.unpackbits(masks.view(np.uint8)[:, used], axis=1, bitorder="little")
     bits = bits[:, np.unpackbits(sup[used], bitorder="little").astype(bool)]
     return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
 
 
-def _norms(terms: dict, den: int, cap: int) -> tuple:
-    """Exact (l1 norm, sup norm) of sum_S terms[S] / den sigma_S over
-    bitmasks S, after dividing numerators and den by their gcd (den is then
-    the lcm of the reduced denominators).  The sup norm is None when the
-    support exceeds cap sites or the reduced l1 norm reaches 2^62, the bound
-    on every partial sum of the int64 Walsh-Hadamard transform whose
-    entries are the polynomial's values (at complemented patterns)."""
-    if not terms:
-        return Fraction(0), Fraction(0)
-    g = math.gcd(den, *terms.values())
-    den //= g
-    nums = [c // g for c in terms.values()] if g > 1 else list(terms.values())
-    l1 = sum(map(abs, nums))
-    support = functools.reduce(operator.or_, terms)
-    if support.bit_count() > cap or l1 >= 1 << 62:
-        return Fraction(l1, den), None
-    vals = np.zeros(1 << support.bit_count(), dtype=np.int64)
-    vals[_patterns(terms, support)] = nums
-    vals = _walsh_hadamard(vals)
-    return Fraction(l1, den), Fraction(max(int(vals.max()), -int(vals.min())), den)
+class _Norms:
+    """Exact norms of sum_t nums[t] / den sigma_{masks[t]}, from one
+    reduction: numerators and den divided by their gcd (den is then the lcm
+    of the reduced denominators), the reduced l1 norm and the support."""
+
+    def __init__(self, masks: np.ndarray, nums: np.ndarray, den: int):
+        g = math.gcd(den, int(np.gcd.reduce(nums))) if len(nums) else den
+        self.masks, self.nums, self.den = masks, (nums // g if g > 1 else nums), den // g
+        self.total = int(np.abs(self.nums).sum())  # exact: int64 numerators sum below 2^62
+        self.l1 = Fraction(self.total, self.den)
+        self.support = np.bitwise_or.reduce(masks, axis=0, keepdims=True)
+
+    def sup(self, cap: int):
+        """The sup norm; None when the support exceeds cap sites or the
+        reduced l1 norm reaches 2^62, the bound on every partial sum of the
+        int64 Walsh-Hadamard transform whose entries are the polynomial's
+        values (at complemented patterns)."""
+        if not len(self.nums):
+            return Fraction(0)
+        m = int(np.bitwise_count(self.support).sum())
+        if m > cap or self.total >= 1 << 62:
+            return None
+        vals = np.zeros(1 << m, dtype=np.int64)
+        vals[_patterns(self.masks, self.support)] = self.nums
+        vals = _walsh_hadamard(vals)
+        return Fraction(max(int(vals.max()), -int(vals.min())), self.den)
 
 
 class SetPolynomial:
@@ -169,46 +294,28 @@ class SetPolynomial:
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
         return {key: c.numerator * (scale // c.denominator) for key, c in self.terms.items()}, scale
 
-    def _integer_form(self) -> tuple[dict, int]:
-        """numerators() keyed by bitmasks, bit j for the support's j-th site."""
-        pos = {s: 1 << j for j, s in enumerate(self.support())}
+    def _integer_form(self) -> tuple:
+        """(masks, nums, den): numerators() as words of bitmasks, bit j for
+        the support's j-th site, and an array of numerators over den."""
+        pos = {s: j for j, s in enumerate(self.support())}
         nums, scale = self.numerators()
-        return {sum(map(pos.get, key)): c for key, c in nums.items()}, scale
+        return _words([[pos[s] for s in key] for key in nums], len(pos)), _numerators(list(nums.values())), scale
+
+    @property
+    def _norms(self) -> _Norms:
+        return _Norms(*self._integer_form())
 
     def coeff_l1(self) -> Fraction:
-        return _norms(*self._integer_form(), cap=-1)[0]  # no support fits cap -1: no transform
+        return self._norms.l1
 
     def exact_sup_norm(self, cap: int = EXACT_SITE_CAP):
         """Exact sup norm over every spin pattern of the support, as an exact
         Fraction; None when the support exceeds the cap or the l1 norm of
-        the numerators reaches 2^62 (see _norms)."""
-        return _norms(*self._integer_form(), cap)[1]
+        the numerators reaches 2^62 (see _Norms.sup)."""
+        return self._norms.sup(cap)
 
     def __repr__(self):
         return f"SetPolynomial({self.n_terms()} terms)"
-
-
-def _apply_table(terms: dict, table) -> dict:
-    """sum_B lambda(B) L_B on {bitmask: numerator}, from the rows (bitmask of
-    B shifted up by -base, base, -2 * numerator of lambda(B)) and
-    L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) ^ A}."""
-    out = {}
-    get = out.get
-    for a, c in terms.items():
-        sites = []
-        bits = a
-        while bits:
-            low = bits & -bits
-            sites.append(low.bit_length() - 1)
-            bits ^= low
-        for b, base, lam in table:
-            v = lam * c
-            for i in sites:
-                key = (b << (i + base)) ^ a
-                out[key] = get(key, 0) + v
-        if len(out) > TERM_CAP:
-            raise RuntimeError("term-count overflow in the expansion")
-    return {key: v for key, v in out.items() if v}
 
 
 class _Expansion:
@@ -220,10 +327,10 @@ class _Expansion:
     intervals [x_k + reach_lo, x_k + reach_hi] around the support's
     coordinates, with the gaps between them closed, so its volume follows
     the reachable sites and not the spread of the support.  No step leaves
-    its interval, so a shape translated to site i is its bitmask shifted by
-    i, and no index wraps.  Coefficients are integer numerators over `den`:
-    the lcm of p's denominators times, per step, the lcm of that step's
-    lambda denominators."""
+    its interval, so a shape translated to site i is its box offsets plus
+    i, and no index wraps.  Monomials are rows of words (see _step) and
+    coefficients integer numerators over `den`: the lcm of p's denominators
+    times, per step, the lcm of that step's lambda denominators."""
 
     def __init__(self, poly: SetPolynomial, steps, dim=None):
         support = poly.support()
@@ -254,7 +361,8 @@ class _Expansion:
         self.strides = [math.prod(widths[k + 1 :]) for k in range(dim)]
         self.sites = {}
         nums, self.den = poly.numerators()
-        self.terms = {sum(1 << self.index(x) for x in key): c for key, c in nums.items()}
+        self.masks = _words([[self.index(x) for x in key] for key in nums], math.prod(widths))
+        self.nums = _numerators(list(nums.values()))
 
     def index(self, x) -> int:
         j = 0
@@ -263,44 +371,52 @@ class _Expansion:
             j += (firsts[m] + a - starts[m]) * stride
         return j
 
-    def key(self, mask: int) -> frozenset:
-        """The monomial of a bitmask, as a frozenset of coordinates."""
-        out = []
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            if j not in self.sites:
-                coords, rest = [], j
-                for (starts, firsts), stride in zip(self.axes, self.strides):
-                    q, rest = divmod(rest, stride)
-                    m = bisect.bisect_right(firsts, q) - 1
-                    coords.append(starts[m] + q - firsts[m])
-                self.sites[j] = tuple(coords)
-            out.append(self.sites[j])
-            mask ^= low
-        return frozenset(out)
+    def site(self, j: int) -> tuple:
+        """The coordinates of box position j."""
+        if j not in self.sites:
+            coords, rest = [], j
+            for (starts, firsts), stride in zip(self.axes, self.strides):
+                q, rest = divmod(rest, stride)
+                m = bisect.bisect_right(firsts, q) - 1
+                coords.append(starts[m] + q - firsts[m])
+            self.sites[j] = tuple(coords)
+        return self.sites[j]
+
+    def keys(self, masks: np.ndarray) -> list:
+        """The monomial of each row of words, as a frozenset of coordinates."""
+        t, s = _sites(masks)
+        sites = list(map(self.site, s.tolist()))
+        ends = np.cumsum(np.bincount(t, minlength=len(masks))).tolist()
+        return [frozenset(sites[a:b]) for a, b in zip([0] + ends, ends)]
 
     def __iter__(self):
         """The polynomial before the first step and after each, as
         _ExpandedPolynomials."""
-        terms, den = self.terms, self.den
-        yield _ExpandedPolynomial(self, terms, den)
+        masks, nums, den = self.masks, self.nums, self.den
+        yield _ExpandedPolynomial(self, masks, nums, den)
+        tables = {}  # generator powers repeat one {shape: lambda} dict
         for shapes in self.steps:
-            step_den = math.lcm(*(lam.denominator for lam in shapes.values()))
-            table = []
-            for b, lam in shapes.items():
-                if lam:
-                    deltas = [sum(a * s for a, s in zip(o, self.strides)) for o in b]
-                    base = min(deltas, default=0)
-                    table.append((sum(1 << (d - base) for d in deltas), base, -2 * lam.numerator * (step_den // lam.denominator)))
-            terms = _apply_table(terms, table)
+            if id(shapes) not in tables:
+                tables[id(shapes)] = self.table(shapes)
+            step_den, toggles, lams = tables[id(shapes)]
+            masks, nums = _step(masks, nums, toggles, lams)
             den *= step_den
-            yield _ExpandedPolynomial(self, terms, den)
+            yield _ExpandedPolynomial(self, masks, nums, den)
 
-    def polynomial(self, terms: dict, den: int) -> SetPolynomial:
-        """{bitmask: numerator} over den as frozensets and Fractions."""
+    def table(self, shapes: dict) -> tuple:
+        """(step_den, toggles, lams) of one step sum_B lambda(B) L_B:
+        step_den the lcm of the lambda denominators, and per shape with a
+        nonzero lambda its _toggles row and -2 lambda(B) step_den."""
+        step_den = math.lcm(*(lam.denominator for lam in shapes.values()))
+        rows = [(b, lam) for b, lam in shapes.items() if lam]
+        offsets = [[sum(a * s for a, s in zip(o, self.strides)) for o in b] for b, _ in rows]
+        lams = [-2 * lam.numerator * (step_den // lam.denominator) for _, lam in rows]
+        return step_den, _toggles(offsets, self.masks.shape[1]), lams
+
+    def polynomial(self, masks: np.ndarray, nums: np.ndarray, den: int) -> SetPolynomial:
+        """Words and numerators over den as frozensets and Fractions."""
         res = SetPolynomial()
-        res.terms = {self.key(mask): Fraction(c, den) for mask, c in terms.items()}
+        res.terms = {key: Fraction(c, den) for key, c in zip(self.keys(masks), nums.tolist())}
         return res
 
     def run(self) -> SetPolynomial:
@@ -310,25 +426,30 @@ class _Expansion:
 
 
 class _ExpandedPolynomial(SetPolynomial):
-    """A polynomial of an _Expansion kept as {bitmask: numerator} over den.
-    Its norms and term count read this integer form; its frozenset/Fraction
-    terms are built on first read, once."""
+    """A polynomial of an _Expansion kept as words and numerators over den.
+    Its norms and term count read this integer form, its norms from one
+    cached reduction; its frozenset/Fraction terms are built on first read,
+    once."""
 
-    def __init__(self, expansion: _Expansion, masks: dict, den: int):
-        self.expansion, self.masks, self.den = expansion, masks, den
+    def __init__(self, expansion: _Expansion, masks: np.ndarray, nums: np.ndarray, den: int):
+        self.expansion, self.masks, self.nums, self.den = expansion, masks, nums, den
 
     @functools.cached_property
     def terms(self) -> dict:
-        return self.expansion.polynomial(self.masks, self.den).terms
+        return self.expansion.polynomial(self.masks, self.nums, self.den).terms
 
     def n_terms(self) -> int:
-        return len(self.masks)
+        return len(self.nums)
 
     def support(self) -> frozenset:
-        return self.expansion.key(functools.reduce(operator.or_, self.masks, 0))
+        return self.expansion.keys(np.bitwise_or.reduce(self.masks, axis=0, keepdims=True))[0]
 
-    def _integer_form(self) -> tuple[dict, int]:
-        return self.masks, self.den
+    def _integer_form(self) -> tuple:
+        return self.masks, self.nums, self.den
+
+    @functools.cached_property
+    def _norms(self) -> _Norms:
+        return _Norms(*self._integer_form())
 
 
 def chain_bound(shape_sizes, a_size: int) -> int:
@@ -345,7 +466,8 @@ def chain_bound(shape_sizes, a_size: int) -> int:
 
 def _checked(cls, poly: SetPolynomial, bound, estimate: str):
     """cls(poly, sup, l1, bound, exact_available) from poly's norms, once
-    l1 <= bound and sup <= l1 are checked."""
+    l1 <= bound and sup <= l1 are checked.  An expansion's two norms read
+    one cached reduction (_ExpandedPolynomial._norms)."""
     l1 = poly.coeff_l1()
     sup = poly.exact_sup_norm()
     if l1 > bound:
@@ -495,6 +617,15 @@ class SeriesResult:
     n_max: int
 
 
+def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as floats, each rounded as float(Fraction(c, den)): one
+    float64 division where both operands are exact in a double, Python's
+    correctly rounded int division otherwise."""
+    if den < 1 << 53 and nums.dtype != object and np.abs(nums).max(initial=0) < 1 << 53:
+        return nums / den
+    return (nums.astype(object) / den).astype(np.float64)
+
+
 def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResult:
     """Partial sum over n <= n_max of t^n/n! L^n sigma_A, plus the geometric
     tail bound sum_{n > n_max} rho^n with rho = 2 t M |bb| (|A|+K)."""
@@ -503,14 +634,23 @@ def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResul
     if t < 0 or t >= t0:
         raise ValueError(f"t = {t} is outside [0, t0) with t0 = {t0}")
     a = as_monomial(A)
-    acc = {}
-    for n, poly in enumerate(generator_powers(gen, n_max, a)):
-        w, den = t**n / math.factorial(n), poly.den
-        for mask, c in poly.masks.items():
-            acc[mask] = acc.get(mask, 0.0) + w * (c / den)  # c / den rounds as float(Fraction(c, den))
+    powers = list(generator_powers(gen, n_max, a))
+    masks = np.concatenate([p.masks for p in powers])
+    order, starts = _runs(masks)
+    # the monomial of each row, as an index into the distinct rows
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+    # acc gains t^n/n! * c/den in the order of n, as a dict sum per monomial
+    # would: the rows of one power are distinct monomials
+    acc = np.zeros(starts.size)
+    at = 0
+    for n, poly in enumerate(powers):
+        acc[index[at : at + poly.n_terms()]] += t**n / math.factorial(n) * _quotients(poly.nums, poly.den)
+        at += poly.n_terms()
     rho = 2.0 * t * float(gen.m_max_coeff) * gen.size * (len(a) + gen.k_max_shape)
     remainder = rho ** (n_max + 1) / (1.0 - rho)
-    acc = {poly.expansion.key(mask): v for mask, v in acc.items() if v != 0.0}
+    keep = acc != 0.0
+    acc = dict(zip(powers[0].expansion.keys(masks[order[starts[keep]]]), acc[keep].tolist()))
     return SeriesResult(acc, remainder, rho, n_max)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,16 @@ class TestExitCodes:
         code = main(["evolve", "--config", str(config), "--sides", "4", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "bad value for times.grid" in capsys.readouterr().err
+
+    def test_hjc_p_past_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # |x|^p at p = 1e300 overflows on HJCSpec's grid; the grid checks
+        # read inf and nan quietly, and the roundtrip check refuses the pair
+        argv = ["conserve", "--sides", "4", "--theorem", "hjc", "--hjc", "abs_p", "--hjc-p", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: --hjc abs_p:1e+300: J inverse fails the roundtrip check"]
 
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, args):

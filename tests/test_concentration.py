@@ -1,6 +1,7 @@
 """Concentration ratios, tails, and the theorem pipelines."""
 
 import math
+import re
 import warnings
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from scipy.linalg import expm
 
 from spinflip import concentration
 from spinflip.concentration import (
+    ABS_P_RANGE,
     DEFAULT_LAMBDA_GRID,
     HJCSpec,
     TestFunctionFamily,
@@ -710,6 +712,12 @@ class TestHJC:
         assert ex.j_inv(ex.j(0.9)) == pytest.approx(0.9)
         p4 = hjc_library("abs_p:4")
         assert p4.h(-2.0) == 16.0
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+    def test_abs_p_outside_its_range_rejected(self, p):
+        # a nan p passes p < 1 and J's roundtrip check, and J would read nan
+        with pytest.raises(ValueError, match=re.escape(ABS_P_RANGE)):
+            hjc_library(f"abs_p:{p}")
 
     def test_nonconvex_h_rejected(self):
         with pytest.raises(ValueError):

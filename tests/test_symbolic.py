@@ -487,7 +487,7 @@ class TestIntegerRoute:
             n = int(rng.integers(0, 6 if dim == 1 else 4))
             res = apply_generator_power(gen, n, a)
             poly = res.polynomial
-            reduced += math.gcd(poly.den, *poly.masks.values()) > 1
+            reduced += math.gcd(poly.den, *poly.nums.tolist()) > 1
             plain = SetPolynomial(poly.terms)
             assert res.coeff_l1_norm == plain.coeff_l1()
             assert res.exact_sup_norm == plain.exact_sup_norm()
@@ -537,7 +537,7 @@ class TestIntegerRoute:
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
     def test_no_fraction_terms_until_read(self, monkeypatch, tmp_path):
-        def refuse(self, terms, den):
+        def refuse(self, *args):
             raise AssertionError("frozenset/Fraction terms built")
 
         shapes = TestIntegerExpansion.SPECS["1d"]
@@ -553,6 +553,146 @@ class TestIntegerRoute:
         assert series.coeffs
         assert power.polynomial.terms == generator_recursion(shapes, {a: Fraction(1)}, 3)[0]
         assert chain.polynomial.terms == chain_recursion([as_monomial([0, 1]), as_monomial([-1])], a)
+
+
+def dict_step(terms: dict, table) -> dict:
+    """The per-term dict step the word kernel replaced, kept as its oracle:
+    sum_B lambda(B) L_B on {bitmask: numerator}, from the rows (bitmask of B
+    shifted up by -base, base, lam) and L_B sigma_A = -2 sum_{i in A}
+    sigma_{(B+i) ^ A}."""
+    out = {}
+    get = out.get
+    for a, c in terms.items():
+        sites = []
+        bits = a
+        while bits:
+            low = bits & -bits
+            sites.append(low.bit_length() - 1)
+            bits ^= low
+        for b, base, lam in table:
+            v = lam * c
+            for i in sites:
+                key = (b << (i + base)) ^ a
+                out[key] = get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def both_steps(terms: dict, rows, n_bits: int):
+    """One step of rows (box offsets, lam) on {bitmask: numerator} by the word
+    kernel and by dict_step; the kernel's result as a dict, the oracle's, and
+    the kernel's numerator dtype."""
+    masks = symbolic._words([[j for j in range(n_bits) if m >> j & 1] for m in terms], n_bits)
+    nums = symbolic._numerators(list(terms.values()))
+    toggles = symbolic._toggles([d for d, _ in rows], masks.shape[1])
+    got_masks, got_nums = symbolic._step(masks, nums, toggles, [lam for _, lam in rows])
+    got = {int.from_bytes(row.tobytes(), "little"): c for row, c in zip(got_masks, got_nums.tolist())}
+    assert len(got) == len(got_nums)  # merged: one row per monomial
+    table = [(sum(1 << (d - min(ds)) for d in ds), min(ds, default=0), lam) for ds, lam in rows]
+    return got, dict_step(terms, table), got_nums.dtype
+
+
+class TestWordKernel:
+    """The (T, W) word step against the dict step it replaced."""
+
+    @staticmethod
+    def random_case(rng, n_bits, stride):
+        """Terms on sites far enough from the ends of n_bits positions that
+        every offset stays inside, and rows of offsets dx * stride + dy with
+        |dx|, |dy| <= 1 (stride 1: one axis, offsets in [-2, 2])."""
+        if stride == 1:
+            pool, reach = list(range(-2, 3)), 2
+        else:
+            pool, reach = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], stride + 1
+        terms = {}
+        for _ in range(int(rng.integers(1, 12))):
+            sites = rng.choice(np.arange(reach, n_bits - reach), size=int(rng.integers(0, 5)), replace=False)
+            terms[sum(1 << int(j) for j in sites)] = int(rng.choice([-9, -4, -1, 1, 2, 7]))
+        rows = [
+            ([int(d) for d in rng.choice(pool, size=int(rng.integers(0, 4)), replace=False)], int(rng.integers(1, 7)) * int(rng.choice([-1, 1])))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        return terms, rows
+
+    # boxes of 63, 64 and 65 sites and one past 200, across word boundaries;
+    # stride 70 makes shapes span more than one word
+    @pytest.mark.parametrize("n_bits, stride", [(63, 1), (64, 1), (65, 1), (230, 1), (63, 8), (65, 8), (230, 70)])
+    @pytest.mark.parametrize("block", [symbolic._BLOCK, 3], ids=["one-block", "row-blocks"])
+    def test_matches_the_dict_step(self, monkeypatch, n_bits, stride, block):
+        # a block of 3 merges each row's candidates alone, then joins them
+        monkeypatch.setattr(symbolic, "_BLOCK", block)
+        rng = np.random.default_rng([n_bits, stride])
+        for _ in range(25):
+            terms, rows = self.random_case(rng, n_bits, stride)
+            got, want, dtype = both_steps(terms, rows, n_bits)
+            assert got == want
+            assert dtype == np.int64
+
+    def test_powers_on_boxes_across_word_boundaries(self):
+        # at n = 2 the box holds x - 2 .. x + 2 around each site of A: a run
+        # of r sites and k sites 10 apart fill r + 4 + 5 k positions, here
+        # 63, 64, 65 and 201, one, one, two and four words
+        shapes = {frozenset(): Fraction(1), frozenset({(1,)}): Fraction(1, 3), frozenset({(-1,), (1,)}): Fraction(-1, 2)}
+        gen = GeneratorSpec(list(shapes.items()))
+        for r, k, width in ((4, 11, 1), (5, 11, 1), (6, 11, 2), (2, 39, 4)):
+            start = list(range(r)) + [100 + 10 * i for i in range(k)]
+            assert symbolic._Expansion(SetPolynomial.monomial(start), [gen.shapes] * 2).masks.shape == (1, width)
+            want, _ = generator_recursion(shapes, {as_monomial(start): Fraction(1)}, 2)
+            assert apply_generator_power(gen, 2, start).polynomial.terms == want
+
+    def test_large_numerators_take_python_ints(self):
+        rng = np.random.default_rng(5)
+        for start in (1, 10**20):
+            terms, rows = self.random_case(rng, 65, 1)
+            terms = {m: c * start for m, c in terms.items()}
+            rows = [(d, lam * 10**20) for d, lam in rows]
+            got, want, dtype = both_steps(terms, rows, 65)
+            assert got == want
+            assert dtype == object
+
+    def test_int64_while_the_bound_is_below_2_62(self):
+        # one term of two sites and the empty shape: every partial sum is at
+        # most 2 |c|; both bounds are exact in a double
+        for c, dtype in ((2**61 - 2**9, np.int64), (2**61, object)):
+            got, want, kind = both_steps({0b11 << 4: c}, [([], 1)], 64)
+            assert got == want == {0b11 << 4: 2 * c}
+            assert kind == dtype
+
+    def test_cancelling_terms_drop_out(self):
+        terms = {0b101 << 3: 3, 0b110 << 3: -2}
+        got, want, _ = both_steps(terms, [([1], 2), ([1], -2)], 64)
+        assert got == want == {}
+        # on sigma_{3,5}, shape {-1} at 5 and shape {1} at 3 both give
+        # sigma_{3,4,5}, with opposite signs
+        got, want, _ = both_steps({0b101 << 3: 1}, [([-1], 1), ([1], -1)], 64)
+        assert got == want == {(1 << 2) | (1 << 3) | (1 << 5): 1, (1 << 3) | (1 << 5) | (1 << 6): -1}
+
+    def test_a_constant_is_killed(self):
+        got, want, _ = both_steps({0: 5}, [([], 1), ([0, 1], 3)], 64)
+        assert got == want == {}
+        got, want, _ = both_steps({0: 5, 1 << 7: 2}, [([], 1), ([0, 1], 3)], 64)
+        assert got == want == {1 << 7: 2, 1 << 8: 6}
+
+
+class TestTermCap:
+    # L = L_{} + L_{1} on sigma_{0,1}: 2 sites times 2 shapes, 4 candidates
+    GEN = GeneratorSpec([((), 1), (((1,),), 1)])
+
+    def test_just_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "TERM_CAP", 4)
+        assert apply_generator_power(self.GEN, 1, [0, 1]).polynomial.terms == {
+            as_monomial([0, 1]): Fraction(-4),
+            as_monomial([0]): Fraction(-2),
+            as_monomial([0, 1, 2]): Fraction(-2),
+        }
+
+    def test_over_the_cap_raises_before_building_a_candidate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidates built")
+
+        monkeypatch.setattr(symbolic, "TERM_CAP", 3)
+        monkeypatch.setattr(symbolic, "_blocks", refuse)
+        with pytest.raises(RuntimeError, match="term-count overflow in the expansion"):
+            apply_generator_power(self.GEN, 1, [0, 1])
 
 
 class TestSeries:

@@ -156,50 +156,64 @@ def _step(masks: np.ndarray, nums: np.ndarray, toggles: tuple, lams) -> tuple:
     shape B: its _toggles and lam = -2 * numerator of lambda(B), by
     L_B sigma_A = -2 sum_{i in A} sigma_{(B+i) ^ A}.
 
-    The step has sum_t |A_t| candidates per row; their count is checked
-    against TERM_CAP before any of them is built.  Every partial sum of a
-    merge is at most l1(nums) * max |A_t| * sum |lam|, so the step runs on
-    int64 while that bound, read in float64 for int64 numerators, is below
-    2^62 (float rounding is far inside the factor 2 to int64's range), and
-    on Python ints past it."""
+    No block holds more than TERM_CAP candidates, and the merged blocks are
+    merged into one whenever they pass TERM_CAP rows, so a step holds at
+    most 2 TERM_CAP merged rows; a merge past TERM_CAP terms raises.
+    Every partial sum of a merge is at most l1(nums) * max |A_t| * sum |lam|,
+    so the step runs on int64 while that bound, read in float64 for int64
+    numerators, is below 2^62 (float rounding is far inside the factor 2 to
+    int64's range), and on Python ints past it."""
     pops = np.bitwise_count(masks).sum(axis=1)
-    candidates = int(pops.sum()) * len(lams)
-    if candidates > TERM_CAP:
-        raise RuntimeError("term-count overflow in the expansion")
-    if not candidates:
+    if not pops.any() or not lams:
         return masks[:0], nums[:0]
     factor = int(pops.max()) * sum(map(abs, lams))
     l1 = np.abs(nums).sum(dtype=object if nums.dtype == object else np.float64)
     dtype = np.int64 if factor < 1 << 62 and l1 * factor < 1 << 62 else object
-    blocks = list(_blocks(masks, nums.astype(dtype, copy=False), toggles, np.array(lams, dtype=dtype)))
-    if len(blocks) == 1:
-        return blocks[0]
-    joined = [np.concatenate(part) for part in zip(*blocks)]
-    del blocks  # the last merge holds the joined copy only
-    return _merge(*joined)
+    held = []
+    for block in _blocks(masks, nums.astype(dtype, copy=False), toggles, np.array(lams, dtype=dtype)):
+        held.append(block)
+        if sum(len(n) for _, n in held) > TERM_CAP:
+            _fold(held)
+    del block  # the last merge holds the joined copy only
+    return _fold(held)
+
+
+def _fold(held: list) -> tuple:
+    """The merged blocks in held merged into its one block (held is emptied
+    first, so the merge holds the joined copy only); past TERM_CAP distinct
+    terms it raises."""
+    if len(held) > 1:
+        joined = [np.concatenate(part) for part in zip(*held)]
+        held.clear()
+        held.append(_merge(*joined))
+    if len(held[0][1]) > TERM_CAP:
+        raise RuntimeError("term-count overflow in the expansion")
+    return held[0]
 
 
 def _blocks(masks: np.ndarray, nums: np.ndarray, toggles: tuple, lams: np.ndarray):
     """The candidates of a step, merged block by block: a row's candidates
     are the words of every term with the row's _toggles applied at each of
-    the term's sites.  Rows go into one block up to _BLOCK candidates, and
-    past it one row is a block, so a wide step holds one row's candidates
-    at a time besides the merged blocks."""
+    the term's sites.  Rows go into one block up to _BLOCK (and TERM_CAP)
+    candidates, past it one row is a block, and a row with more than
+    TERM_CAP candidates is built TERM_CAP sites at a time."""
     t, s = _sites(masks)
-    src, vals = masks[t], nums[t]
     shift, pattern = toggles
-    per = max(1, _BLOCK // max(1, s.size))
-    for k in range(0, len(lams), per):
-        # a shift c >= 0 moves a pattern word up (<< c), one below 0 down
-        # (>> -c); numpy shifts an unsigned word by 64 or more to 0, so a
-        # word the pattern misses, and each wrong-way shift, reads 0
-        c = s.view(np.uint64)[:, None] + shift[k : k + per, None, :]
-        block = src
-        for l in range(pattern.shape[1]):
-            word = pattern[k : k + per, l, None, None]
-            block = block ^ (np.left_shift(word, c) | np.right_shift(word, -c))
-            c += np.uint64(64)
-        yield _merge(block.reshape(-1, masks.shape[1]), np.multiply.outer(lams[k : k + per], vals).reshape(-1))
+    per = max(1, min(_BLOCK, TERM_CAP) // s.size)
+    for a in range(0, s.size, TERM_CAP):
+        src, vals, at = masks[t[a : a + TERM_CAP]], nums[t[a : a + TERM_CAP]], s[a : a + TERM_CAP]
+        for k in range(0, len(lams), per):
+            # a shift c >= 0 moves a pattern word up (<< c), one below 0
+            # down (>> -c); numpy shifts an unsigned word by 64 or more to
+            # 0, so a word the pattern misses, and each wrong-way shift,
+            # reads 0
+            c = at.view(np.uint64)[:, None] + shift[k : k + per, None, :]
+            block = src
+            for l in range(pattern.shape[1]):
+                word = pattern[k : k + per, l, None, None]
+                block = block ^ (np.left_shift(word, c) | np.right_shift(word, -c))
+                c += np.uint64(64)
+            yield _merge(block.reshape(-1, masks.shape[1]), np.multiply.outer(lams[k : k + per], vals).reshape(-1))
 
 
 def _patterns(masks: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -617,15 +631,6 @@ class SeriesResult:
     n_max: int
 
 
-def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """nums / den as floats, each rounded as float(Fraction(c, den)): one
-    float64 division where both operands are exact in a double, Python's
-    correctly rounded int division otherwise."""
-    if den < 1 << 53 and nums.dtype != object and np.abs(nums).max(initial=0) < 1 << 53:
-        return nums / den
-    return (nums.astype(object) / den).astype(np.float64)
-
-
 def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResult:
     """Partial sum over n <= n_max of t^n/n! L^n sigma_A, plus the geometric
     tail bound sum_{n > n_max} rho^n with rho = 2 t M |bb| (|A|+K)."""
@@ -645,7 +650,9 @@ def truncated_series(gen: GeneratorSpec, t: float, A, n_max: int) -> SeriesResul
     acc = np.zeros(starts.size)
     at = 0
     for n, poly in enumerate(powers):
-        acc[index[at : at + poly.n_terms()]] += t**n / math.factorial(n) * _quotients(poly.nums, poly.den)
+        # each quotient rounded as float(Fraction(c, den)): Python's int
+        # division is correctly rounded
+        acc[index[at : at + poly.n_terms()]] += t**n / math.factorial(n) * (poly.nums.astype(object) / poly.den).astype(np.float64)
         at += poly.n_terms()
     rho = 2.0 * t * float(gen.m_max_coeff) * gen.size * (len(a) + gen.k_max_shape)
     remainder = rho ** (n_max + 1) / (1.0 - rho)

@@ -627,6 +627,18 @@ class TestWordKernel:
             assert got == want
             assert dtype == np.int64
 
+    @pytest.mark.parametrize("n_bits", [65, 230])
+    def test_rows_past_the_cap_are_built_in_slices(self, monkeypatch, n_bits):
+        # the empty shape maps each of a term's |A_t| candidates to A_t: with
+        # the cap at the term count, a row's sum_t |A_t| candidates are built
+        # in slices and the slices' merged blocks folded together
+        rng = np.random.default_rng(n_bits)
+        for _ in range(25):
+            terms, _ = self.random_case(rng, n_bits, 1)
+            monkeypatch.setattr(symbolic, "TERM_CAP", len(terms))
+            got, want, _ = both_steps(terms, [([], 3)], n_bits)
+            assert got == want
+
     def test_powers_on_boxes_across_word_boundaries(self):
         # at n = 2 the box holds x - 2 .. x + 2 around each site of A: a run
         # of r sites and k sites 10 apart fill r + 4 + 5 k positions, here
@@ -674,25 +686,37 @@ class TestWordKernel:
 
 
 class TestTermCap:
-    # L = L_{} + L_{1} on sigma_{0,1}: 2 sites times 2 shapes, 4 candidates
+    # L = L_{} + L_{1} on sigma_{0,1}: each shape has 2 candidates, one per
+    # site of A, and the step merges the 4 into 3 terms
     GEN = GeneratorSpec([((), 1), (((1,),), 1)])
 
     def test_just_under_the_cap(self, monkeypatch):
-        monkeypatch.setattr(symbolic, "TERM_CAP", 4)
+        monkeypatch.setattr(symbolic, "TERM_CAP", 3)
         assert apply_generator_power(self.GEN, 1, [0, 1]).polynomial.terms == {
             as_monomial([0, 1]): Fraction(-4),
             as_monomial([0]): Fraction(-2),
             as_monomial([0, 1, 2]): Fraction(-2),
         }
 
-    def test_over_the_cap_raises_before_building_a_candidate(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("candidates built")
-
-        monkeypatch.setattr(symbolic, "TERM_CAP", 3)
-        monkeypatch.setattr(symbolic, "_blocks", refuse)
+    def test_merged_terms_over_the_cap_raise(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "TERM_CAP", 2)
         with pytest.raises(RuntimeError, match="term-count overflow in the expansion"):
             apply_generator_power(self.GEN, 1, [0, 1])
+
+    def test_blocks_stay_within_the_cap(self, monkeypatch):
+        # L_{} on sigma_{0,1,2}: 3 candidates, all sigma_{0,1,2}; with the
+        # cap at 1 each is its own block, and no merge sees more than 2 rows
+        merged = []
+
+        def merge(masks, nums):
+            merged.append(len(nums))
+            return _merge(masks, nums)
+
+        _merge = symbolic._merge
+        monkeypatch.setattr(symbolic, "TERM_CAP", 1)
+        monkeypatch.setattr(symbolic, "_merge", merge)
+        assert apply_generator_power(GeneratorSpec([((), 1)]), 1, [0, 1, 2]).polynomial.terms == {as_monomial([0, 1, 2]): Fraction(-6)}
+        assert max(merged) == 2
 
 
 class TestSeries:

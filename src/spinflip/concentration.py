@@ -14,39 +14,29 @@ what the conservation pipelines consume as the initial-measure input.
 
 Every number here (the log-moment at every lambda, the variance, the
 H-integral, and S(t)f, which ||delta S(t)f|| needs) is a sum over the levels
-l of a member f against its law P(f = l), so one reader, `_Laws`, serves the
-two scans and the four checks.  A scan reads the law under its measure nu as
+l of a member f against its law P(f = l).  One reader, `_Laws`, serves the
+two scans and the four checks: law blocks of shape (members, levels,
+measures), one per level count, so each reader is a reduction over a
+block's level axis.  A two-level block holds every monomial sigma_A, and
+reads p = P(f = l_0) in closed form: the log-moment is concave in p, so its
+maximum over the Dirac starts is read at the two starts whose p lie on
+either side of its maximizer.  A scan reads the law under its measure nu as
 the push-forward of nu's marginal on f's support, 2^|support| patterns, not
 f at every state.  Scans and checks prepare a family's members (||delta
-f||_2^2 and the level tables) once, in the _Orbits the family keeps per
-group of site maps: a check's group is the rate automorphisms, a scan's
-the identity alone, under which only a bitwise copy joins an earlier
-member.
+f||_2^2, the level tables and the law columns) once, in the _Orbits the
+family keeps per group of site maps: the rate automorphisms for a check,
+the identity alone for a scan.
 
 The pipelines measure the per-start constants the theorems quantify over,
-exactly and for every Dirac start, and assert the composite bounds term by
-term.  One batched `evolve_functions` call of 2 1{f = l} - 1 for every
-level but the most frequent of every member gives the law under each start
-delta_sigma S(t), and by duality, <mu S(t), g> = <mu, S(t) g>, under mu S(t).
-No measure is evolved, so no array grows with the square of the 2^N states.
-
-The theorems assume translation-invariant rates, and a rate automorphism g
-(RateModel.automorphisms: a site map that carries every rate term onto its
-image bitwise) commutes with S(t).  So a member f' = f o g, f'(s) = f(g(s)),
-has under the start s the law f has under g(s), and the checks evolve and
-read one representative per orbit of the family (_Orbits).  A member joins
-an earlier representative only when g maps its support onto the
-representative's and the re-keyed tables are bitwise equal, and it keeps
-its own g, so the family need not be closed under the group.  Its maxima
-over starts are the representative's, its per-start vectors the
-representative's moved by g (lattice.permute_states), and its law under
-mu S(t) the representative's laws against mu moved by g^-1: no invariance
-of mu is assumed, and Dirac, product and fixed-boundary starts stay exact.
-A family without orbits, or rates with no automorphism but the identity,
-makes every member its own representative, and each evolves and reads its
-own laws.
-Constant family members are skipped by every scan, since ||delta f||_2 = 0
-leaves their ratios undefined.
+exactly for every Dirac start, from one batched `evolve_functions` call of
+the law columns (see _member_laws), and read mu S(t) by duality, <mu S(t),
+g> = <mu, S(t) g>: no measure is evolved.  A rate automorphism g (a site
+map carrying every rate term onto its image bitwise) commutes with S(t), so
+a member f o g has under the start s the law f has under g(s): the checks
+evolve one representative per orbit (_Orbits), and read its laws against mu
+moved by g^-1, or against mu itself where that move leaves mu bitwise
+equal.  Constant members are skipped, as ||delta f||_2 = 0 leaves their
+ratios undefined.
 
     exponential moments:  lhs <= D_t ||delta f||^2 + C_mu ||delta S(t)f||^2,
                           and C(mu S(t)) <= D_t + K(t) C_mu
@@ -55,39 +45,31 @@ leaves their ratios undefined.
     (H, J, C):            int H(f - E f) d(mu S(t)) <= J((2 C_start
                           + 2 C_mu sqrt(K(t))) ||delta f||_2)
 
-K(t) is the squared 2->2 norm of e^{t Gamma}, read from the rate model's
-cached `dynamics.GammaResult` in closed form, e^{2 t alpha}: Gamma is normal
-for translation-invariant rates on a torus, and one that is not raises, as
-the theorems assume translation invariance.  The Lipschitz contraction runs
-through the transposed matrix, which has the same singular values, so
-one-sided bounds here are unaffected.
+K(t) = e^{2 t alpha} is the squared 2->2 norm of e^{t Gamma}, read from the
+rate model's cached `dynamics.GammaResult`: Gamma is normal for
+translation-invariant rates on a torus, and one that is not raises.  Its
+transpose, through which the Lipschitz contraction runs, has the same
+singular values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .dynamics import RateModel, engine_for, gamma_matrix
 from .dynamics import k_of_t  # noqa: F401  (re-exported; tracers look it up here)
 from .entropy import marginal
 from .gibbs import probs_of
-from .lattice import (
-    Observable,
-    Torus,
-    bit_tensor,
-    lipschitz_norm,
-    lipschitz_vector,
-    lipschitz_vector_dense,
-    permute_states,
-)
+from .lattice import Observable, Torus, bit_tensor, lipschitz_norm, lipschitz_vector
+from .lattice import lipschitz_vector_dense, permute_states
 
-DEFAULT_LAMBDA_GRID = tuple(
-    s * 0.25 * 2**k for k in range(4) for s in (1.0, -1.0)
-)
+DEFAULT_LAMBDA_GRID = tuple(s * 0.25 * 2**k for k in range(4) for s in (1.0, -1.0))
 
 # float slack of every conservation check's comparison of a measured side
 # with its bound
@@ -108,11 +90,8 @@ def product_uvb_constant() -> float:
 
 
 class TestFunctionFamily:
-    """Finite family of observables plus a lambda-grid of scale multipliers.
-
-    Empirical constants maximize over members x grid; deterministic from the
-    seed so reports are reproducible.
-    """
+    """Finite family of observables plus a lambda-grid of scale multipliers:
+    empirical constants maximize over members x grid."""
 
     __test__ = False  # keeps pytest from collecting the class by its name
 
@@ -136,37 +115,25 @@ class TestFunctionFamily:
         at max_count >= 1 members."""
         if max_count <= 0:
             raise ValueError(f"max_count {max_count} leaves no room for a member")
-        members = []
-        for size in range(1, k_max + 1):
-            for sites in combinations(torus.sites(), size):
-                members.append(Observable.monomial(torus, sites))
-                if len(members) >= max_count:
-                    return cls(members, lambda_grid, f"monomials:{k_max}")
-        return cls(members, lambda_grid, f"monomials:{k_max}")
+        supports = islice((s for size in range(1, k_max + 1) for s in combinations(torus.sites(), size)), max_count)
+        return cls([Observable.monomial(torus, s) for s in supports], lambda_grid, f"monomials:{k_max}")
 
     @classmethod
-    def random_combinations(
-        cls,
-        torus: Torus,
-        count: int,
-        seed: int,
-        max_terms: int = 3,
-        k_max: int = 3,
-        lambda_grid=DEFAULT_LAMBDA_GRID,
-    ):
-        """Seeded sparse monomial combinations with coefficients in [-1, 1]."""
+    def random_combinations(cls, torus: Torus, count: int, seed: int, max_terms: int = 3, k_max: int = 3,
+                            lambda_grid=DEFAULT_LAMBDA_GRID):
+        """Seeded sparse monomial combinations with coefficients in [-1, 1]:
+        per member a term count, then per term a size, its sites and its
+        coefficient, drawn in that order."""
         if k_max > torus.n_sites:
             raise ValueError(f"k_max {k_max} exceeds the {torus.n_sites} sites")
         rng = np.random.default_rng(seed)
-        members = []
-        for _ in range(count):
-            n_terms = int(rng.integers(1, max_terms + 1))
-            terms = []
-            for _ in range(n_terms):
-                size = int(rng.integers(1, k_max + 1))
-                sites = rng.choice(torus.n_sites, size=size, replace=False)
-                terms.append((float(rng.uniform(-1.0, 1.0)), [int(s) for s in sites]))
-            members.append(Observable.monomial_sum(torus, terms))
+
+        def term():
+            sites = rng.choice(torus.n_sites, size=int(rng.integers(1, k_max + 1)), replace=False)
+            return float(rng.uniform(-1.0, 1.0)), [int(s) for s in sites]
+
+        members = [Observable.monomial_sum(torus, [term() for _ in range(int(rng.integers(1, max_terms + 1)))])
+                   for _ in range(count)]
         return cls(members, lambda_grid, f"random:{count}:{seed}")
 
     def labeled(self):
@@ -201,9 +168,9 @@ def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> Concentrati
     whichever route evolved mu."""
     probs = probs_of(mu)
     orbits = _orbits(family, np.arange(family.members[0].torus.n_sites)[None, :])
-    law = [np.bincount(at, weights=marginal(probs, f.support), minlength=levels.size)
-           for f, (levels, at) in zip(orbits.fs, orbits.tables)]
-    laws = _Laws(orbits.tables, np.concatenate(law)[:, None])
+    law = iter([np.bincount(at, weights=marginal(probs, f.support), minlength=levels.size)
+                for f, (levels, at) in zip(orbits.fs, orbits.tables)])
+    laws = _Laws(orbits.levels, [np.array([next(law) for _ in lv])[:, :, None] for lv in orbits.levels])
     l2sq = orbits.rep_l2sq
     ratios = orbits.spread(np.array([
         laws.variance()[:, 0] / l2sq if lam is None else laws.log_moment(lam)[:, 0] / (lam * lam * l2sq) for lam in lams
@@ -217,24 +184,18 @@ def _scan(kind: str, mu, family: TestFunctionFamily, bound, lams) -> Concentrati
     top = best["ratio"]
     # an infinite top ties nothing (inf - inf is NaN) and keeps its own row
     first = next((r for r in rows if r["ratio"] >= top - 1e-12 * abs(top)), best)
-    violations = []
-    if bound is not None:
-        violations = [r for r in rows if r["ratio"] > bound * (1 + 1e-9) + 1e-12]
+    violations = [] if bound is None else [r for r in rows if r["ratio"] > bound * (1 + 1e-9) + 1e-12]
     return ConcentrationReport(kind, top, first["label"], rows, bound, violations, family.label)
 
 
-def empirical_gcb_constant(
-    mu, family: TestFunctionFamily, bound: float | None = None
-) -> ConcentrationReport:
+def empirical_gcb_constant(mu, family: TestFunctionFamily, bound: float | None = None) -> ConcentrationReport:
     """C-hat = max over members x lambda-grid of the ratio
     log E_mu e^{lambda (f - E_mu f)} / (lambda^2 ||delta f||_2^2).
     A lower bound on any valid GCB constant for mu."""
     return _scan("gcb", mu, family, bound, family.lambda_grid)
 
 
-def check_uvb(
-    mu, family: TestFunctionFamily, bound: float | None = None
-) -> ConcentrationReport:
+def check_uvb(mu, family: TestFunctionFamily, bound: float | None = None) -> ConcentrationReport:
     """C-hat_var = max over members of Var_mu(f) / ||delta f||_2^2.
     Scale invariant, so the lambda-grid plays no role here."""
     return _scan("uvb", mu, family, bound, (None,))
@@ -277,10 +238,7 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
         return out
 
     # composite Simpson: 1, 4, 2, ..., 2, 4, 1 times h / 3
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
+    weights = np.array([1.0] + [4.0, 2.0] * (steps // 2 - 1) + [4.0, 1.0]) * (h / 3.0)
 
     g_acc = np.column_stack([v, weights[0] * gamma_of(v)])
     for k in range(1, steps + 1):
@@ -291,78 +249,111 @@ def psi_identity_check(rates: RateModel, t: float, f: Observable, steps: int = 6
     return PsiReport(float(t), steps, float(np.max(np.abs(direct))), float(np.max(np.abs(integral))), gap)
 
 
+def _g(x: np.ndarray) -> np.ndarray:
+    """e^x - 1 - x without cancellation: expm1(x) - x, off by at most 20
+    ulps relative for |x| >= 0.1, and below that the series to x^10 by
+    Horner's rule, whose tail is under 1e-16 relative"""
+    out, small = np.expm1(x) - x, np.abs(x) < 0.1
+    if small.any():
+        out[small] = np.polyval([1.0 / math.factorial(k) for k in range(10, 1, -1)] + [0.0, 0.0], x[small])
+    return out
+
+
 class _Laws:
-    """Member laws P(f = l), one row per level (each member's levels a
-    contiguous run) and one column per measure: every Dirac start, mu S(t),
-    or one measure's support marginals.  `tables` holds each member's
-    (levels, level index of every table pattern).  Readers sum over a
-    member's levels by products with the 0/1 (members, levels) matrix
-    `member`, giving (members, measures); `runs` lists each member's levels,
-    padded with its last, for maxima."""
+    """Member laws P(f = l) in blocks by level count, one column per measure
+    (every Dirac start, mu S(t), or one measure's support marginals): block
+    b holds `levels[b]` (members, L) and `law[b]` (members, L, measures), in
+    member order, and every reader reduces a block's level axis.  A
+    two-level block holds every monomial, its law p = P(f = l_0) and 1 - p."""
 
-    def __init__(self, tables, law: np.ndarray):
-        self.tables, self.law = tables, law
-        sizes = np.array([levels.size for levels, _ in tables])
-        self.levels = np.concatenate([levels for levels, _ in tables])
-        self.owner = np.repeat(np.arange(sizes.size), sizes)
-        self.member = np.equal.outer(np.arange(sizes.size), self.owner).astype(float)
-        self.runs = np.cumsum(sizes)[:, None] - np.maximum(sizes[:, None] - np.arange(sizes.max()), 1)
-        self.mean = self.total(self.levels)
+    def __init__(self, levels, law):
+        self.levels, self.law = levels, law
+        self.means = [np.add.reduce(lv[:, :, None] * lw, axis=1) for lv, lw in zip(levels, law)]
+        self.mean = self._each(lambda lv, lw, m: m)
 
-    def total(self, x: np.ndarray) -> np.ndarray:
-        """sum_l law_l x_l, x per level or per level and measure"""
-        return (self.member * x) @ self.law if x.ndim == 1 else self.member @ (self.law * x)
+    def _each(self, read) -> np.ndarray:
+        """read(levels, law, mean) of every block, rows in member order"""
+        parts = [read(*block) for block in zip(self.levels, self.law, self.means)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def centered(self, lam: float) -> np.ndarray:
-        return lam * (self.levels[:, None] - self.mean[self.owner])
+    def against(self, nu: np.ndarray) -> "_Laws":
+        """The laws under the measure nu, one column: sum_s nu(s) P_s(f = l)"""
+        return _Laws(self.levels, [(lw.reshape(-1, lw.shape[2]) @ nu).reshape(len(lw), -1, 1) for lw in self.law])
 
     def h_integral(self, h, lam: float) -> np.ndarray:
         """E h(lam (f - E f)), where h may overflow to +inf: a level of no
         mass adds 0, and a member whose charged levels meet inf reads inf,
         without a product 0 * inf in the others' sums"""
-        v = np.where(self.law != 0, h(self.centered(lam)), 0.0)
-        inf = np.isposinf(v)
-        return np.where(self.member @ inf > 0, np.inf, self.total(np.where(inf, 0.0, v)))
+
+        def read(lv, lw, m):
+            v = np.where(lw != 0, h(lam * (lv[:, :, None] - m[:, None, :])), 0.0)
+            inf = np.isposinf(v)
+            return np.where(inf.any(axis=1), np.inf, np.add.reduce(lw * np.where(inf, 0.0, v), axis=1))
+
+        return self._each(read)
 
     def log_moment(self, lam: float) -> np.ndarray:
-        """log E e^{lam (f - E f)}, each sum shifted by the member's largest
-        lam l of positive mass under that measure; a level of no mass adds
-        e^{-inf} = 0, so a point mass reads 0 at every lam"""
-        x = np.where(self.law > 0, lam * self.levels[:, None], -np.inf)
-        top = x[self.runs].max(axis=1)
-        return np.log(self.total(np.exp(x - top[self.owner]))) + (top - lam * self.mean)
+        """log E e^{lam (f - E f)} from the levels of positive mass: while a
+        block's |lam (l - E f)| <= 700, log1p(sum_l P(f = l) g(lam (l - E f)))
+        with g(x) = e^x - 1 - x >= 0, no cancellation at small lam; past that,
+        where g may overflow, a log-sum-exp.  A point mass reads 0 at every lam."""
+
+        def read(lv, lw, m):
+            x = lam * (lv[:, :, None] - m[:, None, :])
+            if abs(lam) * (lv.max() - lv.min()) <= 700.0:
+                return np.log1p(np.add.reduce(np.where(lw > 0, lw * _g(x), 0.0), axis=1))
+            return logsumexp(np.where(lw > 0, x, -np.inf), axis=1, b=lw)
+
+        return self._each(read)
+
+    def peak_log_moment(self, lam: float) -> np.ndarray:
+        """log_moment(lam).max(axis=1).  A two-level member reads log(1 - p
+        + p e^a) - a p, a = lam (l_0 - l_1), concave in p with its maximum at
+        p* = 1/a - 1/(e^a - 1), so it peaks at the nearest p on either side of
+        p*.  A p* off by d moves the peak by about 4 d^2 relative: p* = 1/2 -
+        a/12 below |a| = 1e-3 (d <= a^3/720) serves."""
+        peaks = []
+        for lv, lw in zip(self.levels, self.law):
+            if lv.shape[1] == 2:
+                p, a = lw[:, 0], lam * (lv[:, 0] - lv[:, 1])
+                star = np.where(np.abs(a) < 1e-3, 0.5 - a / 12.0, 1.0 / a - 1.0 / np.expm1(np.minimum(a, 700.0)))
+                below = p <= star[:, None]
+                p = np.array([np.maximum.reduce(np.where(below, p, -np.inf), axis=1),
+                              np.minimum.reduce(np.where(below, np.inf, p), axis=1)]).T
+                p = np.where(np.isinf(p), p[:, ::-1], p)  # an empty side takes the other's
+                lw = np.stack([p, 1.0 - p], axis=1)
+            peaks.append(np.maximum.reduce(_Laws([lv], [lw]).log_moment(lam), axis=1))
+        return np.concatenate(peaks)
 
     def variance(self) -> np.ndarray:
-        return self.total(self.centered(1.0) ** 2)
+        """Var f; a two-level block's (l_0 - l_1)^2 p (1 - p) peaks at the p nearest 1/2"""
+
+        def read(lv, lw, m):
+            if lv.shape[1] == 2:
+                return ((lv[:, 0] - lv[:, 1]) ** 2)[:, None] * (lw[:, 0] * lw[:, 1])
+            return np.add.reduce(lw * (lv[:, :, None] - m[:, None, :]) ** 2, axis=1)
+
+        return self._each(read)
 
     def mean_lipschitz(self) -> np.ndarray:
         """||delta E f||_2 per member, E f read as a function of the start"""
-        n = self.law.shape[1].bit_length() - 1
-        return np.array([lipschitz_norm(lipschitz_vector_dense(n, v), 2.0) for v in self.mean])
+        n = self.mean.shape[1].bit_length() - 1
+        return np.sqrt(np.add.reduce(lipschitz_vector_dense(n, self.mean) ** 2, axis=1))
 
 
 class _Orbits:
     """The non-constant members of a family on the orbits of a group of site
-    maps, identity first: the rate automorphisms for the checks, the
-    identity alone for the scans.  Member m is its
-    representative r = of[m] moved by its own map g, a row of `group`:
-    f_m(s) = f_r(g(s)), g(s) carrying the spin at site i to site g[i], as
-    lattice.permute_states moves a state vector.  A member joins the first
-    earlier representative and the first map for which that holds exactly:
-    g maps its support onto the representative's and the re-keyed tables
-    are bitwise equal, so a family need not be closed under the group.  A
-    representative is its own image under the identity.
-
-    As g commutes with S(t), f_m's law under the start s is f_r's under
-    g(s): a maximum over starts is the representative's, a per-start vector
-    is the representative's moved by g, and the law under mu S(t) is f_r's
-    laws against mu moved by g^-1, s -> mu(g^-1(s)).  `labels` and `l2sq`
-    are per member (||delta f||_2^2 is the representative's, as g permutes
-    sites); `fs`, `tables` (levels, level index of every pattern of the
-    member's table: each pattern covers as many states, so the table gives
-    the levels and their frequencies), `rep_l2sq` and `rows` (each one's
-    law rows) per representative; `groups` lists (map index, its members)
-    per map in use, the identity first."""
+    maps, identity first.  Member m is its representative r = of[m] moved by
+    its own map g, a row of `group`: f_m(s) = f_r(g(s)), g(s) carrying the
+    spin at site i to site g[i], as lattice.permute_states moves a state
+    vector.  A member joins the first earlier representative and the first
+    map for which that holds exactly: g maps its support onto the
+    representative's and the re-keyed tables are bitwise equal.  `labels`
+    and `l2sq` are per member; `fs`, `rep_l2sq` and `tables` (levels, level
+    index of every table pattern, each covering as many states) per
+    representative, in order of level count, most frequent level last;
+    `levels` the (representatives, L) levels per count, the blocks of
+    _Laws; `groups` (map index, its members) per map in use, identity first."""
 
     def __init__(self, family: TestFunctionFamily, group: np.ndarray):
         members = family.members
@@ -390,33 +381,63 @@ class _Orbits:
                 rank = np.vstack([rank, np.full(group.shape[1], -1)])
                 rank[-1, sup] = np.arange(sup.size)
                 sizes.append(sup.size)
-        l2sq = np.array([lipschitz_norm(lipschitz_vector(members[r]), 2.0) ** 2 for r in reps])
-        if not np.any(l2sq > 0):
+        l2sq = {r: lipschitz_norm(lipschitz_vector(members[r]), 2.0) ** 2 for r in reps}
+        if not any(w > 0 for w in l2sq.values()):
             raise ValueError("family contains only constant functions")
-        kept = [r for r, w in zip(reps, l2sq) if w > 0]
-        self.rep_l2sq, self.fs = l2sq[l2sq > 0], [members[r] for r in kept]
-        self.tables = [np.unique(f.table, return_inverse=True) for f in self.fs]
+        tables = {r: np.unique(members[r].table, return_inverse=True) for r in reps if l2sq[r] > 0}
+        kept = sorted(tables, key=lambda r: tables[r][0].size)
+        self.fs, self.rep_l2sq, self.tables = [members[r] for r in kept], np.array([l2sq[r] for r in kept]), []
+        for levels, at in (tables[r] for r in kept):
+            d = int(np.argmax(np.bincount(at)))
+            order = np.r_[np.arange(d), np.arange(d + 1, levels.size), d]
+            self.tables.append((levels[order], np.argsort(order)[at]))
+        counts = sorted({levels.size for levels, _ in self.tables})
+        self.levels = [np.array([lv for lv, _ in self.tables if lv.size == c]) for c in counts]
         row = {r: k for k, r in enumerate(kept)}
         keep = [m for m, r in enumerate(rep_of) if r in row]
-        labels = [label for label, _ in family.labeled()]
-        self.labels = [labels[m] for m in keep]
-        self.of = np.array([row[rep_of[m]] for m in keep])
+        self.labels = [label for m, (label, _) in enumerate(family.labeled()) if rep_of[m] in row]
+        self.of, self.group = np.array([row[rep_of[m]] for m in keep]), group
         self.l2sq = self.rep_l2sq[self.of]
-        ends = np.cumsum([levels.size for levels, _ in self.tables])
-        self.rows = [np.arange(end - levels.size, end) for end, (levels, _) in zip(ends, self.tables)]
-        self.group = group
         maps = np.array([maps[m] for m in keep])
         self.groups = [(g, np.flatnonzero(maps == g)) for g in np.unique(maps)]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The law columns every check evolves, read-only: c_l = 2 1{f = l} -
+        1 at every state for each level l but the last of each representative"""
+        cols = np.column_stack([Observable(f.torus, f.support, 2.0 * (at == k) - 1.0).dense_values()
+                                for f, (levels, at) in zip(self.fs, self.tables) for k in range(levels.size - 1)])
+        cols.setflags(write=False)
+        return cols
 
     def spread(self, x: np.ndarray) -> np.ndarray:
         """Per representative along the last axis to per member"""
         return x[..., self.of]
 
     def measures(self, probs: np.ndarray):
-        """(members, mu moved by g^-1) for each group's map g, one at a time"""
-        n = self.group.shape[1]
-        for g, ms in self.groups:
-            yield ms, permute_states(probs, n, np.argsort(self.group[g])) if g else probs
+        """(members, mu moved by g^-1) for each map g in use, one at a time;
+        a map whose moved mu equals mu bitwise, as every map's does when mu
+        is constant, joins the identity, whose members read mu itself, last"""
+        n, plain, constant = self.group.shape[1], [self.groups[0][1]], probs.min() == probs.max()
+        for g, ms in self.groups[1:]:
+            moved = probs if constant else permute_states(probs, n, np.argsort(self.group[g]))
+            if moved is probs or np.array_equal(moved, probs):
+                plain.append(ms)
+            else:
+                yield ms, moved
+        yield np.concatenate(plain), probs
+
+    def per_measure(self, probs: np.ndarray, read) -> np.ndarray:
+        """read(rows, nu), (..., len(rows)) for the sorted representatives
+        rows under a measure nu, per member: each of measures' moved mu once,
+        at the representatives of its members"""
+        out = None
+        for ms, nu in self.measures(probs):
+            rows, at = np.unique(self.of[ms], return_inverse=True)
+            values = read(rows, nu)[..., at]
+            out = np.empty(values.shape[:-1] + self.of.shape) if out is None else out
+            out[..., ms] = values
+        return out
 
     def max_over_members(self, per_start: np.ndarray) -> np.ndarray:
         """The largest member's value at each start, from one row per
@@ -426,24 +447,13 @@ class _Orbits:
         return np.max([permute_states(per_start[self.of[ms]].max(axis=0), n, self.group[g]) for g, ms in self.groups],
                       axis=0)
 
-    def under(self, laws: "_Laws", probs: np.ndarray) -> "_Laws":
-        """Every member's laws under mu S(t), one column: its
-        representative's laws against mu moved by g^-1"""
-        parts = [None] * self.of.size
-        for ms, moved in self.measures(probs):
-            law = laws.law @ moved
-            for m in ms:
-                parts[m] = law[self.rows[self.of[m]]]
-        return _Laws([self.tables[r] for r in self.of], np.concatenate(parts)[:, None])
-
 
 def _orbits(family: TestFunctionFamily, group: np.ndarray) -> _Orbits:
     """The family's _Orbits under the site maps of group, kept on the family
     per group while its members stay the same objects"""
     members, orbits = family._orbits.get(group.tobytes(), ((), None))
-    if orbits is None or len(members) != len(family.members) or any(
-        a is not b for a, b in zip(members, family.members)
-    ):
+    same = len(members) == len(family.members) and all(a is b for a, b in zip(members, family.members))
+    if orbits is None or not same:
         orbits = _Orbits(family, group)
         family._orbits[group.tobytes()] = (tuple(family.members), orbits)
     return orbits
@@ -460,25 +470,26 @@ def family_summary(rates: RateModel, family: TestFunctionFamily) -> dict:
 
 def _member_laws(rates: RateModel, t: float, family: TestFunctionFamily):
     """The family's _Orbits under the rate automorphisms and the laws under
-    every Dirac start of their representatives, from one batched
-    evolution.  A representative evolves
-    c_l = 2 1{f = l} - 1 for each level l but its most frequent (a monomial
-    is its own c_l, one half-column under the fold) and reads P(f = l) =
-    (1 + S(t)c_l)/2, the dropped level's as 1 minus the others.  In exact
+    every Dirac start of their representatives, from one batched evolution of
+    the cached columns c_l = 2 1{f = l} - 1, each level l but the most
+    frequent (a monomial is its own c_l, one half-column under the fold):
+    P(f = l) = (1 + S(t)c_l)/2, the dropped level's 1 minus the others.  In exact
     arithmetic the truncated series sum_k w_k P^k (P stochastic, >= 0; W =
     sum_k w_k) maps c_l into [-W, W]: for k evolved levels an entry is off by
     at most k (1 - W)/2 (1 - W <= tail_tol) plus rounding, a few 2^-53 per
     term, and negative by at most (k/2 - 1)(1 - W) plus rounding.  A reader
     carries that error times the range it sums, far inside _TOL: no clip."""
     orbits = _orbits(family, rates.automorphisms)
-    tables = orbits.tables
-    dropped = [int(np.argmax(np.bincount(at))) for _, at in tables]
-    columns = [Observable(f.torus, f.support, 2.0 * (at == k) - 1.0).dense_values()
-               for f, (levels, at), d in zip(orbits.fs, tables, dropped) for k in range(levels.size) if k != d]
-    evolved = (1.0 + engine_for(rates).evolve_functions(np.column_stack(columns), t).T) / 2.0
-    parts = np.split(evolved, np.cumsum([levels.size - 1 for levels, _ in tables])[:-1])
-    law = np.vstack([np.insert(part, d, 1.0 - part.sum(axis=0), axis=0) for part, d in zip(parts, dropped)])
-    return orbits, _Laws(tables, law)
+    evolved = engine_for(rates).evolve_functions(orbits.columns, t)
+    # one row per column, each block's rows (members, levels - 1) in a run
+    kept = np.add(evolved.T, 1.0, order="C")
+    kept *= 0.5
+    law, at = [], 0
+    for levels in orbits.levels:
+        part = kept[at : at + levels.size - len(levels)].reshape(len(levels), levels.shape[1] - 1, -1)
+        at += part.shape[0] * part.shape[1]
+        law.append(np.concatenate([part, 1.0 - part.sum(axis=1, keepdims=True)], axis=1))
+    return orbits, _Laws(orbits.levels, law)
 
 
 @dataclass
@@ -498,27 +509,25 @@ def theorem31_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     """Exponential-moment conservation.  D_t is the exact max over all Dirac
     starts and the family; the per-function bound and the composite constant
     D_t + K(t) C_mu are asserted.  c_mu must be a GCB constant valid for every
-    function (certified, not empirical).
-
-    The log-moment of lambda f under nu is log sum_l nu(f = l) e^{lambda l - m}
-    + m - lambda nu(f), m the largest lambda l that nu charges: the member
-    laws under every start and under mu S(t) give it at every lambda of the
-    grid."""
+    function (certified, not empirical).  The member laws under every start
+    and under mu S(t) give the log-moment at every lambda of the grid."""
     probs = probs_of(mu)
     orbits, laws = _member_laws(rates, t, family)
-    at_mu = orbits.under(laws, probs)
     lams = np.array(family.lambda_grid)
     # a member's maximum over starts is its representative's
-    start_max = np.array([laws.log_moment(lam).max(axis=1) for lam in lams])
+    start_max = np.array([laws.peak_log_moment(lam) for lam in lams])
     d_t = max(0.0, float(np.max(start_max / np.outer(lams * lams, orbits.rep_l2sq))))
     l2sq_t = orbits.spread(laws.mean_lipschitz() ** 2)
-    lhs_all = np.array([at_mu.log_moment(lam)[:, 0] for lam in lams]).T
+
+    def at_mu(rows, nu):
+        at = laws.against(nu)
+        return np.array([at.log_moment(lam)[rows, 0] for lam in lams])
+
+    lhs_all = orbits.per_measure(probs, at_mu).T
     measured = max(0.0, float(np.max(lhs_all / np.outer(orbits.l2sq, lams * lams))))
-    rows = []
-    for label, w, w_t, lhs_row in zip(orbits.labels, orbits.l2sq.tolist(), l2sq_t.tolist(), lhs_all.tolist()):
-        for lam, lhs in zip(family.lambda_grid, lhs_row):
-            rhs = d_t * lam * lam * w + c_mu * lam * lam * w_t
-            rows.append({"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + _TOL})
+    rows = [{"label": label, "lam": lam, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + _TOL}
+            for label, w, w_t, lhs_row in zip(orbits.labels, orbits.l2sq.tolist(), l2sq_t.tolist(), lhs_all.tolist())
+            for lam, lhs in zip(family.lambda_grid, lhs_row) for rhs in [d_t * lam * lam * w + c_mu * lam * lam * w_t]]
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = d_t + k_t * c_mu
     holds = all(r["ok"] for r in rows) and measured <= composite + _TOL
@@ -542,7 +551,7 @@ def theorem52_check(rates: RateModel, t: float, mu, family: TestFunctionFamily, 
     avg_start = float(probs @ c_sigma)
     k_t = gamma_matrix(rates).k_of_t(t)
     composite = c_mu * k_t + avg_start
-    ratios = orbits.under(laws, probs).variance()[:, 0] / orbits.l2sq
+    ratios = orbits.per_measure(probs, lambda rows, nu: laws.against(nu).variance()[rows, 0]) / orbits.l2sq
     rows, measured, holds = _ratio_rows(orbits.labels, ratios, composite)
     return TheoremReport("52", float(t), k_t, c_mu, avg_start, composite, measured, rows, holds)
 
@@ -582,10 +591,7 @@ class HJCSpec:
     measures.  h, j and j_inv act elementwise on arrays."""
 
     def __init__(self, h, j, j_inv, label: str = "custom"):
-        self.h = h
-        self.j = j
-        self.j_inv = j_inv
-        self.label = label
+        self.h, self.j, self.j_inv, self.label = h, j, j_inv, label
         self._verify()
 
     def _verify(self, lo: float = -6.0, hi: float = 6.0, n: int = 241):
@@ -634,30 +640,26 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
     probs = probs_of(mu)
     k_t = gamma_matrix(rates).k_of_t(t)
     orbits, laws = _member_laws(rates, t, family)
-    at_mu = orbits.under(laws, probs)
-    scale = np.abs(family.lambda_grid)[:, None]
+    lams = family.lambda_grid
+    scale = np.abs(lams)[:, None]
     l2 = scale * np.sqrt(orbits.l2sq)  # ||delta lambda f||_2 per lambda and member
+
+    def at_mu(rows, nu):
+        # the left side under mu S(t), then the outer: g = S(t)(lambda f) under
+        # the initial measure, at the starts it charges only, so an H past the
+        # float range at a start of no mass adds 0, not 0 * inf = NaN
+        at, charged = laws.against(nu), nu > 0
+        outer = (lam * laws.mean[rows] for lam in lams)
+        return np.array([at.h_integral(spec.h, lam)[rows, 0] for lam in lams]
+                        + [spec.h(2.0 * (g[:, charged] - (g @ nu)[:, None])) @ nu[charged] for g in outer])
+
     # H or J past the float range reads inf: such a bound is vacuous and its
     # row holds
     with np.errstate(over="ignore"):
-        inner, lhs = [], []
-        for lam in family.lambda_grid:
-            # inner: every Dirac start, doubled centered function; J^-1 is
-            # increasing, so the largest moment gives its max
-            inner.append(orbits.spread(laws.h_integral(spec.h, 2.0 * lam).max(axis=1)))
-            # left side under mu S(t)
-            lhs.append(at_mu.h_integral(spec.h, lam)[:, 0])
-        # outer: the evolved function g = S(t)(lambda f) under the initial
-        # measure, a member's per-start means being its representative's
-        # moved by g, so read against mu moved by g^-1 instead; at the starts
-        # that charges only, so an H past the float range at a start of no
-        # mass adds 0, not 0 * inf = NaN
-        m_out = np.empty(l2.shape)
-        for ms, p in orbits.measures(probs):
-            charged = p > 0
-            for k, lam in enumerate(family.lambda_grid):
-                g = lam * laws.mean[orbits.of[ms]]
-                m_out[k, ms] = spec.h(2.0 * (g[:, charged] - (g @ p)[:, None])) @ p[charged]
+        # inner: every Dirac start, doubled centered function; J^-1 is
+        # increasing, so the largest moment gives its max
+        inner = [orbits.spread(laws.h_integral(spec.h, 2.0 * lam).max(axis=1)) for lam in lams]
+        lhs, m_out = np.split(orbits.per_measure(probs, at_mu), 2)
         c_start = float(np.max(spec.j_inv(np.array(inner)) / (2.0 * l2)))
         # a member constant to rounding after S(t) bounds nothing: 0 <= J(0)
         lip = scale * orbits.spread(laws.mean_lipschitz())
@@ -665,10 +667,8 @@ def hjc_check(rates: RateModel, t: float, mu, spec: HJCSpec, family: TestFunctio
         c_out = float(np.max(ratios)) if ratios.size else 0.0
         composite = 2.0 * c_start + 2.0 * c_out * math.sqrt(k_t)
         rhs = spec.j(composite * l2)
-    rows = [
-        {"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs_one, "ok": lhs_one <= rhs_one * (1 + 1e-9) + _TOL}
-        for label, rhs_row, lhs_row in zip(orbits.labels, rhs.T.tolist(), np.transpose(lhs).tolist())
-        for lam, rhs_one, lhs_one in zip(family.lambda_grid, rhs_row, lhs_row)
-    ]
+    rows = [{"label": label, "lam": lam, "lhs": lhs_one, "rhs": rhs_one, "ok": lhs_one <= rhs_one * (1 + 1e-9) + _TOL}
+            for label, rhs_row, lhs_row in zip(orbits.labels, rhs.T.tolist(), np.transpose(lhs).tolist())
+            for lam, rhs_one, lhs_one in zip(lams, rhs_row, lhs_row)]
     holds = all(r["ok"] for r in rows)
     return TheoremReport("hjc", float(t), k_t, c_out, c_start, composite, c_start, rows, holds)

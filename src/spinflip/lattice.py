@@ -370,12 +370,18 @@ def lipschitz_vector(f: Observable) -> np.ndarray:
 
 
 def lipschitz_vector_dense(n_sites: int, values: np.ndarray) -> np.ndarray:
-    """delta of a function given as a full 2^N state vector."""
+    """delta of a function given as a full 2^N state vector, or of each row
+    of a stack of them: per site, the largest difference across its bit."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (1 << n_sites,):
+    if values.shape[-1:] != (dense_size(n_sites),):
         raise ValueError("values must enumerate all states")
-    tensor = bit_tensor(values, n_sites)
-    return np.array([np.max(np.abs(np.flip(tensor, n_sites - 1 - i) - tensor)) for i in range(n_sites)])
+    rows = values.reshape(-1, values.shape[-1])
+    out = np.empty((len(rows), n_sites))
+    for i in range(n_sites):
+        pairs = rows.reshape(len(rows), -1, 2, 1 << i)
+        diff = np.subtract(pairs[:, :, 1], pairs[:, :, 0]).reshape(len(rows), -1)
+        out[:, i] = np.maximum.reduce(np.abs(diff, out=diff), axis=1)
+    return out.reshape(values.shape[:-1] + (n_sites,))
 
 
 def lipschitz_norm(delta, p=2.0) -> float:

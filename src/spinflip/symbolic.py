@@ -187,7 +187,7 @@ def _fold(held: list) -> tuple:
         held.clear()
         held.append(_merge(*joined))
     if len(held[0][1]) > TERM_CAP:
-        raise RuntimeError("term-count overflow in the expansion")
+        raise TermCapExceeded(f"term-count overflow in the expansion: over TERM_CAP = {TERM_CAP} distinct terms")
     return held[0]
 
 
@@ -478,17 +478,31 @@ def chain_bound(shape_sizes, a_size: int) -> int:
     return out
 
 
+class TermCapExceeded(RuntimeError):
+    """An expansion passed TERM_CAP distinct terms."""
+
+
+class EstimateViolated(RuntimeError):
+    """A checked estimate failed: l1 > bound; `result` holds the norms."""
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
+
+
 def _checked(cls, poly: SetPolynomial, bound, estimate: str):
     """cls(poly, sup, l1, bound, exact_available) from poly's norms, once
-    l1 <= bound and sup <= l1 are checked.  An expansion's two norms read
-    one cached reduction (_ExpandedPolynomial._norms)."""
+    sup <= l1 and l1 <= bound are checked (EstimateViolated carries the
+    result).  An expansion's two norms read one cached reduction
+    (_ExpandedPolynomial._norms)."""
     l1 = poly.coeff_l1()
     sup = poly.exact_sup_norm()
-    if l1 > bound:
-        raise RuntimeError(f"{estimate} violated: l1 norm {l1} > bound {bound}")
     if sup is not None and sup > l1:
         raise RuntimeError("sup norm exceeded the l1 coefficient norm")
-    return cls(poly, sup, l1, bound, sup is not None)
+    result = cls(poly, sup, l1, bound, sup is not None)
+    if l1 > bound:
+        raise EstimateViolated(f"{estimate} violated: l1 norm {l1} > bound {bound}", result)
+    return result
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Concentration ratios, tails, and the theorem pipelines."""
 
+import decimal
 import math
 import re
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import log_exponential_moment, variance
 from scipy.linalg import expm
+from scipy.special import logsumexp
 
 from spinflip import concentration
 from spinflip.concentration import (
@@ -39,7 +41,13 @@ from spinflip.dynamics import (
     generator_matrix,
 )
 from spinflip.gibbs import Potential, dirac_vector, gibbs_measure, product_measure, uniform_measure
-from spinflip.lattice import Observable, Torus, lipschitz_norm, lipschitz_vector
+from spinflip.lattice import (
+    Observable,
+    Torus,
+    lipschitz_norm,
+    lipschitz_vector,
+    permute_states,
+)
 
 
 def binomial_upper_tail(n, u):
@@ -962,3 +970,121 @@ class TestScanLaws:
         monkeypatch.setattr(Observable, "dense_values", refused)
         assert empirical_gcb_constant(mu, fam).rows
         assert check_uvb(mu, fam).rows
+
+
+def decimal_log_moment(levels, law, lam):
+    """log E e^{lam (f - E f)} of one law at 50 digits, the law normalized
+    as it is read from its floats"""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p = [decimal.Decimal(float(w)) for w in law]
+        total = sum(p)
+        mean = sum(w * decimal.Decimal(float(l)) for w, l in zip(p, levels)) / total
+        lam = decimal.Decimal(lam)
+        return float((sum(w * (lam * (decimal.Decimal(float(l)) - mean)).exp() for w, l in zip(p, levels)) / total).ln())
+
+
+class TestReaders:
+    """_Laws' block readers against 50-digit and dense per-start oracles."""
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-5, 1e-8, -1e-2, -1e-5, -1e-8])
+    def test_small_scales_against_decimal(self, lam):
+        # one two-level block (p = 0.3, and a point mass) and one
+        # three-level block, two measures each
+        two = np.array([[[0.3, 1.0], [0.7, 0.0]]])
+        three = np.array([[[0.2, 0.45], [0.5, 0.1], [0.3, 0.45]]])
+        laws = concentration._Laws([np.array([[1.0, -1.0]]), np.array([[-1.0, 0.5, 2.0]])], [two, three])
+        got = laws.log_moment(lam)
+        for row, (levels, law) in enumerate([([1.0, -1.0], two[0]), ([-1.0, 0.5, 2.0], three[0])]):
+            for col in range(2):
+                want = decimal_log_moment(levels, law[:, col], lam)
+                assert got[row, col] == pytest.approx(want, rel=1e-13, abs=0)
+        assert got[0, 1] == 0.0
+
+    @staticmethod
+    def mixed(torus):
+        # monomials of one and two sites and random members of 3 or more
+        # levels: a two-level block and larger ones
+        fam = TestFunctionFamily(
+            TestFunctionFamily.monomials(torus, 2, max_count=8).members
+            + TestFunctionFamily.random_combinations(torus, 4, seed=5).members
+            + [Observable.monomial_sum(torus, [(1.0, [0]), (1.0, [2])])],
+            lambda_grid=(0.25, -1.0, 2.0, 400.0, -400.0),
+        )
+        assert {np.unique(f.dense_values()).size for f in fam.members} == {2, 3, 8}
+        return fam
+
+    def test_every_reader_against_dense_per_start_sums(self):
+        torus = Torus((6,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        fam = self.mixed(torus)
+        orbits, laws = concentration._member_laws(rates, 0.5, fam)
+        assert len(laws.levels) > 1 and laws.levels[0].shape[1] == 2
+        e = expm(0.5 * generator_matrix(rates).toarray())  # row s: delta_s S(t)
+        values = np.array([f.dense_values() for f in orbits.fs])
+        mean = values @ e.T
+        tol = dict(rel=1e-10, abs=1e-13)
+        assert laws.mean == pytest.approx(mean, **tol)
+        assert laws.variance() == pytest.approx((values**2) @ e.T - mean**2, **tol)
+        states = np.arange(64)
+        lip = [math.sqrt(sum(np.max(np.abs(m[states ^ (1 << i)] - m)) ** 2 for i in range(6))) for m in mean]
+        assert laws.mean_lipschitz() == pytest.approx(lip, **tol)
+        for lam in fam.lambda_grid:
+            x = lam * (values[:, None, :] - mean[:, :, None])  # (member, start, state)
+            want = logsumexp(x, b=np.broadcast_to(e, x.shape), axis=2)
+            got = laws.log_moment(lam)
+            assert np.isfinite(got).all()
+            assert got == pytest.approx(want, **tol)
+            assert laws.peak_log_moment(lam) == pytest.approx(got.max(axis=1), rel=1e-15, abs=0)
+            with np.errstate(over="ignore"):
+                want_h = np.sum(e * (np.cosh(x) - 1.0), axis=2)
+                assert laws.h_integral(lambda y: np.cosh(y) - 1.0, lam) == pytest.approx(want_h, rel=1e-10, abs=1e-13)
+
+    def test_peak_takes_both_sides_of_the_concave_maximum(self):
+        # p on one side of p* only, on both sides, and exactly at p*
+        a = 2.0 * 0.5
+        star = 1.0 / a - 1.0 / math.expm1(a)
+        for ps in ([0.1, 0.2], [0.9, 0.95], [0.1, star - 1e-3, star + 2e-3, 0.9], [star, 0.0]):
+            p = np.array([ps])
+            laws = concentration._Laws([np.array([[1.0, -1.0]])], [np.stack([p, 1.0 - p], axis=1)])
+            assert laws.peak_log_moment(0.5)[0] == laws.log_moment(0.5)[0].max()
+
+
+class TestInvariantMeasure:
+    """A measure that every map leaves bitwise equal is read once, at the
+    representatives; any other is moved map by map."""
+
+    @staticmethod
+    def count_moves(monkeypatch):
+        moved = []
+
+        def counted(values, n, image):
+            moved.append(values.shape)
+            return permute_states(values, n, image)
+
+        monkeypatch.setattr(concentration, "permute_states", counted)
+        return moved
+
+    def test_uniform_measure_moves_nothing(self, monkeypatch):
+        torus = Torus((8,))
+        rates = PerturbedRates.pair(torus, 0.1)
+        fam = TestFunctionFamily.monomials(torus, 3, max_count=20)
+        assert family_summary(rates, fam)["orbits"] < len(fam)
+        moved = self.count_moves(monkeypatch)
+        mu = uniform_measure(torus)
+        theorem31_check(rates, 0.5, mu, fam, product_gcb_constant())
+        hjc_check(rates, 0.5, mu, hjc_library("square"), fam)
+        theorem53_check(rates, 0.5, fam)
+        assert moved == []
+        monkeypatch.undo()
+        TestOrbitRoute.compare(lambda: PerturbedRates.pair(torus, 0.1), mu, fam)
+
+    def test_site_dependent_product_moves_mu_per_map(self, monkeypatch):
+        torus = Torus((8,))
+        fam = TestFunctionFamily.monomials(torus, 3, max_count=20)
+        mu = product_measure(torus, np.linspace(0.2, 0.7, 8))
+        moved = self.count_moves(monkeypatch)
+        theorem31_check(PerturbedRates.pair(torus, 0.1), 0.5, mu, fam, product_gcb_constant())
+        assert moved
+        monkeypatch.undo()
+        TestOrbitRoute.compare(lambda: PerturbedRates.pair(torus, 0.1), mu, fam)

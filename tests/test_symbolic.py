@@ -1,5 +1,6 @@
 """Exact operator algebra: chains, generator powers, series, tail bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -717,6 +718,32 @@ class TestTermCap:
         monkeypatch.setattr(symbolic, "_merge", merge)
         assert apply_generator_power(GeneratorSpec([((), 1)]), 1, [0, 1, 2]).polynomial.terms == {as_monomial([0, 1, 2]): Fraction(-6)}
         assert max(merged) == 2
+
+    def test_command_exits_2_naming_the_cap(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(symbolic, "TERM_CAP", 3)
+        code = cli.main(["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0,1", "--n", "6", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "TERM_CAP = 3" in err and "Traceback" not in err
+
+
+class TestBoundViolation:
+    def test_command_reports_the_violation_and_exits_1(self, monkeypatch, tmp_path, capsys):
+        # a bound of 0 fails at n = 0, where sigma_A has l1 norm 1
+        monkeypatch.setattr(symbolic, "loccast_bound", lambda gen, n, a_size: 0)
+        code = cli.main(["symbolic-bound", "--gen", "nn_decay.gen", "--A", "0,1", "--n", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "violation: iterated-generator norm bound violated" in err and "Traceback" not in err
+        report = json.loads((tmp_path / "symbolic-bound.json").read_text())
+        assert [v["n"] for v in report["violations"]] == [0, 1, 2]
+        assert report["violations"][0] == {"n": 0, "norm": "1", "bound": "0"}
+
+    def test_library_call_carries_the_result(self, monkeypatch):
+        monkeypatch.setattr(symbolic, "loccast_bound", lambda gen, n, a_size: 0)
+        with pytest.raises(symbolic.EstimateViolated, match="factorial growth bound violated") as info:
+            apply_generator_power(TestTermCap.GEN, 1, [0, 1])
+        assert info.value.result.coeff_l1_norm == 8 and info.value.result.loccast_bound == 0
 
 
 class TestSeries:
